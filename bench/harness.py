@@ -7,6 +7,10 @@ A call fails on an unexpected exit code, a crash, a verify artifact whose
 ``overall`` is not PASS, an append-only drift error on a repeat pass, or
 artifact bytes that differ from the stored reference digests or from the
 golden three-points report.
+
+With ``calibrate`` set, a fixed calibration kernel is timed right before
+every call, so that each call's time can be read against the speed the
+machine ran at just then.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 import time
 import traceback
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from dicriticals import cli
@@ -25,6 +30,32 @@ from dicriticals import cli
 from workloads import Item
 
 GOLDEN_NAME = "three-points.verify.json"
+KERNEL_FACTOR = {(0, 0): Fraction(1), (1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3), (1, 1): Fraction(-5, 7)}
+
+
+def calibration_kernel() -> dict:
+    """A fixed amount of the library's kind of work without the library.
+
+    It multiplies sparse polynomials with exact rational coefficients, as
+    ``poly`` does, so a slow phase of the shared machine slows it about as
+    much as the calls it is timed beside; a change to ``dicriticals`` cannot
+    change its speed.
+    """
+    acc = {(0, 0): Fraction(1)}
+    for _ in range(5):
+        out: dict = {}
+        for (a, b), u in acc.items():
+            for (c, d), v in KERNEL_FACTOR.items():
+                key = (a + c, b + d)
+                out[key] = out.get(key, 0) + u * v
+        acc = {k: v for k, v in out.items() if v}
+    return acc
+
+
+def kernel_seconds() -> float:
+    start = time.perf_counter()
+    calibration_kernel()
+    return time.perf_counter() - start
 
 
 @dataclass
@@ -33,6 +64,7 @@ class Call:
     command: str
     seconds: float
     failure: str | None = None
+    kernel_s: float = 0.0  # calibration kernel time just before the call
 
 
 @dataclass
@@ -42,7 +74,7 @@ class Pass:
     processed: int = 0  # scenarios whose every call held
 
     def seconds(self, *commands: str) -> float:
-        return sum(c.seconds for c in self.calls if c.command in commands)
+        return sum(c.seconds for c in self.calls if not commands or c.command in commands)
 
 
 class Harness:
@@ -67,6 +99,7 @@ class Harness:
         self.references = references or {}
         self.golden = golden
         self.tracer = tracer
+        self.calibrate = False
         self.digests: dict[str, str] = {}
         self.scenario_dir.mkdir(parents=True, exist_ok=True)
         for item in items:
@@ -87,6 +120,7 @@ class Harness:
         return argv
 
     def call(self, item: Item, command: str) -> Call:
+        kernel_s = kernel_seconds() if self.calibrate else 0.0
         sink = io.StringIO()
         start = time.perf_counter()
         try:
@@ -95,9 +129,9 @@ class Harness:
         except Exception:  # a crash is a failed call, never the end of the run
             seconds = time.perf_counter() - start
             last = traceback.format_exc().strip().splitlines()[-1]
-            return Call(item.name, command, seconds, f"crash: {last}")
+            return Call(item.name, command, seconds, f"crash: {last}", kernel_s)
         seconds = time.perf_counter() - start
-        return Call(item.name, command, seconds, self._check(item, command, code, sink.getvalue()))
+        return Call(item.name, command, seconds, self._check(item, command, code, sink.getvalue()), kernel_s)
 
     def _check(self, item: Item, command: str, code: int, output: str) -> str | None:
         if "drift:" in output:

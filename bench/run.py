@@ -11,15 +11,20 @@ for ``--seconds``: ``matrix``, ``solve`` and ``verify --certificate``, called
 in-process through ``dicriticals.cli.main`` (single process, single thread,
 closed loop: each call starts when the previous one returns).
 
+Times are reported at a reference speed.  The shared machine this runs on
+moves between fast and slow phases (up to 1.7x apart, lasting seconds to
+minutes), which no run length averages away.  So a fixed calibration kernel
+that does not use the library is timed before every call, and a pass's
+seconds are scaled by ``KERNEL_REF_S`` over the pass's mean kernel time: the
+seconds the pass would have taken at the speed where the kernel takes
+``KERNEL_REF_S``.  The raw seconds are printed beside them.
+
 With ``--trace 0`` nothing is traced and the last stdout line carries the
 end-to-end metrics; with ``--trace 1`` untraced and traced passes alternate
 and the last line carries the per-layer metrics of the traced passes.  Both
 print a human-readable report and a ``meta`` line before it, and write the
 result (and, traced, the spans) under ``.bench_out/``.  Work files live in a
 temporary directory under ``.bench_work/`` that is removed at exit.
-
-``--record-digests`` rewrites ``reference_digests.json`` from one pass of
-every workload at the default seed.
 """
 
 import time
@@ -45,8 +50,12 @@ OUT = ROOT / ".bench_out"
 WORK = ROOT / ".bench_work"
 DIGESTS = BENCH / "reference_digests.json"
 GOLDEN = ROOT / "tests" / "data" / "three-points.verify.json"
-SETUP_SAMPLES = 7  # fresh-process set-ups per run; setup_s is their median
+# Import time is paid once per process, so set-up is sampled in fresh
+# processes: this one and SETUP_SAMPLES - 1 more; setup_s is their median.
+SETUP_SAMPLES = 7
+SETUP_KERNELS = 15  # kernel timings after each set-up; their median scales it
 PROBE_TIMEOUT_S = 120
+KERNEL_REF_S = 0.001  # calibration kernel seconds at the reference speed
 
 
 def import_library() -> None:
@@ -62,15 +71,12 @@ def import_library() -> None:
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=("fixtures", "chain", "shear-chain", "solve"))
+    parser.add_argument("--workload", choices=("fixtures", "chain", "shear-chain", "solve"), required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--record-digests", action="store_true")
     args = parser.parse_args(argv)
-    if args.workload is None and not args.record_digests:
-        parser.error("--workload is required")
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
     return args
@@ -114,13 +120,24 @@ def setup(workload: str, seed: int, workdir: Path):
     return harness, [c for c in warm.calls if c.failure is not None]
 
 
-def setup_probe(args) -> float:
-    """Set-up seconds of one fresh process running the same workload and seed."""
+def setup_probe(args) -> tuple[float, float]:
+    """Set-up and kernel seconds of one fresh process on the same workload and seed."""
     cmd = [sys.executable, str(BENCH / "run.py"), "--workload", args.workload, "--seed", str(args.seed), "--setup-probe"]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=PROBE_TIMEOUT_S, cwd=ROOT)
     if done.returncode != 0:
         raise RuntimeError(f"set-up probe failed: {done.stderr.strip()[-500:]}")
-    return float(done.stdout.strip().splitlines()[-1])
+    setup_s, kernel_s = done.stdout.strip().splitlines()[-1].split()
+    return float(setup_s), float(kernel_s)
+
+
+def at_reference_speed(seconds: float, kernel_s: float) -> float:
+    """``seconds`` measured while the calibration kernel took ``kernel_s``, at the reference speed."""
+    return seconds * KERNEL_REF_S / kernel_s
+
+
+def pass_seconds(p, *commands: str) -> float:
+    """Seconds of the pass's calls of ``commands`` (all calls if none), at the reference speed."""
+    return at_reference_speed(p.seconds(*commands), statistics.fmean(c.kernel_s for c in p.calls))
 
 
 def highest_percentile(values: list[float]) -> tuple[int, float, int] | None:
@@ -160,25 +177,9 @@ def gcd_fallback_ratio(harness) -> float:
     return recursed / tops if tops else 0.0
 
 
-def fastest_calls(passes, *commands: str) -> float:
-    """One pass's time with every call at its fastest over the run's passes.
-
-    The shared machine this runs on drifts between fast and slow phases of a
-    few seconds each, far more than anything else in a run; the fastest
-    repeat of a call is the least disturbed reading of it, so a sum of
-    minima stays steady where medians jump between the phases.
-    """
-    best: dict[tuple[str, str], float] = {}
-    for p in passes:
-        for c in p.calls:
-            if not commands or c.command in commands:
-                key = (c.scenario, c.command)
-                best[key] = min(best.get(key, c.seconds), c.seconds)
-    return sum(best.values())
-
-
-def timed_run(args, harness, setup_s: float, meta: dict) -> dict:
-    setups = [setup_s] + [setup_probe(args) for _ in range(SETUP_SAMPLES - 1)]
+def timed_run(args, harness, setup: tuple[float, float], meta: dict) -> dict:
+    setups = [setup] + [setup_probe(args) for _ in range(SETUP_SAMPLES - 1)]
+    harness.calibrate = True
     passes = []
     begin = time.perf_counter()
     while not passes or time.perf_counter() - begin < args.seconds:
@@ -186,14 +187,14 @@ def timed_run(args, harness, setup_s: float, meta: dict) -> dict:
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     attempted = sum(len(p.calls) for p in passes)
     failed = sum(c.failure is not None for p in passes for c in p.calls)
-    solve = fastest_calls(passes, "solve")
-    check = fastest_calls(passes, "matrix", "verify")
-    processed_per_pass = sum(p.processed for p in passes) / len(passes)
+    setup_s = [at_reference_speed(*sample) for sample in setups]
+    solve_s = [pass_seconds(p, "solve") for p in passes]
+    check_s = [pass_seconds(p, "matrix", "verify") for p in passes]
     metrics = {
-        "setup_s": (statistics.median(setups), "s"),
-        "solve_s": (solve, "s"),
-        "check_s": (check, "s"),
-        "scenarios_per_s": (processed_per_pass / fastest_calls(passes), "1/s"),
+        "setup_s": (statistics.median(setup_s), "s"),
+        "solve_s": (statistics.median(solve_s), "s"),
+        "check_s": (statistics.median(check_s), "s"),
+        "scenarios_per_s": (sum(p.processed for p in passes) / sum(map(pass_seconds, passes)), "1/s"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
         "ok_ratio": ((attempted - failed) / attempted, "ratio"),
     }
@@ -206,13 +207,16 @@ def timed_run(args, harness, setup_s: float, meta: dict) -> dict:
     if args.workload == "chain":
         meta["poly.gcd.fallback_ratio"] = gcd_fallback_ratio(harness)
     report = [
-        describe("setup_s", setups),
-        describe("solve_s per pass", [p.seconds("solve") for p in passes]),
-        describe("check_s per pass", [p.seconds("matrix", "verify") for p in passes]),
-        describe("verify_s per pass", [p.seconds("verify") for p in passes]),
-        describe("pass wall s", [p.wall for p in passes]),
-        f"fastest-call sums: solve_s {solve:.6f}, check_s {check:.6f},"
-        f" verify_s {fastest_calls(passes, 'verify'):.6f}",
+        f"times at the reference speed (calibration kernel {KERNEL_REF_S * 1e3:g} ms); raw seconds in brackets",
+        describe("setup_s", setup_s) + f" [{statistics.median(s for s, _ in setups):.6f}]",
+        describe("solve_s per pass", solve_s) + f" [{statistics.median(p.seconds('solve') for p in passes):.6f}]",
+        describe("check_s per pass", check_s)
+        + f" [{statistics.median(p.seconds('matrix', 'verify') for p in passes):.6f}]",
+        describe("verify_s per pass", [pass_seconds(p, "verify") for p in passes])
+        + f" [{statistics.median(p.seconds('verify') for p in passes):.6f}]",
+        describe("kernel ms per pass", [statistics.fmean(c.kernel_s for c in p.calls) * 1e3 for p in passes]),
+        f"first timed pass: solve_s {solve_s[0]:.6f}, check_s {check_s[0]:.6f}"
+        " (reuse across passes in one process shows as a gap to the medians above)",
         *failure_lines(passes),
     ]
     return {"attempted": attempted, "failed": failed, "metrics": metrics, "report": report}
@@ -237,7 +241,7 @@ def traced_run(args, harness, meta: dict) -> dict:
         traced.append(done)
         rows = tracer.summary()
         layer = tracer.layer_metrics(rows)
-        layer["trace.unaccounted_ratio"] = 1 - tracer.covered_seconds() / done.wall
+        layer["trace.unaccounted_ratio"] = 1 - (tracer.covered_seconds() - layer["cli.self_s"]) / done.wall
         per_pass.append(layer)
     overhead = statistics.median(p.wall for p in traced) / statistics.median(p.wall for p in untraced)
     metrics = {
@@ -286,30 +290,9 @@ def layer_table(rows: dict, wall: float) -> list[str]:
     return lines
 
 
-def record_digests() -> int:
-    from workloads import DEFAULT_SEED, WORKLOADS, build_items
-    from harness import Harness
-
-    WORK.mkdir(exist_ok=True)
-    digests = {}
-    with tempfile.TemporaryDirectory(dir=WORK) as tmp:
-        for workload in WORKLOADS:
-            harness = Harness(build_items(workload, DEFAULT_SEED), Path(tmp) / workload, golden=GOLDEN.read_text())
-            failures = failure_lines([harness.run_pass()])
-            if failures:
-                print("\n".join(failures), file=sys.stderr)
-                return 1
-            digests[workload] = dict(sorted(harness.digests.items()))
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {sum(map(len, digests.values()))} digests to {DIGESTS.relative_to(ROOT)}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     import_library()
-    if args.record_digests:
-        return record_digests()
     from workloads import DEFAULT_SEED
 
     WORK.mkdir(exist_ok=True)
@@ -318,8 +301,11 @@ def main(argv=None) -> int:
         load_start = read_loadavg()
         harness, warm_failures = setup(args.workload, args.seed, workdir)
         setup_s = time.perf_counter() - START
+        from harness import kernel_seconds
+
+        setup_kernel_s = statistics.median(kernel_seconds() for _ in range(SETUP_KERNELS))
         if args.setup_probe:
-            print(repr(setup_s))
+            print(setup_s, setup_kernel_s)
             return 1 if warm_failures else 0
         meta = {
             "workload": args.workload,
@@ -335,7 +321,7 @@ def main(argv=None) -> int:
             "reference_digests": len(harness.references),
             "loadavg_start": load_start,
         }
-        run = traced_run(args, harness, meta) if args.trace else timed_run(args, harness, setup_s, meta)
+        run = traced_run(args, harness, meta) if args.trace else timed_run(args, harness, (setup_s, setup_kernel_s), meta)
         meta["loadavg_end"] = read_loadavg()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
