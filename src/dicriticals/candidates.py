@@ -149,18 +149,14 @@ def build_last(
     return RationalFunction(num, den)
 
 
-def build_parts_last(cert, equations, bindings) -> tuple[Polynomial, Polynomial]:
-    rf = build_last(cert, equations, bindings)
-    return rf.num, rf.den
-
-
 def build_single(
     cert: SingleDicriticalCertificate,
     equations: Mapping[str, Polynomial],
     bindings: Bindings,
 ) -> RationalFunction:
     """Twist the base candidate by later hypercurvette powers plus a pole power."""
-    f, g = build_parts_last(cert.base, equations, bindings)
+    base = build_last(cert.base, equations, bindings)
+    f, g = base.num, base.den
     twist = Polynomial.one(f.variables)
     for j in sorted(cert.later_exponents):
         k = cert.later_exponents[j]

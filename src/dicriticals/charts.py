@@ -8,22 +8,24 @@ renames coordinates by an invertible triangular translation, which is how
 non-coordinate centers (a conic inside a divisor, a translated line) are
 brought into coordinate position.
 
-Each walk through the tower tracks the local equation of every exceptional
-divisor still visible in the current chart.  Orders along a divisor are read
-off at its creating step, where its local equation is the chart variable,
-so they never depend on later chart choices.
+One step function drives both ``walk_tower`` and ``check_tower``.  A walk
+tracks the local equation of every exceptional divisor still visible in the
+current chart, and at each blow-up records the orders along the divisor it
+creates (the orders in the new chart variable, independent of later charts).
+Callers walk a function once per chart path and read every divisor's order,
+restriction, status and degree on that path from the one walk.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .descriptor import ModificationDescriptor
 from .errors import ChartError, GenericityError, PolynomialError
-from .poly import Polynomial, univariate_int_gcd
+from .poly import Polynomial, univariate_gcd_degree
 from .ratfunc import RationalFunction
 
 PARAM = "param"
@@ -100,10 +102,14 @@ class LineClassSpec:
 
 @dataclass
 class WalkState:
+    """A walk in progress; ``orders[i]`` holds each walked polynomial's order
+    along divisor i (None for zero), recorded at the blow-up creating it."""
+
     variables: tuple[str, ...]
     polys: list[Polynomial]
     divisor_eqs: dict[int, Polynomial]
     blowups_done: int
+    orders: dict[int, tuple[int | None, ...]] = field(default_factory=dict)
 
 
 def _apply_blowup(poly: Polynomial, center: tuple[str, ...], chart: str) -> Polynomial:
@@ -123,6 +129,32 @@ def _apply_shear(poly: Polynomial, step: ShearStep) -> Polynomial:
     return poly.substitute({step.target: image})
 
 
+def _step(state: WalkState, step: Step, charts: Sequence[str] | None = None) -> None:
+    """Advance the walk by one step; ``charts`` overrides the blow-up charts."""
+    if isinstance(step, ShearStep):
+        state.polys = [_apply_shear(p, step) for p in state.polys]
+        state.divisor_eqs = {i: _apply_shear(e, step) for i, e in state.divisor_eqs.items()}
+        return
+    chart = step.chart
+    if charts is not None and state.blowups_done < len(charts):
+        chart = charts[state.blowups_done]
+    if chart not in step.center:
+        raise ChartError(f"chart variable {chart!r} is not in the center {step.center}")
+    state.polys = [_apply_blowup(p, step.center, chart) for p in state.polys]
+    new_eqs: dict[int, Polynomial] = {}
+    for idx, eq in state.divisor_eqs.items():
+        moved = _apply_blowup(eq, step.center, chart)
+        drop = moved.order_in(chart)
+        if drop:
+            moved = moved.divide_by_monomial(tuple(drop if v == chart else 0 for v in state.variables))
+        if not moved.is_constant():  # a constant equation: divisor not visible in this chart
+            new_eqs[idx] = moved
+    state.blowups_done += 1
+    new_eqs[state.blowups_done] = Polynomial.variable(state.variables, chart)
+    state.divisor_eqs = new_eqs
+    state.orders[state.blowups_done] = tuple(None if p.is_zero() else p.order_in(chart) for p in state.polys)
+
+
 def walk_tower(
     tower: ChartTower,
     polys: Sequence[Polynomial],
@@ -138,42 +170,14 @@ def walk_tower(
     limit = tower.blowup_count if blowups is None else blowups
     if limit > tower.blowup_count:
         raise ChartError(f"tower has only {tower.blowup_count} blow-ups")
-    state = WalkState(
-        variables=tower.variables,
-        polys=[p for p in polys],
-        divisor_eqs={},
-        blowups_done=0,
-    )
+    state = WalkState(variables=tower.variables, polys=list(polys), divisor_eqs={}, blowups_done=0)
     for poly in state.polys:
         if poly.variables != tower.variables:
             raise PolynomialError("polynomial does not live in the tower's coordinate ring")
     for step in tower.steps:
         if state.blowups_done >= limit:
             break
-        if isinstance(step, ShearStep):
-            state.polys = [_apply_shear(p, step) for p in state.polys]
-            state.divisor_eqs = {i: _apply_shear(e, step) for i, e in state.divisor_eqs.items()}
-            continue
-        chart = step.chart
-        if charts is not None and state.blowups_done < len(charts):
-            chart = charts[state.blowups_done]
-        if chart not in step.center:
-            raise ChartError(f"chart variable {chart!r} is not in the center {step.center}")
-        state.polys = [_apply_blowup(p, step.center, chart) for p in state.polys]
-        new_eqs: dict[int, Polynomial] = {}
-        for idx, eq in state.divisor_eqs.items():
-            moved = _apply_blowup(eq, step.center, chart)
-            drop = moved.order_in(chart)
-            if drop:
-                moved = moved.divide_by_monomial(
-                    tuple(drop if v == chart else 0 for v in tower.variables)
-                )
-            if moved.is_constant():
-                continue  # divisor not visible in this chart
-            new_eqs[idx] = moved
-        state.blowups_done += 1
-        new_eqs[state.blowups_done] = Polynomial.variable(tower.variables, chart)
-        state.divisor_eqs = new_eqs
+        _step(state, step, charts)
     if state.blowups_done < limit:
         raise ChartError("tower ended before the requested blow-up count")
     return state
@@ -193,54 +197,32 @@ def check_tower(d: ModificationDescriptor, tower: ChartTower) -> None:
         raise ChartError(f"tower has {len(tower.variables)} variables, descriptor ambient dimension is {d.n}")
     state = WalkState(variables=tower.variables, polys=[], divisor_eqs={}, blowups_done=0)
     for step in tower.steps:
-        if isinstance(step, ShearStep):
-            state.divisor_eqs = {i: _apply_shear(e, step) for i, e in state.divisor_eqs.items()}
-            continue
-        j = state.blowups_done + 1
-        center = d.centers[j - 1]
-        if d.n - len(step.center) != center.dim:
-            raise ChartError(
-                f"blow-up {j}: center {step.center} has dimension {d.n - len(step.center)}, "
-                f"descriptor says {center.dim}"
-            )
-        zeroed = {name: 0 for name in step.center}
-        contains = set()
-        for idx, eq in state.divisor_eqs.items():
-            if eq.substitute(zeroed).is_zero():
-                contains.add(idx)
-        if contains != set(center.parents):
-            raise ChartError(
-                f"blow-up {j}: chart says the center lies in divisors {sorted(contains)}, "
-                f"descriptor says {sorted(center.parents)}"
-            )
-        new_eqs = {}
-        for idx, eq in state.divisor_eqs.items():
-            moved = _apply_blowup(eq, step.center, step.chart)
-            drop = moved.order_in(step.chart)
-            if drop:
-                moved = moved.divide_by_monomial(
-                    tuple(drop if v == step.chart else 0 for v in tower.variables)
+        if isinstance(step, BlowupStep):
+            j = state.blowups_done + 1
+            center = d.centers[j - 1]
+            if d.n - len(step.center) != center.dim:
+                raise ChartError(
+                    f"blow-up {j}: center {step.center} has dimension {d.n - len(step.center)}, "
+                    f"descriptor says {center.dim}"
                 )
-            if moved.is_constant():
-                continue
-            new_eqs[idx] = moved
-        state.blowups_done += 1
-        new_eqs[state.blowups_done] = Polynomial.variable(tower.variables, step.chart)
-        state.divisor_eqs = new_eqs
+            zeroed = {name: 0 for name in step.center}
+            contains = {idx for idx, eq in state.divisor_eqs.items() if eq.substitute(zeroed).is_zero()}
+            if contains != set(center.parents):
+                raise ChartError(
+                    f"blow-up {j}: chart says the center lies in divisors {sorted(contains)}, "
+                    f"descriptor says {sorted(center.parents)}"
+                )
+        _step(state, step)
 
 
-def _creation_walk(
-    h: RationalFunction,
-    tower: ChartTower,
-    divisor: int,
-    charts: Sequence[str] | None,
-) -> tuple[WalkState, str]:
-    if not (1 <= divisor <= tower.blowup_count):
-        raise ChartError(f"divisor {divisor} out of range 1..{tower.blowup_count}")
-    state = walk_tower(tower, [h.num, h.den], charts=charts, blowups=divisor)
-    eq = state.divisor_eqs[divisor]
-    chart_var = next(name for name in tower.variables if eq == Polynomial.variable(tower.variables, name))
-    return state, chart_var
+def walk_order(state: WalkState, divisor: int) -> int:
+    """Order of the walked h = polys[0] / polys[1] along a divisor the walk created."""
+    if divisor not in state.orders:
+        raise ChartError(f"the walk stopped before divisor {divisor} was created")
+    a, b = state.orders[divisor]
+    if a is None:
+        raise ChartError("cannot take the order of the zero function")
+    return a - b
 
 
 def pullback(
@@ -266,11 +248,9 @@ def divisor_order(
     chart variable; the value does not depend on the chart path because the
     numerator and denominator orders are read off together.
     """
-    state, chart_var = _creation_walk(h, tower, divisor, charts)
-    num, den = state.polys
-    if num.is_zero():
-        raise ChartError("cannot take the order of the zero function")
-    return num.order_in(chart_var) - den.order_in(chart_var)
+    if not (1 <= divisor <= tower.blowup_count):
+        raise ChartError(f"divisor {divisor} out of range 1..{tower.blowup_count}")
+    return walk_order(walk_tower(tower, [h.num, h.den], charts=charts, blowups=divisor), divisor)
 
 
 @dataclass(frozen=True)
@@ -313,26 +293,26 @@ def restrict(
     numerator and denominator, then the equation is set to zero.  A nonzero
     order therefore yields the constant 0 or infinity.
     """
-    state = walk_tower(tower, [h.num, h.den], charts=charts, blowups=blowups)
+    return walk_restriction(walk_tower(tower, [h.num, h.den], charts=charts, blowups=blowups), divisor)
+
+
+def walk_restriction(state: WalkState, divisor: int) -> Restriction:
+    """Restriction of the walked h = polys[0] / polys[1] to a divisor visible at the walk's end."""
     eq = state.divisor_eqs.get(divisor)
     if eq is None:
         raise ChartError(f"divisor {divisor} is not visible in the selected chart")
-    chart_var = None
-    for name in tower.variables:
-        if eq == Polynomial.variable(tower.variables, name):
-            chart_var = name
-            break
+    chart_var = next((v for v in state.variables if eq == Polynomial.variable(state.variables, v)), None)
     if chart_var is None:
         raise ChartError(
             f"divisor {divisor} has local equation {eq.render()}; restriction needs a coordinate chart"
         )
     num, den = state.polys
     if num.is_zero():
-        return Restriction(divisor, num, Polynomial.one(tower.variables), 0, chart_var)
+        return Restriction(divisor, num, Polynomial.one(state.variables), 0, chart_var)
     a = num.order_in(chart_var)
     b = den.order_in(chart_var)
     common = min(a, b)
-    clear = tuple(common if v == chart_var else 0 for v in tower.variables)
+    clear = tuple(common if v == chart_var else 0 for v in state.variables)
     num0 = num.divide_by_monomial(clear).set_to_zero(chart_var)
     den0 = den.divide_by_monomial(clear).set_to_zero(chart_var)
     if num0.is_zero() and den0.is_zero():
@@ -358,19 +338,14 @@ class Status:
 
 
 def status_of(restriction: Restriction) -> Status:
-    """Constant iff the restriction's numerator and denominator are proportional."""
+    """Constant iff the reduced restriction's numerator and denominator are both constants."""
     if restriction.is_infinite():
         return Status("constant", None, True)
     if restriction.is_zero():
         return Status("constant", Fraction(0))
     num, den = restriction.num, restriction.den
-    ratio = None
-    if num.terms() and [e for e, _ in num.terms()] == [e for e, _ in den.terms()]:
-        ratios = {nc / dc for (_, nc), (_, dc) in zip(num.terms(), den.terms())}
-        if len(ratios) == 1:
-            ratio = ratios.pop()
-    if ratio is not None:
-        return Status("constant", ratio)
+    if num.is_constant() and den.is_constant():
+        return Status("constant", num.constant_value() / den.constant_value())
     return Status("dicritical")
 
 
@@ -411,28 +386,10 @@ def _line_degree(restriction: Restriction, line: LineClassSpec, rng: random.Rand
         return None
     if num_t.is_zero():
         return 0
-    coeffs_n = _dense_coeffs(num_t)
-    coeffs_d = _dense_coeffs(den_t)
-    g = univariate_int_gcd(coeffs_n, coeffs_d)
-    gdeg = len(g) - 1
+    coeffs_n = [num_t.coefficient((k,)) for k in range(num_t.degree_in("t") + 1)]
+    coeffs_d = [den_t.coefficient((k,)) for k in range(den_t.degree_in("t") + 1)]
+    gdeg = univariate_gcd_degree(coeffs_n, coeffs_d)
     return max(len(coeffs_n) - 1 - gdeg, len(coeffs_d) - 1 - gdeg)
-
-
-def _dense_coeffs(p: Polynomial) -> list[int]:
-    deg = p.degree_in("t")
-    dens = 1
-    for _, c in p.terms():
-        dens = dens * c.denominator // _int_gcd(dens, c.denominator)
-    out = [0] * (deg + 1)
-    for exps, c in p.terms():
-        out[exps[0]] = int(c * dens)
-    return out
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def dicritical_degree(
@@ -445,15 +402,21 @@ def dicritical_degree(
     blowups: int | None = None,
     retries: int = 4,
 ) -> int:
-    """Degree of the restricted map against the template's curve class.
+    """Degree of the restricted map against the template's curve class."""
+    return restriction_degree(restrict(h, tower, divisor, charts=charts, blowups=blowups), line, rng, retries)
+
+
+def restriction_degree(
+    restriction: Restriction, line: LineClassSpec, rng: random.Random, retries: int = 4
+) -> int:
+    """Degree of a dicritical restriction against the template's curve class.
 
     The template's generic constants are drawn twice independently; the two
     degrees must agree, otherwise the pair is redrawn up to the retry cap.
     """
-    restriction = restrict(h, tower, divisor, charts=charts, blowups=blowups)
     if status_of(restriction).kind != "dicritical":
         raise ChartError("degree is only defined for dicritical restrictions")
-    if line.divisor != divisor:
+    if line.divisor != restriction.divisor:
         raise ChartError("line template belongs to a different divisor")
     for _ in range(max(1, retries)):
         first = _line_degree(restriction, line, rng)
@@ -461,7 +424,7 @@ def dicritical_degree(
         if first is not None and first == second:
             return first
     raise GenericityError(
-        f"line template for divisor {divisor} kept giving disagreeing degrees; it is not generic"
+        f"line template for divisor {restriction.divisor} kept giving disagreeing degrees; it is not generic"
     )
 
 
@@ -483,12 +446,18 @@ def cross_check(
     predicted: Sequence[int],
     charts: Mapping[int, Sequence[str]] | None = None,
 ) -> list[CrossCheckRow]:
-    """Compare predicted orders with symbolic orders divisor by divisor."""
+    """Compare predicted orders with symbolic orders divisor by divisor.
+
+    Divisors sharing a chart path read their orders from one walk of h.
+    """
     check_tower(d, tower)
     if len(predicted) > tower.blowup_count:
         raise ChartError("more predictions than divisors")
+    walks: dict[tuple[str, ...] | None, WalkState] = {}
     rows = []
     for i, value in enumerate(predicted, start=1):
-        path = None if charts is None else charts.get(i)
-        rows.append(CrossCheckRow(i, value, divisor_order(h, tower, i, charts=path)))
+        path = None if charts is None or charts.get(i) is None else tuple(charts[i])
+        if path not in walks:
+            walks[path] = walk_tower(tower, [h.num, h.den], charts=path, blowups=len(predicted))
+        rows.append(CrossCheckRow(i, value, walk_order(walks[path], i)))
     return rows

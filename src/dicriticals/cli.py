@@ -29,7 +29,12 @@ def load_scenario(ref: str) -> Scenario:
     path = Path(ref)
     if not path.exists():
         raise ScenarioError(f"scenario {ref!r} is neither a fixture name nor a file")
-    return scenario_from_json(json.loads(path.read_text()))
+    try:
+        return scenario_from_json(json.loads(path.read_text()))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ScenarioError(f"scenario file {ref!r} is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ScenarioError(f"scenario file {ref!r} lacks the key {exc}") from None
 
 
 def write_artifact(out_dir: Path, name: str, payload: str) -> bool:
@@ -160,10 +165,18 @@ def cmd_list(_args) -> int:
     return PASS
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dicriticals",
         description="exact construction and verification of prescribed dicritical profiles",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -171,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="fixture name or scenario JSON path")
         p.add_argument("--out", default="out", help="artifact directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--retries", type=int, default=4, help="redraw cap for genericity checks")
+        p.add_argument("--retries", type=_positive_int, default=4, help="redraw cap for genericity checks")
 
     p_matrix = sub.add_parser("matrix", help="print the valuation matrix and its minors")
     common(p_matrix)
@@ -194,14 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", help="list built-in scenarios")
     p_list.set_defaults(func=cmd_list)
+    for p in sub.choices.values():
+        p.exit_on_error = False
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

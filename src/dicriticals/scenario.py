@@ -282,6 +282,8 @@ def scenario_to_json(sc: Scenario) -> dict:
 
 
 def scenario_from_json(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioError("a scenario must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {data.get('schema_version')!r}")
     descriptor = descriptor_from_json(data["descriptor"])

@@ -9,11 +9,12 @@ no code path for these numbers, so agreement is a real cross-check.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
 from .candidates import build_last, build_profile, build_single, build_support
-from .charts import dicritical_degree, divisor_order, restrict, status_of
+from .charts import restriction_degree, status_of, walk_order, walk_restriction, walk_tower
 from .descriptor import valuation_matrix
 from .errors import DicriticalError, ScenarioError
 from .jsonio import SCHEMA_VERSION
@@ -249,16 +250,26 @@ def _check_certificate_matches(req, cert) -> None:
         raise ScenarioError("certificate target set disagrees with the request")
 
 
+def _path_walks(sc: Scenario, h: RationalFunction):
+    """Walk h at most once per (charts, blowups) chart path of the scenario."""
+    return functools.cache(lambda charts, blowups: walk_tower(sc.tower, [h.num, h.den], charts, blowups))
+
+
+def _order(walks, sc: Scenario, divisor: int) -> int:
+    charts, blowups = sc.chart_path(divisor)
+    # a path that stops before the divisor exists is walked on to its creating step
+    return walk_order(walks(charts, None if blowups is None else max(blowups, divisor)), divisor)
+
+
 def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
     """Matrix-only scenarios: check every bound hypercurvette row symbolically."""
     matrix = valuation_matrix(sc.descriptor)
     if not sc.bindings.rows:
         raise ScenarioError("matrix verification needs row bindings")
     for j in sorted(sc.bindings.rows):
-        h = RationalFunction(_equation(sc, sc.bindings.rows[j]))
+        walks = _path_walks(sc, RationalFunction(_equation(sc, sc.bindings.rows[j])))
         for i in range(1, sc.descriptor.m + 1):
-            charts, _ = sc.chart_path(i)
-            symbolic = divisor_order(h, sc.tower, i, charts=charts)
+            symbolic = _order(walks, sc, i)
             predicted = matrix.entry(j, i)
             report.rows.append(
                 VerifyRow(
@@ -276,9 +287,9 @@ def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
 
 
 def _verify_function(sc, report, item, h, scope, predicted, expected, rng, retries) -> None:
+    walks = _path_walks(sc, h)
     for i in scope:
-        charts, blowups = sc.chart_path(i)
-        symbolic = divisor_order(h, sc.tower, i, charts=charts)
+        symbolic = _order(walks, sc, i)
         want = None if predicted is None else predicted[i - 1]
         ok = want is None or symbolic == want
 
@@ -288,7 +299,7 @@ def _verify_function(sc, report, item, h, scope, predicted, expected, rng, retri
         degree = None
         restriction_str = None
         if want_kind is not None:
-            restriction = restrict(h, sc.tower, i, charts=charts, blowups=blowups)
+            restriction = walk_restriction(walks(*sc.chart_path(i)), i)
             st = status_of(restriction)
             status = st.kind
             if st.kind == CONSTANT:
@@ -301,9 +312,7 @@ def _verify_function(sc, report, item, h, scope, predicted, expected, rng, retri
                 if line is None:
                     raise ScenarioError(f"divisor {i} needs a line template for its degree check")
                 try:
-                    degree = dicritical_degree(
-                        h, sc.tower, i, line, rng, charts=charts, blowups=blowups, retries=retries
-                    )
+                    degree = restriction_degree(restriction, line, rng, retries=retries)
                 except DicriticalError as exc:
                     report.notes.append(f"degree check failed at divisor {i}: {exc}")
                     ok = False

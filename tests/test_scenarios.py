@@ -138,3 +138,27 @@ def test_cli_scenario_file_and_list(tmp_path, capsys):
     capsys.readouterr()
     assert main(["list"]) == 0
     assert "two-dicriticals" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["malformed-json", "not-an-object", "missing-descriptor", "negative-retries"],
+)
+def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    data = scenario_to_json(load_fixture("three-points"))
+    argv = ["verify", "--scenario", str(path), "--out", str(tmp_path / "out")]
+    if case == "malformed-json":
+        path.write_text(canonical_dumps(data)[:-10])
+    elif case == "not-an-object":
+        path.write_text("[]")
+    elif case == "missing-descriptor":
+        del data["descriptor"]
+        path.write_text(canonical_dumps(data))
+    else:
+        path.write_text(canonical_dumps(data))
+        argv += ["--retries", "-3"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:"), err

@@ -1,0 +1,102 @@
+"""The walk engine: one walk per chart path, orders recorded during the walk."""
+
+import dataclasses
+import hashlib
+from collections import Counter
+
+import pytest
+
+from dicriticals import charts, verify
+from dicriticals.candidates import build_last
+from dicriticals.charts import cross_check, divisor_order, walk_order, walk_tower
+from dicriticals.errors import ChartError
+from dicriticals.fixtures import FIXTURES, load_fixture, three_points
+from dicriticals.jsonio import canonical_dumps
+from dicriticals.ratfunc import RationalFunction
+from dicriticals.scenario import DivisorChart
+from dicriticals.verify import run_verify, solve_scenario
+
+# sha256 of each fixture's canonical verify artifact, taken before the walk
+# engine was merged; the walk engine must not change a byte.
+VERIFY_SHA256 = {
+    "conic-center": "461c3a3e08718e0fd4739f1ccd620cebee7bd9a910d22646ff519018474130fd",
+    "point-line-fiber": "e1aa650f0896e74b70f832cdc0183a1a6e9f07b6344eb25a8f7990ee5f5e29bb",
+    "point-point-line": "f58aef7e58cc0f92d4c997abb4d2b8c4551a72c2e05fca59689450f3043edc2e",
+    "three-points": "5796e8b1d0d02f70abd9f6132ae2d3b395b1d0845cc297bca1452c935a80b836",
+    "three-points-line": "3e8ef5222a582932bd1e057a028e1a2417508624501a8ee1e0d8834a0c3f69c5",
+    "two-dicriticals": "e0d1a04e5d82d1575ed85dc1c5f26d4eb77d2c5047d7bfb7e54bd57439ac366f",
+}
+
+
+def counting_walks(monkeypatch, module):
+    """Count walk_tower calls made through ``module``, keyed by (polys, charts, blowups)."""
+    calls = Counter()
+    original = module.walk_tower
+
+    def counted(tower, polys, charts=None, blowups=None):
+        calls[(tuple(polys), None if charts is None else tuple(charts), blowups)] += 1
+        return original(tower, polys, charts=charts, blowups=blowups)
+
+    monkeypatch.setattr(module, "walk_tower", counted)
+    return calls
+
+
+def test_fixture_table_is_pinned():
+    assert sorted(VERIFY_SHA256) == sorted(FIXTURES)
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_SHA256))
+def test_verify_walks_once_per_chart_path_with_unchanged_bytes(name, monkeypatch):
+    calls = counting_walks(monkeypatch, verify)
+    sc = load_fixture(name)
+    payload = canonical_dumps(run_verify(sc).to_json())
+    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_SHA256[name]
+    assert set(calls.values()) == {1}
+    functions = len(sc.bindings.rows) if sc.request is None else 1
+    paths = {sc.chart_path(i) for i in range(1, sc.descriptor.m + 1)}
+    assert sum(calls.values()) <= functions * len(paths)
+
+
+def test_path_stopping_before_its_divisor_keeps_the_order_row(monkeypatch):
+    sc = load_fixture("point-point-line")
+    cut = dataclasses.replace(sc, charts={3: DivisorChart(charts=None, blowups=2)})
+    calls = counting_walks(monkeypatch, verify)
+    assert run_verify(cut).to_json() == run_verify(sc).to_json()
+    assert {key[1:] for key in calls} == {(None, 3), (None, None)}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_full_walk_orders_match_divisor_order(name):
+    sc = load_fixture(name)
+    for poly in sc.equations.values():
+        h = RationalFunction(poly)
+        state = walk_tower(sc.tower, [h.num, h.den])
+        for i in range(1, sc.descriptor.m + 1):
+            assert walk_order(state, i) == divisor_order(h, sc.tower, i), (name, i)
+
+
+def test_full_walk_orders_match_divisor_order_across_charts():
+    sc = three_points()
+    h = build_last(solve_scenario(sc), sc.equations, sc.bindings)
+    for path in (("z", "y", "x"), ("z", "y", "y"), ("z", "y", "z"), ("z", "y"), ("z", "x")):
+        state = walk_tower(sc.tower, [h.num, h.den], charts=path)
+        for i in (1, 2, 3):
+            assert walk_order(state, i) == divisor_order(h, sc.tower, i, charts=path)
+
+
+def test_walk_stopped_early_has_no_order_for_later_divisors():
+    sc = three_points()
+    h = RationalFunction(sc.equations["H1"])
+    state = walk_tower(sc.tower, [h.num, h.den], blowups=1)
+    assert walk_order(state, 1) == 2
+    with pytest.raises(ChartError):
+        walk_order(state, 2)
+
+
+def test_cross_check_walks_once_per_chart_path(monkeypatch):
+    sc = three_points()
+    h = RationalFunction(sc.equations["H1"])
+    calls = counting_walks(monkeypatch, charts)
+    rows = cross_check(sc.descriptor, sc.tower, h, (2, 4, 7), charts={2: ("z", "x")})
+    assert all(row.ok for row in rows)
+    assert sorted(calls.values()) == [1, 1]
