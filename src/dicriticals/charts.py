@@ -115,13 +115,13 @@ class WalkState:
 def _apply_blowup(poly: Polynomial, center: tuple[str, ...], chart: str) -> Polynomial:
     chart_idx = poly.variables.index(chart)
     other_idx = [poly.variables.index(u) for u in center if u != chart]
+    # The chart map is injective on exponent tuples, so no two terms meet.
     terms: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in poly.terms():
+    for exps, coeff in poly._terms.items():
         lst = list(exps)
         lst[chart_idx] += sum(exps[i] for i in other_idx)
-        key = tuple(lst)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Polynomial(poly.variables, terms)
+        terms[tuple(lst)] = coeff
+    return Polynomial._trusted(poly.variables, terms)
 
 
 def _apply_shear(poly: Polynomial, step: ShearStep) -> Polynomial:

@@ -18,9 +18,30 @@ from .errors import DicriticalError, ScenarioError
 from .fixtures import FIXTURES, load_fixture
 from .jsonio import canonical_dumps
 from .scenario import LastRequest, Scenario, SingleRequest, scenario_from_json
-from .verify import VerifyReport, render_report, run_verify, solve_scenario
+from .verify import VerifyReport, VerifyRow, render_report, run_verify, solve_scenario
 
 PASS, VIOLATION, INPUT_ERROR = 0, 1, 2
+
+
+def _read_json_file(path: Path, what: str, parse):
+    """Parse the JSON file at ``path`` with ``parse``.
+
+    Data that is not JSON, lacks a key, holds a field of the wrong type or
+    fails a check while it is parsed becomes a ``ScenarioError``, that is,
+    an input error.
+    """
+    try:
+        return parse(json.loads(path.read_text()))
+    except ScenarioError:
+        raise
+    except DicriticalError as exc:
+        raise ScenarioError(f"{what} {str(path)!r} is invalid: {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ScenarioError(f"{what} {str(path)!r} is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ScenarioError(f"{what} {str(path)!r} lacks the key {exc}") from None
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"{what} {str(path)!r} holds a malformed field: {exc}") from None
 
 
 def load_scenario(ref: str) -> Scenario:
@@ -29,12 +50,7 @@ def load_scenario(ref: str) -> Scenario:
     path = Path(ref)
     if not path.exists():
         raise ScenarioError(f"scenario {ref!r} is neither a fixture name nor a file")
-    try:
-        return scenario_from_json(json.loads(path.read_text()))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"scenario file {ref!r} is not valid JSON: {exc}") from None
-    except KeyError as exc:
-        raise ScenarioError(f"scenario file {ref!r} lacks the key {exc}") from None
+    return _read_json_file(path, "scenario file", scenario_from_json)
 
 
 def write_artifact(out_dir: Path, name: str, payload: str) -> bool:
@@ -127,7 +143,7 @@ def cmd_verify(args) -> int:
         path = Path(args.certificate)
         if not path.exists():
             raise ScenarioError(f"no certificate at {path}")
-        certificate = certificate_from_json(json.loads(path.read_text()))
+        certificate = _read_json_file(path, "certificate file", certificate_from_json)
     report = run_verify(scenario, seed=args.seed, retries=args.retries, certificate=certificate)
     text = render_report(report)
     print(text, end="")
@@ -140,18 +156,21 @@ def cmd_verify(args) -> int:
     return PASS
 
 
+def _report_from_json(data: dict) -> VerifyReport:
+    return VerifyReport(
+        scenario=data["scenario"],
+        seed=data["seed"],
+        rows=[VerifyRow(**row) for row in data["rows"]],
+        notes=list(data.get("notes", [])),
+    )
+
+
 def cmd_report(args) -> int:
     scenario = load_scenario(args.scenario)
     path = Path(args.out) / f"{scenario.name}.verify.json"
     if not path.exists():
         raise ScenarioError(f"no verification artifact at {path}; run verify first")
-    data = json.loads(path.read_text())
-    report = VerifyReport(scenario=data["scenario"], seed=data["seed"])
-    from .verify import VerifyRow
-
-    for row in data["rows"]:
-        report.rows.append(VerifyRow(**row))
-    report.notes = list(data.get("notes", []))
+    report = _read_json_file(path, "verification artifact", _report_from_json)
     text = render_report(report)
     print(text, end="")
     if not write_artifact(Path(args.out), f"{scenario.name}.report.txt", text):

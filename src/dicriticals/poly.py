@@ -12,12 +12,26 @@ from above, so an all-zero certificate proves coprimality.  Only when a
 certificate cannot be obtained does the full primitive pseudo-remainder
 recursion run.  This keeps the common case (reduced fractions staying
 reduced under substitution) cheap without ever trusting a random draw.
+
+Construction policy: validated at the boundary, trusted inside.  The public
+constructor ``Polynomial(variables, terms)`` and the classmethods built on it
+(``zero``, ``constant``, ``variable``, ``monomial``, ``from_json``) check
+every variable name, exponent and coefficient; they are how data from outside
+becomes a polynomial.  Results computed from polynomials that are already
+valid (sums, products, substitutions, quotients, univariate views) are
+wrapped by the private ``Polynomial._trusted`` without re-validation, which
+only drops zero coefficients.  ``substitute`` expands each term in one pass:
+unmapped variables stay exponent shifts, and only mapped variables are
+expanded, against cached powers of their images.  A shear ``y -> y + s`` is
+therefore a Taylor shift, each ``y**k`` expanded against the cached
+``(y + s)**k``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PolynomialError
@@ -43,6 +57,25 @@ def _term_key(item):
     return (sum(exps), exps)
 
 
+def _mul_terms(
+    a: Mapping[Exponents, Fraction],
+    b: Mapping[Exponents, Fraction],
+    terms: dict[Exponents, Fraction] | None = None,
+) -> dict[Exponents, Fraction]:
+    """Add the product of two term dicts into ``terms`` (a new dict by
+    default) and return it; zero coefficients may remain."""
+    if terms is None:
+        terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            if e in terms:
+                terms[e] += c1 * c2
+            else:
+                terms[e] = c1 * c2
+    return terms
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -66,6 +99,18 @@ class Polynomial:
                 clean.pop(e, None)
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: Mapping[Exponents, Fraction]) -> "Polynomial":
+        """Wrap a term dict computed from valid polynomials, without checks.
+
+        Zero coefficients are dropped; nothing else is looked at, so outside
+        data must go through ``Polynomial(...)`` instead.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "_terms", {e: c for e, c in terms.items() if c})
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -168,16 +213,20 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self._terms)
         for e, c in other._terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self.variables, terms)
+            terms[e] = terms[e] + c if e in terms else c
+        return Polynomial._trusted(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        terms = dict(self._terms)
+        for e, c in other._terms.items():
+            terms[e] = terms[e] - c if e in terms else -c
+        return Polynomial._trusted(self.variables, terms)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + self._coerce(other)
@@ -185,14 +234,9 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = _as_fraction(other)
-            return Polynomial(self.variables, {e: k * c for e, k in self._terms.items()})
+            return Polynomial._trusted(self.variables, {e: k * c for e, k in self._terms.items()})
         other = self._coerce(other)
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.variables, terms)
+        return Polynomial._trusted(self.variables, _mul_terms(self._terms, other._terms))
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -234,41 +278,56 @@ class Polynomial:
         lives in the given ring and every variable that actually occurs must
         be covered by the mapping.
         """
-        target = self.variables if variables is None else tuple(variables)
-        images: dict[str, Polynomial] = {}
+        if variables is None:
+            target = self.variables
+        else:
+            target = tuple(variables)
+            if len(set(target)) != len(target):
+                raise PolynomialError("duplicate variable names")
+        zero = (0,) * len(target)
+        images: dict[int, dict[Exponents, Fraction]] = {}
         for name, value in mapping.items():
-            self._var_index(name)
+            idx = self._var_index(name)
             if isinstance(value, Polynomial):
                 if value.variables != target:
                     raise PolynomialError("substitution image lives in the wrong ring")
-                images[name] = value
+                images[idx] = value._terms
             else:
-                images[name] = Polynomial.constant(target, value)
-        if variables is None:
-            for name in self.variables:
-                if name not in images:
-                    images[name] = Polynomial.variable(target, name)
-        else:
+                c = _as_fraction(value)
+                images[idx] = {zero: c} if c else {}
+        if variables is not None:
             for idx, name in enumerate(self.variables):
-                if name not in images and any(e[idx] for e in self._terms):
+                if idx not in images and any(e[idx] for e in self._terms):
                     raise PolynomialError(f"variable {name!r} occurs but has no image")
 
-        powers: dict[str, list[Polynomial]] = {n: [Polynomial.one(target)] for n in images}
+        mapped = sorted(images)
+        powers = {idx: [{zero: Fraction(1)}] for idx in mapped}
 
-        def power(name: str, k: int) -> Polynomial:
-            cache = powers[name]
+        def power(idx: int, k: int) -> dict[Exponents, Fraction]:
+            cache = powers[idx]
             while len(cache) <= k:
-                cache.append(cache[-1] * images[name])
+                cache.append(_mul_terms(cache[-1], images[idx]))
             return cache[k]
 
-        result = Polynomial.zero(target)
+        out: dict[Exponents, Fraction] = {}
         for exps, coeff in self._terms.items():
-            term = Polynomial.constant(target, coeff)
-            for idx, e in enumerate(exps):
-                if e:
-                    term = term * power(self.variables[idx], e)
-            result = result + term
-        return result
+            if variables is None:
+                # Unmapped variables keep their exponents in the same ring.
+                base = list(exps)
+                for idx in mapped:
+                    base[idx] = 0
+                base = tuple(base)
+            else:
+                base = zero
+            factors = [power(idx, exps[idx]) for idx in mapped if exps[idx]]
+            if not factors:
+                out[base] = out[base] + coeff if base in out else coeff
+                continue
+            acc = {base: coeff}
+            for factor in factors[:-1]:
+                acc = _mul_terms(acc, factor)
+            _mul_terms(acc, factors[-1], out)
+        return Polynomial._trusted(target, out)
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         total = Fraction(0)
@@ -283,17 +342,19 @@ class Polynomial:
     def set_to_zero(self, name: str) -> "Polynomial":
         """Substitute 0 for one variable (keeps the ring)."""
         idx = self._var_index(name)
-        return Polynomial(self.variables, {e: c for e, c in self._terms.items() if e[idx] == 0})
+        return Polynomial._trusted(self.variables, {e: c for e, c in self._terms.items() if e[idx] == 0})
 
     def divide_by_monomial(self, exps: Exponents) -> "Polynomial":
         exps = tuple(exps)
+        if len(exps) != len(self.variables):
+            raise PolynomialError("exponent tuple length does not match variable count")
         terms = {}
         for e, c in self._terms.items():
             shifted = tuple(a - b for a, b in zip(e, exps))
             if any(v < 0 for v in shifted):
                 raise PolynomialError("monomial does not divide every term")
             terms[shifted] = c
-        return Polynomial(self.variables, terms)
+        return Polynomial._trusted(self.variables, terms)
 
     # -- division ------------------------------------------------------------
 
@@ -321,7 +382,7 @@ class Polynomial:
                     rem[t] = nv
                 else:
                     rem.pop(t, None)
-        return Polynomial(self.variables, quot)
+        return Polynomial._trusted(self.variables, quot)
 
     def as_univariate(self, name: str) -> dict[int, "Polynomial"]:
         """View as a univariate polynomial in ``name`` with polynomial coefficients."""
@@ -330,23 +391,28 @@ class Polynomial:
         for e, c in self._terms.items():
             stripped = tuple(0 if k == idx else v for k, v in enumerate(e))
             coeffs.setdefault(e[idx], {})[stripped] = c
-        return {d: Polynomial(self.variables, t) for d, t in coeffs.items()}
+        return {d: Polynomial._trusted(self.variables, t) for d, t in coeffs.items()}
 
     @classmethod
     def from_univariate(cls, name: str, coeffs: Mapping[int, "Polynomial"]) -> "Polynomial":
-        result = None
+        variables = None
+        terms: dict[Exponents, Fraction] = {}
         for d, poly in coeffs.items():
+            if variables is None:
+                variables = poly.variables
+            elif poly.variables != variables:
+                raise PolynomialError("polynomials live in different variable rings")
+            if d < 0:
+                raise PolynomialError("negative exponent")
             idx = poly._var_index(name)
-            shifted = {}
             for e, c in poly._terms.items():
                 lst = list(e)
                 lst[idx] += d
-                shifted[tuple(lst)] = c
-            part = cls(poly.variables, shifted)
-            result = part if result is None else result + part
-        if result is None:
+                key = tuple(lst)
+                terms[key] = terms[key] + c if key in terms else c
+        if variables is None:
             raise PolynomialError("empty coefficient map")
-        return result
+        return cls._trusted(variables, terms)
 
     # -- rendering and serialization ------------------------------------------
 

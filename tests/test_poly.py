@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicriticals.errors import PolynomialError
 from dicriticals.poly import Polynomial, polynomial_gcd, primitive_part, univariate_int_gcd
@@ -139,3 +141,129 @@ def test_zero_denominator_rejected():
     x, _, _ = xyz()
     with pytest.raises(PolynomialError):
         RationalFunction(x, Polynomial.zero(V))
+
+
+def test_internal_results_skip_validation(monkeypatch):
+    x, y, z = xyz()
+    p = (x + 2 * y) ** 2 * z - 3
+    q = y - x * z
+    image = y + x
+    calls = []
+    original = Polynomial.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting)
+    assert p + q == q + p
+    assert p * q == q * p
+    assert p.substitute({"y": image}).substitute({"y": y - x}) == p
+    assert calls == []
+    Polynomial(V, {(1, 0, 0): 1})
+    assert len(calls) == 1
+
+
+# -- generated polynomials ---------------------------------------------------
+
+T = ("t",)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _polys(variables, max_exp=3, max_size=5):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(variables))
+    return st.dictionaries(exps, small_fractions, max_size=max_size).map(lambda t: Polynomial(variables, t))
+
+
+polys = _polys(V)
+t_polys = _polys(T, max_size=3)
+points = st.fixed_dictionaries({v: small_fractions for v in V})
+
+
+def assert_canonical(r: Polynomial) -> None:
+    assert all(c != 0 for c in r._terms.values())
+    assert all(len(e) == len(r.variables) and all(type(v) is int and v >= 0 for v in e) for e in r._terms)
+    ref = Polynomial(r.variables, dict(r.terms()))
+    assert r == ref and hash(r) == hash(ref)
+
+
+def naive_substitute(p: Polynomial, images: dict, variables) -> Polynomial:
+    """Reference: sum of coeff * prod(image ** e), by ring operations alone."""
+    result = Polynomial.zero(variables)
+    for exps, coeff in p.terms():
+        term = Polynomial.constant(variables, coeff)
+        for name, e in zip(p.variables, exps):
+            if e:
+                term = term * images[name] ** e
+        result = result + term
+    return result
+
+
+def _as_poly(image, variables) -> Polynomial:
+    return image if isinstance(image, Polynomial) else Polynomial.constant(variables, image)
+
+
+def _value(image, point):
+    return image.evaluate(point) if isinstance(image, Polynomial) else Fraction(image)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, st.dictionaries(st.sampled_from(V), st.one_of(polys, small_fractions)), points)
+def test_substitute_agrees_with_evaluate_in_same_ring(p, mapping, point):
+    result = p.substitute(mapping)
+    assert_canonical(result)
+    images = {v: mapping.get(v, Polynomial.variable(V, v)) for v in V}
+    assert result == naive_substitute(p, {v: _as_poly(i, V) for v, i in images.items()}, V)
+    assert result.evaluate(point) == p.evaluate({v: _value(images[v], point) for v in V})
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, st.fixed_dictionaries({v: st.one_of(t_polys, small_fractions) for v in V}), small_fractions)
+def test_substitute_agrees_with_evaluate_into_new_ring(p, mapping, t0):
+    result = p.substitute(mapping, variables=T)
+    assert_canonical(result)
+    assert result.variables == T
+    assert result == naive_substitute(p, {v: _as_poly(i, T) for v, i in mapping.items()}, T)
+    point = {"t": t0}
+    assert result.evaluate(point) == p.evaluate({v: _value(i, point) for v, i in mapping.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, polys, st.sampled_from(V))
+def test_shear_and_inverse_shear_give_back_p(p, q, target):
+    shift = q.set_to_zero(target)
+    var = Polynomial.variable(V, target)
+    sheared = p.substitute({target: var + shift})
+    assert_canonical(sheared)
+    assert sheared.substitute({target: var - shift}) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, polys)
+def test_ring_laws(a, b, c):
+    zero, one = Polynomial.zero(V), Polynomial.one(V)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a * zero).is_zero()
+    assert (a - a).is_zero() and a + (-a) == zero and a - b == a + (-b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys)
+def test_results_are_canonical(a, b):
+    for r in (a + b, a - b, -a, a * b, Fraction(2, 3) * a, a * 0, a.set_to_zero("y")):
+        assert_canonical(r)
+    assert_canonical(a.divide_by_monomial(a.monomial_content()))
+    if not b.is_zero():
+        quotient = (a * b).exact_div(b)
+        assert_canonical(quotient)
+        assert quotient == a
+    for part in a.as_univariate("x").values():
+        assert_canonical(part)
+        assert part.degree_in("x") <= 0
+    if not a.is_zero():
+        again = Polynomial.from_univariate("x", a.as_univariate("x"))
+        assert_canonical(again)
+        assert again == a

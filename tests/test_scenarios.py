@@ -142,7 +142,17 @@ def test_cli_scenario_file_and_list(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case",
-    ["malformed-json", "not-an-object", "missing-descriptor", "negative-retries"],
+    [
+        "malformed-json",
+        "not-an-object",
+        "missing-descriptor",
+        "negative-retries",
+        "wrongly-typed-descriptor",
+        "one-variable-blowup-center",
+        "report-row-extra-key",
+        "empty-certificate",
+        "non-json-certificate",
+    ],
 )
 def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     path = tmp_path / "scenario.json"
@@ -155,6 +165,25 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     elif case == "missing-descriptor":
         del data["descriptor"]
         path.write_text(canonical_dumps(data))
+    elif case == "wrongly-typed-descriptor":
+        data["descriptor"] = 5
+        path.write_text(canonical_dumps(data))
+    elif case == "one-variable-blowup-center":
+        data["tower"]["steps"][0]["blowup"]["center"] = ["x"]
+        path.write_text(canonical_dumps(data))
+    elif case == "report-row-extra-key":
+        path.write_text(canonical_dumps(data))
+        assert main(argv) == 0
+        stored = tmp_path / "out" / "three-points.verify.json"
+        artifact = json.loads(stored.read_text())
+        artifact["rows"][0]["extra"] = 1
+        stored.write_text(canonical_dumps(artifact))
+        argv[0] = "report"
+    elif case in ("empty-certificate", "non-json-certificate"):
+        path.write_text(canonical_dumps(data))
+        certificate = tmp_path / "certificate.json"
+        certificate.write_text("{}" if case == "empty-certificate" else "not json")
+        argv += ["--certificate", str(certificate)]
     else:
         path.write_text(canonical_dumps(data))
         argv += ["--retries", "-3"]
