@@ -156,12 +156,46 @@ def cmd_verify(args) -> int:
     return PASS
 
 
+# Allowed value types of a stored verify row; ``int`` excludes ``bool`` and
+# ``None`` stands for JSON null.
+_ROW_TYPES = {
+    "item": (str,),
+    "divisor": (int,),
+    "predicted_order": (int, None),
+    "symbolic_order": (int,),
+    "status": (str, None),
+    "value": (str, None),
+    "degree": (int, None),
+    "expected": (str,),
+    "ok": (bool,),
+    "restriction": (str, None),
+}
+
+
+def _check_type(what: str, value, kinds) -> None:
+    if not any(value is None if kind is None else type(value) is kind for kind in kinds):
+        raise ValueError(f"{what} holds {value!r}")
+
+
+def _row_from_json(data: dict) -> VerifyRow:
+    row = VerifyRow(**data)
+    for key, kinds in _ROW_TYPES.items():
+        _check_type(f"row field {key!r}", getattr(row, key), kinds)
+    return row
+
+
 def _report_from_json(data: dict) -> VerifyReport:
+    _check_type("field 'scenario'", data["scenario"], (str,))
+    _check_type("field 'seed'", data["seed"], (int, None))
+    notes = data.get("notes", [])
+    _check_type("field 'notes'", notes, (list,))
+    for note in notes:
+        _check_type("a note", note, (str,))
     return VerifyReport(
         scenario=data["scenario"],
         seed=data["seed"],
-        rows=[VerifyRow(**row) for row in data["rows"]],
-        notes=list(data.get("notes", [])),
+        rows=[_row_from_json(row) for row in data["rows"]],
+        notes=notes,
     )
 
 

@@ -150,6 +150,8 @@ def test_cli_scenario_file_and_list(tmp_path, capsys):
         "wrongly-typed-descriptor",
         "one-variable-blowup-center",
         "report-row-extra-key",
+        "report-row-ok-not-bool",
+        "report-row-divisor-not-int",
         "empty-certificate",
         "non-json-certificate",
     ],
@@ -171,12 +173,17 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     elif case == "one-variable-blowup-center":
         data["tower"]["steps"][0]["blowup"]["center"] = ["x"]
         path.write_text(canonical_dumps(data))
-    elif case == "report-row-extra-key":
+    elif case.startswith("report-row-"):
         path.write_text(canonical_dumps(data))
         assert main(argv) == 0
         stored = tmp_path / "out" / "three-points.verify.json"
         artifact = json.loads(stored.read_text())
-        artifact["rows"][0]["extra"] = 1
+        key, value = {
+            "report-row-extra-key": ("extra", 1),
+            "report-row-ok-not-bool": ("ok", "no"),
+            "report-row-divisor-not-int": ("divisor", "E"),
+        }[case]
+        artifact["rows"][0][key] = value
         stored.write_text(canonical_dumps(artifact))
         argv[0] = "report"
     elif case in ("empty-certificate", "non-json-certificate"):
