@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .descriptor import ModificationDescriptor
 from .errors import ChartError, GenericityError, PolynomialError
-from .poly import Polynomial, univariate_gcd_degree
+from .poly import Polynomial, polynomial_gcd
 from .ratfunc import RationalFunction
 
 PARAM = "param"
@@ -85,8 +85,8 @@ class LineClassSpec:
     Each chart variable is a parameter, a generic constant, or zero; the
     divisor's own local equation must be assigned zero so the curve lies in
     the divisor.  Which curve class this template represents is the
-    scenario author's choice; genericity of the constants is checked by
-    double drawing, never assumed.
+    scenario author's choice.  The constants are never drawn: they stay
+    symbols, so the degree measured is the one at generic constants.
     """
 
     divisor: int
@@ -360,36 +360,11 @@ def dicritical_status(
 
 
 def draw_fraction(rng: random.Random, nonzero: bool = True) -> Fraction:
+    """A small random fraction (nonzero by default); draws the Möbius twist constants."""
     num = rng.randint(-19, 19)
     while nonzero and num == 0:
         num = rng.randint(-19, 19)
     return Fraction(num, rng.randint(1, 7))
-
-
-def _line_degree(restriction: Restriction, line: LineClassSpec, rng: random.Random) -> int | None:
-    """Degree along one concrete draw of the template, or None when degenerate."""
-    mapping: dict[str, Polynomial | Fraction | int] = {}
-    target = ("t",)
-    for name in restriction.num.variables:
-        role = line.assign.get(name, ZERO if name == restriction.chart_var else CONST)
-        if name == restriction.chart_var and role != ZERO:
-            raise ChartError("the divisor's own chart variable must be assigned zero")
-        if role == PARAM:
-            mapping[name] = Polynomial.variable(target, "t")
-        elif role == ZERO:
-            mapping[name] = 0
-        else:
-            mapping[name] = draw_fraction(rng)
-    num_t = restriction.num.substitute(mapping, target)
-    den_t = restriction.den.substitute(mapping, target)
-    if den_t.is_zero():
-        return None
-    if num_t.is_zero():
-        return 0
-    coeffs_n = [num_t.coefficient((k,)) for k in range(num_t.degree_in("t") + 1)]
-    coeffs_d = [den_t.coefficient((k,)) for k in range(den_t.degree_in("t") + 1)]
-    gdeg = univariate_gcd_degree(coeffs_n, coeffs_d)
-    return max(len(coeffs_n) - 1 - gdeg, len(coeffs_d) - 1 - gdeg)
 
 
 def dicritical_degree(
@@ -397,35 +372,45 @@ def dicritical_degree(
     tower: ChartTower,
     divisor: int,
     line: LineClassSpec,
-    rng: random.Random,
     charts: Sequence[str] | None = None,
     blowups: int | None = None,
-    retries: int = 4,
 ) -> int:
     """Degree of the restricted map against the template's curve class."""
-    return restriction_degree(restrict(h, tower, divisor, charts=charts, blowups=blowups), line, rng, retries)
+    return restriction_degree(restrict(h, tower, divisor, charts=charts, blowups=blowups), line)
 
 
-def restriction_degree(
-    restriction: Restriction, line: LineClassSpec, rng: random.Random, retries: int = 4
-) -> int:
-    """Degree of a dicritical restriction against the template's curve class.
+def restriction_degree(restriction: Restriction, line: LineClassSpec) -> int:
+    """Degree of a dicritical restriction along the template's curve at generic constants.
 
-    The template's generic constants are drawn twice independently; the two
-    degrees must agree, otherwise the pair is redrawn up to the retry cap.
+    The ``zero`` variables are set to zero and the ``const`` variables stay
+    symbols c, so N/D lies in Q(c)(t) for the parameter t.  By Gauss's lemma
+    the t-degree of gcd(N, D) in Q[c][t] is its t-degree in Q(c)[t], so the
+    result is the degree of the reduced quotient for generic constants.
     """
     if status_of(restriction).kind != "dicritical":
         raise ChartError("degree is only defined for dicritical restrictions")
     if line.divisor != restriction.divisor:
         raise ChartError("line template belongs to a different divisor")
-    for _ in range(max(1, retries)):
-        first = _line_degree(restriction, line, rng)
-        second = _line_degree(restriction, line, rng)
-        if first is not None and first == second:
-            return first
-    raise GenericityError(
-        f"line template for divisor {restriction.divisor} kept giving disagreeing degrees; it is not generic"
-    )
+    variables = restriction.num.variables
+    unknown = sorted(set(line.assign) - set(variables))
+    if unknown:
+        raise ChartError(f"line template names variables outside the ring: {unknown}")
+    num, den = restriction.num, restriction.den
+    for name in variables:
+        role = line.assign.get(name, ZERO if name == restriction.chart_var else CONST)
+        if name == restriction.chart_var and role != ZERO:
+            raise ChartError("the divisor's own chart variable must be assigned zero")
+        if role == ZERO:
+            num, den = num.set_to_zero(name), den.set_to_zero(name)
+        elif role == PARAM:
+            param = name
+    if den.is_zero():
+        raise GenericityError(
+            f"the zero roles of the line template for divisor {restriction.divisor} "
+            "make the restriction's denominator vanish"
+        )
+    gcd = polynomial_gcd(num, den)
+    return max(num.degree_in(param), den.degree_in(param)) - gcd.degree_in(param)
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,7 @@ def cmd_verify(args) -> int:
         if not path.exists():
             raise ScenarioError(f"no certificate at {path}")
         certificate = _read_json_file(path, "certificate file", certificate_from_json)
-    report = run_verify(scenario, seed=args.seed, retries=args.retries, certificate=certificate)
+    report = run_verify(scenario, seed=args.seed, certificate=certificate)
     text = render_report(report)
     print(text, end="")
     payload = canonical_dumps(report.to_json())
@@ -218,18 +218,17 @@ def cmd_list(_args) -> int:
     return PASS
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are input errors, not exits."""
+
+    def error(self, message):
+        raise ScenarioError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dicriticals",
         description="exact construction and verification of prescribed dicritical profiles",
-        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="fixture name or scenario JSON path")
         p.add_argument("--out", default="out", help="artifact directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--retries", type=_positive_int, default=4, help="redraw cap for genericity checks")
 
     p_matrix = sub.add_parser("matrix", help="print the valuation matrix and its minors")
     common(p_matrix)
@@ -260,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", help="list built-in scenarios")
     p_list.set_defaults(func=cmd_list)
-    for p in sub.choices.values():
-        p.exit_on_error = False
     return parser
 
 
@@ -269,9 +265,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except argparse.ArgumentError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -40,7 +40,8 @@ class ChartError(DicriticalError):
 
 
 class GenericityError(DicriticalError):
-    """Randomized draws kept disagreeing; the input is not generic enough."""
+    """A line template lies where the restriction is not defined: its zero
+    roles make the restriction's denominator vanish."""
 
 
 class ScenarioError(DicriticalError):

@@ -577,11 +577,14 @@ def _certified_coprime(p: Polynomial, q: Polynomial, common: list[str]) -> bool:
 
     Soundness: if the leading coefficient of p in v survives the point, the
     degree in v of any common factor is bounded by the specialized gcd degree.
+    So any one such point with a constant specialized gcd certifies v; a
+    positive degree may be bad luck and earns one more point, and a second
+    positive degree leaves the pair to the exact gcd.
     """
     for v in common:
         deg_v = p.degree_in(v)
         others = [w for w in p.variables if w != v]
-        done = False
+        unlucky = 0
         for attempt in range(8):
             point = {w: _PRIMES[(k + attempt) % len(_PRIMES)] + attempt for k, w in enumerate(others)}
             pl = _specialize_univariate(p, v, point)
@@ -590,11 +593,12 @@ def _certified_coprime(p: Polynomial, q: Polynomial, common: list[str]) -> bool:
             ql = _specialize_univariate(q, v, point)
             if not ql:
                 continue
-            if univariate_gcd_degree(pl, ql) > 0:
+            if univariate_gcd_degree(pl, ql) <= 0:
+                break  # v is certified
+            unlucky += 1
+            if unlucky == 2:
                 return False
-            done = True
-            break
-        if not done:
+        else:
             return False
     return True
 

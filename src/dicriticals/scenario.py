@@ -121,6 +121,10 @@ def validate_scenario(sc: Scenario) -> None:
         for name, poly in sc.equations.items():
             if poly.variables != sc.tower.variables:
                 raise ScenarioError(f"equation {name!r} does not live in the tower's ring")
+        for i, line in sc.lines.items():
+            unknown = sorted(set(line.assign) - set(sc.tower.variables))
+            if unknown:
+                raise ScenarioError(f"line template of divisor {i} names variables outside the ring {unknown}")
     if isinstance(sc.request, (LastRequest, SingleRequest)):
         if not (1 <= sc.request.s <= sc.descriptor.m):
             raise ScenarioError(f"request index {sc.request.s} out of range")

@@ -336,6 +336,27 @@ def solve_last_dicritical(
     )
 
 
+def _table_orders(d: ModificationDescriptor, signed, shared=()) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orders along every divisor of the numerator and the denominator of a
+    product of powers, through weighted multiplicity tables and the order
+    recursion.
+
+    Each ``(weight, row)`` pair stands for a hypersurface with strict
+    multiplicities ``row`` at the first ``len(row)`` centers, raised to
+    ``weight``.  A pair in ``signed`` goes into the numerator table when its
+    weight is positive and, with the weight negated, into the denominator
+    table otherwise; a pair in ``shared`` goes into both.
+    """
+    num, den = [0] * d.m, [0] * d.m
+    entries = [(w, row, (num,)) if w > 0 else (-w, row, (den,)) for w, row in signed]
+    entries += [(w, row, (num, den)) for w, row in shared]
+    for weight, row, tables in entries:
+        for table in tables:
+            for t, v in enumerate(row):
+                table[t] += weight * v
+    return pullback_orders(d, num), pullback_orders(d, den)
+
+
 def _check_order_identity(d, matrix, s, owners):
     """The column at s must decompose through the parents of s (order identity)."""
     for i in range(1, s + 1):
@@ -356,18 +377,7 @@ def _verify_last_certificate(d, matrix, b_rows, owners, s, exponents, special_ex
         if value != expected:
             raise SolverError(f"solved exponents do not satisfy equation {t}: {value} != {expected}")
     # Independent route: weighted multiplicity tables through the recursion.
-    plus = [0] * d.m
-    minus = [0] * d.m
-    for i in range(1, s):
-        r = exponents[i - 1]
-        row = d.curvette_mults[i - 1]
-        for t in range(i):
-            if r > 0:
-                plus[t] += r * row[t]
-            else:
-                minus[t] += (-r) * row[t]
-    n_plus = pullback_orders(d, plus)
-    n_minus = pullback_orders(d, minus)
+    n_plus, n_minus = _table_orders(d, [(exponents[i - 1], d.curvette_mults[i - 1]) for i in range(1, s)])
     for t in range(1, s + 1):
         via_tables = n_plus[t - 1] - n_minus[t - 1]
         via_rows = sum(exponents[i - 1] * matrix.entry(i, t) for i in range(1, s))
@@ -488,44 +498,25 @@ class SingleDicriticalWorkspace:
     def _build_tables(self) -> None:
         d, s = self.descriptor, self.s
         base = self.base
-        owners = base.special_owners
-        deg = base.degree
-
-        def weighted(rows: Mapping[int, int]) -> list[int]:
-            table = [0] * d.m
-            for i, w in rows.items():
-                row = d.curvette_mults[i - 1]
-                for t in range(i):
-                    table[t] += w * row[t]
-            return table
-
-        plus: dict[int, int] = {s: deg}
-        minus: dict[int, int] = {s: deg}
-        for i in range(1, s):
-            r = base.bundle_exponents[i - 1]
-            if r > 0:
-                plus[i] = plus.get(i, 0) + r
-            elif r < 0:
-                minus[i] = minus.get(i, 0) - r
-        table_f = weighted(plus)
-        table_g = weighted(minus)
-        self.special_tables: dict[int, list[int]] = {}
-        for j in owners:
+        # Bundle hypercurvettes with their signed exponents, then the special
+        # hypersurfaces (positive exponents, in the denominator) with their
+        # multiplicities at s and, from the tail, at the later centers.
+        self.signed_rows = [(base.bundle_exponents[i - 1], d.curvette_mults[i - 1]) for i in range(1, s)]
+        for j in base.special_owners:
             mu = list(d.special_mults[j]) + [base.contact_orders[j]]
-            for i in range(s + 1, d.m + 1):
-                mu.append(self.tail.mu_specials.get(i, {}).get(j, 0))
-            self.special_tables[j] = mu
-            r = base.special_exponents[j]
-            for t, v in enumerate(mu):
-                table_g[t] += r * v
-        self.nu_f = pullback_orders(d, table_f)
-        self.nu_g = pullback_orders(d, table_g)
+            mu += [self.tail.mu_specials.get(i, {}).get(j, 0) for i in self.later]
+            self.signed_rows.append((-base.special_exponents[j], mu))
+        self.nu_f, self.nu_g = _table_orders(d, self.signed_rows, [(base.degree, d.curvette_mults[s - 1])])
 
-        # Order vector of each later hypercurvette, with tail multiplicities.
-        self.later_rows: dict[int, tuple[int, ...]] = {}
-        for j in self.later:
-            table = [d.curvette_mult(j, t) if t <= s else self.tail.mu_curvettes.get(t, {}).get(j, 0) for t in range(1, d.m + 1)]
-            self.later_rows[j] = pullback_orders(d, table)
+        # Multiplicities and order vector of each later hypercurvette, with tail multiplicities.
+        self.later_mults = {
+            j: [
+                d.curvette_mult(j, t) if t <= s else self.tail.mu_curvettes.get(t, {}).get(j, 0)
+                for t in range(1, d.m + 1)
+            ]
+            for j in self.later
+        }
+        self.later_rows = {j: pullback_orders(d, mults) for j, mults in self.later_mults.items()}
 
         k_part = {
             i: {j: Fraction(self.later_rows[j][i - 1]) for j in self.later}
@@ -672,38 +663,10 @@ class SingleDicriticalWorkspace:
     def _check_by_tables(self, assign, pole, numer, denom, orders) -> None:
         """Recompute every order through weighted multiplicity tables."""
         d, s = self.descriptor, self.s
-        base = self.base
-
-        table_num = [0] * d.m
-        table_den = [0] * d.m
-
-        def add(table, i, weight):
-            row = d.curvette_mults[i - 1]
-            for t in range(i):
-                table[t] += weight * row[t]
-
-        add(table_num, s, base.degree)
-        add(table_den, s, base.degree)
-        for i in range(1, s):
-            r = base.bundle_exponents[i - 1]
-            if r > 0:
-                add(table_num, i, r)
-            elif r < 0:
-                add(table_den, i, -r)
-        for j in base.special_owners:
-            for t, mu in enumerate(self.special_tables[j]):
-                table_den[t] += base.special_exponents[j] * mu
-        for j in self.later:
-            mu = [
-                d.curvette_mult(j, t) if t <= s else self.tail.mu_curvettes.get(t, {}).get(j, 0)
-                for t in range(1, d.m + 1)
-            ]
-            for t in range(d.m):
-                table_num[t] += assign[j] * mu[t]
-                table_den[t] += assign[j] * mu[t]
+        shared = [(self.base.degree, d.curvette_mults[s - 1])]
+        shared += [(assign[j], self.later_mults[j]) for j in self.later]
+        nu_num, nu_den = _table_orders(d, self.signed_rows, shared)
         pole_table = [pole * v for v in d.curvette_mults[s - 1]]
-        nu_num = pullback_orders(d, table_num)
-        nu_den = pullback_orders(d, table_den)
         nu_pole = pullback_orders(d, pole_table)
         for i in range(d.m):
             if numer[i] != nu_num[i] or denom[i] != nu_den[i]:

@@ -154,7 +154,6 @@ def _equation(sc: Scenario, name: str) -> Polynomial:
 def run_verify(
     sc: Scenario,
     seed: int | None = None,
-    retries: int = 4,
     certificate=None,
 ) -> VerifyReport:
     """Full symbolic verification; figures out scope from the request kind.
@@ -167,7 +166,6 @@ def run_verify(
     if sc.tower is None:
         raise ScenarioError("verification needs a chart tower")
     report = VerifyReport(scenario=sc.name, seed=sc.seed if seed is None else seed)
-    rng = random.Random(report.seed)
     req = sc.request
 
     if req is None:
@@ -183,7 +181,7 @@ def run_verify(
         predicted = sc.expect.orders
         expected = dict(sc.expect.statuses)
         scope = range(1, sc.descriptor.m + 1)
-        _verify_function(sc, report, "h", h, scope, predicted, expected, rng, retries)
+        _verify_function(sc, report, "h", h, scope, predicted, expected)
         return report
 
     cert = certificate if certificate is not None else solve_scenario(sc)
@@ -194,23 +192,19 @@ def run_verify(
             i: ((DICRITICAL, None) if i in cert.targets else (CONSTANT, None))
             for i in range(1, sc.descriptor.m + 1)
         }
-        _verify_function(
-            sc, report, "h", h, range(1, sc.descriptor.m + 1), cert.orders, expected, rng, retries
-        )
+        _verify_function(sc, report, "h", h, range(1, sc.descriptor.m + 1), cert.orders, expected)
     elif isinstance(req, LastRequest):
         h = build_last(cert, sc.equations, sc.bindings)
         expected = {i: (CONSTANT, None) for i in range(1, req.s)}
         expected[req.s] = (DICRITICAL, cert.degree)
-        _verify_function(sc, report, "h", h, range(1, req.s + 1), cert.orders, expected, rng, retries)
+        _verify_function(sc, report, "h", h, range(1, req.s + 1), cert.orders, expected)
     elif isinstance(req, SingleRequest):
         h = build_single(cert, sc.equations, sc.bindings)
         expected = {i: (CONSTANT, None) for i in range(1, sc.descriptor.m + 1)}
         expected[req.s] = (DICRITICAL, cert.degree)
-        _verify_function(
-            sc, report, "h", h, range(1, sc.descriptor.m + 1), cert.orders, expected, rng, retries
-        )
+        _verify_function(sc, report, "h", h, range(1, sc.descriptor.m + 1), cert.orders, expected)
     elif isinstance(req, ProfileRequest):
-        h, twists = build_profile(cert, sc.equations, sc.bindings, rng)
+        h, twists = build_profile(cert, sc.equations, sc.bindings, random.Random(report.seed))
         report.notes.append(
             "twists: " + ", ".join(f"{t.target}: a={t.a}, b={t.b}" for t in twists)
         )
@@ -218,9 +212,7 @@ def run_verify(
         for j, degree in cert.degrees.items():
             expected[j] = (DICRITICAL, degree)
         predicted = tuple(0 for _ in range(sc.descriptor.m))
-        _verify_function(
-            sc, report, "h", h, range(1, sc.descriptor.m + 1), predicted, expected, rng, retries
-        )
+        _verify_function(sc, report, "h", h, range(1, sc.descriptor.m + 1), predicted, expected)
     else:
         raise ScenarioError(f"unknown request type {type(req).__name__}")
     return report
@@ -286,7 +278,7 @@ def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
             )
 
 
-def _verify_function(sc, report, item, h, scope, predicted, expected, rng, retries) -> None:
+def _verify_function(sc, report, item, h, scope, predicted, expected) -> None:
     walks = _path_walks(sc, h)
     for i in scope:
         symbolic = _order(walks, sc, i)
@@ -312,7 +304,7 @@ def _verify_function(sc, report, item, h, scope, predicted, expected, rng, retri
                 if line is None:
                     raise ScenarioError(f"divisor {i} needs a line template for its degree check")
                 try:
-                    degree = restriction_degree(restriction, line, rng, retries=retries)
+                    degree = restriction_degree(restriction, line)
                 except DicriticalError as exc:
                     report.notes.append(f"degree check failed at divisor {i}: {exc}")
                     ok = False

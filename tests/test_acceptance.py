@@ -137,7 +137,7 @@ def test_06_restriction_oracle():
         x, y, z = xyz()
         r = restrict(h, sc.tower, 3)
         assert r.num == 1 + z and r.den == 1 - z
-        degree = dicritical_degree(h, sc.tower, 3, sc.lines[3], random.Random(sc.seed))
+        degree = dicritical_degree(h, sc.tower, 3, sc.lines[3])
         assert degree == 1
 
 
@@ -152,7 +152,7 @@ def test_07_conic_center_window():
             h = explicit_function(sc)
             first = dicritical_status(h, sc.tower, 1)
             assert first.kind == "dicritical", f"(k={k}, power={power}): first divisor"
-            degree = dicritical_degree(h, sc.tower, 1, sc.lines[1], random.Random(sc.seed))
+            degree = dicritical_degree(h, sc.tower, 1, sc.lines[1])
             assert degree == 1, f"(k={k}, power={power}): first divisor degree"
             second = dicritical_status(h, sc.tower, 2)
             assert second.kind == "constant", f"(k={k}, power={power}): second divisor"
@@ -166,7 +166,7 @@ def test_07b_conic_center_true_boundary_behavior():
             h = explicit_function(sc)
             if 2 * k + 1 < power:
                 assert dicritical_status(h, sc.tower, 1).kind == "dicritical"
-                assert dicritical_degree(h, sc.tower, 1, sc.lines[1], random.Random(1)) == 1
+                assert dicritical_degree(h, sc.tower, 1, sc.lines[1]) == 1
             if power < 3 * k + 1:
                 assert dicritical_status(h, sc.tower, 2).kind == "constant"
         # at the empty-window boundary (k=1, power=3k+1) the second divisor is
@@ -174,7 +174,7 @@ def test_07b_conic_center_true_boundary_behavior():
         sc = conic_center(1, 4)
         h = explicit_function(sc)
         assert dicritical_status(h, sc.tower, 2).kind == "dicritical"
-        assert dicritical_degree(h, sc.tower, 2, sc.lines[2], random.Random(2)) == 1
+        assert dicritical_degree(h, sc.tower, 2, sc.lines[2]) == 1
 
 
 def test_08_cross_tier_order_agreement():
@@ -187,16 +187,14 @@ def test_08_cross_tier_order_agreement():
                     assert row.predicted_order == row.symbolic_order, f"{name} E_{row.divisor}"
 
 
-def _profile(h, sc, rng, divisors):
+def _profile(h, sc, divisors):
     out = {}
     for i in divisors:
         charts, blowups = sc.chart_path(i)
         st = dicritical_status(h, sc.tower, i, charts=charts, blowups=blowups)
         degree = None
         if st.kind == "dicritical" and i in sc.lines:
-            degree = dicritical_degree(
-                h, sc.tower, i, sc.lines[i], rng, charts=charts, blowups=blowups
-            )
+            degree = dicritical_degree(h, sc.tower, i, sc.lines[i], charts=charts, blowups=blowups)
         out[i] = (st.kind, degree, st.value, st.infinite)
     return out
 
@@ -207,12 +205,12 @@ def test_09_twist_invariance_and_product_degrees():
         sc = load_fixture("three-points")
         h = build_last(solve_scenario(sc), sc.equations, sc.bindings)
         rng = random.Random(31337)
-        base = _profile(h, sc, rng, (1, 2, 3))
+        base = _profile(h, sc, (1, 2, 3))
         assert base[3][:2] == ("dicritical", 1)
         for _ in range(2):  # two independent seeded draws
             a = Fraction(rng.randint(1, 30), rng.randint(1, 7))
             b = -Fraction(rng.randint(1, 30), rng.randint(1, 7))
-            twisted = _profile(mobius(h, a, b), sc, rng, (1, 2, 3))
+            twisted = _profile(mobius(h, a, b), sc, (1, 2, 3))
             for i in (1, 2, 3):
                 assert twisted[i][:2] == base[i][:2]
                 if base[i][0] == "constant":
@@ -228,10 +226,8 @@ def test_09_twist_invariance_and_product_degrees():
             x**2 + 2 * y**2 + 3 * z**2 + x * y, x**2 + 5 * y**2 + z**2 + y * z
         )
         h3 = RationalFunction(x + 5 * y + 2 * z, x + 7 * y + 4 * z)
-        deg = random.Random(99)
-
         def degree_on_first(h):
-            return dicritical_degree(h, tower, 1, line, deg)
+            return dicritical_degree(h, tower, 1, line)
 
         d1, d2, d3 = degree_on_first(h1), degree_on_first(h2), degree_on_first(h3)
         assert (d1, d2, d3) == (1, 2, 1)
@@ -243,9 +239,9 @@ def test_09_twist_invariance_and_product_degrees():
         fiber = LineClassSpec(2, {"x": "param", "y": "const", "z": "zero"})
         ha = RationalFunction(x, y)
         hb = explicit_function(sc_ruled)
-        assert dicritical_degree(ha, sc_ruled.tower, 2, fiber, deg) == 0
-        assert dicritical_degree(hb, sc_ruled.tower, 2, fiber, deg) == 1
-        assert dicritical_degree(ha * hb, sc_ruled.tower, 2, fiber, deg) == 1
+        assert dicritical_degree(ha, sc_ruled.tower, 2, fiber) == 0
+        assert dicritical_degree(hb, sc_ruled.tower, 2, fiber) == 1
+        assert dicritical_degree(ha * hb, sc_ruled.tower, 2, fiber) == 1
 
 
 def test_10_two_target_profile_end_to_end():

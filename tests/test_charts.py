@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -131,8 +130,7 @@ def test_degree_identity_line():
     x, y, _ = xyz()
     h = RationalFunction(x, y)
     line = LineClassSpec(1, {"x": "param", "y": "const", "z": "zero"})
-    rng = random.Random(1)
-    assert dicritical_degree(h, single_blowup(), 1, line, rng, charts=("z",)) == 1
+    assert dicritical_degree(h, single_blowup(), 1, line, charts=("z",)) == 1
 
 
 def test_degree_zero_on_ruling():
@@ -141,7 +139,7 @@ def test_degree_zero_on_ruling():
     h = RationalFunction(x, y)
     # depends only on the base coordinate of the ruled divisor
     line = LineClassSpec(2, {"x": "param", "y": "const", "z": "zero"})
-    assert dicritical_degree(h, sc.tower, 2, line, random.Random(3)) == 0
+    assert dicritical_degree(h, sc.tower, 2, line) == 0
     assert dicritical_status(h, sc.tower, 2).kind == "dicritical"
 
 
@@ -153,7 +151,7 @@ def test_conic_window_statuses():
     assert dicritical_status(h, sc.tower, 1).kind == "dicritical"
     st2 = dicritical_status(h, sc.tower, 2)
     assert st2.kind == "constant" and st2.value == 0
-    deg = dicritical_degree(h, sc.tower, 1, sc.lines[1], random.Random(9))
+    deg = dicritical_degree(h, sc.tower, 1, sc.lines[1])
     assert deg == 1
 
 
@@ -203,10 +201,10 @@ def test_restrict_needs_coordinate_equation():
 def test_nongeneric_line_template_errors():
     x, y, _ = xyz()
     h = RationalFunction(x, y)
-    # the template collapses the denominator to zero on every draw
+    # the template collapses the denominator to zero for every constant
     bad = LineClassSpec(1, {"x": "param", "y": "zero", "z": "zero"})
     with pytest.raises(GenericityError):
-        dicritical_degree(h, single_blowup(), 1, bad, random.Random(2), charts=("z",))
+        dicritical_degree(h, single_blowup(), 1, bad, charts=("z",))
 
 
 def test_check_tower_rejects_wrong_parents():

@@ -108,6 +108,26 @@ def test_polynomial_gcd_hidden_factor():
     assert g in (common, -common)
 
 
+def test_one_unlucky_point_does_not_reach_the_prs_gcd(monkeypatch):
+    # At the first point (y, z) = (2, 3) both specialize to x + 2; the pair is coprime.
+    from dicriticals import poly
+
+    x, y, z = xyz()
+    calls = []
+    original = poly._prs_gcd
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poly, "_prs_gcd", counting)
+    assert polynomial_gcd(x + y, x + z - 1).is_constant()
+    assert calls == []
+    # a genuine common factor still reaches the exact gcd and is found
+    assert polynomial_gcd((x + y) * (x + z), (x + y) * (x - z)) in (x + y, -(x + y))
+    assert calls
+
+
 def test_rational_function_reduces():
     x, y, z = xyz()
     h = RationalFunction((1 + z) * (1 + y) ** 5 * y**3, (1 - z) * (1 + y) ** 5 * y**3)

@@ -146,7 +146,9 @@ def test_cli_scenario_file_and_list(tmp_path, capsys):
         "malformed-json",
         "not-an-object",
         "missing-descriptor",
-        "negative-retries",
+        "unknown-option",
+        "missing-scenario",
+        "unknown-template-variable",
         "wrongly-typed-descriptor",
         "one-variable-blowup-center",
         "report-row-extra-key",
@@ -191,9 +193,14 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
         certificate = tmp_path / "certificate.json"
         certificate.write_text("{}" if case == "empty-certificate" else "not json")
         argv += ["--certificate", str(certificate)]
-    else:
+    elif case == "unknown-option":
         path.write_text(canonical_dumps(data))
-        argv += ["--retries", "-3"]
+        argv += ["--retries", "4"]
+    elif case == "missing-scenario":
+        argv = ["verify", "--out", str(tmp_path / "out")]
+    else:
+        data["lines"]["3"]["assign"] = {"x": "zero", "y": "const", "w": "param"}
+        path.write_text(canonical_dumps(data))
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
