@@ -18,7 +18,7 @@ from .errors import DicriticalError, ScenarioError
 from .fixtures import FIXTURES, load_fixture
 from .jsonio import canonical_dumps
 from .scenario import LastRequest, Scenario, SingleRequest, scenario_from_json
-from .verify import VerifyReport, VerifyRow, render_report, run_verify, solve_scenario
+from .verify import VerifyReport, render_report, run_verify, solve_scenario
 
 PASS, VIOLATION, INPUT_ERROR = 0, 1, 2
 
@@ -104,17 +104,16 @@ def cmd_matrix(args) -> int:
 
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
-    cert = solve_scenario(scenario)
-    payload = canonical_dumps(cert.to_json())
+    data = solve_scenario(scenario).to_json()
+    payload = canonical_dumps(data)
     print(f"certificate for {scenario.name}:")
-    _print_profile(cert)
+    _print_profile(data)
     if not write_artifact(Path(args.out), f"{scenario.name}.solve.json", payload):
         return VIOLATION
     return PASS
 
 
-def _print_profile(cert) -> None:
-    data = cert.to_json()
+def _print_profile(data: dict) -> None:
     kind = data["kind"]
     if kind == "support":
         print(f"  exponents: {data['exponents']}")
@@ -156,55 +155,12 @@ def cmd_verify(args) -> int:
     return PASS
 
 
-# Allowed value types of a stored verify row; ``int`` excludes ``bool`` and
-# ``None`` stands for JSON null.
-_ROW_TYPES = {
-    "item": (str,),
-    "divisor": (int,),
-    "predicted_order": (int, None),
-    "symbolic_order": (int,),
-    "status": (str, None),
-    "value": (str, None),
-    "degree": (int, None),
-    "expected": (str,),
-    "ok": (bool,),
-    "restriction": (str, None),
-}
-
-
-def _check_type(what: str, value, kinds) -> None:
-    if not any(value is None if kind is None else type(value) is kind for kind in kinds):
-        raise ValueError(f"{what} holds {value!r}")
-
-
-def _row_from_json(data: dict) -> VerifyRow:
-    row = VerifyRow(**data)
-    for key, kinds in _ROW_TYPES.items():
-        _check_type(f"row field {key!r}", getattr(row, key), kinds)
-    return row
-
-
-def _report_from_json(data: dict) -> VerifyReport:
-    _check_type("field 'scenario'", data["scenario"], (str,))
-    _check_type("field 'seed'", data["seed"], (int, None))
-    notes = data.get("notes", [])
-    _check_type("field 'notes'", notes, (list,))
-    for note in notes:
-        _check_type("a note", note, (str,))
-    return VerifyReport(
-        scenario=data["scenario"],
-        seed=data["seed"],
-        rows=[_row_from_json(row) for row in data["rows"]],
-        notes=notes,
-    )
-
-
 def cmd_report(args) -> int:
     scenario = load_scenario(args.scenario)
     path = Path(args.out) / f"{scenario.name}.verify.json"
     if not path.exists():
         raise ScenarioError(f"no verification artifact at {path}; run verify first")
-    report = _read_json_file(path, "verification artifact", _report_from_json)
+    report = _read_json_file(path, "verification artifact", VerifyReport.from_json)
     text = render_report(report)
     print(text, end="")
     if not write_artifact(Path(args.out), f"{scenario.name}.report.txt", text):
@@ -235,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", required=True, help="fixture name or scenario JSON path")
         p.add_argument("--out", default="out", help="artifact directory (default: out)")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
     p_matrix = sub.add_parser("matrix", help="print the valuation matrix and its minors")
     common(p_matrix)
@@ -247,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the certificate symbolically on charts")
     common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_verify.add_argument(
         "--certificate", default=None, help="verify this stored certificate instead of re-solving"
     )

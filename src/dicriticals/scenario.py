@@ -23,7 +23,7 @@ from .descriptor import (
     tail_to_json,
 )
 from .errors import ScenarioError
-from .jsonio import SCHEMA_VERSION, require_int
+from .jsonio import SCHEMA_VERSION, FieldCodec, require_int
 from .poly import Polynomial
 
 
@@ -83,7 +83,7 @@ Request = SupportRequest | LastRequest | SingleRequest | ProfileRequest | Explic
 
 
 @dataclass(frozen=True)
-class DivisorChart:
+class DivisorChart(FieldCodec):
     charts: tuple[str, ...] | None = None
     blowups: int | None = None
 
@@ -116,6 +116,17 @@ class Scenario:
 
 def validate_scenario(sc: Scenario) -> None:
     require_valid(sc.descriptor)
+    m = sc.descriptor.m
+    statuses = sc.expect.statuses if sc.expect is not None else {}
+    for what, keyed in (("chart paths", sc.charts), ("line templates", sc.lines), ("expected statuses", statuses)):
+        outside = sorted(i for i in keyed if not 1 <= i <= m)
+        if outside:
+            raise ScenarioError(f"{what} given for divisors {outside} outside 1..{m}")
+    if sc.expect is not None and sc.expect.orders is not None and len(sc.expect.orders) != m:
+        raise ScenarioError(f"expected orders give {len(sc.expect.orders)} values for {m} divisors")
+    kinds = sorted({kind for kind, _ in statuses.values()} - {"constant", "dicritical"})
+    if kinds:
+        raise ScenarioError(f"expected status kinds must be constant or dicritical, got {kinds}")
     if sc.tower is not None:
         check_tower(sc.descriptor, sc.tower)
         for name, poly in sc.equations.items():
@@ -262,13 +273,7 @@ def scenario_to_json(sc: Scenario) -> dict:
     if bindings:
         data["bindings"] = bindings
     if sc.charts:
-        data["charts"] = {
-            str(i): {
-                "charts": list(dc.charts) if dc.charts is not None else None,
-                "blowups": dc.blowups,
-            }
-            for i, dc in sorted(sc.charts.items())
-        }
+        data["charts"] = {str(i): dc.to_json() for i, dc in sorted(sc.charts.items())}
     if sc.lines:
         data["lines"] = {
             str(i): {"assign": dict(sorted(line.assign.items()))} for i, line in sorted(sc.lines.items())
@@ -295,12 +300,7 @@ def scenario_from_json(data: dict) -> Scenario:
     tower = tower_from_json(data["tower"]) if "tower" in data else None
     equations = {name: Polynomial.from_json(p) for name, p in data.get("equations", {}).items()}
     bindings = Bindings.from_json(data.get("bindings", {}))
-    charts = {}
-    for key, entry in data.get("charts", {}).items():
-        charts[int(key)] = DivisorChart(
-            charts=tuple(entry["charts"]) if entry.get("charts") is not None else None,
-            blowups=entry.get("blowups"),
-        )
+    charts = {int(key): DivisorChart.from_json(entry) for key, entry in data.get("charts", {}).items()}
     lines = {}
     for key, entry in data.get("lines", {}).items():
         lines[int(key)] = LineClassSpec(divisor=int(key), assign=dict(entry["assign"]))

@@ -33,8 +33,8 @@ from .descriptor import (
     special_matrix,
     valuation_matrix,
 )
-from .errors import BoundViolation, SolverError
-from .jsonio import SCHEMA_VERSION, fraction_from_json, fraction_to_json, require_int
+from .errors import BoundViolation, ScenarioError, SolverError
+from .jsonio import SCHEMA_VERSION, FieldCodec, fraction_from_json, fraction_to_json
 from .linalg import solve_row_system
 
 NON_DICRITICAL = "non_dicritical"
@@ -111,40 +111,37 @@ class LinearForm:
     @classmethod
     def from_json(cls, data: dict) -> "LinearForm":
         coeffs = {int(k): fraction_from_json(v, "coefficient") for k, v in data.get("coeffs", {}).items()}
-        return cls.make(fraction_from_json(data["const"], "constant"), coeffs)
+        form = cls.make(fraction_from_json(data["const"], "constant"), coeffs)
+        if form.to_json() != data:
+            raise ScenarioError(f"linear form {data!r} is not in the form the writer writes")
+        return form
+
+
+# -- certificates ----------------------------------------------------------------
+
+
+class Certificate(FieldCodec):
+    """A solver certificate: its JSON form is its fields, its schema version
+    and its class-level ``kind``."""
+
+    kind = ""
+
+    def envelope(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION, "kind": self.kind}
 
 
 # -- support certificates ------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SupportCertificate:
+class SupportCertificate(Certificate):
     exponents: tuple[int, ...]
     orders: tuple[int, ...]
     targets: tuple[int, ...]
     offsets: Mapping[int, int] = field(default_factory=dict)
     needs_split: tuple[int, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "support",
-            "exponents": list(self.exponents),
-            "orders": list(self.orders),
-            "targets": list(self.targets),
-            "offsets": {str(k): v for k, v in sorted(self.offsets.items())},
-            "needs_split": list(self.needs_split),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SupportCertificate":
-        return cls(
-            exponents=tuple(require_int(v, "exponent") for v in data["exponents"]),
-            orders=tuple(require_int(v, "order") for v in data["orders"]),
-            targets=tuple(require_int(v, "target") for v in data["targets"]),
-            offsets={int(k): require_int(v, "offset") for k, v in data.get("offsets", {}).items()},
-            needs_split=tuple(require_int(v, "split index") for v in data.get("needs_split", [])),
-        )
+    kind = "support"
 
 
 def solve_support(
@@ -208,7 +205,7 @@ def classify(orders: Sequence[int], exponents: Sequence[int]) -> tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class LastDicriticalCertificate:
+class LastDicriticalCertificate(Certificate):
     s: int
     degree: int
     special_owners: tuple[int, ...]
@@ -221,38 +218,7 @@ class LastDicriticalCertificate:
     matrix_b: tuple[tuple[int, ...], ...]
     matrix_c: tuple[tuple[int, ...], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "last",
-            "s": self.s,
-            "degree": self.degree,
-            "special_owners": list(self.special_owners),
-            "special_exponents": {str(k): v for k, v in sorted(self.special_exponents.items())},
-            "contact_orders": {str(k): v for k, v in sorted(self.contact_orders.items())},
-            "bundle_exponents": list(self.bundle_exponents),
-            "target_orders": {str(k): v for k, v in sorted(self.target_orders.items())},
-            "orders": list(self.orders),
-            "matrix_a": [list(r) for r in self.matrix_a],
-            "matrix_b": [list(r) for r in self.matrix_b],
-            "matrix_c": [list(r) for r in self.matrix_c],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LastDicriticalCertificate":
-        return cls(
-            s=require_int(data["s"], "s"),
-            degree=require_int(data["degree"], "degree"),
-            special_owners=tuple(require_int(v, "owner") for v in data["special_owners"]),
-            special_exponents={int(k): require_int(v, "exponent") for k, v in data["special_exponents"].items()},
-            contact_orders={int(k): require_int(v, "contact") for k, v in data["contact_orders"].items()},
-            bundle_exponents=tuple(require_int(v, "exponent") for v in data["bundle_exponents"]),
-            target_orders={int(k): require_int(v, "target") for k, v in data["target_orders"].items()},
-            orders=tuple(require_int(v, "order") for v in data["orders"]),
-            matrix_a=tuple(tuple(require_int(v, "entry") for v in r) for r in data["matrix_a"]),
-            matrix_b=tuple(tuple(require_int(v, "entry") for v in r) for r in data["matrix_b"]),
-            matrix_c=tuple(tuple(require_int(v, "entry") for v in r) for r in data["matrix_c"]),
-        )
+    kind = "last"
 
 
 def solve_last_dicritical(
@@ -389,7 +355,7 @@ def _verify_last_certificate(d, matrix, b_rows, owners, s, exponents, special_ex
 
 
 @dataclass(frozen=True)
-class SingleDicriticalCertificate:
+class SingleDicriticalCertificate(Certificate):
     base: LastDicriticalCertificate
     s: int
     degree: int
@@ -405,48 +371,11 @@ class SingleDicriticalCertificate:
     aux_floor: int | None
     doublings: int
 
+    kind = "single"
+
     def window(self, i: int) -> tuple[LinearForm, LinearForm]:
         """Lower and upper bounding forms for the pole power at divisor i."""
         return self.threshold_form, self.threshold_form + self.window_forms[i]
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "single",
-            "base": self.base.to_json(),
-            "s": self.s,
-            "degree": self.degree,
-            "later_exponents": {str(k): v for k, v in sorted(self.later_exponents.items())},
-            "pole_power": self.pole_power,
-            "numer_orders": list(self.numer_orders),
-            "denom_orders": list(self.denom_orders),
-            "aux_orders": list(self.aux_orders),
-            "orders": list(self.orders),
-            "threshold_form": self.threshold_form.to_json(),
-            "window_forms": {str(k): v.to_json() for k, v in sorted(self.window_forms.items())},
-            "weights": {str(k): v for k, v in sorted(self.weights.items())},
-            "aux_floor": self.aux_floor,
-            "doublings": self.doublings,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SingleDicriticalCertificate":
-        return cls(
-            base=LastDicriticalCertificate.from_json(data["base"]),
-            s=require_int(data["s"], "s"),
-            degree=require_int(data["degree"], "degree"),
-            later_exponents={int(k): require_int(v, "exponent") for k, v in data["later_exponents"].items()},
-            pole_power=require_int(data["pole_power"], "pole power"),
-            numer_orders=tuple(require_int(v, "order") for v in data["numer_orders"]),
-            denom_orders=tuple(require_int(v, "order") for v in data["denom_orders"]),
-            aux_orders=tuple(require_int(v, "order") for v in data["aux_orders"]),
-            orders=tuple(require_int(v, "order") for v in data["orders"]),
-            threshold_form=LinearForm.from_json(data["threshold_form"]),
-            window_forms={int(k): LinearForm.from_json(v) for k, v in data["window_forms"].items()},
-            weights={int(k): require_int(v, "weight") for k, v in data["weights"].items()},
-            aux_floor=None if data.get("aux_floor") is None else require_int(data["aux_floor"], "floor"),
-            doublings=require_int(data.get("doublings", 0), "doublings"),
-        )
 
 
 def aux_order_bounds(m: int, s: int, special_exponents: Mapping[int, int], n: int) -> tuple[int, dict[int, int]]:
@@ -782,7 +711,7 @@ def solve_single_dicritical(
 
 
 @dataclass(frozen=True)
-class ProfileCertificate:
+class ProfileCertificate(Certificate):
     """Plan for a product of fraction-twisted single-dicritical functions."""
 
     degrees: Mapping[int, int]
@@ -792,25 +721,11 @@ class ProfileCertificate:
         "constant values of the non-dicritical restrictions"
     )
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "profile",
-            "degrees": {str(k): v for k, v in sorted(self.degrees.items())},
-            "parts": {str(k): v.to_json() for k, v in sorted(self.parts.items())},
-            "mobius": {
-                str(k): {"a": f"generic a_{k}", "b": f"generic b_{k}"} for k in sorted(self.parts)
-            },
-            "mobius_note": self.mobius_note,
-        }
+    kind = "profile"
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ProfileCertificate":
-        return cls(
-            degrees={int(k): require_int(v, "degree") for k, v in data["degrees"].items()},
-            parts={int(k): SingleDicriticalCertificate.from_json(v) for k, v in data["parts"].items()},
-            mobius_note=data.get("mobius_note", ""),
-        )
+    def envelope(self) -> dict:
+        mobius = {str(k): {"a": f"generic a_{k}", "b": f"generic b_{k}"} for k in sorted(self.parts)}
+        return {**super().envelope(), "mobius": mobius}
 
 
 def combine_profile(
@@ -834,10 +749,8 @@ def combine_profile(
 
 def certificate_from_json(data: dict):
     kinds = {
-        "support": SupportCertificate,
-        "last": LastDicriticalCertificate,
-        "single": SingleDicriticalCertificate,
-        "profile": ProfileCertificate,
+        cls.kind: cls
+        for cls in (SupportCertificate, LastDicriticalCertificate, SingleDicriticalCertificate, ProfileCertificate)
     }
     kind = data.get("kind")
     if kind not in kinds:

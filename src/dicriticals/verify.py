@@ -17,7 +17,7 @@ from .candidates import build_last, build_profile, build_single, build_support
 from .charts import restriction_degree, status_of, walk_order, walk_restriction, walk_tower
 from .descriptor import valuation_matrix
 from .errors import DicriticalError, ScenarioError
-from .jsonio import SCHEMA_VERSION
+from .jsonio import SCHEMA_VERSION, FieldCodec
 from .poly import Polynomial
 from .ratfunc import RationalFunction
 from .scenario import (
@@ -41,7 +41,7 @@ DICRITICAL = "dicritical"
 
 
 @dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(FieldCodec):
     item: str
     divisor: int
     predicted_order: int | None
@@ -53,42 +53,20 @@ class VerifyRow:
     ok: bool
     restriction: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "item": self.item,
-            "divisor": self.divisor,
-            "predicted_order": self.predicted_order,
-            "symbolic_order": self.symbolic_order,
-            "status": self.status,
-            "value": self.value,
-            "degree": self.degree,
-            "expected": self.expected,
-            "ok": self.ok,
-            "restriction": self.restriction,
-        }
-
 
 @dataclass
-class VerifyReport:
+class VerifyReport(FieldCodec):
     scenario: str
     seed: int
-    rows: list[VerifyRow] = field(default_factory=list)
+    rows: list[VerifyRow]
     notes: list[str] = field(default_factory=list)
 
     @property
     def overall(self) -> bool:
         return all(row.ok for row in self.rows)
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "overall": "PASS" if self.overall else "FAIL",
-            "rows": [row.to_json() for row in self.rows],
-            "notes": list(self.notes),
-        }
+    def envelope(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION, "command": "verify", "overall": "PASS" if self.overall else "FAIL"}
 
 
 def solve_scenario(sc: Scenario):
@@ -165,7 +143,7 @@ def run_verify(
     validate_scenario(sc)
     if sc.tower is None:
         raise ScenarioError("verification needs a chart tower")
-    report = VerifyReport(scenario=sc.name, seed=sc.seed if seed is None else seed)
+    report = VerifyReport(scenario=sc.name, seed=sc.seed if seed is None else seed, rows=[])
     req = sc.request
 
     if req is None:
@@ -219,23 +197,8 @@ def run_verify(
 
 
 def _check_certificate_matches(req, cert) -> None:
-    from .solver import (
-        LastDicriticalCertificate,
-        ProfileCertificate,
-        SingleDicriticalCertificate,
-        SupportCertificate,
-    )
-
-    expected_type = {
-        SupportRequest: SupportCertificate,
-        LastRequest: LastDicriticalCertificate,
-        SingleRequest: SingleDicriticalCertificate,
-        ProfileRequest: ProfileCertificate,
-    }[type(req)]
-    if not isinstance(cert, expected_type):
-        raise ScenarioError(
-            f"certificate kind {type(cert).__name__} does not match the {req.kind} request"
-        )
+    if cert.kind != req.kind:
+        raise ScenarioError(f"a {cert.kind} certificate does not match the {req.kind} request")
     if isinstance(req, (LastRequest, SingleRequest)) and (cert.s, cert.degree) != (req.s, req.degree):
         raise ScenarioError("certificate target or degree disagrees with the request")
     if isinstance(req, ProfileRequest) and set(cert.parts) != set(req.parts):

@@ -1,10 +1,13 @@
-"""Shared test utilities: seeded random descriptors."""
+"""Shared test utilities: seeded random descriptors and a support scenario."""
 
 from __future__ import annotations
 
 import random
 
+from dicriticals.candidates import Bindings
 from dicriticals.descriptor import ModificationDescriptor, make_descriptor
+from dicriticals.fixtures import point_point_line
+from dicriticals.scenario import Scenario, SupportRequest
 
 
 def random_descriptor(rng: random.Random, max_m: int = 8) -> ModificationDescriptor:
@@ -18,3 +21,17 @@ def random_descriptor(rng: random.Random, max_m: int = 8) -> ModificationDescrip
     for j in range(1, m + 1):
         rows.append(tuple(rng.randint(0, 1) for _ in range(j - 1)) + (1,))
     return make_descriptor(3, parents, curvette_mults=rows)
+
+
+def support_middle() -> Scenario:
+    """point-point-line with a support request for its middle divisor."""
+    base = point_point_line()
+    return Scenario(
+        name="support-middle",
+        descriptor=base.descriptor,
+        request=SupportRequest(targets=(2,), offsets={1: 1, 3: 1}),
+        tower=base.tower,
+        equations=base.equations,
+        bindings=Bindings(bundles={1: ("C1",), 2: ("C2",), 3: ("C3",)}),
+        seed=42,
+    )

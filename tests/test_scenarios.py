@@ -2,13 +2,14 @@ import json
 from pathlib import Path
 
 import pytest
+from helpers import support_middle
 
 from dicriticals.cli import main
 from dicriticals.errors import ScenarioError
 from dicriticals.fixtures import FIXTURES, load_fixture, three_points_line_explicit
 from dicriticals.jsonio import canonical_dumps
 from dicriticals.scenario import scenario_from_json, scenario_to_json
-from dicriticals.verify import run_verify
+from dicriticals.verify import run_verify, solve_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,21 +56,7 @@ def test_fault_injection_pole_power_flags_last_divisor():
 
 
 def test_support_request_verifies_end_to_end():
-    from dicriticals.candidates import Bindings
-    from dicriticals.scenario import Scenario, SupportRequest
-    from dicriticals.fixtures import point_point_line
-
-    base = point_point_line()
-    sc = Scenario(
-        name="support-middle",
-        descriptor=base.descriptor,
-        request=SupportRequest(targets=(2,), offsets={1: 1, 3: 1}),
-        tower=base.tower,
-        equations=base.equations,
-        bindings=Bindings(bundles={1: ("C1",), 2: ("C2",), 3: ("C3",)}),
-        seed=42,
-    )
-    report = run_verify(sc)
+    report = run_verify(support_middle())
     assert report.overall
     rows = {row.divisor: row for row in report.rows}
     assert rows[2].status == "dicritical" and rows[2].symbolic_order == 0
@@ -140,6 +127,27 @@ def test_cli_scenario_file_and_list(tmp_path, capsys):
     assert "two-dicriticals" in capsys.readouterr().out
 
 
+# Stored-artifact mutations, case -> (scenario fixture, key path, value): the
+# value is written at the key path into the fixture's certificate
+# (``certificate-``) or its stored verify report (``report-``).
+ARTIFACT_MUTATIONS = {
+    "certificate-schema-version": ("three-points", ("schema_version",), 99),
+    "certificate-schema-version-bool": ("three-points", ("schema_version",), True),
+    "certificate-unknown-key": ("three-points", ("extra",), 1),
+    "certificate-part-base-kind": ("two-dicriticals", ("parts", "1", "base", "kind"), "support"),
+    "certificate-mobius": ("two-dicriticals", ("mobius",), {"1": {"a": "0", "b": "1"}}),
+    "certificate-mobius-note-int": ("two-dicriticals", ("mobius_note",), 5),
+    "certificate-linear-form-extra-key": ("three-points-line", ("threshold_form", "extra"), 1),
+    "report-row-extra-key": ("three-points", ("rows", 0, "extra"), 1),
+    "report-row-ok-not-bool": ("three-points", ("rows", 0, "ok"), "no"),
+    "report-row-divisor-not-int": ("three-points", ("rows", 0, "divisor"), "E"),
+    "report-schema-version": ("three-points", ("schema_version",), 99),
+    "report-command": ("three-points", ("command",), "solve"),
+    "report-extra-key": ("three-points", ("extra",), 1),
+    "report-null-seed": ("three-points", ("seed",), None),
+}
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -147,20 +155,29 @@ def test_cli_scenario_file_and_list(tmp_path, capsys):
         "not-an-object",
         "missing-descriptor",
         "unknown-option",
+        "solve-seed",
         "missing-scenario",
         "unknown-template-variable",
         "wrongly-typed-descriptor",
         "one-variable-blowup-center",
-        "report-row-extra-key",
-        "report-row-ok-not-bool",
-        "report-row-divisor-not-int",
+        "chart-divisor-out-of-range",
+        "line-divisor-out-of-range",
+        "chart-blowups-not-int",
+        "expect-orders-short",
+        "expect-status-kind",
         "empty-certificate",
         "non-json-certificate",
+        *ARTIFACT_MUTATIONS,
     ],
 )
 def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     path = tmp_path / "scenario.json"
-    data = scenario_to_json(load_fixture("three-points"))
+    fixture = "three-points"
+    if case.startswith("expect-"):
+        fixture = "conic-center"
+    elif case in ARTIFACT_MUTATIONS:
+        fixture = ARTIFACT_MUTATIONS[case][0]
+    data = scenario_to_json(load_fixture(fixture))
     argv = ["verify", "--scenario", str(path), "--out", str(tmp_path / "out")]
     if case == "malformed-json":
         path.write_text(canonical_dumps(data)[:-10])
@@ -175,19 +192,38 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     elif case == "one-variable-blowup-center":
         data["tower"]["steps"][0]["blowup"]["center"] = ["x"]
         path.write_text(canonical_dumps(data))
-    elif case.startswith("report-row-"):
+    elif case == "chart-divisor-out-of-range":
+        data["charts"] = {"12": {"charts": ["q"], "blowups": 40}}
         path.write_text(canonical_dumps(data))
-        assert main(argv) == 0
-        stored = tmp_path / "out" / "three-points.verify.json"
-        artifact = json.loads(stored.read_text())
-        key, value = {
-            "report-row-extra-key": ("extra", 1),
-            "report-row-ok-not-bool": ("ok", "no"),
-            "report-row-divisor-not-int": ("divisor", "E"),
-        }[case]
-        artifact["rows"][0][key] = value
+    elif case == "line-divisor-out-of-range":
+        data["lines"]["9"] = data["lines"]["3"]
+        path.write_text(canonical_dumps(data))
+    elif case == "chart-blowups-not-int":
+        data["charts"] = {"3": {"charts": None, "blowups": 1.5}}
+        path.write_text(canonical_dumps(data))
+    elif case == "expect-orders-short":
+        data["expect"]["orders"] = [0]
+        path.write_text(canonical_dumps(data))
+    elif case == "expect-status-kind":
+        data["expect"]["statuses"]["2"]["kind"] = "dominant"
+        path.write_text(canonical_dumps(data))
+    elif case in ARTIFACT_MUTATIONS:
+        _, keys, value = ARTIFACT_MUTATIONS[case]
+        path.write_text(canonical_dumps(data))
+        if case.startswith("certificate-"):
+            stored = tmp_path / "certificate.json"
+            artifact = solve_scenario(load_fixture(fixture)).to_json()
+            argv += ["--certificate", str(stored)]
+        else:
+            assert main(argv) == 0
+            stored = tmp_path / "out" / f"{fixture}.verify.json"
+            artifact = json.loads(stored.read_text())
+            argv[0] = "report"
+        target = artifact
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
         stored.write_text(canonical_dumps(artifact))
-        argv[0] = "report"
     elif case in ("empty-certificate", "non-json-certificate"):
         path.write_text(canonical_dumps(data))
         certificate = tmp_path / "certificate.json"
@@ -196,6 +232,8 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     elif case == "unknown-option":
         path.write_text(canonical_dumps(data))
         argv += ["--retries", "4"]
+    elif case == "solve-seed":
+        argv = ["solve", "--scenario", "three-points", "--out", str(tmp_path / "out"), "--seed", "3"]
     elif case == "missing-scenario":
         argv = ["verify", "--out", str(tmp_path / "out")]
     else:

@@ -2,9 +2,11 @@
 
 import dataclasses
 import hashlib
+import json
 from collections import Counter
 
 import pytest
+from helpers import support_middle
 
 from dicriticals import charts, verify
 from dicriticals.candidates import build_last
@@ -14,6 +16,7 @@ from dicriticals.fixtures import FIXTURES, load_fixture, three_points
 from dicriticals.jsonio import canonical_dumps
 from dicriticals.ratfunc import RationalFunction
 from dicriticals.scenario import DivisorChart
+from dicriticals.solver import certificate_from_json
 from dicriticals.verify import run_verify, solve_scenario
 
 # sha256 of each fixture's canonical verify artifact, taken before the walk
@@ -25,6 +28,16 @@ VERIFY_SHA256 = {
     "three-points": "5796e8b1d0d02f70abd9f6132ae2d3b395b1d0845cc297bca1452c935a80b836",
     "three-points-line": "3e8ef5222a582932bd1e057a028e1a2417508624501a8ee1e0d8834a0c3f69c5",
     "two-dicriticals": "e0d1a04e5d82d1575ed85dc1c5f26d4eb77d2c5047d7bfb7e54bd57439ac366f",
+}
+
+# sha256 of one canonical certificate of each kind, taken before the
+# certificates were moved onto the field-driven codec; that move must not
+# change a byte.
+CERTIFICATE_SHA256 = {
+    "support-middle": "d5d44968dabbc49c1629120027eb149ada9680862f16420f31d22603321f60c7",
+    "three-points": "d26d1bf83688224ce8cd5cc839ffddbdf1add9244d6ab603cd53c8b4d2acd56c",
+    "three-points-line": "894eb4b650e087e91ca6e460350098041e59ba840688bca4c5bcc94f21583fe7",
+    "two-dicriticals": "9cd819d96ec785891cf876e3ee6a76eacd48715d1e4eb7e52871411393b2931c",
 }
 
 
@@ -55,6 +68,15 @@ def test_verify_walks_once_per_chart_path_with_unchanged_bytes(name, monkeypatch
     functions = len(sc.bindings.rows) if sc.request is None else 1
     paths = {sc.chart_path(i) for i in range(1, sc.descriptor.m + 1)}
     assert sum(calls.values()) <= functions * len(paths)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_SHA256))
+def test_certificate_bytes_are_pinned_and_read_back(name):
+    sc = support_middle() if name == "support-middle" else load_fixture(name)
+    cert = solve_scenario(sc)
+    payload = canonical_dumps(cert.to_json())
+    assert hashlib.sha256(payload.encode()).hexdigest() == CERTIFICATE_SHA256[name]
+    assert certificate_from_json(json.loads(payload)) == cert
 
 
 def test_path_stopping_before_its_divisor_keeps_the_order_row(monkeypatch):
