@@ -9,11 +9,12 @@ and fails the run.  Exit codes: 0 pass, 1 invariant violation or drift,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-from .descriptor import leading_principal_minors, special_matrix, valuation_matrix
+from .descriptor import leading_principal_minors, special_rows, valuation_matrix
 from .errors import DicriticalError, ScenarioError
 from .fixtures import FIXTURES, load_fixture
 from .jsonio import canonical_dumps
@@ -77,20 +78,20 @@ def cmd_matrix(args) -> int:
     minors = leading_principal_minors(matrix)
     print(f"valuation matrix of {scenario.name}:")
     print(_format_matrix(matrix.rows))
-    stacked = None
+    specials = ()
     request = scenario.request
     if isinstance(request, (LastRequest, SingleRequest)) and scenario.descriptor.special_mults:
         contacts = request.contact_orders or {j: 1 for j in scenario.descriptor.parents(request.s)}
-        stacked = special_matrix(scenario.descriptor, request.s, contacts)
+        specials = special_rows(scenario.descriptor, request.s, contacts)
         print("special hypersurface rows:")
-        print(_format_matrix(stacked.special_rows))
+        print(_format_matrix(specials))
     print(f"leading principal minors: {list(minors)}")
     payload = canonical_dumps(
         {
             "command": "matrix",
             "scenario": scenario.name,
             "rows": [list(r) for r in matrix.rows],
-            "special_rows": [list(r) for r in stacked.special_rows] if stacked else [],
+            "special_rows": [list(r) for r in specials],
             "minors": list(minors),
         }
     )
@@ -181,7 +182,9 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = _Parser(
         prog="dicriticals",
         description="exact construction and verification of prescribed dicritical profiles",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import DescriptorError
-from .jsonio import SCHEMA_VERSION, require_int
+from .jsonio import SCHEMA_VERSION, reject_unknown_keys, require_int
 from .linalg import leading_minors
 
 
@@ -224,19 +224,39 @@ def leading_principal_minors(v: ValuationMatrix) -> tuple[int, ...]:
     return leading_minors([list(row) for row in v.rows])
 
 
-def special_matrix(
+def special_mults_row(
+    d: ModificationDescriptor, s: int, owner: int, contact: int, tail: TailData | None
+) -> list[int]:
+    """Strict multiplicities at the centers of the special hypersurface owned by
+    the parent ``owner`` of s: its given row below s, the contact order at s,
+    and, when ``tail`` is for s, the tail's multiplicities at the later centers
+    (zero where the tail lists none)."""
+    if owner not in d.special_mults:
+        raise DescriptorError(f"missing special multiplicity row for owner {owner}")
+    below = d.special_mults[owner]
+    if len(below) != s - 1:
+        raise DescriptorError(
+            f"special multiplicity row for owner {owner} must have {s - 1} entries, got {len(below)}"
+        )
+    row = [*below, contact]
+    if tail is not None and tail.s == s:
+        row += [tail.mu_specials.get(i, {}).get(owner, 0) for i in range(s + 1, d.m + 1)]
+    return row
+
+
+def special_rows(
     d: ModificationDescriptor,
     s: int,
     contact: Mapping[int, int],
     tail: TailData | None = None,
-) -> ValuationMatrix:
-    """Order rows for the special hypersurfaces attached to the parents of s.
+) -> tuple[tuple[int, ...], ...]:
+    """Order rows for the special hypersurfaces attached to the parents of s,
+    in increasing owner order; ``d`` must be valid.
 
     Each parent j of divisor s owns one special hypersurface; its multiplicity
     along center s is forced to the prescribed contact order, and multiplicities
-    along later centers come from the tail data (zero when absent).
+    along later centers come from the tail data (``d.tail`` when not given).
     """
-    require_valid(d)
     if not (1 <= s <= d.m):
         raise DescriptorError(f"index {s} out of range 1..{d.m}")
     owners = sorted(d.parents(s))
@@ -249,26 +269,26 @@ def special_matrix(
     tail = tail if tail is not None else d.tail
     rows = []
     for j in owners:
-        if j not in d.special_mults:
-            raise DescriptorError(f"missing special multiplicity row for owner {j}")
-        base = d.special_mults[j]
-        if len(base) != s - 1:
-            raise DescriptorError(
-                f"special multiplicity row for owner {j} must have {s - 1} entries, got {len(base)}"
-            )
-        full = list(base) + [contact[j]]
-        if tail is not None and tail.s == s:
-            for i in range(s + 1, d.m + 1):
-                full.append(tail.mu_specials.get(i, {}).get(j, 0))
-        row = pullback_orders(d, full)
+        row = pullback_orders(d, special_mults_row(d, s, j, contact[j], tail))
         expected = sum(row[q - 1] for q in owners) + contact[j]
         if row[s - 1] != expected:
             raise DescriptorError(
                 f"special row for owner {j} violates the order identity at {s}: {row[s - 1]} != {expected}"
             )
         rows.append(row)
+    return tuple(rows)
+
+
+def special_matrix(
+    d: ModificationDescriptor,
+    s: int,
+    contact: Mapping[int, int],
+    tail: TailData | None = None,
+) -> ValuationMatrix:
+    """The valuation matrix stacked with the ``special_rows`` of s."""
     a = valuation_matrix(d)
-    return ValuationMatrix(rows=a.rows, special_rows=tuple(rows), special_owners=tuple(owners))
+    rows = special_rows(d, s, contact, tail)
+    return ValuationMatrix(rows=a.rows, special_rows=rows, special_owners=tuple(sorted(d.parents(s))))
 
 
 def low_sets(d: ModificationDescriptor, s: int) -> dict[int, frozenset[int]]:
@@ -368,6 +388,7 @@ def tail_from_json(data: dict) -> TailData:
             out[idx] = {int(j): require_int(v, what) for j, v in row.items()}
         return out
 
+    reject_unknown_keys(data, ("s", "muZ", "muH"), "tail")
     return TailData(
         s=require_int(data["s"], "tail index"),
         mu_curvettes=int_map(data.get("muZ"), "curvette multiplicity"),
@@ -378,12 +399,14 @@ def tail_from_json(data: dict) -> TailData:
 def descriptor_from_json(data: dict) -> ModificationDescriptor:
     n = require_int(data["n"], "ambient dimension")
     m = require_int(data["m"], "blow-up count")
+    reject_unknown_keys(data, ("schema_version", "n", "m", "centers", "special", "tail"), "descriptor")
     centers = []
     mult_rows = []
     raw_centers = data.get("centers", [])
     if len(raw_centers) != m:
         raise DescriptorError(f"expected {m} centers, got {len(raw_centers)}")
     for j, entry in enumerate(raw_centers, start=1):
+        reject_unknown_keys(entry, ("dim", "D", "T_row"), f"center {j}")
         dim = require_int(entry["dim"], f"dimension of center {j}")
         parents = frozenset(require_int(q, f"parent of center {j}") for q in entry.get("D", []))
         row = tuple(require_int(v, f"multiplicity row {j}") for v in entry.get("T_row", []))
@@ -391,7 +414,10 @@ def descriptor_from_json(data: dict) -> ModificationDescriptor:
         mult_rows.append(row)
     specials = {}
     for entry in data.get("special", []):
+        reject_unknown_keys(entry, ("owner", "mu_row"), "special entry")
         owner = require_int(entry["owner"], "special owner")
+        if owner in specials:
+            raise DescriptorError(f"special multiplicity row for owner {owner} is given twice")
         specials[owner] = tuple(require_int(v, "special multiplicity") for v in entry.get("mu_row", []))
     tail = tail_from_json(data["tail"]) if "tail" in data else None
     return ModificationDescriptor(

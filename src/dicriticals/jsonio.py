@@ -23,6 +23,13 @@ def require_int(value, what: str) -> int:
     return value
 
 
+def reject_unknown_keys(data: dict, known, what: str) -> None:
+    """Input error naming the keys of ``data`` outside ``known``."""
+    unknown = sorted(data.keys() - set(known))
+    if unknown:
+        raise ScenarioError(f"{what} has unknown keys {unknown}")
+
+
 def fraction_to_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
@@ -86,9 +93,7 @@ def fields_from_json(cls, data):
             raise ScenarioError(f"{cls.__name__} lacks the key {name!r}")
     obj = cls(**kwargs)
     expected = obj.envelope()
-    unknown = sorted(data.keys() - kwargs.keys() - expected.keys())
-    if unknown:
-        raise ScenarioError(f"{cls.__name__} has unknown keys {unknown}")
+    reject_unknown_keys(data, kwargs.keys() | expected.keys(), cls.__name__)
     for key, value in expected.items():
         got = data.get(key)
         if type(got) is not type(value) or got != value:

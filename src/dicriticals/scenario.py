@@ -23,7 +23,7 @@ from .descriptor import (
     tail_to_json,
 )
 from .errors import ScenarioError
-from .jsonio import SCHEMA_VERSION, FieldCodec, require_int
+from .jsonio import SCHEMA_VERSION, FieldCodec, reject_unknown_keys, require_int
 from .poly import Polynomial
 
 
@@ -115,6 +115,10 @@ class Scenario:
 
 
 def validate_scenario(sc: Scenario) -> None:
+    # artifacts are written to <out>/<name>.<command>.json
+    name = sc.name
+    if not isinstance(name, str) or not name or name.startswith(".") or "/" in name or "\\" in name:
+        raise ScenarioError(f"scenario name {name!r} must be a nonempty file name without '/', '\\' or a leading '.'")
     require_valid(sc.descriptor)
     m = sc.descriptor.m
     statuses = sc.expect.statuses if sc.expect is not None else {}
@@ -186,8 +190,24 @@ def request_to_json(req: Request) -> dict:
     raise ScenarioError(f"unknown request type {type(req).__name__}")
 
 
+_SOLVE_KEYS = ("kind", "s", "degree", "special_exponents", "contact_orders", "target_orders")
+_REQUEST_KEYS = {
+    "support": ("kind", "targets", "offsets"),
+    "last": _SOLVE_KEYS,
+    "single": (*_SOLVE_KEYS, "tail"),
+    "profile": ("kind", "parts"),
+    "explicit": ("kind", "num", "den"),
+}
+_SCENARIO_KEYS = (
+    "schema_version", "name", "seed", "descriptor", "request", "tower",
+    "equations", "bindings", "charts", "lines", "expect",
+)
+
+
 def request_from_json(data: dict) -> Request:
     kind = data.get("kind")
+    if kind in _REQUEST_KEYS:
+        reject_unknown_keys(data, _REQUEST_KEYS[kind], f"{kind} request")
     if kind == "support":
         return SupportRequest(
             targets=tuple(require_int(v, "target") for v in data["targets"]),
@@ -295,6 +315,7 @@ def scenario_from_json(data: dict) -> Scenario:
         raise ScenarioError("a scenario must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {data.get('schema_version')!r}")
+    reject_unknown_keys(data, _SCENARIO_KEYS, "scenario")
     descriptor = descriptor_from_json(data["descriptor"])
     request = request_from_json(data["request"]) if "request" in data else None
     tower = tower_from_json(data["tower"]) if "tower" in data else None
@@ -316,7 +337,7 @@ def scenario_from_json(data: dict) -> Scenario:
             statuses=statuses,
         )
     sc = Scenario(
-        name=str(data["name"]),
+        name=data["name"],
         descriptor=descriptor,
         request=request,
         tower=tower,

@@ -19,7 +19,7 @@ recomputed independently through the order recursion before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -30,7 +30,8 @@ from .descriptor import (
     low_sets,
     pullback_orders,
     require_valid,
-    special_matrix,
+    special_mults_row,
+    special_rows,
     valuation_matrix,
 )
 from .errors import BoundViolation, ScenarioError, SolverError
@@ -236,7 +237,11 @@ def solve_last_dicritical(
     parent j of s gets order (special exponent) * (contact order); every
     other divisor below s gets a prescribed nonzero order (default +1).
     """
-    require_valid(d)
+    return _solve_last(d, valuation_matrix(d), s, degree, special_exponents, contact_orders, target_orders, tail)
+
+
+def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_orders, tail):
+    """``solve_last_dicritical`` on a valid descriptor with its valuation matrix."""
     if not (1 <= s <= d.m):
         raise SolverError(f"index {s} out of range 1..{d.m}")
     if degree < 1:
@@ -257,14 +262,8 @@ def solve_last_dicritical(
     if any(v == 0 for v in target_orders.values()):
         raise SolverError("target orders must be nonzero")
 
-    matrix = valuation_matrix(d)
-    _check_order_identity(d, matrix, s, owners)
-
-    if owners:
-        special = special_matrix(d, s, contact_orders, tail=tail)
-        b_rows = special.special_rows
-    else:
-        b_rows = ()
+    _check_order_identity(matrix, s, owners)
+    b_rows = special_rows(d, s, contact_orders, tail=tail) if owners else ()
 
     a_sub = tuple(tuple(matrix.entry(i, t) for t in range(1, s)) for i in range(1, s))
     b_sub = tuple(tuple(row[t - 1] for t in range(1, s)) for row in b_rows)
@@ -323,7 +322,7 @@ def _table_orders(d: ModificationDescriptor, signed, shared=()) -> tuple[tuple[i
     return pullback_orders(d, num), pullback_orders(d, den)
 
 
-def _check_order_identity(d, matrix, s, owners):
+def _check_order_identity(matrix, s, owners):
     """The column at s must decompose through the parents of s (order identity)."""
     for i in range(1, s + 1):
         expected = sum(matrix.entry(i, j) for j in owners) + (1 if i == s else 0)
@@ -336,18 +335,15 @@ def _check_order_identity(d, matrix, s, owners):
 def _verify_last_certificate(d, matrix, b_rows, owners, s, exponents, special_exponents, orders):
     """Substitute the solution into all s equations, including the eliminated one,
     and recompute the order vector through the order recursion."""
-    for t in range(1, s + 1):
-        value = sum(exponents[i - 1] * matrix.entry(i, t) for i in range(1, s))
-        value -= sum(special_exponents[j] * b_rows[idx][t - 1] for idx, j in enumerate(owners))
-        expected = orders[t - 1] if t < s else 0
-        if value != expected:
-            raise SolverError(f"solved exponents do not satisfy equation {t}: {value} != {expected}")
     # Independent route: weighted multiplicity tables through the recursion.
     n_plus, n_minus = _table_orders(d, [(exponents[i - 1], d.curvette_mults[i - 1]) for i in range(1, s)])
     for t in range(1, s + 1):
-        via_tables = n_plus[t - 1] - n_minus[t - 1]
         via_rows = sum(exponents[i - 1] * matrix.entry(i, t) for i in range(1, s))
-        if via_tables != via_rows:
+        value = via_rows - sum(special_exponents[j] * b_rows[idx][t - 1] for idx, j in enumerate(owners))
+        expected = orders[t - 1] if t < s else 0
+        if value != expected:
+            raise SolverError(f"solved exponents do not satisfy equation {t}: {value} != {expected}")
+        if n_plus[t - 1] - n_minus[t - 1] != via_rows:
             raise SolverError("order recursion disagrees with the matrix rows; internal error")
 
 
@@ -395,213 +391,137 @@ def aux_order_bounds(m: int, s: int, special_exponents: Mapping[int, int], n: in
     return floor, contacts
 
 
-class SingleDicriticalWorkspace:
-    """Intermediate state for the single-dicritical pipeline.
+MAX_DOUBLINGS = 4  # doublings of the chosen orders before a too-small auxiliary order stands
+CHOOSE_CAP = 1_000_000  # largest uniform later exponent that ``choose_exponents`` tries
 
-    Orders of the candidate's numerator and denominator along every divisor
-    are affine-linear forms in the exponents of the later hypercurvette
-    powers; the workspace builds them, derives the auxiliary orders, the
-    rational window forms, and finally picks integer exponents.
+
+def candidate_tables(d: ModificationDescriptor, base: LastDicriticalCertificate, tail: TailData):
+    """Signed multiplicity rows of the untwisted candidate and the orders of its
+    numerator and denominator along every divisor.
+
+    The rows are the bundle hypercurvettes with their signed exponents, then
+    the special hypersurfaces (positive exponents, in the denominator) with
+    their multiplicities at s and, from the tail, at the later centers; the
+    hypercurvette of s raised to the degree goes into both tables.
     """
+    s = base.s
+    signed = [(base.bundle_exponents[i - 1], d.curvette_mults[i - 1]) for i in range(1, s)]
+    signed += [
+        (-base.special_exponents[j], special_mults_row(d, s, j, base.contact_orders[j], tail))
+        for j in base.special_owners
+    ]
+    nu_f, nu_g = _table_orders(d, signed, [(base.degree, d.curvette_mults[s - 1])])
+    return signed, nu_f, nu_g
 
-    def __init__(
-        self,
-        d: ModificationDescriptor,
-        s: int,
-        degree: int,
-        base: LastDicriticalCertificate,
-        tail: TailData,
-    ):
-        self.descriptor = d
-        self.s = s
-        self.degree = degree
-        self.base = base
-        self.tail = tail
-        self.matrix = valuation_matrix(d)
-        self.later = tuple(range(s + 1, d.m + 1))
-        self.lows = low_sets(d, s)
-        self._build_tables()
 
-    # -- tables and forms ----------------------------------------------------
+def later_mults(d: ModificationDescriptor, s: int, tail: TailData) -> dict[int, list[int]]:
+    """Multiplicities at every center of the hypercurvette of each divisor after
+    s; the tail gives those at the centers after s."""
+    return {
+        j: [d.curvette_mult(j, t) if t <= s else tail.mu_curvettes.get(t, {}).get(j, 0) for t in range(1, d.m + 1)]
+        for j in range(s + 1, d.m + 1)
+    }
 
-    def _build_tables(self) -> None:
-        d, s = self.descriptor, self.s
-        base = self.base
-        # Bundle hypercurvettes with their signed exponents, then the special
-        # hypersurfaces (positive exponents, in the denominator) with their
-        # multiplicities at s and, from the tail, at the later centers.
-        self.signed_rows = [(base.bundle_exponents[i - 1], d.curvette_mults[i - 1]) for i in range(1, s)]
-        for j in base.special_owners:
-            mu = list(d.special_mults[j]) + [base.contact_orders[j]]
-            mu += [self.tail.mu_specials.get(i, {}).get(j, 0) for i in self.later]
-            self.signed_rows.append((-base.special_exponents[j], mu))
-        self.nu_f, self.nu_g = _table_orders(d, self.signed_rows, [(base.degree, d.curvette_mults[s - 1])])
 
-        # Multiplicities and order vector of each later hypercurvette, with tail multiplicities.
-        self.later_mults = {
-            j: [
-                d.curvette_mult(j, t) if t <= s else self.tail.mu_curvettes.get(t, {}).get(j, 0)
-                for t in range(1, d.m + 1)
-            ]
-            for j in self.later
-        }
-        self.later_rows = {j: pullback_orders(d, mults) for j, mults in self.later_mults.items()}
+def order_forms(orders: Sequence[int], later_rows: Mapping[int, Sequence[int]]) -> tuple[LinearForm, ...]:
+    """Orders along every divisor after twisting by the powers k_j of the later
+    hypercurvettes with order rows ``later_rows``, as affine-linear forms in k_j."""
+    return tuple(
+        LinearForm.make(v, {j: row[i] for j, row in later_rows.items()}) for i, v in enumerate(orders)
+    )
 
-        k_part = {
-            i: {j: Fraction(self.later_rows[j][i - 1]) for j in self.later}
-            for i in range(1, d.m + 1)
-        }
-        self.numer_forms = tuple(
-            LinearForm.make(self.nu_f[i - 1], k_part[i]) for i in range(1, d.m + 1)
-        )
-        self.denom_forms = tuple(
-            LinearForm.make(self.nu_g[i - 1], k_part[i]) for i in range(1, d.m + 1)
-        )
 
-    def order_forms(self) -> tuple[tuple[LinearForm, ...], tuple[LinearForm, ...]]:
-        """Numerator and denominator order forms along every divisor."""
-        return self.numer_forms, self.denom_forms
+def aux_orders(
+    d: ModificationDescriptor, base: LastDicriticalCertificate, tail: TailData, nu_f, nu_g
+) -> tuple[int, ...]:
+    """Orders of the untwisted candidate; checked against the descent sets.
 
-    # -- auxiliary orders ----------------------------------------------------
-
-    def aux_orders(self) -> tuple[int, ...]:
-        """Orders of the untwisted candidate; checked against the descent sets.
-
-        A later divisor must have auxiliary order zero exactly when the image
-        of its center avoids every divisor strictly below s.  A negative or
-        unexpectedly zero value means the chosen orders were too small.
-        """
-        d, s = self.descriptor, self.s
-        aux = tuple(self.nu_f[i] - self.nu_g[i] for i in range(d.m))
-        for i in range(1, s):
+    A later divisor must have auxiliary order zero exactly when the image
+    of its center avoids every divisor strictly below s.  A negative or
+    unexpectedly zero value means the chosen orders were too small.
+    """
+    s = base.s
+    aux = tuple(f - g for f, g in zip(nu_f, nu_g))
+    for i in range(1, s):
+        if aux[i - 1] <= 0:
+            raise BoundViolation(f"auxiliary order at divisor {i} must be positive", index=i)
+    if aux[s - 1] != 0:
+        raise SolverError(f"auxiliary order at divisor {s} must vanish, got {aux[s - 1]}")
+    later = range(s + 1, d.m + 1)
+    lows = low_sets(d, s)
+    for i in later:
+        if lows[i] & set(range(1, s)):
             if aux[i - 1] <= 0:
-                raise BoundViolation(f"auxiliary order at divisor {i} must be positive", index=i)
-        if aux[s - 1] != 0:
-            raise SolverError(f"auxiliary order at divisor {s} must vanish, got {aux[s - 1]}")
-        for i in self.later:
-            below = self.lows[i] & set(range(1, s))
-            if below:
-                if aux[i - 1] <= 0:
-                    raise BoundViolation(
-                        f"auxiliary order at divisor {i} is {aux[i - 1]}; chosen orders are too small",
-                        index=i,
-                    )
-            elif aux[i - 1] != 0:
-                raise SolverError(
-                    f"auxiliary order at divisor {i} should vanish by the descent rule, got {aux[i - 1]}"
+                raise BoundViolation(
+                    f"auxiliary order at divisor {i} is {aux[i - 1]}; chosen orders are too small",
+                    index=i,
                 )
-        # Recursion cross-check through parents and special multiplicities.
-        for i in self.later:
-            expected = sum(aux[a - 1] for a in d.parents(i))
-            for j, mu in self.tail.mu_specials.get(i, {}).items():
-                expected -= self.base.special_exponents[j] * mu
-            if aux[i - 1] != expected:
-                raise SolverError(f"auxiliary order recursion failed at divisor {i}")
-        self._aux = aux
-        return aux
+        elif aux[i - 1] != 0:
+            raise SolverError(f"auxiliary order at divisor {i} should vanish by the descent rule, got {aux[i - 1]}")
+    # Recursion cross-check through parents and special multiplicities.
+    for i in later:
+        expected = sum(aux[a - 1] for a in d.parents(i))
+        for j, mu in tail.mu_specials.get(i, {}).items():
+            expected -= base.special_exponents[j] * mu
+        if aux[i - 1] != expected:
+            raise SolverError(f"auxiliary order recursion failed at divisor {i}")
+    return aux
 
-    # -- window forms ----------------------------------------------------------
 
-    def window_forms(self) -> tuple[dict[int, int], dict[int, LinearForm]]:
-        """Weights and window forms for the later divisors with zero auxiliary order.
+def window_forms(
+    d: ModificationDescriptor, s: int, tail: TailData, aux: Sequence[int], numer_forms, a_ss: int
+) -> tuple[dict[int, int], dict[int, LinearForm]]:
+    """Weights and window forms for the later divisors with zero auxiliary order.
 
-        Each such divisor imposes that the pole power be less than the
-        threshold plus its window form; the identity
-        numerator_form(i) = weight(i) * (numerator_form(s) + a_ss * window(i))
-        is verified symbolically.
-        """
-        d, s = self.descriptor, self.s
-        a_ss = self.matrix.entry(s, s)
-        weights: dict[int, int] = {s: 1}
-        windows: dict[int, LinearForm] = {s: LinearForm.make(0)}
-        for i in self.later:
-            if self._aux[i - 1] != 0:
-                continue
-            parents = sorted(d.parents(i))
-            if any(p < s or (p > s and p not in windows) for p in parents):
-                raise SolverError(f"window recursion hit a divisor with nonzero auxiliary order at {i}")
-            weight = sum(weights[p] for p in parents)
-            form = LinearForm.make(0)
-            for p in parents:
-                form = form + windows[p].scale(Fraction(weights[p], weight))
-            mu_row = self.tail.mu_curvettes.get(i, {})
-            form = form + LinearForm.make(
-                0, {j: Fraction(mu, weight * a_ss) for j, mu in mu_row.items()}
-            )
-            if any(c <= 0 for _, c in form.coeffs):
-                raise SolverError(f"window form at divisor {i} has a nonpositive coefficient")
-            identity = self.numer_forms[s - 1] + form.scale(a_ss)
-            if identity.scale(weight) != self.numer_forms[i - 1]:
-                raise SolverError(f"window identity failed at divisor {i}")
-            weights[i] = weight
-            windows[i] = form
-        weights.pop(s)
-        windows.pop(s)
-        self._weights, self._windows = weights, windows
-        return weights, windows
+    Each such divisor imposes that the pole power be less than the
+    threshold plus its window form; the identity
+    numerator_form(i) = weight(i) * (numerator_form(s) + a_ss * window(i))
+    is verified symbolically.
+    """
+    weights: dict[int, int] = {s: 1}
+    windows: dict[int, LinearForm] = {s: LinearForm.make(0)}
+    for i in range(s + 1, d.m + 1):
+        if aux[i - 1] != 0:
+            continue
+        parents = sorted(d.parents(i))
+        if any(p < s or (p > s and p not in windows) for p in parents):
+            raise SolverError(f"window recursion hit a divisor with nonzero auxiliary order at {i}")
+        weight = sum(weights[p] for p in parents)
+        form = LinearForm.make(0)
+        for p in parents:
+            form = form + windows[p].scale(Fraction(weights[p], weight))
+        mu_row = tail.mu_curvettes.get(i, {})
+        form = form + LinearForm.make(0, {j: Fraction(mu, weight * a_ss) for j, mu in mu_row.items()})
+        if any(c <= 0 for _, c in form.coeffs):
+            raise SolverError(f"window form at divisor {i} has a nonpositive coefficient")
+        identity = numer_forms[s - 1] + form.scale(a_ss)
+        if identity.scale(weight) != numer_forms[i - 1]:
+            raise SolverError(f"window identity failed at divisor {i}")
+        weights[i] = weight
+        windows[i] = form
+    weights.pop(s)
+    windows.pop(s)
+    return weights, windows
 
-    # -- choosing exponents -----------------------------------------------------
 
-    def choose(self, cap: int = 1_000_000) -> tuple[dict[int, int], int]:
-        """Pick the later exponents and the pole power.
+def choose_exponents(
+    threshold_form: LinearForm, windows: Mapping[int, LinearForm], later: Iterable[int]
+) -> tuple[dict[int, int], int]:
+    """Pick the later exponents and the pole power.
 
-        All later exponents share one value, raised until every window form
-        exceeds 1 there; the pole power is then the smallest integer above
-        the threshold, which the window length guarantees admissible.
-        """
-        s = self.s
-        a_ss = self.matrix.entry(s, s)
-        uniform = 1
-        while uniform <= cap:
-            assign = {j: uniform for j in self.later}
-            if all(w.evaluate(assign) > 1 for w in self._windows.values()):
-                threshold = self.numer_forms[s - 1].evaluate(assign) / a_ss
-                pole = threshold.numerator // threshold.denominator + 1
-                upper_ok = all(
-                    pole < threshold + w.evaluate(assign) for w in self._windows.values()
-                )
-                if pole > threshold and upper_ok:
-                    return assign, pole
-            uniform += 1
-        raise SolverError("no admissible exponents found below the search cap")
-
-    # -- final evaluation ---------------------------------------------------------
-
-    def evaluate(self, assign: Mapping[int, int], pole: int) -> tuple[tuple[int, ...], ...]:
-        """Final order vector at chosen exponents, with the independent recompute."""
-        d, s = self.descriptor, self.s
-        numer = tuple(int(f.evaluate(assign)) for f in self.numer_forms)
-        denom = tuple(int(f.evaluate(assign)) for f in self.denom_forms)
-        orders = tuple(
-            numer[i - 1] - min(denom[i - 1], pole * self.matrix.entry(s, i))
-            for i in range(1, d.m + 1)
-        )
-        if orders[s - 1] != 0:
-            raise SolverError(f"order at divisor {s} must vanish, got {orders[s - 1]}")
-        threshold = Fraction(numer[s - 1], self.matrix.entry(s, s))
-        if not pole > threshold:
-            raise SolverError("pole power does not exceed the vanishing threshold")
-        for i in range(1, d.m + 1):
-            if i != s and orders[i - 1] <= 0:
-                raise SolverError(f"order at divisor {i} must be positive, got {orders[i - 1]}")
-            if orders[i - 1] < self._aux[i - 1]:
-                raise SolverError(f"order at divisor {i} dropped below the auxiliary order")
-        self._check_by_tables(assign, pole, numer, denom, orders)
-        return numer, denom, orders
-
-    def _check_by_tables(self, assign, pole, numer, denom, orders) -> None:
-        """Recompute every order through weighted multiplicity tables."""
-        d, s = self.descriptor, self.s
-        shared = [(self.base.degree, d.curvette_mults[s - 1])]
-        shared += [(assign[j], self.later_mults[j]) for j in self.later]
-        nu_num, nu_den = _table_orders(d, self.signed_rows, shared)
-        pole_table = [pole * v for v in d.curvette_mults[s - 1]]
-        nu_pole = pullback_orders(d, pole_table)
-        for i in range(d.m):
-            if numer[i] != nu_num[i] or denom[i] != nu_den[i]:
-                raise SolverError("table recompute disagrees with the linear forms; internal error")
-            if orders[i] != nu_num[i] - min(nu_den[i], nu_pole[i]):
-                raise SolverError("final orders disagree with the table recompute; internal error")
+    All later exponents share one value, raised until every window form
+    exceeds 1 there; the pole power is then the smallest integer above
+    the threshold, which the window length guarantees admissible.
+    """
+    for uniform in range(1, CHOOSE_CAP + 1):
+        assign = {j: uniform for j in later}
+        if all(w.evaluate(assign) > 1 for w in windows.values()):
+            threshold = threshold_form.evaluate(assign)
+            pole = threshold.numerator // threshold.denominator + 1
+            upper_ok = all(pole < threshold + w.evaluate(assign) for w in windows.values())
+            if pole > threshold and upper_ok:
+                return assign, pole
+    raise SolverError("no admissible exponents found below the search cap")
 
 
 def _resolve_tail(d: ModificationDescriptor, s: int, tail: TailData | None) -> TailData:
@@ -624,28 +544,20 @@ def solve_single_dicritical(
     contact_orders: Mapping[int, int] | None = None,
     target_orders: Mapping[int, int] | None = None,
     tail: TailData | None = None,
-    retry_cap: int = 4,
 ) -> SingleDicriticalCertificate:
     """Full pipeline: divisor s dicritical of the given degree, all others not.
 
     When contact and target orders are not supplied they start at the safe
     floors from ``aux_order_bounds``.  If the auxiliary orders still come out
     too small (heavy special-hypersurface multiplicities), all chosen orders
-    are doubled and the pipeline retries, up to ``retry_cap`` doublings.
+    are doubled and the pipeline retries, up to ``MAX_DOUBLINGS`` doublings.
     """
     require_valid(d)
     if not (1 <= s <= d.m):
         raise SolverError(f"index {s} out of range 1..{d.m}")
     tail = _resolve_tail(d, s, tail)
-    d = ModificationDescriptor(
-        n=d.n,
-        m=d.m,
-        centers=d.centers,
-        curvette_mults=d.curvette_mults,
-        special_mults=d.special_mults,
-        tail=tail,
-    )
-    require_valid(d)
+    d = replace(d, tail=tail)
+    matrix = valuation_matrix(d)
     owners = sorted(d.parents(s))
     special_exponents = {j: 1 for j in owners} | dict(special_exponents or {})
     free = [i for i in range(1, s) if i not in owners]
@@ -664,31 +576,50 @@ def solve_single_dicritical(
 
     doublings = 0
     while True:
-        base = solve_last_dicritical(
-            d,
-            s,
-            degree,
-            special_exponents=special_exponents,
-            contact_orders=contacts,
-            target_orders=targets,
-            tail=tail,
-        )
-        ws = SingleDicriticalWorkspace(d, s, degree, base, tail)
+        base = _solve_last(d, matrix, s, degree, special_exponents, contacts, targets, tail)
+        signed, nu_f, nu_g = candidate_tables(d, base, tail)
         try:
-            ws.aux_orders()
+            aux = aux_orders(d, base, tail, nu_f, nu_g)
+            break
         except BoundViolation:
-            if doublings >= retry_cap:
+            if doublings >= MAX_DOUBLINGS:
                 raise
-            doublings += 1
-            contacts = {j: 2 * v for j, v in contacts.items()}
-            targets = {i: 2 * v for i, v in targets.items()}
-            continue
-        break
+        doublings += 1
+        contacts = {j: 2 * v for j, v in contacts.items()}
+        targets = {i: 2 * v for i, v in targets.items()}
 
-    ws.window_forms()
-    assign, pole = ws.choose()
-    numer, denom, orders = ws.evaluate(assign, pole)
-    a_ss = ws.matrix.entry(s, s)
+    mults = later_mults(d, s, tail)
+    later_rows = {j: pullback_orders(d, row) for j, row in mults.items()}
+    numer_forms = order_forms(nu_f, later_rows)
+    a_ss = matrix.entry(s, s)
+    weights, windows = window_forms(d, s, tail, aux, numer_forms, a_ss)
+    threshold_form = numer_forms[s - 1].scale(Fraction(1, a_ss))
+    assign, pole = choose_exponents(threshold_form, windows, later_rows)
+
+    # Final orders at the chosen exponents; the denominator's twist only ever
+    # enters evaluated, so its orders are summed as integers.
+    numer = tuple(int(f.evaluate(assign)) for f in numer_forms)
+    denom = tuple(g + sum(k * later_rows[j][i] for j, k in assign.items()) for i, g in enumerate(nu_g))
+    orders = tuple(numer[i - 1] - min(denom[i - 1], pole * matrix.entry(s, i)) for i in range(1, d.m + 1))
+    if orders[s - 1] != 0:
+        raise SolverError(f"order at divisor {s} must vanish, got {orders[s - 1]}")
+    if not pole > Fraction(numer[s - 1], a_ss):
+        raise SolverError("pole power does not exceed the vanishing threshold")
+    for i in range(1, d.m + 1):
+        if i != s and orders[i - 1] <= 0:
+            raise SolverError(f"order at divisor {i} must be positive, got {orders[i - 1]}")
+        if orders[i - 1] < aux[i - 1]:
+            raise SolverError(f"order at divisor {i} dropped below the auxiliary order")
+    # Independent recompute of every order through weighted multiplicity tables.
+    shared = [(degree, d.curvette_mults[s - 1])] + [(k, mults[j]) for j, k in assign.items()]
+    nu_num, nu_den = _table_orders(d, signed, shared)
+    nu_pole = pullback_orders(d, [pole * v for v in d.curvette_mults[s - 1]])
+    for i in range(d.m):
+        if numer[i] != nu_num[i] or denom[i] != nu_den[i]:
+            raise SolverError("table recompute disagrees with the twisted orders; internal error")
+        if orders[i] != nu_num[i] - min(nu_den[i], nu_pole[i]):
+            raise SolverError("final orders disagree with the table recompute; internal error")
+
     return SingleDicriticalCertificate(
         base=base,
         s=s,
@@ -697,11 +628,11 @@ def solve_single_dicritical(
         pole_power=pole,
         numer_orders=numer,
         denom_orders=denom,
-        aux_orders=ws._aux,
+        aux_orders=aux,
         orders=orders,
-        threshold_form=ws.numer_forms[s - 1].scale(Fraction(1, a_ss)),
-        window_forms=ws._windows,
-        weights=ws._weights,
+        threshold_form=threshold_form,
+        window_forms=windows,
+        weights=weights,
         aux_floor=floor,
         doublings=doublings,
     )

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from helpers import support_middle
 
-from dicriticals.cli import main
+from dicriticals.cli import build_parser, main
 from dicriticals.errors import ScenarioError
 from dicriticals.fixtures import FIXTURES, load_fixture, three_points_line_explicit
 from dicriticals.jsonio import canonical_dumps
@@ -117,6 +117,10 @@ def test_cli_input_errors(tmp_path):
     assert main(["solve", "--scenario", "point-point-line", "--out", str(tmp_path)]) == 2
 
 
+def test_cli_builds_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
 def test_cli_scenario_file_and_list(tmp_path, capsys):
     sc = load_fixture("three-points")
     path = tmp_path / "scenario.json"
@@ -148,6 +152,27 @@ ARTIFACT_MUTATIONS = {
 }
 
 
+# Scenario mutations, case -> (key path, value): the value is written at the
+# key path into the JSON form of "three-points".
+SCENARIO_MUTATIONS = {
+    "name-climbs-out": (("name",), "../../evil"),
+    "name-empty": (("name",), ""),
+    "name-not-string": (("name",), 5),
+    "unknown-scenario-key": (("notes",), "ignored"),
+    "unknown-request-key": (("request", "contact_order"), {"1": 3, "2": 3}),
+    "duplicate-special-owner": (
+        ("descriptor", "special"),
+        [{"owner": 1, "mu_row": [2, 2]}, {"owner": 2, "mu_row": [3, 2]}, {"owner": 1, "mu_row": [9, 9]}],
+    ),
+}
+
+
+def set_at(data, keys, value):
+    for key in keys[:-1]:
+        data = data[key]
+    data[keys[-1]] = value
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -168,6 +193,7 @@ ARTIFACT_MUTATIONS = {
         "empty-certificate",
         "non-json-certificate",
         *ARTIFACT_MUTATIONS,
+        *SCENARIO_MUTATIONS,
     ],
 )
 def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
@@ -219,11 +245,11 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
             stored = tmp_path / "out" / f"{fixture}.verify.json"
             artifact = json.loads(stored.read_text())
             argv[0] = "report"
-        target = artifact
-        for key in keys[:-1]:
-            target = target[key]
-        target[keys[-1]] = value
+        set_at(artifact, keys, value)
         stored.write_text(canonical_dumps(artifact))
+    elif case in SCENARIO_MUTATIONS:
+        set_at(data, *SCENARIO_MUTATIONS[case])
+        path.write_text(canonical_dumps(data))
     elif case in ("empty-certificate", "non-json-certificate"):
         path.write_text(canonical_dumps(data))
         certificate = tmp_path / "certificate.json"
@@ -243,3 +269,4 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error:"), err
+    assert not any(tmp_path.parent.glob("evil*"))  # nothing written above --out

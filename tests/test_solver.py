@@ -3,18 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from dicriticals.descriptor import TailData, make_descriptor, valuation_matrix
+from dicriticals import descriptor, solver
+from dicriticals.descriptor import TailData, make_descriptor, pullback_orders, valuation_matrix
 from dicriticals.errors import BoundViolation, SolverError
 from dicriticals.solver import (
     LinearForm,
-    SingleDicriticalWorkspace,
     aux_order_bounds,
+    aux_orders,
+    candidate_tables,
     certificate_from_json,
+    choose_exponents,
     classify,
     combine_profile,
+    later_mults,
+    order_forms,
     solve_last_dicritical,
     solve_single_dicritical,
     solve_support,
+    window_forms,
 )
 from helpers import random_descriptor
 
@@ -138,24 +144,32 @@ def test_aux_order_bounds():
 # -- single divisor ----------------------------------------------------------------
 
 
+def untwisted_forms(d, s, base):
+    """Signed rows, numerator and denominator order forms of the untwisted candidate."""
+    signed, nu_f, nu_g = candidate_tables(d, base, d.tail)
+    later_rows = {j: pullback_orders(d, row) for j, row in later_mults(d, s, d.tail).items()}
+    return nu_f, nu_g, order_forms(nu_f, later_rows), order_forms(nu_g, later_rows)
+
+
 def test_single_workspace_forms():
     d = three_points_line()
     base = solve_last_dicritical(d, 3, 1, contact_orders={1: 1, 2: 1})
-    ws = SingleDicriticalWorkspace(d, 3, 1, base, d.tail)
-    numer, denom = ws.order_forms()
+    nu_f, nu_g, numer, denom = untwisted_forms(d, 3, base)
     assert numer[0] == LinearForm.make(7, {4: Fraction(2)})
     assert denom[0] == LinearForm.make(6, {4: Fraction(2)})
     assert numer[2] == LinearForm.make(20, {4: Fraction(6)})
     assert numer[2].evaluate({4: 0}) == 20  # no twist: plain orders
-    aux = ws.aux_orders()
+    aux = aux_orders(d, base, d.tail, nu_f, nu_g)
     assert aux == (1, 1, 0, 0)
-    weights, windows = ws.window_forms()
+    a_ss = valuation_matrix(d).entry(3, 3)
+    weights, windows = window_forms(d, 3, d.tail, aux, numer, a_ss)
     assert weights == {4: 1}
     assert windows == {4: LinearForm.make(0, {4: Fraction(1, 4)})}
-    assign, pole = ws.choose()
+    assign, pole = choose_exponents(numer[2].scale(Fraction(1, a_ss)), windows, (4,))
     assert assign == {4: 5} and pole == 13
-    numer_v, denom_v, orders = ws.evaluate(assign, pole)
-    assert orders == (4, 1, 0, 3)
+    cert = solve_single_dicritical(d, 3, 1, contact_orders={1: 1, 2: 1})
+    assert (cert.later_exponents, cert.pole_power) == (assign, pole)
+    assert cert.orders == (4, 1, 0, 3)
 
 
 def test_single_full_pipeline():
@@ -200,19 +214,51 @@ def test_single_positive_aux_with_special_contact():
     assert cert.doublings == 0
 
 
-def test_single_doubles_when_contacts_too_small():
-    d = make_descriptor(
+def doubling_descriptor(mu):
+    """s = 2 with a special hypersurface of multiplicity ``mu`` at the later center."""
+    return make_descriptor(
         3,
         [[], [1], [1]],
         special_mults={1: (1,)},
-        tail=TailData(s=2, mu_curvettes={3: {3: 1}}, mu_specials={3: {1: 20}}),
+        tail=TailData(s=2, mu_curvettes={3: {3: 1}}, mu_specials={3: {1: mu}}),
     )
-    cert = solve_single_dicritical(d, 2, 1)
+
+
+def test_single_doubles_when_contacts_too_small():
+    cert = solve_single_dicritical(doubling_descriptor(20), 2, 1)
     assert cert.doublings == 2
     assert cert.base.contact_orders == {1: 28}
     assert cert.aux_orders[2] == 8
-    with pytest.raises(BoundViolation):
-        solve_single_dicritical(d, 2, 1, retry_cap=1)
+    with pytest.raises(BoundViolation):  # needs 5 doublings, one more than allowed
+        solve_single_dicritical(doubling_descriptor(200), 2, 1)
+
+
+def counting(monkeypatch, name):
+    """Count the calls of the descriptor function ``name`` from the solver."""
+    calls = []
+    original = getattr(descriptor, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in (descriptor, solver):
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "d, s, contacts, doublings",
+    [(three_points_line(), 3, {1: 1, 2: 1}, 0), (doubling_descriptor(20), 2, None, 2)],
+    ids=["three-points-line", "doubling"],
+)
+def test_single_validates_once_and_builds_one_matrix(d, s, contacts, doublings, monkeypatch):
+    matrices = counting(monkeypatch, "valuation_matrix")
+    validations = counting(monkeypatch, "require_valid")
+    cert = solve_single_dicritical(d, s, 1, contact_orders=contacts)
+    assert cert.doublings == doublings
+    assert len(matrices) == 1
+    assert len(validations) <= 2
 
 
 def test_single_requires_tail():
@@ -229,9 +275,9 @@ def test_single_branching_window_forms():
         tail=TailData(s=1, mu_curvettes={2: {2: 1}, 3: {3: 1}, 4: {4: 1}}, mu_specials={}),
     )
     base = solve_last_dicritical(d, 1, 1)
-    ws = SingleDicriticalWorkspace(d, 1, 1, base, d.tail)
-    ws.aux_orders()
-    weights, windows = ws.window_forms()
+    nu_f, nu_g, numer, _ = untwisted_forms(d, 1, base)
+    aux = aux_orders(d, base, d.tail, nu_f, nu_g)
+    weights, windows = window_forms(d, 1, d.tail, aux, numer, valuation_matrix(d).entry(1, 1))
     assert weights == {2: 1, 3: 1, 4: 2}
     assert windows[2] == LinearForm.make(0, {2: Fraction(1)})
     assert windows[3] == LinearForm.make(0, {3: Fraction(1)})
