@@ -1,7 +1,7 @@
 """Exact construction of rational functions with prescribed dicritical divisors
 on towers of admissible blow-ups, with symbolic verification on charts."""
 
-from .candidates import Bindings, build_candidate, build_last, build_profile, build_single, build_support, mobius
+from .candidates import Bindings, build_last, build_profile, build_single, build_support, mobius
 from .charts import (
     BlowupStep,
     ChartTower,

@@ -10,12 +10,13 @@ than one equation per divisor.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .charts import draw_fraction
 from .errors import SolverError
+from .jsonio import FieldCodec, json_field
 from .poly import Polynomial
 from .ratfunc import RationalFunction
 from .solver import (
@@ -27,50 +28,18 @@ from .solver import (
 
 
 @dataclass(frozen=True)
-class Bindings:
-    """Names of the concrete equations backing each certificate ingredient."""
+class Bindings(FieldCodec):
+    """Names of the concrete equations backing each certificate ingredient;
+    the JSON form leaves out the unset ones."""
 
-    primary: str | None = None  # numerator hypercurvette of the target divisor
-    secondary: str | None = None  # denominator hypercurvette of the target divisor
-    bundles: Mapping[int, tuple[str, ...]] = field(default_factory=dict)
-    specials: Mapping[int, str] = field(default_factory=dict)
-    pole: str | None = None  # extra hypercurvette carrying the pole power
-    later: Mapping[int, str] = field(default_factory=dict)
-    rows: Mapping[int, str] = field(default_factory=dict)  # valuation-row equations
-    parts: Mapping[int, "Bindings"] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        data: dict = {}
-        if self.primary:
-            data["primary"] = self.primary
-        if self.secondary:
-            data["secondary"] = self.secondary
-        if self.bundles:
-            data["bundles"] = {str(k): list(v) for k, v in sorted(self.bundles.items())}
-        if self.specials:
-            data["specials"] = {str(k): v for k, v in sorted(self.specials.items())}
-        if self.pole:
-            data["pole"] = self.pole
-        if self.later:
-            data["later"] = {str(k): v for k, v in sorted(self.later.items())}
-        if self.rows:
-            data["rows"] = {str(k): v for k, v in sorted(self.rows.items())}
-        if self.parts:
-            data["parts"] = {str(k): v.to_json() for k, v in sorted(self.parts.items())}
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Bindings":
-        return cls(
-            primary=data.get("primary"),
-            secondary=data.get("secondary"),
-            bundles={int(k): tuple(v) for k, v in data.get("bundles", {}).items()},
-            specials={int(k): v for k, v in data.get("specials", {}).items()},
-            pole=data.get("pole"),
-            later={int(k): v for k, v in data.get("later", {}).items()},
-            rows={int(k): v for k, v in data.get("rows", {}).items()},
-            parts={int(k): cls.from_json(v) for k, v in data.get("parts", {}).items()},
-        )
+    primary: str | None = json_field(omit=True, default=None)  # numerator hypercurvette of the target divisor
+    secondary: str | None = json_field(omit=True, default=None)  # denominator hypercurvette of the target divisor
+    bundles: Mapping[int, tuple[str, ...]] = json_field(omit=True, default_factory=dict)
+    specials: Mapping[int, str] = json_field(omit=True, default_factory=dict)
+    pole: str | None = json_field(omit=True, default=None)  # extra hypercurvette carrying the pole power
+    later: Mapping[int, str] = json_field(omit=True, default_factory=dict)
+    rows: Mapping[int, str] = json_field(omit=True, default_factory=dict)  # valuation-row equations
+    parts: Mapping[int, Bindings] = json_field(omit=True, default_factory=dict)
 
 
 def _lookup(equations: Mapping[str, Polynomial], name: str | None, what: str) -> Polynomial:
@@ -213,23 +182,3 @@ def _ring(equations: Mapping[str, Polynomial]) -> tuple[str, ...]:
     if len(rings) != 1:
         raise SolverError("equations must all live in one coordinate ring")
     return rings.pop()
-
-
-def build_candidate(
-    cert,
-    equations: Mapping[str, Polynomial],
-    bindings: Bindings,
-    rng: random.Random | None = None,
-):
-    """Dispatch on the certificate kind; profiles additionally return their twists."""
-    if isinstance(cert, SupportCertificate):
-        return build_support(cert, equations, bindings)
-    if isinstance(cert, LastDicriticalCertificate):
-        return build_last(cert, equations, bindings)
-    if isinstance(cert, SingleDicriticalCertificate):
-        return build_single(cert, equations, bindings)
-    if isinstance(cert, ProfileCertificate):
-        if rng is None:
-            raise SolverError("building a profile needs a random source for the twist constants")
-        return build_profile(cert, equations, bindings, rng)
-    raise SolverError(f"unknown certificate type {type(cert).__name__}")

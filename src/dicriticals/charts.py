@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .descriptor import ModificationDescriptor
-from .errors import ChartError, GenericityError, PolynomialError
+from .errors import ChartError, GenericityError, PolynomialError, ScenarioError
+from .jsonio import FieldCodec, json_field
 from .poly import Polynomial, polynomial_gcd
 from .ratfunc import RationalFunction
 
@@ -34,7 +35,7 @@ ZERO = "zero"
 
 
 @dataclass(frozen=True)
-class BlowupStep:
+class BlowupStep(FieldCodec):
     center: tuple[str, ...]
     chart: str
 
@@ -46,7 +47,7 @@ class BlowupStep:
 
 
 @dataclass(frozen=True)
-class ShearStep:
+class ShearStep(FieldCodec):
     target: str
     shift: Polynomial  # new target = old target - shift(other variables)
 
@@ -56,12 +57,30 @@ class ShearStep:
 
 
 Step = BlowupStep | ShearStep
+_STEP_TAGS = {"blowup": BlowupStep, "shear": ShearStep}
+
+
+def _steps_to_json(steps: Sequence[Step]) -> list:
+    return [{"blowup" if isinstance(step, BlowupStep) else "shear": step.to_json()} for step in steps]
+
+
+def _steps_from_json(data, what: str) -> tuple[Step, ...]:
+    """A list of steps, each tagged by exactly one of ``blowup`` and ``shear``."""
+    if type(data) is not list:
+        raise ScenarioError(f"{what} must be a list of steps, got {data!r}")
+    steps = []
+    for entry in data:
+        if type(entry) is not dict or len(entry) != 1 or not entry.keys() <= _STEP_TAGS.keys():
+            raise ScenarioError(f"{what} holds {entry!r}, which is not one {{blowup: ...}} or {{shear: ...}}")
+        ((tag, body),) = entry.items()
+        steps.append(_STEP_TAGS[tag].from_json(body))
+    return tuple(steps)
 
 
 @dataclass(frozen=True)
-class ChartTower:
-    variables: tuple[str, ...]
-    steps: tuple[Step, ...]
+class ChartTower(FieldCodec):
+    variables: tuple[str, ...] = json_field(key="vars")
+    steps: tuple[Step, ...] = json_field(codec=(_steps_to_json, _steps_from_json))
 
     def __post_init__(self):
         for step in self.steps:

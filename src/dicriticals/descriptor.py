@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import DescriptorError
-from .jsonio import SCHEMA_VERSION, reject_unknown_keys, require_int
+from .jsonio import SCHEMA_VERSION, FieldCodec, json_field, reject_unknown_keys, require_int
 from .linalg import leading_minors
 
 
@@ -30,7 +30,7 @@ class Center:
 
 
 @dataclass(frozen=True)
-class TailData:
+class TailData(FieldCodec):
     """Multiplicity data for centers beyond a distinguished index ``s``.
 
     ``mu_curvettes[i][j]`` is the multiplicity along the i-th center of the
@@ -40,8 +40,8 @@ class TailData:
     """
 
     s: int
-    mu_curvettes: Mapping[int, Mapping[int, int]] = field(default_factory=dict)
-    mu_specials: Mapping[int, Mapping[int, int]] = field(default_factory=dict)
+    mu_curvettes: Mapping[int, Mapping[int, int]] = json_field(key="muZ", default_factory=dict)
+    mu_specials: Mapping[int, Mapping[int, int]] = json_field(key="muH", default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -368,32 +368,8 @@ def descriptor_to_json(d: ModificationDescriptor) -> dict:
             {"owner": owner, "mu_row": list(row)} for owner, row in sorted(d.special_mults.items())
         ]
     if d.tail is not None:
-        data["tail"] = tail_to_json(d.tail)
+        data["tail"] = d.tail.to_json()
     return data
-
-
-def tail_to_json(tail: TailData) -> dict:
-    return {
-        "s": tail.s,
-        "muZ": {str(i): {str(j): v for j, v in sorted(row.items())} for i, row in sorted(tail.mu_curvettes.items())},
-        "muH": {str(i): {str(j): v for j, v in sorted(row.items())} for i, row in sorted(tail.mu_specials.items())},
-    }
-
-
-def tail_from_json(data: dict) -> TailData:
-    def int_map(block, what):
-        out = {}
-        for key, row in (block or {}).items():
-            idx = require_int(int(key), what) if isinstance(key, str) else require_int(key, what)
-            out[idx] = {int(j): require_int(v, what) for j, v in row.items()}
-        return out
-
-    reject_unknown_keys(data, ("s", "muZ", "muH"), "tail")
-    return TailData(
-        s=require_int(data["s"], "tail index"),
-        mu_curvettes=int_map(data.get("muZ"), "curvette multiplicity"),
-        mu_specials=int_map(data.get("muH"), "special multiplicity"),
-    )
 
 
 def descriptor_from_json(data: dict) -> ModificationDescriptor:
@@ -419,7 +395,7 @@ def descriptor_from_json(data: dict) -> ModificationDescriptor:
         if owner in specials:
             raise DescriptorError(f"special multiplicity row for owner {owner} is given twice")
         specials[owner] = tuple(require_int(v, "special multiplicity") for v in entry.get("mu_row", []))
-    tail = tail_from_json(data["tail"]) if "tail" in data else None
+    tail = TailData.from_json(data["tail"]) if "tail" in data else None
     return ModificationDescriptor(
         n=n,
         m=m,

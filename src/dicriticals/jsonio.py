@@ -1,5 +1,6 @@
 """Strict JSON helpers: exact integers only, canonical byte-stable dumps, and
-one field-driven codec for the artifacts the CLI writes and reads back."""
+one field-driven codec for the scenario files and the artifacts the CLI
+writes and reads back."""
 
 from __future__ import annotations
 
@@ -48,6 +49,21 @@ def canonical_dumps(obj) -> str:
 # -- field-driven codec ----------------------------------------------------------
 
 
+def json_field(*, key: str | None = None, omit: bool = False, codec: tuple | None = None, **kwargs):
+    """A dataclass field with JSON options for ``FieldCodec``.
+
+    ``key`` is the JSON key where it differs from the field name; ``omit``
+    leaves the field out while it equals its default; ``codec`` is an
+    ``(encode, decode)`` pair for a value whose JSON shape is not the one its
+    annotation gives, with ``decode(value, what)`` checking as it converts.
+    The other arguments go to ``dataclasses.field``.
+    """
+    return dataclasses.field(metadata={"json": (key, omit, codec)}, **kwargs)
+
+
+_KEEP = object()  # the ``omitted`` value of a field that is always written
+
+
 class FieldCodec:
     """Dataclass mixin: the JSON form is one key per field plus ``envelope()``.
 
@@ -60,71 +76,97 @@ class FieldCodec:
         return {}
 
     def to_json(self) -> dict:
-        return {**self.envelope(), **fields_to_json(self)}
+        data = self.envelope()
+        for name, key, _, encode, _, _, omitted in _plan(type(self)):
+            value = getattr(self, name)
+            if omitted is _KEEP or value != omitted:
+                data[key] = value if encode is None else encode(value)
+        return data
 
     @classmethod
     def from_json(cls, data):
-        return fields_from_json(cls, data)
+        """Read the form ``to_json`` writes.
+
+        Every value must have exactly its field's annotated type; a field
+        with a default may be left out.  The keys that are no field must be
+        exactly the envelope of the object read.
+        """
+        if type(data) is not dict:
+            raise ScenarioError(f"{cls.__name__} must be a JSON object, got {data!r}")
+        plan = _plan(cls)
+        kwargs = {}
+        for name, key, what, _, decode, required, _ in plan:
+            if key in data:
+                kwargs[name] = decode(data[key], what)
+            elif required:
+                raise ScenarioError(f"{cls.__name__} lacks the key {key!r}")
+        obj = cls(**kwargs)
+        expected = obj.envelope()
+        reject_unknown_keys(data, [entry[1] for entry in plan] + list(expected), cls.__name__)
+        for key, value in expected.items():
+            got = data.get(key)
+            if type(got) is not type(value) or got != value:
+                raise ScenarioError(f"{cls.__name__} key {key!r} must be {value!r}, got {got!r}")
+        return obj
 
 
-def fields_to_json(obj) -> dict:
-    """One key per dataclass field of ``obj``, each value made JSON-ready."""
-    data = {}
-    for name, _, encode, _, _ in _plan(type(obj)):
-        value = getattr(obj, name)
-        data[name] = value if encode is None else encode(value)
-    return data
+class Kinded(FieldCodec):
+    """A ``FieldCodec`` whose envelope is its class-level ``kind``."""
+
+    kind = ""
+
+    def envelope(self) -> dict:
+        return {"kind": self.kind}
 
 
-def fields_from_json(cls, data):
-    """Read a ``FieldCodec`` dataclass back from the form ``to_json`` writes.
-
-    Every value must have exactly its field's annotated type; a field with a
-    default may be left out.  The keys that are no field must be exactly the
-    envelope of the object read.
-    """
-    if type(data) is not dict:
-        raise ScenarioError(f"{cls.__name__} must be a JSON object, got {data!r}")
-    kwargs = {}
-    for name, what, _, decode, required in _plan(cls):
-        if name in data:
-            kwargs[name] = decode(data[name], what)
-        elif required:
-            raise ScenarioError(f"{cls.__name__} lacks the key {name!r}")
-    obj = cls(**kwargs)
-    expected = obj.envelope()
-    reject_unknown_keys(data, kwargs.keys() | expected.keys(), cls.__name__)
-    for key, value in expected.items():
-        got = data.get(key)
-        if type(got) is not type(value) or got != value:
-            raise ScenarioError(f"{cls.__name__} key {key!r} must be {value!r}, got {got!r}")
-    return obj
+def read_kinded(classes, data, what: str):
+    """Read ``data`` with the class among ``classes`` whose ``kind`` it names."""
+    kind = data.get("kind") if type(data) is dict else None
+    for cls in classes:
+        if cls.kind == kind:
+            return cls.from_json(data)
+    raise ScenarioError(f"{what} has the unknown kind {kind!r}; known: {[cls.kind for cls in classes]}")
 
 
 @functools.cache
 def _plan(cls) -> tuple:
-    """``(name, what, encode, decode, required)`` per field of ``cls``.
+    """``(name, key, what, encode, decode, required, omitted)`` per field of
+    ``cls``, where ``omitted`` is the value at which the field is left out.
 
     Cached per class: resolving the annotations costs more than a whole read.
     """
     hints = typing.get_type_hints(cls)
-    return tuple(
-        (
-            f.name,
-            f"{cls.__name__} field {f.name!r}",
-            *_codec(hints[f.name]),
-            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+    plan = []
+    for f in dataclasses.fields(cls):
+        key, omit, codec = f.metadata.get("json", (None, False, None))
+        key = key or f.name
+        if f.default is not dataclasses.MISSING:
+            default = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            default = f.default_factory()
+        else:
+            default = _KEEP
+        plan.append(
+            (
+                f.name,
+                key,
+                f"{cls.__name__} field {key!r}",
+                *(codec or type_codec(hints[f.name])),
+                default is _KEEP,
+                default if omit else _KEEP,
+            )
         )
-        for f in dataclasses.fields(cls)
-    )
+    return tuple(plan)
 
 
-def _codec(tp) -> tuple:
-    """``(encode, decode)`` for values annotated ``tp``.
+@functools.cache
+def type_codec(tp) -> tuple:
+    """``(encode, decode)`` for values annotated ``tp``, cached per annotation.
 
     ``encode(value)`` returns the JSON form, and is None where the value is
     its own JSON form; ``decode(value, what)`` checks a JSON value against
-    ``tp`` and returns the field value.
+    ``tp`` and returns the field value.  A union of several ``Kinded``
+    classes is told apart by its ``kind``.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is int:
@@ -134,32 +176,61 @@ def _codec(tp) -> tuple:
     if tp is Fraction:
         return fraction_to_json, fraction_from_json
     if origin in (typing.Union, types.UnionType):
-        (inner,) = [a for a in args if a is not type(None)]
-        enc, dec = _codec(inner)
+        inner = tuple(a for a in args if a is not type(None))
+        if len(inner) == 1:
+            enc, dec = type_codec(inner[0])
+        elif all(issubclass(a, Kinded) for a in inner):
+            enc, dec = _to_json, functools.partial(read_kinded, inner)
+        else:
+            raise TypeError(f"no JSON codec for {tp!r}")
+        if len(inner) == len(args):
+            return enc, dec
         return (
             None if enc is None else lambda value: None if value is None else enc(value),
             lambda value, what: None if value is None else dec(value, what),
         )
     if origin in (tuple, list) and (origin is list or args[1:] == (Ellipsis,)):
-        enc, dec = _codec(args[0])
+        enc, dec = type_codec(args[0])
         return (
             list if enc is None else lambda value: [enc(v) for v in value],
             lambda value, what: origin([dec(v, what) for v in _exact(list, value, what)]),
         )
-    if origin is Mapping and args[0] is int:
-        enc, dec = _codec(args[1])
+    if origin is tuple:
+        codecs = tuple(type_codec(a) for a in args)
+        return (
+            lambda value: [v if enc is None else enc(v) for (enc, _), v in zip(codecs, value)],
+            lambda value, what: tuple(dec(v, what) for (_, dec), v in zip(codecs, _sized(value, len(args), what))),
+        )
+    if origin is Mapping and args[0] in (int, str):
+        read_key = _int_key if args[0] is int else _str_key
+        enc, dec = type_codec(args[1])
         return (
             lambda value: {str(k): v if enc is None else enc(v) for k, v in sorted(value.items())},
-            lambda value, what: {_int_key(k, what): dec(v, what) for k, v in _exact(dict, value, what).items()},
+            lambda value, what: {read_key(k, what): dec(v, what) for k, v in _exact(dict, value, what).items()},
         )
     if hasattr(tp, "from_json"):
-        return (lambda value: value.to_json()), (lambda value, what: tp.from_json(value))
+        return _to_json, (lambda value, what: tp.from_json(value))
     raise TypeError(f"no JSON codec for {tp!r}")
+
+
+def _to_json(value):
+    return value.to_json()
 
 
 def _exact(tp, value, what: str):
     if type(value) is not tp:
         raise ScenarioError(f"{what} must be of type {tp.__name__}, got {value!r}")
+    return value
+
+
+def _str_key(key: str, what: str) -> str:
+    """A mapping key keyed by name: JSON object keys are strings already."""
+    return key
+
+
+def _sized(value, size: int, what: str) -> list:
+    if len(_exact(list, value, what)) != size:
+        raise ScenarioError(f"{what} must be a list of {size} entries, got {value!r}")
     return value
 
 

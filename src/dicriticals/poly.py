@@ -92,7 +92,9 @@ class Polynomial:
                 raise PolynomialError("exponent tuple length does not match variable count")
             if any(v < 0 for v in e):
                 raise PolynomialError("negative exponent")
-            c = clean.get(e, Fraction(0)) + _as_fraction(coeff)
+            c = _as_fraction(coeff)
+            if e in clean:
+                c += clean[e]
             if c:
                 clean[e] = c
             else:
@@ -454,16 +456,23 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
+        """Read the canonical form ``to_json`` writes, and nothing else: a
+        repeated, zero, unreduced, misplaced or extra-keyed term is an error."""
         from .jsonio import require_int
 
-        vs = tuple(str(v) for v in data["vars"])
-        terms: dict[Exponents, Fraction] = {}
-        for item in data["terms"]:
-            exps = tuple(require_int(v, "exponent") for v in item["exps"])
-            num = require_int(item["num"], "numerator")
-            den = require_int(item["den"], "denominator")
-            terms[exps] = terms.get(exps, Fraction(0)) + Fraction(num, den)
-        return cls(vs, terms)
+        terms = {
+            tuple(require_int(v, "exponent") for v in item["exps"]): Fraction(
+                require_int(item["num"], "numerator"), require_int(item["den"], "denominator")
+            )
+            for item in data["terms"]
+        }
+        poly = cls(tuple(str(v) for v in data["vars"]), terms)
+        if poly.to_json() != data:
+            raise PolynomialError(
+                f"polynomial in {data['vars']!r} is not a canonical term list: sorted, distinct, nonzero"
+                " and reduced terms with the keys exps, num and den only"
+            )
+        return poly
 
 
 # -- rational normalization -------------------------------------------------

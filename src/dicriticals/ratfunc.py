@@ -141,13 +141,6 @@ class RationalFunction:
     def __repr__(self) -> str:
         return f"RationalFunction({self.render()!r})"
 
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalFunction":
-        return cls(Polynomial.from_json(data["num"]), Polynomial.from_json(data["den"]))
-
 
 def _canonical_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     content = rational_content([num, den])

@@ -3,63 +3,59 @@ solver request, and the presentation data (chart paths, line templates,
 expected outcomes) needed to verify everything symbolically.
 
 Scenarios serialize to JSON with exact integers only; rationals are
-{num, den} pairs and polynomials are canonical term lists.
+{num, den} pairs and polynomials are canonical term lists.  Every piece reads
+and writes through ``jsonio.FieldCodec``, so unknown keys and wrongly typed
+values are input errors at every level; only the descriptor, the tower's
+step list, the line templates and the expected statuses have JSON shapes of
+their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .candidates import Bindings
-from .charts import BlowupStep, ChartTower, LineClassSpec, ShearStep, check_tower
-from .descriptor import (
-    ModificationDescriptor,
-    TailData,
-    descriptor_from_json,
-    descriptor_to_json,
-    require_valid,
-    tail_from_json,
-    tail_to_json,
-)
+from .charts import ChartTower, LineClassSpec, check_tower
+from .descriptor import ModificationDescriptor, TailData, descriptor_from_json, descriptor_to_json, require_valid
 from .errors import ScenarioError
-from .jsonio import SCHEMA_VERSION, FieldCodec, reject_unknown_keys, require_int
+from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, json_field, type_codec
 from .poly import Polynomial
 
 
 @dataclass(frozen=True)
-class SupportRequest:
+class SupportRequest(Kinded):
     targets: tuple[int, ...]
-    offsets: Mapping[int, int] = field(default_factory=dict)
+    offsets: Mapping[int, int] = json_field(default_factory=dict)
 
     kind = "support"
 
 
 @dataclass(frozen=True)
-class LastRequest:
+class LastRequest(Kinded):
     s: int
     degree: int
-    special_exponents: Mapping[int, int] | None = None
-    contact_orders: Mapping[int, int] | None = None
-    target_orders: Mapping[int, int] | None = None
+    special_exponents: Mapping[int, int] | None = json_field(omit=True, default=None)
+    contact_orders: Mapping[int, int] | None = json_field(omit=True, default=None)
+    target_orders: Mapping[int, int] | None = json_field(omit=True, default=None)
 
     kind = "last"
 
 
 @dataclass(frozen=True)
-class SingleRequest:
+class SingleRequest(Kinded):
     s: int
     degree: int
-    special_exponents: Mapping[int, int] | None = None
-    contact_orders: Mapping[int, int] | None = None
-    target_orders: Mapping[int, int] | None = None
-    tail: TailData | None = None
+    special_exponents: Mapping[int, int] | None = json_field(omit=True, default=None)
+    contact_orders: Mapping[int, int] | None = json_field(omit=True, default=None)
+    target_orders: Mapping[int, int] | None = json_field(omit=True, default=None)
+    tail: TailData | None = json_field(omit=True, default=None)
 
     kind = "single"
 
 
 @dataclass(frozen=True)
-class ProfileRequest:
+class ProfileRequest(Kinded):
     parts: Mapping[int, SingleRequest]
 
     kind = "profile"
@@ -70,11 +66,11 @@ class ProfileRequest:
 
 
 @dataclass(frozen=True)
-class ExplicitRequest:
+class ExplicitRequest(Kinded):
     """A hand-given function: numerator product and denominator sum of products."""
 
-    num_factors: tuple[tuple[str, int], ...]
-    den_terms: tuple[tuple[tuple[str, int], ...], ...]
+    num_factors: tuple[tuple[str, int], ...] = json_field(key="num")
+    den_terms: tuple[tuple[tuple[str, int], ...], ...] = json_field(key="den")
 
     kind = "explicit"
 
@@ -89,23 +85,61 @@ class DivisorChart(FieldCodec):
 
 
 @dataclass(frozen=True)
-class Expectations:
-    orders: tuple[int, ...] | None = None
-    statuses: Mapping[int, tuple[str, int | None]] = field(default_factory=dict)
+class ExpectedStatus(FieldCodec):
+    """The JSON form of one expected status: ``{kind, degree}``."""
+
+    kind: str
+    degree: int | None = None
 
 
 @dataclass(frozen=True)
-class Scenario:
+class LineTemplate(FieldCodec):
+    """The JSON form of one line template: ``{assign}``, keyed by its divisor."""
+
+    assign: Mapping[str, str]
+
+
+_encode_statuses, _decode_statuses = type_codec(Mapping[int, ExpectedStatus])
+_encode_lines, _decode_lines = type_codec(Mapping[int, LineTemplate])
+
+
+@dataclass(frozen=True)
+class Expectations(FieldCodec):
+    orders: tuple[int, ...] | None = json_field(omit=True, default=None)
+    statuses: Mapping[int, tuple[str, int | None]] = json_field(
+        omit=True,
+        default_factory=dict,
+        codec=(
+            lambda statuses: _encode_statuses({i: ExpectedStatus(*st) for i, st in statuses.items()}),
+            lambda data, what: {i: (st.kind, st.degree) for i, st in _decode_statuses(data, what).items()},
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class Scenario(FieldCodec):
     name: str
-    descriptor: ModificationDescriptor
-    request: Request | None = None
-    tower: ChartTower | None = None
-    equations: Mapping[str, Polynomial] = field(default_factory=dict)
-    bindings: Bindings = field(default_factory=Bindings)
+    descriptor: ModificationDescriptor = json_field(
+        codec=(descriptor_to_json, lambda data, what: descriptor_from_json(data))
+    )
+    request: Request | None = json_field(omit=True, default=None)
+    tower: ChartTower | None = json_field(omit=True, default=None)
+    equations: Mapping[str, Polynomial] = json_field(omit=True, default_factory=dict)
+    bindings: Bindings = json_field(omit=True, default_factory=Bindings)
     seed: int = 1
-    charts: Mapping[int, DivisorChart] = field(default_factory=dict)
-    lines: Mapping[int, LineClassSpec] = field(default_factory=dict)
-    expect: Expectations | None = None
+    charts: Mapping[int, DivisorChart] = json_field(omit=True, default_factory=dict)
+    lines: Mapping[int, LineClassSpec] = json_field(
+        omit=True,
+        default_factory=dict,
+        codec=(
+            lambda lines: _encode_lines({i: LineTemplate(line.assign) for i, line in lines.items()}),
+            lambda data, what: {i: LineClassSpec(i, t.assign) for i, t in _decode_lines(data, what).items()},
+        ),
+    )
+    expect: Expectations | None = json_field(omit=True, default=None)
+
+    def envelope(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION}
 
     def chart_path(self, divisor: int) -> tuple[tuple[str, ...] | None, int | None]:
         dc = self.charts.get(divisor)
@@ -150,203 +184,11 @@ def validate_scenario(sc: Scenario) -> None:
 # -- JSON ----------------------------------------------------------------------
 
 
-def _int_map_to_json(mapping) -> dict:
-    return {str(k): v for k, v in sorted(mapping.items())}
-
-
-def _int_map_from_json(data, what) -> dict[int, int]:
-    return {int(k): require_int(v, what) for k, v in (data or {}).items()}
-
-
-def request_to_json(req: Request) -> dict:
-    if isinstance(req, SupportRequest):
-        return {
-            "kind": req.kind,
-            "targets": list(req.targets),
-            "offsets": _int_map_to_json(req.offsets),
-        }
-    if isinstance(req, (LastRequest, SingleRequest)):
-        data = {"kind": req.kind, "s": req.s, "degree": req.degree}
-        if req.special_exponents is not None:
-            data["special_exponents"] = _int_map_to_json(req.special_exponents)
-        if req.contact_orders is not None:
-            data["contact_orders"] = _int_map_to_json(req.contact_orders)
-        if req.target_orders is not None:
-            data["target_orders"] = _int_map_to_json(req.target_orders)
-        if isinstance(req, SingleRequest) and req.tail is not None:
-            data["tail"] = tail_to_json(req.tail)
-        return data
-    if isinstance(req, ProfileRequest):
-        return {
-            "kind": req.kind,
-            "parts": {str(j): request_to_json(part) for j, part in sorted(req.parts.items())},
-        }
-    if isinstance(req, ExplicitRequest):
-        return {
-            "kind": req.kind,
-            "num": [[name, exp] for name, exp in req.num_factors],
-            "den": [[[name, exp] for name, exp in term] for term in req.den_terms],
-        }
-    raise ScenarioError(f"unknown request type {type(req).__name__}")
-
-
-_SOLVE_KEYS = ("kind", "s", "degree", "special_exponents", "contact_orders", "target_orders")
-_REQUEST_KEYS = {
-    "support": ("kind", "targets", "offsets"),
-    "last": _SOLVE_KEYS,
-    "single": (*_SOLVE_KEYS, "tail"),
-    "profile": ("kind", "parts"),
-    "explicit": ("kind", "num", "den"),
-}
-_SCENARIO_KEYS = (
-    "schema_version", "name", "seed", "descriptor", "request", "tower",
-    "equations", "bindings", "charts", "lines", "expect",
-)
-
-
-def request_from_json(data: dict) -> Request:
-    kind = data.get("kind")
-    if kind in _REQUEST_KEYS:
-        reject_unknown_keys(data, _REQUEST_KEYS[kind], f"{kind} request")
-    if kind == "support":
-        return SupportRequest(
-            targets=tuple(require_int(v, "target") for v in data["targets"]),
-            offsets=_int_map_from_json(data.get("offsets"), "offset"),
-        )
-    if kind in ("last", "single"):
-        common = dict(
-            s=require_int(data["s"], "s"),
-            degree=require_int(data["degree"], "degree"),
-            special_exponents=(
-                _int_map_from_json(data["special_exponents"], "exponent")
-                if "special_exponents" in data
-                else None
-            ),
-            contact_orders=(
-                _int_map_from_json(data["contact_orders"], "contact") if "contact_orders" in data else None
-            ),
-            target_orders=(
-                _int_map_from_json(data["target_orders"], "target") if "target_orders" in data else None
-            ),
-        )
-        if kind == "last":
-            return LastRequest(**common)
-        tail = tail_from_json(data["tail"]) if "tail" in data else None
-        return SingleRequest(tail=tail, **common)
-    if kind == "profile":
-        parts = {}
-        for j, part in data["parts"].items():
-            sub = request_from_json(part)
-            if not isinstance(sub, SingleRequest):
-                raise ScenarioError("profile parts must be single-divisor requests")
-            parts[int(j)] = sub
-        return ProfileRequest(parts=parts)
-    if kind == "explicit":
-        return ExplicitRequest(
-            num_factors=tuple((str(n), require_int(e, "exponent")) for n, e in data["num"]),
-            den_terms=tuple(
-                tuple((str(n), require_int(e, "exponent")) for n, e in term) for term in data["den"]
-            ),
-        )
-    raise ScenarioError(f"unknown request kind {kind!r}")
-
-
-def tower_to_json(tower: ChartTower) -> dict:
-    steps = []
-    for step in tower.steps:
-        if isinstance(step, BlowupStep):
-            steps.append({"blowup": {"center": list(step.center), "chart": step.chart}})
-        else:
-            steps.append({"shear": {"target": step.target, "shift": step.shift.to_json()}})
-    return {"vars": list(tower.variables), "steps": steps}
-
-
-def tower_from_json(data: dict) -> ChartTower:
-    variables = tuple(str(v) for v in data["vars"])
-    steps: list = []
-    for entry in data["steps"]:
-        if "blowup" in entry:
-            blk = entry["blowup"]
-            steps.append(BlowupStep(center=tuple(blk["center"]), chart=str(blk["chart"])))
-        elif "shear" in entry:
-            blk = entry["shear"]
-            steps.append(ShearStep(target=str(blk["target"]), shift=Polynomial.from_json(blk["shift"])))
-        else:
-            raise ScenarioError("tower step must be a blowup or a shear")
-    return ChartTower(variables=variables, steps=tuple(steps))
-
-
 def scenario_to_json(sc: Scenario) -> dict:
-    data: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "name": sc.name,
-        "seed": sc.seed,
-        "descriptor": descriptor_to_json(sc.descriptor),
-    }
-    if sc.request is not None:
-        data["request"] = request_to_json(sc.request)
-    if sc.tower is not None:
-        data["tower"] = tower_to_json(sc.tower)
-    if sc.equations:
-        data["equations"] = {name: poly.to_json() for name, poly in sorted(sc.equations.items())}
-    bindings = sc.bindings.to_json()
-    if bindings:
-        data["bindings"] = bindings
-    if sc.charts:
-        data["charts"] = {str(i): dc.to_json() for i, dc in sorted(sc.charts.items())}
-    if sc.lines:
-        data["lines"] = {
-            str(i): {"assign": dict(sorted(line.assign.items()))} for i, line in sorted(sc.lines.items())
-        }
-    if sc.expect is not None:
-        block: dict = {}
-        if sc.expect.orders is not None:
-            block["orders"] = list(sc.expect.orders)
-        if sc.expect.statuses:
-            block["statuses"] = {
-                str(i): {"kind": kind, "degree": deg} for i, (kind, deg) in sorted(sc.expect.statuses.items())
-            }
-        data["expect"] = block
-    return data
+    return sc.to_json()
 
 
-def scenario_from_json(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("a scenario must be a JSON object")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema version {data.get('schema_version')!r}")
-    reject_unknown_keys(data, _SCENARIO_KEYS, "scenario")
-    descriptor = descriptor_from_json(data["descriptor"])
-    request = request_from_json(data["request"]) if "request" in data else None
-    tower = tower_from_json(data["tower"]) if "tower" in data else None
-    equations = {name: Polynomial.from_json(p) for name, p in data.get("equations", {}).items()}
-    bindings = Bindings.from_json(data.get("bindings", {}))
-    charts = {int(key): DivisorChart.from_json(entry) for key, entry in data.get("charts", {}).items()}
-    lines = {}
-    for key, entry in data.get("lines", {}).items():
-        lines[int(key)] = LineClassSpec(divisor=int(key), assign=dict(entry["assign"]))
-    expect = None
-    if "expect" in data:
-        block = data["expect"]
-        statuses = {}
-        for key, entry in block.get("statuses", {}).items():
-            deg = entry.get("degree")
-            statuses[int(key)] = (str(entry["kind"]), None if deg is None else require_int(deg, "degree"))
-        expect = Expectations(
-            orders=tuple(require_int(v, "order") for v in block["orders"]) if "orders" in block else None,
-            statuses=statuses,
-        )
-    sc = Scenario(
-        name=data["name"],
-        descriptor=descriptor,
-        request=request,
-        tower=tower,
-        equations=equations,
-        bindings=bindings,
-        seed=require_int(data.get("seed", 1), "seed"),
-        charts=charts,
-        lines=lines,
-        expect=expect,
-    )
+def scenario_from_json(data) -> Scenario:
+    sc = Scenario.from_json(data)
     validate_scenario(sc)
     return sc

@@ -35,7 +35,7 @@ from .descriptor import (
     valuation_matrix,
 )
 from .errors import BoundViolation, ScenarioError, SolverError
-from .jsonio import SCHEMA_VERSION, FieldCodec, fraction_from_json, fraction_to_json
+from .jsonio import SCHEMA_VERSION, Kinded, fraction_from_json, fraction_to_json, read_kinded
 from .linalg import solve_row_system
 
 NON_DICRITICAL = "non_dicritical"
@@ -121,14 +121,12 @@ class LinearForm:
 # -- certificates ----------------------------------------------------------------
 
 
-class Certificate(FieldCodec):
+class Certificate(Kinded):
     """A solver certificate: its JSON form is its fields, its schema version
     and its class-level ``kind``."""
 
-    kind = ""
-
     def envelope(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, "kind": self.kind}
+        return {"schema_version": SCHEMA_VERSION, **super().envelope()}
 
 
 # -- support certificates ------------------------------------------------------
@@ -678,12 +676,9 @@ def combine_profile(
     return ProfileCertificate(degrees=degs, parts=seen)
 
 
-def certificate_from_json(data: dict):
-    kinds = {
-        cls.kind: cls
-        for cls in (SupportCertificate, LastDicriticalCertificate, SingleDicriticalCertificate, ProfileCertificate)
-    }
-    kind = data.get("kind")
-    if kind not in kinds:
-        raise SolverError(f"unknown certificate kind {kind!r}")
-    return kinds[kind].from_json(data)
+def certificate_from_json(data):
+    return read_kinded(
+        (SupportCertificate, LastDicriticalCertificate, SingleDicriticalCertificate, ProfileCertificate),
+        data,
+        "certificate",
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,6 +21,26 @@ def test_every_fixture_round_trips_through_json():
         data = scenario_to_json(sc)
         again = scenario_from_json(json.loads(json.dumps(data)))
         assert scenario_to_json(again) == data
+
+
+# sha256 of each fixture's canonical scenario JSON, taken before the scenario
+# pieces were moved onto the field-driven codec; that move must not change a
+# byte of the input format.
+SCENARIO_SHA256 = {
+    "conic-center": "46f72c72032b21dc164b1b3f89d10dfe374647e74a14162541001e36365a1dba",
+    "point-line-fiber": "8738cbd67192a4d1841b13bfef8a88a9d07785eb5418829d616a2a9c0e06f2d8",
+    "point-point-line": "2354a39ec68e5f5a96c92ee9f8038bb4655af8156543231c9964ed14f3a66c0e",
+    "three-points": "e597e62d15120860f7383dc48947152163def4060bd5e02227646e7aeb824d71",
+    "three-points-line": "4fb45629451871ed05ad36d6825a8d0a21cbfa137de32372fa1d942d68356a52",
+    "two-dicriticals": "7142a8f5a03ecd22f38e4e1c0d3c9baf8ca31464de87ed7e92a192e656d1a067",
+}
+
+
+def test_scenario_bytes_are_pinned():
+    assert sorted(SCENARIO_SHA256) == sorted(FIXTURES)
+    for name, digest in SCENARIO_SHA256.items():
+        payload = canonical_dumps(scenario_to_json(load_fixture(name)))
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, name
 
 
 def test_scenario_json_rejects_bad_schema():
@@ -152,6 +173,13 @@ ARTIFACT_MUTATIONS = {
 }
 
 
+# The terms of the equation "C1" of "three-points", x + y + z.
+C1_TERMS = [
+    {"exps": [0, 0, 1], "num": 1, "den": 1},
+    {"exps": [0, 1, 0], "num": 1, "den": 1},
+    {"exps": [1, 0, 0], "num": 1, "den": 1},
+]
+
 # Scenario mutations, case -> (key path, value): the value is written at the
 # key path into the JSON form of "three-points".
 SCENARIO_MUTATIONS = {
@@ -164,6 +192,21 @@ SCENARIO_MUTATIONS = {
         ("descriptor", "special"),
         [{"owner": 1, "mu_row": [2, 2]}, {"owner": 2, "mu_row": [3, 2]}, {"owner": 1, "mu_row": [9, 9]}],
     ),
+    "unknown-tower-key": (("tower", "extra"), 1),
+    "unknown-blowup-key": (("tower", "steps", 0, "blowup", "extra"), 1),
+    "step-with-both-tags": (("tower", "steps", 0, "shear"), {}),
+    "blowup-center-string": (("tower", "steps", 0, "blowup", "center"), "xyz"),
+    "tower-vars-string": (("tower", "vars"), "xyz"),
+    "unknown-bindings-key": (("bindings", "primry"), "C3p"),
+    "binding-not-string": (("bindings", "primary"), 5),
+    "unknown-line-key": (("lines", "3", "extra"), 1),
+    "line-assign-pairs": (("lines", "3", "assign"), [["x", "zero"], ["y", "const"], ["z", "param"]]),
+    "unknown-expect-key": (("expect", "extra"), 1),
+    "chart-key-not-canonical": (("charts",), {"01": {"charts": None, "blowups": 3}}),
+    "repeated-term": (("equations", "C1", "terms"), [C1_TERMS[0], *C1_TERMS]),
+    "zero-term": (("equations", "C1", "terms"), [*C1_TERMS, {"exps": [0, 0, 2], "num": 0, "den": 1}]),
+    "unknown-term-key": (("equations", "C1", "terms", 0, "extra"), 1),
+    "unreduced-term": (("equations", "C1", "terms", 0), {"exps": [0, 0, 1], "num": 2, "den": 2}),
 }
 
 
