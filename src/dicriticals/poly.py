@@ -1,17 +1,24 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in variables ``(x, y, z, ...)`` is stored as a map from exponent
-tuples to nonzero ``Fraction`` coefficients.  Everything is exact; no floating
-point is used anywhere.
+tuples to nonzero coefficients.  A coefficient is an ``int`` when it is
+integral and a ``Fraction`` otherwise; every result is normalized that way,
+so integer-only inputs stay on Python integers.  Everything is exact; no
+floating point is used anywhere (``constant_value`` returns a ``Fraction``).
 
-GCD strategy.  Monomial content is split off directly.  The remaining parts
-are first checked for coprimality by specializing all but one variable at
-integer points where the leading coefficient survives: the degree of the
-specialized univariate gcd bounds the degree of the true gcd in that variable
-from above, so an all-zero certificate proves coprimality.  Only when a
-certificate cannot be obtained does the full primitive pseudo-remainder
-recursion run.  This keeps the common case (reduced fractions staying
-reduced under substitution) cheap without ever trusting a random draw.
+GCD routes, cheapest first.  (1) Monomial content is split off directly.
+(2) The remaining parts are checked for coprimality by specializing all but
+one variable at integer points where the leading coefficient survives: the
+degree of the specialized univariate gcd bounds the degree of the true gcd in
+that variable from above, so an all-zero certificate proves coprimality.
+(3) A genuine common factor is found by the heuristic gcd over ZZ (Char,
+Geddes and Gonnet 1989): one variable is evaluated at an integer xi, the gcd
+of the images is found by recursion, and its symmetric xi-adic digits give a
+candidate.  A candidate is accepted only when it divides both inputs exactly
+and the certificates of (2) prove the two cofactors coprime, so the result
+never rests on the size of xi.  (4) Only when no candidate is accepted does
+the primitive pseudo-remainder (PRS) recursion run.  Nothing is drawn at
+random.
 
 Construction policy: validated at the boundary, trusted inside.  The public
 constructor ``Polynomial(variables, terms)`` and the classmethods built on it
@@ -20,36 +27,55 @@ every variable name, exponent and coefficient; they are how data from outside
 becomes a polynomial.  Results computed from polynomials that are already
 valid (sums, products, substitutions, quotients, univariate views) are
 wrapped by the private ``Polynomial._trusted`` without re-validation, which
-only drops zero coefficients.  ``substitute`` expands each term in one pass:
-unmapped variables stay exponent shifts, and only mapped variables are
-expanded, against cached powers of their images.  A shear ``y -> y + s`` is
-therefore a Taylor shift, each ``y**k`` expanded against the cached
-``(y + s)**k``.
+only drops zero coefficients and stores integral fractions as ``int``.
+``substitute`` expands each term in one pass: unmapped variables stay
+exponent shifts, and only mapped variables are expanded, against cached
+powers of their images.  A shear ``y -> y + s`` is therefore a Taylor shift,
+each ``y**k`` expanded against the cached ``(y + s)**k``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from operator import add
+from math import lcm
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PolynomialError
 
 Exponents = tuple[int, ...]
+Coeff = int | Fraction
 
 # Deterministic evaluation points for coprimality certificates.
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Evaluation points the heuristic gcd tries before the PRS gcd takes over.
+_HEU_TRIES = 6
 
-def _as_fraction(value) -> Fraction:
+
+def _normal(c: Coeff) -> Coeff:
+    """A coefficient in stored form: ``int`` when integral, else ``Fraction``."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _as_coeff(value) -> Coeff:
     if isinstance(value, bool):
         raise PolynomialError("boolean is not a valid coefficient")
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return _normal(value)
     raise PolynomialError(f"coefficient must be int or Fraction, got {type(value).__name__}")
+
+
+def _div(a, b) -> Coeff:
+    """Exact quotient of two coefficients, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _normal(Fraction(a, b))
 
 
 def _term_key(item):
@@ -58,10 +84,10 @@ def _term_key(item):
 
 
 def _mul_terms(
-    a: Mapping[Exponents, Fraction],
-    b: Mapping[Exponents, Fraction],
-    terms: dict[Exponents, Fraction] | None = None,
-) -> dict[Exponents, Fraction]:
+    a: Mapping[Exponents, Coeff],
+    b: Mapping[Exponents, Coeff],
+    terms: dict[Exponents, Coeff] | None = None,
+) -> dict[Exponents, Coeff]:
     """Add the product of two term dicts into ``terms`` (a new dict by
     default) and return it; zero coefficients may remain."""
     if terms is None:
@@ -81,18 +107,22 @@ class Polynomial:
 
     __slots__ = ("variables", "_terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Fraction] | None = None):
+    def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Coeff] | None = None):
         vs = tuple(variables)
+        if not all(isinstance(v, str) for v in vs):
+            raise PolynomialError("variable names must be strings")
         if len(set(vs)) != len(vs):
             raise PolynomialError("duplicate variable names")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, int | Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            e = tuple(int(v) for v in exps)
+            e = tuple(exps)
             if len(e) != len(vs):
                 raise PolynomialError("exponent tuple length does not match variable count")
+            if not all(type(v) is int for v in e):
+                raise PolynomialError("exponents must be integers")
             if any(v < 0 for v in e):
                 raise PolynomialError("negative exponent")
-            c = _as_fraction(coeff)
+            c = _as_coeff(coeff)
             if e in clean:
                 c += clean[e]
             if c:
@@ -103,15 +133,16 @@ class Polynomial:
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _trusted(cls, variables: tuple[str, ...], terms: Mapping[Exponents, Fraction]) -> "Polynomial":
+    def _trusted(cls, variables: tuple[str, ...], terms: Mapping[Exponents, Coeff]) -> "Polynomial":
         """Wrap a term dict computed from valid polynomials, without checks.
 
-        Zero coefficients are dropped; nothing else is looked at, so outside
-        data must go through ``Polynomial(...)`` instead.
+        Zero coefficients are dropped and integral fractions become ``int``;
+        nothing else is looked at, so outside data must go through
+        ``Polynomial(...)`` instead.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
-        object.__setattr__(poly, "_terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(poly, "_terms", {e: c if type(c) is int else _normal(c) for e, c in terms.items() if c})
         return poly
 
     def __setattr__(self, name, value):
@@ -126,7 +157,7 @@ class Polynomial:
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "Polynomial":
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): _as_fraction(value)})
+        return cls(vs, {(0,) * len(vs): _as_coeff(value)})
 
     @classmethod
     def one(cls, variables: Sequence[str]) -> "Polynomial":
@@ -138,20 +169,20 @@ class Polynomial:
         if name not in vs:
             raise PolynomialError(f"unknown variable {name!r}")
         exps = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exps: Fraction(1)})
+        return cls(vs, {exps: 1})
 
     @classmethod
     def monomial(cls, variables: Sequence[str], exps: Exponents, coeff=1) -> "Polynomial":
-        return cls(variables, {tuple(exps): _as_fraction(coeff)})
+        return cls(variables, {tuple(exps): _as_coeff(coeff)})
 
     # -- basic queries -------------------------------------------------------
 
-    def terms(self) -> list[tuple[Exponents, Fraction]]:
+    def terms(self) -> list[tuple[Exponents, Coeff]]:
         """Terms sorted by (total degree, exponent tuple); canonical order."""
         return sorted(self._terms.items(), key=_term_key)
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Exponents) -> Coeff:
+        return self._terms.get(tuple(exps), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -166,7 +197,7 @@ class Polynomial:
         if not self.is_constant():
             raise PolynomialError("polynomial is not constant")
         zero_exps = (0,) * len(self.variables)
-        return self._terms.get(zero_exps, Fraction(0))
+        return Fraction(self._terms.get(zero_exps, 0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -197,10 +228,7 @@ class Polynomial:
         """Componentwise minimum exponent vector (all zero for the zero polynomial)."""
         if not self._terms:
             return (0,) * len(self.variables)
-        mins = None
-        for e in self._terms:
-            mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-        return mins
+        return tuple(map(min, zip(*self._terms)))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -235,7 +263,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = _as_fraction(other)
+            c = _as_coeff(other)
             return Polynomial._trusted(self.variables, {e: k * c for e, k in self._terms.items()})
         other = self._coerce(other)
         return Polynomial._trusted(self.variables, _mul_terms(self._terms, other._terms))
@@ -287,7 +315,7 @@ class Polynomial:
             if len(set(target)) != len(target):
                 raise PolynomialError("duplicate variable names")
         zero = (0,) * len(target)
-        images: dict[int, dict[Exponents, Fraction]] = {}
+        images: dict[int, dict[Exponents, Coeff]] = {}
         for name, value in mapping.items():
             idx = self._var_index(name)
             if isinstance(value, Polynomial):
@@ -295,7 +323,7 @@ class Polynomial:
                     raise PolynomialError("substitution image lives in the wrong ring")
                 images[idx] = value._terms
             else:
-                c = _as_fraction(value)
+                c = _as_coeff(value)
                 images[idx] = {zero: c} if c else {}
         if variables is not None:
             for idx, name in enumerate(self.variables):
@@ -303,15 +331,15 @@ class Polynomial:
                     raise PolynomialError(f"variable {name!r} occurs but has no image")
 
         mapped = sorted(images)
-        powers = {idx: [{zero: Fraction(1)}] for idx in mapped}
+        powers = {idx: [{zero: 1}] for idx in mapped}
 
-        def power(idx: int, k: int) -> dict[Exponents, Fraction]:
+        def power(idx: int, k: int) -> dict[Exponents, Coeff]:
             cache = powers[idx]
             while len(cache) <= k:
                 cache.append(_mul_terms(cache[-1], images[idx]))
             return cache[k]
 
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
         for exps, coeff in self._terms.items():
             if variables is None:
                 # Unmapped variables keep their exponents in the same ring.
@@ -337,7 +365,7 @@ class Polynomial:
             value = coeff
             for idx, e in enumerate(exps):
                 if e:
-                    value *= _as_fraction(point[self.variables[idx]]) ** e
+                    value *= _as_coeff(point[self.variables[idx]]) ** e
             total += value
         return total
 
@@ -350,10 +378,12 @@ class Polynomial:
         exps = tuple(exps)
         if len(exps) != len(self.variables):
             raise PolynomialError("exponent tuple length does not match variable count")
+        if not any(exps):
+            return self
         terms = {}
         for e, c in self._terms.items():
-            shifted = tuple(a - b for a, b in zip(e, exps))
-            if any(v < 0 for v in shifted):
+            shifted = tuple(map(sub, e, exps))
+            if min(shifted) < 0:
                 raise PolynomialError("monomial does not divide every term")
             terms[shifted] = c
         return Polynomial._trusted(self.variables, terms)
@@ -369,17 +399,17 @@ class Polynomial:
             return self
         lead_d, lc_d = max(divisor._terms.items(), key=_term_key)
         rem = dict(self._terms)
-        quot: dict[Exponents, Fraction] = {}
+        quot: dict[Exponents, Coeff] = {}
         while rem:
             lead_r, lc_r = max(rem.items(), key=_term_key)
             q_exp = tuple(a - b for a, b in zip(lead_r, lead_d))
             if any(v < 0 for v in q_exp):
                 return None
-            q_coeff = lc_r / lc_d
-            quot[q_exp] = quot.get(q_exp, Fraction(0)) + q_coeff
+            q_coeff = _div(lc_r, lc_d)
+            quot[q_exp] = quot.get(q_exp, 0) + q_coeff
             for e, c in divisor._terms.items():
                 t = tuple(a + b for a, b in zip(e, q_exp))
-                nv = rem.get(t, Fraction(0)) - c * q_coeff
+                nv = rem.get(t, 0) - c * q_coeff
                 if nv:
                     rem[t] = nv
                 else:
@@ -389,7 +419,7 @@ class Polynomial:
     def as_univariate(self, name: str) -> dict[int, "Polynomial"]:
         """View as a univariate polynomial in ``name`` with polynomial coefficients."""
         idx = self._var_index(name)
-        coeffs: dict[int, dict[Exponents, Fraction]] = {}
+        coeffs: dict[int, dict[Exponents, Coeff]] = {}
         for e, c in self._terms.items():
             stripped = tuple(0 if k == idx else v for k, v in enumerate(e))
             coeffs.setdefault(e[idx], {})[stripped] = c
@@ -398,7 +428,7 @@ class Polynomial:
     @classmethod
     def from_univariate(cls, name: str, coeffs: Mapping[int, "Polynomial"]) -> "Polynomial":
         variables = None
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Coeff] = {}
         for d, poly in coeffs.items():
             if variables is None:
                 variables = poly.variables
@@ -496,11 +526,19 @@ def primitive_part(p: Polynomial) -> Polynomial:
     """Scale to integer coefficients with gcd 1 and positive trailing term."""
     if p.is_zero():
         return p
-    scaled = p * (1 / rational_content([p]))
-    first = scaled.terms()[0]
-    if first[1] < 0:
-        scaled = -scaled
-    return scaled
+    content = rational_content([p])
+    if min(p._terms.items(), key=_term_key)[1] < 0:
+        content = -content
+    if content.denominator == 1:
+        return _div_ground(p, content.numerator)
+    return p * (1 / content)
+
+
+def _div_ground(p: Polynomial, k: int) -> Polynomial:
+    """p / k for a nonzero integer k that divides every coefficient of p."""
+    if k == 1:
+        return p
+    return Polynomial._trusted(p.variables, {e: c // k for e, c in p._terms.items()})
 
 
 # -- univariate integer gcd (primitive pseudo-remainder sequence) -----------
@@ -549,14 +587,12 @@ def univariate_int_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _to_int_list(coeffs: list[Fraction]) -> list[int]:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    return [int(c * den) for c in coeffs]
+def _to_int_list(coeffs: list[Coeff]) -> list[int]:
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def univariate_gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
+def univariate_gcd_degree(a: list[Coeff], b: list[Coeff]) -> int:
     g = univariate_int_gcd(_to_int_list(a), _to_int_list(b))
     return len(g) - 1 if g else -1
 
@@ -564,18 +600,23 @@ def univariate_gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
 # -- multivariate gcd --------------------------------------------------------
 
 
-def _specialize_univariate(p: Polynomial, name: str, point: Mapping[str, int]) -> list[Fraction]:
+def _specialize_univariate(p: Polynomial, name: str, point: Mapping[str, int]) -> list[int]:
+    """Coefficients (index = degree in ``name``) of p at integer values of the
+    other variables, scaled to integers by the lcm of p's denominators."""
     idx = p._var_index(name)
-    coeffs: dict[int, Fraction] = {}
+    if not p._terms:
+        return []
+    den = lcm(*(c.denominator for c in p._terms.values()))
+    tops = [max(col) for col in zip(*p._terms)]
+    values = [1 if w == name else point[w] for w in p.variables]
+    powers = [[v**j for j in range(top + 1)] for v, top in zip(values, tops)]
+    out = [0] * (tops[idx] + 1)
     for exps, coeff in p._terms.items():
-        value = coeff
-        for k, e in enumerate(exps):
-            if k == idx or not e:
-                continue
-            value *= Fraction(point[p.variables[k]]) ** e
-        coeffs[exps[idx]] = coeffs.get(exps[idx], Fraction(0)) + value
-    deg = max(coeffs) if coeffs else -1
-    out = [coeffs.get(d, Fraction(0)) for d in range(deg + 1)]
+        value = coeff.numerator * (den // coeff.denominator)
+        for pw, e in zip(powers, exps):
+            if e:
+                value *= pw[e]
+        out[exps[idx]] += value
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -674,8 +715,78 @@ def _prs_gcd(p: Polynomial, q: Polynomial, main: str) -> Polynomial:
     return primitive_part(cont * core)
 
 
+# -- heuristic gcd over ZZ (Char, Geddes and Gonnet 1989) ------------------
+
+
+def _int_content(*polys: Polynomial) -> int:
+    return int_gcd(*(c for p in polys for c in p._terms.values()))
+
+
+def _shared_variables(p: Polynomial, q: Polynomial) -> list[str]:
+    """Variables of positive degree in both; a common factor lives in these."""
+    return [v for v, a, b in zip(p.variables, zip(*p._terms), zip(*q._terms)) if max(a) and max(b)]
+
+
+def _evaluate_at(p: Polynomial, idx: int, xi: int) -> Polynomial:
+    terms: dict[Exponents, int] = {}
+    for e, c in p._terms.items():
+        key = e[:idx] + (0,) + e[idx + 1 :]
+        terms[key] = terms.get(key, 0) + c * xi ** e[idx]
+    return Polynomial._trusted(p.variables, terms)
+
+
+def _interpolate(h: Polynomial, idx: int, xi: int) -> Polynomial:
+    """Read each coefficient of h back as its symmetric xi-adic digits: the
+    k-th digit is the coefficient of variable ``idx`` to the power k."""
+    half = xi // 2
+    terms: dict[Exponents, int] = {}
+    for e, c in h._terms.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            terms[e[:idx] + (k,) + e[idx + 1 :]] = d
+            c = (c - d) // xi
+            k += 1
+    return Polynomial._trusted(h.variables, terms)
+
+
+def _heu_gcd(f: Polynomial, g: Polynomial) -> Polynomial | None:
+    """gcd(f, g) over ZZ for nonzero integer polynomials, or None when no
+    candidate passes the acceptance test.
+
+    One shared variable is evaluated at xi, the images' gcd is found by
+    recursion, and its xi-adic digits give a candidate h.  A candidate is
+    accepted only when h divides f and g exactly and the certificates of
+    ``_certified_coprime`` prove the cofactors coprime, which makes h the gcd
+    whatever the size of xi.  On a miss xi grows; nothing is drawn at random.
+    """
+    cont = _int_content(f, g)
+    shared = _shared_variables(f, g)
+    if not shared:
+        return Polynomial._trusted(f.variables, {(0,) * len(f.variables): cont})
+    f, g = _div_ground(f, cont), _div_ground(g, cont)
+    idx = f.variables.index(shared[0])
+    xi = 2 * min(max(map(abs, f._terms.values())), max(map(abs, g._terms.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        ff, gg = _evaluate_at(f, idx, xi), _evaluate_at(g, idx, xi)
+        image = _heu_gcd(ff, gg) if ff and gg else None
+        if image is not None:
+            h = primitive_part(_interpolate(image, idx, xi))
+            cf, cg = f.exact_div(h), g.exact_div(h)
+            if cf is not None and cg is not None and _certified_coprime(cf, cg, _shared_variables(cf, cg)):
+                return h * cont
+        xi = xi * 73794 // 27011
+    return None
+
+
 def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Greatest common divisor, normalized to a primitive integer polynomial."""
+    """Greatest common divisor, normalized to a primitive integer polynomial.
+
+    Routes, cheapest first: monomial content, the coprimality certificate,
+    the heuristic gcd with its exact acceptance test, and the PRS gcd.
+    """
     if p.variables != q.variables:
         raise PolynomialError("polynomials live in different variable rings")
     if p.is_zero():
@@ -688,13 +799,11 @@ def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     ps = p.divide_by_monomial(mono_p)
     qs = q.divide_by_monomial(mono_q)
     mono = Polynomial.monomial(p.variables, shared)
-    if ps.is_constant() or qs.is_constant():
+    common = _shared_variables(ps, qs)
+    if not common or _certified_coprime(ps, qs, common):
         return mono
-    common = [v for v in p.variables if ps.degree_in(v) > 0 and qs.degree_in(v) > 0]
-    if not common:
-        return mono
-    if _certified_coprime(ps, qs, common):
-        return mono
-    main = min(common, key=lambda v: min(ps.degree_in(v), qs.degree_in(v)))
-    core = _prs_gcd(ps, qs, main)
+    core = _heu_gcd(primitive_part(ps), primitive_part(qs))
+    if core is None:
+        main = min(common, key=lambda v: min(ps.degree_in(v), qs.degree_in(v)))
+        core = _prs_gcd(ps, qs, main)
     return primitive_part(mono * core)

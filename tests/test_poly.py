@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dicriticals.errors import PolynomialError
@@ -26,6 +26,40 @@ def test_arithmetic_and_identities():
     assert (x + y + z) ** 2 == x**2 + y**2 + z**2 + 2 * x * y + 2 * x * z + 2 * y * z
     assert (p - p).is_zero()
     assert (3 * x) * Fraction(1, 3) == x
+
+
+@pytest.mark.parametrize(
+    "variables, terms",
+    [
+        (("x",), {(1.5,): 1}),
+        (("x",), {(1.0,): 1}),
+        (("x",), {(True,): 1}),
+        ((1, 2), {(1, 0): 1}),
+        (("x",), {(1,): True}),
+        (("x",), {(1,): 0.5}),
+        (("x", "x"), {}),
+        (("x",), {(-1,): 1}),
+        (("x",), {(1, 0): 1}),
+    ],
+)
+def test_constructor_rejects_invalid_input(variables, terms):
+    with pytest.raises(PolynomialError):
+        Polynomial(variables, terms)
+
+
+def test_coefficients_are_int_or_fraction_never_float():
+    x, y, _ = xyz()
+    half = (2 * x + 1).exact_div(Polynomial.constant(V, 2))
+    three_halves = (3 * x * y).exact_div(2 * x)
+    assert half == x + Fraction(1, 2)
+    assert three_halves == Fraction(3, 2) * y
+    for p in (half, three_halves, Fraction(1, 2) * x * 2, (x + Fraction(1, 3)) * 3, (2 * x * y).exact_div(x)):
+        assert all(type(c) in (int, Fraction) for c in p._terms.values())
+        assert all(type(c) is int for c in p._terms.values() if c.denominator == 1)
+    value = Polynomial.constant(V, 3).constant_value()
+    assert type(value) is Fraction and value == 3
+    ratio = RationalFunction(Polynomial.constant(V, 3), Polynomial.constant(V, 2)).constant_value()
+    assert type(ratio) is Fraction and ratio == Fraction(3, 2)
 
 
 def test_zero_coefficients_are_dropped():
@@ -123,8 +157,31 @@ def test_one_unlucky_point_does_not_reach_the_prs_gcd(monkeypatch):
     monkeypatch.setattr(poly, "_prs_gcd", counting)
     assert polynomial_gcd(x + y, x + z - 1).is_constant()
     assert calls == []
-    # a genuine common factor still reaches the exact gcd and is found
+    # a genuine common factor is found by the heuristic gcd, without the PRS gcd
     assert polynomial_gcd((x + y) * (x + z), (x + y) * (x - z)) in (x + y, -(x + y))
+    assert calls == []
+
+
+def test_rejected_heuristic_candidates_fall_back_to_the_prs_gcd(monkeypatch):
+    from dicriticals import poly
+
+    x, y, z = xyz()
+    a = (x + y) * (x * z - 2) * (y - 2)
+    b = (x + y) * (x * z - 2) * (z + 3 * x)
+    expected = polynomial_gcd(a, b)
+    assert expected == primitive_part((x + y) * (x * z - 2))
+    calls = []
+    original = poly._prs_gcd
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poly, "_prs_gcd", counting)
+    # Every candidate is 1: it divides both inputs, so only the coprimality
+    # certificate of the cofactors can reject it.
+    monkeypatch.setattr(poly, "_interpolate", lambda h, idx, xi: Polynomial.one(h.variables))
+    assert polynomial_gcd(a, b) == expected
     assert calls
 
 
@@ -287,3 +344,49 @@ def test_results_are_canonical(a, b):
         again = Polynomial.from_univariate("x", a.as_univariate("x"))
         assert_canonical(again)
         assert again == a
+
+
+# -- gcd properties ------------------------------------------------------------
+
+nonzero_fractions = small_fractions.filter(bool)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, polys)
+def test_gcd_divides_keeps_planted_factor_and_leaves_coprime_cofactors(f, p, q):
+    a, b = f * p, f * q
+    assume(not (a.is_zero() and b.is_zero()))
+    g = polynomial_gcd(a, b)
+    cofactor_a, cofactor_b = a.exact_div(g), b.exact_div(g)
+    assert cofactor_a is not None and cofactor_b is not None
+    assert polynomial_gcd(cofactor_a, cofactor_b).is_constant()
+    assert g.exact_div(f) is not None
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys, polys, polys, nonzero_fractions)
+def test_gcd_is_symmetric_and_scale_invariant(f, p, q, c):
+    a, b = f * p, f * q
+    g = polynomial_gcd(a, b)
+    assert_canonical(g)
+    assert polynomial_gcd(b, a) == g
+    assert polynomial_gcd(c * a, b) == g == polynomial_gcd(a, c * b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, polys, polys)
+def test_gcd_agrees_with_sympy(sympy, f, p, q):
+    a, b = f * p, f * q
+    assume(not (a.is_zero() and b.is_zero()))
+    gens = sympy.symbols(V)
+
+    def to_sympy(r: Polynomial):
+        rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in r.terms()}
+        return sympy.Poly.from_dict(rep, gens, domain="QQ")
+
+    assert to_sympy(polynomial_gcd(a, b)).monic() == sympy.gcd(to_sympy(a), to_sympy(b)).monic()
