@@ -143,16 +143,26 @@ def _apply_blowup(poly: Polynomial, center: tuple[str, ...], chart: str) -> Poly
     return Polynomial._trusted(poly.variables, terms)
 
 
-def _apply_shear(poly: Polynomial, step: ShearStep) -> Polynomial:
-    image = Polynomial.variable(poly.variables, step.target) + step.shift
-    return poly.substitute({step.target: image})
+def _coordinate(variables: tuple[str, ...], name: str) -> Polynomial:
+    """The coordinate ``name`` of the tower's ring, built as a trusted monomial."""
+    return Polynomial._trusted(variables, {tuple(int(v == name) for v in variables): 1})
+
+
+def _coordinate_name(eq: Polynomial) -> str | None:
+    """The variable ``eq`` is, when it is one coordinate: a single unit term."""
+    if len(eq._terms) == 1:
+        ((exps, coeff),) = eq._terms.items()
+        if coeff == 1 and sum(exps) == 1:
+            return eq.variables[exps.index(1)]
+    return None
 
 
 def _step(state: WalkState, step: Step, charts: Sequence[str] | None = None) -> None:
     """Advance the walk by one step; ``charts`` overrides the blow-up charts."""
     if isinstance(step, ShearStep):
-        state.polys = [_apply_shear(p, step) for p in state.polys]
-        state.divisor_eqs = {i: _apply_shear(e, step) for i, e in state.divisor_eqs.items()}
+        image = {step.target: _coordinate(state.variables, step.target) + step.shift}
+        state.polys = [p.substitute(image) for p in state.polys]
+        state.divisor_eqs = {i: e.substitute(image) for i, e in state.divisor_eqs.items()}
         return
     chart = step.chart
     if charts is not None and state.blowups_done < len(charts):
@@ -169,7 +179,7 @@ def _step(state: WalkState, step: Step, charts: Sequence[str] | None = None) -> 
         if not moved.is_constant():  # a constant equation: divisor not visible in this chart
             new_eqs[idx] = moved
     state.blowups_done += 1
-    new_eqs[state.blowups_done] = Polynomial.variable(state.variables, chart)
+    new_eqs[state.blowups_done] = _coordinate(state.variables, chart)
     state.divisor_eqs = new_eqs
     state.orders[state.blowups_done] = tuple(None if p.is_zero() else p.order_in(chart) for p in state.polys)
 
@@ -320,7 +330,7 @@ def walk_restriction(state: WalkState, divisor: int) -> Restriction:
     eq = state.divisor_eqs.get(divisor)
     if eq is None:
         raise ChartError(f"divisor {divisor} is not visible in the selected chart")
-    chart_var = next((v for v in state.variables if eq == Polynomial.variable(state.variables, v)), None)
+    chart_var = _coordinate_name(eq)
     if chart_var is None:
         raise ChartError(
             f"divisor {divisor} has local equation {eq.render()}; restriction needs a coordinate chart"
@@ -378,10 +388,10 @@ def dicritical_status(
     return status_of(restrict(h, tower, divisor, charts=charts, blowups=blowups))
 
 
-def draw_fraction(rng: random.Random, nonzero: bool = True) -> Fraction:
-    """A small random fraction (nonzero by default); draws the Möbius twist constants."""
+def draw_fraction(rng: random.Random) -> Fraction:
+    """A small nonzero random fraction; draws the Möbius twist constants."""
     num = rng.randint(-19, 19)
-    while nonzero and num == 0:
+    while num == 0:
         num = rng.randint(-19, 19)
     return Fraction(num, rng.randint(1, 7))
 

@@ -18,7 +18,7 @@ from .descriptor import leading_principal_minors, special_rows, valuation_matrix
 from .errors import DicriticalError, ScenarioError
 from .fixtures import FIXTURES, load_fixture
 from .jsonio import canonical_dumps
-from .scenario import LastRequest, Scenario, SingleRequest, scenario_from_json
+from .scenario import Scenario, TargetRequest, scenario_from_json
 from .verify import VerifyReport, render_report, run_verify, solve_scenario
 
 PASS, VIOLATION, INPUT_ERROR = 0, 1, 2
@@ -80,7 +80,7 @@ def cmd_matrix(args) -> int:
     print(_format_matrix(matrix.rows))
     specials = ()
     request = scenario.request
-    if isinstance(request, (LastRequest, SingleRequest)) and scenario.descriptor.special_mults:
+    if isinstance(request, TargetRequest) and scenario.descriptor.special_mults:
         contacts = request.contact_orders or {j: 1 for j in scenario.descriptor.parents(request.s)}
         specials = special_rows(scenario.descriptor, request.s, contacts)
         print("special hypersurface rows:")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import DescriptorError
-from .jsonio import SCHEMA_VERSION, FieldCodec, json_field, reject_unknown_keys, require_int
+from .jsonio import SCHEMA_VERSION, FieldCodec, json_field
 from .linalg import leading_minors
 
 
@@ -349,58 +349,57 @@ def make_descriptor(
 # -- serialization -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class DescriptorCenter(FieldCodec):
+    """The JSON form of one center with its hypercurvette's multiplicity row."""
+
+    dim: int
+    D: tuple[int, ...]
+    T_row: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class DescriptorSpecial(FieldCodec):
+    """The JSON form of one special hypersurface's multiplicity row."""
+
+    owner: int
+    mu_row: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Descriptor(FieldCodec):
+    """The JSON form of a descriptor, with a schema version."""
+
+    n: int
+    m: int
+    centers: tuple[DescriptorCenter, ...]
+    special: tuple[DescriptorSpecial, ...] = json_field(omit=True, default=())
+    tail: TailData | None = json_field(omit=True, default=None)
+
+    def envelope(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION}
+
+
 def descriptor_to_json(d: ModificationDescriptor) -> dict:
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "n": d.n,
-        "m": d.m,
-        "centers": [
-            {
-                "dim": c.dim,
-                "D": sorted(c.parents),
-                "T_row": list(d.curvette_mults[j]),
-            }
-            for j, c in enumerate(d.centers)
-        ],
-    }
-    if d.special_mults:
-        data["special"] = [
-            {"owner": owner, "mu_row": list(row)} for owner, row in sorted(d.special_mults.items())
-        ]
-    if d.tail is not None:
-        data["tail"] = d.tail.to_json()
-    return data
+    centers = tuple(
+        DescriptorCenter(c.dim, tuple(sorted(c.parents)), row) for c, row in zip(d.centers, d.curvette_mults)
+    )
+    specials = tuple(DescriptorSpecial(owner, row) for owner, row in sorted(d.special_mults.items()))
+    return Descriptor(d.n, d.m, centers, specials, d.tail).to_json()
 
 
-def descriptor_from_json(data: dict) -> ModificationDescriptor:
-    n = require_int(data["n"], "ambient dimension")
-    m = require_int(data["m"], "blow-up count")
-    reject_unknown_keys(data, ("schema_version", "n", "m", "centers", "special", "tail"), "descriptor")
-    centers = []
-    mult_rows = []
-    raw_centers = data.get("centers", [])
-    if len(raw_centers) != m:
-        raise DescriptorError(f"expected {m} centers, got {len(raw_centers)}")
-    for j, entry in enumerate(raw_centers, start=1):
-        reject_unknown_keys(entry, ("dim", "D", "T_row"), f"center {j}")
-        dim = require_int(entry["dim"], f"dimension of center {j}")
-        parents = frozenset(require_int(q, f"parent of center {j}") for q in entry.get("D", []))
-        row = tuple(require_int(v, f"multiplicity row {j}") for v in entry.get("T_row", []))
-        centers.append(Center(dim=dim, parents=parents))
-        mult_rows.append(row)
+def descriptor_from_json(data) -> ModificationDescriptor:
+    form = Descriptor.from_json(data)
     specials = {}
-    for entry in data.get("special", []):
-        reject_unknown_keys(entry, ("owner", "mu_row"), "special entry")
-        owner = require_int(entry["owner"], "special owner")
-        if owner in specials:
-            raise DescriptorError(f"special multiplicity row for owner {owner} is given twice")
-        specials[owner] = tuple(require_int(v, "special multiplicity") for v in entry.get("mu_row", []))
-    tail = TailData.from_json(data["tail"]) if "tail" in data else None
+    for entry in form.special:
+        if entry.owner in specials:
+            raise DescriptorError(f"special multiplicity row for owner {entry.owner} is given twice")
+        specials[entry.owner] = entry.mu_row
     return ModificationDescriptor(
-        n=n,
-        m=m,
-        centers=tuple(centers),
-        curvette_mults=tuple(mult_rows),
+        n=form.n,
+        m=form.m,
+        centers=tuple(Center(dim=c.dim, parents=frozenset(c.D)) for c in form.centers),
+        curvette_mults=tuple(c.T_row for c in form.centers),
         special_mults=specials,
-        tail=tail,
+        tail=form.tail,
     )

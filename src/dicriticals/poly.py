@@ -511,15 +511,11 @@ class Polynomial:
 def rational_content(polys: Iterable[Polynomial]) -> Fraction:
     """Positive rational c such that dividing by c makes all coefficients
     integers with overall gcd 1.  Zero polynomials are ignored."""
-    num_gcd = 0
-    den_lcm = 1
-    for p in polys:
-        for _, c in p._terms.items():
-            num_gcd = int_gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
+    coeffs = [c for p in polys for c in p._terms.values()]
+    num_gcd = int_gcd(*(c.numerator for c in coeffs))
     if num_gcd == 0:
         return Fraction(1)
-    return Fraction(num_gcd, den_lcm)
+    return Fraction(num_gcd, lcm(*(c.denominator for c in coeffs)))
 
 
 def primitive_part(p: Polynomial) -> Polynomial:
@@ -545,9 +541,7 @@ def _div_ground(p: Polynomial, k: int) -> Polynomial:
 
 
 def _int_list_primitive(coeffs: list[int]) -> list[int]:
-    g = 0
-    for c in coeffs:
-        g = int_gcd(g, c)
+    g = int_gcd(*coeffs)
     if g in (0, 1):
         out = list(coeffs)
     else:

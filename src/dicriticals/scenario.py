@@ -5,9 +5,8 @@ expected outcomes) needed to verify everything symbolically.
 Scenarios serialize to JSON with exact integers only; rationals are
 {num, den} pairs and polynomials are canonical term lists.  Every piece reads
 and writes through ``jsonio.FieldCodec``, so unknown keys and wrongly typed
-values are input errors at every level; only the descriptor, the tower's
-step list, the line templates and the expected statuses have JSON shapes of
-their own.
+values are input errors at every level; only the tower's step list, the
+line templates and the expected statuses have JSON shapes of their own.
 """
 
 from __future__ import annotations
@@ -32,23 +31,23 @@ class SupportRequest(Kinded):
 
 
 @dataclass(frozen=True)
-class LastRequest(Kinded):
+class TargetRequest(Kinded):
+    """A request for one dicritical divisor ``s`` of the given degree."""
+
     s: int
     degree: int
     special_exponents: Mapping[int, int] | None = json_field(omit=True, default=None)
     contact_orders: Mapping[int, int] | None = json_field(omit=True, default=None)
     target_orders: Mapping[int, int] | None = json_field(omit=True, default=None)
 
+
+@dataclass(frozen=True)
+class LastRequest(TargetRequest):
     kind = "last"
 
 
 @dataclass(frozen=True)
-class SingleRequest(Kinded):
-    s: int
-    degree: int
-    special_exponents: Mapping[int, int] | None = json_field(omit=True, default=None)
-    contact_orders: Mapping[int, int] | None = json_field(omit=True, default=None)
-    target_orders: Mapping[int, int] | None = json_field(omit=True, default=None)
+class SingleRequest(TargetRequest):
     tail: TailData | None = json_field(omit=True, default=None)
 
     kind = "single"
@@ -174,9 +173,8 @@ def validate_scenario(sc: Scenario) -> None:
             unknown = sorted(set(line.assign) - set(sc.tower.variables))
             if unknown:
                 raise ScenarioError(f"line template of divisor {i} names variables outside the ring {unknown}")
-    if isinstance(sc.request, (LastRequest, SingleRequest)):
-        if not (1 <= sc.request.s <= sc.descriptor.m):
-            raise ScenarioError(f"request index {sc.request.s} out of range")
+    if isinstance(sc.request, TargetRequest) and not 1 <= sc.request.s <= m:
+        raise ScenarioError(f"request index {sc.request.s} out of range")
     if isinstance(sc.request, ProfileRequest) and not sc.request.parts:
         raise ScenarioError("a profile request needs at least one target divisor")
 

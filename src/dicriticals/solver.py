@@ -62,15 +62,6 @@ class LinearForm:
                 items.append((idx, c))
         return cls(Fraction(const), tuple(items))
 
-    def coeff(self, idx: int) -> Fraction:
-        for k, c in self.coeffs:
-            if k == idx:
-                return c
-        return Fraction(0)
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.coeffs)
-
     def __add__(self, other: "LinearForm | int | Fraction") -> "LinearForm":
         if not isinstance(other, LinearForm):
             return LinearForm(self.const + Fraction(other), self.coeffs)
@@ -93,15 +84,6 @@ class LinearForm:
         for k, c in self.coeffs:
             total += c * Fraction(assignment[k])
         return total
-
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-    def render(self, prefix: str = "k") -> str:
-        parts = [str(self.const)] if self.const or not self.coeffs else []
-        for k, c in self.coeffs:
-            parts.append(f"{c}*{prefix}{k}")
-        return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
         return {

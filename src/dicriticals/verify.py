@@ -27,6 +27,7 @@ from .scenario import (
     Scenario,
     SingleRequest,
     SupportRequest,
+    TargetRequest,
     validate_scenario,
 )
 from .solver import (
@@ -72,37 +73,25 @@ class VerifyReport(FieldCodec):
 def solve_scenario(sc: Scenario):
     """Dispatch the scenario's request to the matching solver."""
     req = sc.request
-    if req is None or isinstance(req, ExplicitRequest):
-        raise ScenarioError("scenario carries no solver request")
     if isinstance(req, SupportRequest):
         return solve_support(valuation_matrix(sc.descriptor), req.targets, req.offsets or None)
-    if isinstance(req, LastRequest):
-        return solve_last_dicritical(
-            sc.descriptor,
-            req.s,
-            req.degree,
-            special_exponents=req.special_exponents,
-            contact_orders=req.contact_orders,
-            target_orders=req.target_orders,
-        )
-    if isinstance(req, SingleRequest):
-        return _solve_single(sc.descriptor, req)
+    if isinstance(req, TargetRequest):
+        return _solve_target(sc.descriptor, req)
     if isinstance(req, ProfileRequest):
-        parts = [_solve_single(sc.descriptor, part) for part in req.parts.values()]
+        parts = [_solve_target(sc.descriptor, part) for part in req.parts.values()]
         return combine_profile(parts, req.degrees)
-    raise ScenarioError(f"unknown request type {type(req).__name__}")
+    raise ScenarioError("scenario carries no solver request")
 
 
-def _solve_single(descriptor, req: SingleRequest):
-    return solve_single_dicritical(
-        descriptor,
-        req.s,
-        req.degree,
-        special_exponents=req.special_exponents,
-        contact_orders=req.contact_orders,
-        target_orders=req.target_orders,
-        tail=req.tail,
-    )
+def _solve_target(descriptor, req: TargetRequest):
+    shared = {
+        "special_exponents": req.special_exponents,
+        "contact_orders": req.contact_orders,
+        "target_orders": req.target_orders,
+    }
+    if isinstance(req, SingleRequest):
+        return solve_single_dicritical(descriptor, req.s, req.degree, tail=req.tail, **shared)
+    return solve_last_dicritical(descriptor, req.s, req.degree, **shared)
 
 
 def explicit_function(sc: Scenario) -> RationalFunction:
@@ -155,51 +144,39 @@ def run_verify(
     if isinstance(req, ExplicitRequest):
         if sc.expect is None:
             raise ScenarioError("an explicit scenario needs expected outcomes")
-        h = explicit_function(sc)
-        predicted = sc.expect.orders
-        expected = dict(sc.expect.statuses)
         scope = range(1, sc.descriptor.m + 1)
-        _verify_function(sc, report, "h", h, scope, predicted, expected)
+        _verify_function(sc, report, "h", explicit_function(sc), scope, sc.expect.orders, sc.expect.statuses)
         return report
 
     cert = certificate if certificate is not None else solve_scenario(sc)
     _check_certificate_matches(req, cert)
-    if isinstance(req, SupportRequest):
-        h = build_support(cert, sc.equations, sc.bindings)
-        expected = {
-            i: ((DICRITICAL, None) if i in cert.targets else (CONSTANT, None))
-            for i in range(1, sc.descriptor.m + 1)
-        }
-        _verify_function(sc, report, "h", h, range(1, sc.descriptor.m + 1), cert.orders, expected)
-    elif isinstance(req, LastRequest):
-        h = build_last(cert, sc.equations, sc.bindings)
-        expected = {i: (CONSTANT, None) for i in range(1, req.s)}
-        expected[req.s] = (DICRITICAL, cert.degree)
-        _verify_function(sc, report, "h", h, range(1, req.s + 1), cert.orders, expected)
-    elif isinstance(req, SingleRequest):
-        h = build_single(cert, sc.equations, sc.bindings)
-        expected = {i: (CONSTANT, None) for i in range(1, sc.descriptor.m + 1)}
-        expected[req.s] = (DICRITICAL, cert.degree)
-        _verify_function(sc, report, "h", h, range(1, sc.descriptor.m + 1), cert.orders, expected)
-    elif isinstance(req, ProfileRequest):
-        h, twists = build_profile(cert, sc.equations, sc.bindings, random.Random(report.seed))
-        report.notes.append(
-            "twists: " + ", ".join(f"{t.target}: a={t.a}, b={t.b}" for t in twists)
-        )
-        expected = {i: (CONSTANT, None) for i in range(1, sc.descriptor.m + 1)}
-        for j, degree in cert.degrees.items():
-            expected[j] = (DICRITICAL, degree)
-        predicted = tuple(0 for _ in range(sc.descriptor.m))
-        _verify_function(sc, report, "h", h, range(1, sc.descriptor.m + 1), predicted, expected)
-    else:
-        raise ScenarioError(f"unknown request type {type(req).__name__}")
+    h, top, predicted, dicritical = _prescription(sc, req, cert, report)
+    expected = {i: (DICRITICAL, dicritical[i]) if i in dicritical else (CONSTANT, None) for i in range(1, top + 1)}
+    _verify_function(sc, report, "h", h, range(1, top + 1), predicted, expected)
     return report
+
+
+def _prescription(sc: Scenario, req, cert, report: VerifyReport):
+    """``(h, top, predicted orders, {dicritical divisor: degree or None})``
+    for a solved request: h must be dicritical exactly at the listed divisors
+    (with the listed degree where one is given) and constant on every other
+    divisor of 1..top."""
+    m = sc.descriptor.m
+    if isinstance(req, SupportRequest):
+        return build_support(cert, sc.equations, sc.bindings), m, cert.orders, dict.fromkeys(cert.targets)
+    if isinstance(req, LastRequest):
+        return build_last(cert, sc.equations, sc.bindings), req.s, cert.orders, {req.s: cert.degree}
+    if isinstance(req, SingleRequest):
+        return build_single(cert, sc.equations, sc.bindings), m, cert.orders, {req.s: cert.degree}
+    h, twists = build_profile(cert, sc.equations, sc.bindings, random.Random(report.seed))
+    report.notes.append("twists: " + ", ".join(f"{t.target}: a={t.a}, b={t.b}" for t in twists))
+    return h, m, (0,) * m, dict(cert.degrees)
 
 
 def _check_certificate_matches(req, cert) -> None:
     if cert.kind != req.kind:
         raise ScenarioError(f"a {cert.kind} certificate does not match the {req.kind} request")
-    if isinstance(req, (LastRequest, SingleRequest)) and (cert.s, cert.degree) != (req.s, req.degree):
+    if isinstance(req, TargetRequest) and (cert.s, cert.degree) != (req.s, req.degree):
         raise ScenarioError("certificate target or degree disagrees with the request")
     if isinstance(req, ProfileRequest) and set(cert.parts) != set(req.parts):
         raise ScenarioError("certificate target set disagrees with the request")
@@ -222,23 +199,8 @@ def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
     if not sc.bindings.rows:
         raise ScenarioError("matrix verification needs row bindings")
     for j in sorted(sc.bindings.rows):
-        walks = _path_walks(sc, RationalFunction(_equation(sc, sc.bindings.rows[j])))
-        for i in range(1, sc.descriptor.m + 1):
-            symbolic = _order(walks, sc, i)
-            predicted = matrix.entry(j, i)
-            report.rows.append(
-                VerifyRow(
-                    item=f"curvette {j}",
-                    divisor=i,
-                    predicted_order=predicted,
-                    symbolic_order=symbolic,
-                    status=None,
-                    value=None,
-                    degree=None,
-                    expected="order",
-                    ok=symbolic == predicted,
-                )
-            )
+        h = RationalFunction(_equation(sc, sc.bindings.rows[j]))
+        _verify_function(sc, report, f"curvette {j}", h, range(1, sc.descriptor.m + 1), matrix.rows[j - 1], {})
 
 
 def _verify_function(sc, report, item, h, scope, predicted, expected) -> None:

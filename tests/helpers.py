@@ -1,13 +1,14 @@
-"""Shared test utilities: seeded random descriptors and a support scenario."""
+"""Shared test utilities: seeded random descriptors and two request scenarios."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from dicriticals.candidates import Bindings
 from dicriticals.descriptor import ModificationDescriptor, make_descriptor
-from dicriticals.fixtures import point_point_line
-from dicriticals.scenario import Scenario, SupportRequest
+from dicriticals.fixtures import point_point_line, three_points_line
+from dicriticals.scenario import LastRequest, Scenario, SupportRequest
 
 
 def random_descriptor(rng: random.Random, max_m: int = 8) -> ModificationDescriptor:
@@ -34,4 +35,14 @@ def support_middle() -> Scenario:
         equations=base.equations,
         bindings=Bindings(bundles={1: ("C1",), 2: ("C2",), 3: ("C3",)}),
         seed=42,
+    )
+
+
+def three_points_line_last() -> Scenario:
+    """three-points-line with a last-dicritical request for divisor 3 of 4,
+    so that the verified scope 1..3 stops short of the tower."""
+    return dataclasses.replace(
+        three_points_line(),
+        name="three-points-line-last",
+        request=LastRequest(s=3, degree=1, special_exponents={1: 1, 2: 1}, contact_orders={1: 1, 2: 1}),
     )

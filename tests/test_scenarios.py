@@ -192,6 +192,10 @@ SCENARIO_MUTATIONS = {
         ("descriptor", "special"),
         [{"owner": 1, "mu_row": [2, 2]}, {"owner": 2, "mu_row": [3, 2]}, {"owner": 1, "mu_row": [9, 9]}],
     ),
+    "descriptor-schema-version": (("descriptor", "schema_version"), 99),
+    "descriptor-schema-version-float": (("descriptor", "schema_version"), 1.5),
+    "center-without-multiplicity-row": (("descriptor", "centers", 0), {"dim": 0, "D": []}),
+    "center-without-parents": (("descriptor", "centers", 0), {"dim": 0, "T_row": [1]}),
     "unknown-tower-key": (("tower", "extra"), 1),
     "unknown-blowup-key": (("tower", "steps", 0, "blowup", "extra"), 1),
     "step-with-both-tags": (("tower", "steps", 0, "shear"), {}),

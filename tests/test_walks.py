@@ -6,7 +6,7 @@ import json
 from collections import Counter
 
 import pytest
-from helpers import support_middle
+from helpers import support_middle, three_points_line_last
 
 from dicriticals import charts, verify
 from dicriticals.candidates import build_last
@@ -28,6 +28,13 @@ VERIFY_SHA256 = {
     "three-points": "5796e8b1d0d02f70abd9f6132ae2d3b395b1d0845cc297bca1452c935a80b836",
     "three-points-line": "3e8ef5222a582932bd1e057a028e1a2417508624501a8ee1e0d8834a0c3f69c5",
     "two-dicriticals": "e0d1a04e5d82d1575ed85dc1c5f26d4eb77d2c5047d7bfb7e54bd57439ac366f",
+}
+
+# sha256 of the verify artifacts of the request shapes no fixture has: a
+# support request, and a last request whose scope stops below the top divisor.
+REQUEST_VERIFY_SHA256 = {
+    "support-middle": "b7dd73fb6d2597f1b1e14ca6c21d7f4f4607032c42aa07ae2e2e94d9e6aaa5fd",
+    "three-points-line-last": "e40c36a96fd8c8a27a0ea1231581ed5549de4d1fbc12495a2b3403633d602b1d",
 }
 
 # sha256 of one canonical certificate of each kind, taken before the
@@ -68,6 +75,15 @@ def test_verify_walks_once_per_chart_path_with_unchanged_bytes(name, monkeypatch
     functions = len(sc.bindings.rows) if sc.request is None else 1
     paths = {sc.chart_path(i) for i in range(1, sc.descriptor.m + 1)}
     assert sum(calls.values()) <= functions * len(paths)
+
+
+@pytest.mark.parametrize("build", [support_middle, three_points_line_last])
+def test_request_verify_bytes_are_pinned(build):
+    sc = build()
+    report = run_verify(sc)
+    assert report.overall and len(report.rows) == 3
+    payload = canonical_dumps(report.to_json())
+    assert hashlib.sha256(payload.encode()).hexdigest() == REQUEST_VERIFY_SHA256[sc.name]
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFICATE_SHA256))
