@@ -19,6 +19,7 @@ from .charts import (
 from .descriptor import (
     Center,
     ModificationDescriptor,
+    SpecialRow,
     TailData,
     ValuationMatrix,
     default_curvette_mults,

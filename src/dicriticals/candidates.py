@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .charts import draw_fraction
-from .errors import SolverError
+from .errors import ScenarioError, SolverError
 from .jsonio import FieldCodec, json_field
 from .poly import Polynomial
 from .ratfunc import RationalFunction
@@ -42,11 +42,13 @@ class Bindings(FieldCodec):
     parts: Mapping[int, Bindings] = json_field(omit=True, default_factory=dict)
 
 
-def _lookup(equations: Mapping[str, Polynomial], name: str | None, what: str) -> Polynomial:
+def lookup_equation(equations: Mapping[str, Polynomial], name: str | None, what: str) -> Polynomial:
+    """The equation a scenario binds to ``what`` under ``name``; a missing
+    binding or equation is an input error."""
     if not name:
-        raise SolverError(f"missing binding for {what}")
+        raise ScenarioError(f"missing binding for {what}")
     if name not in equations:
-        raise SolverError(f"missing equation {name!r} for {what}")
+        raise ScenarioError(f"missing equation {name!r} for {what}")
     return equations[name]
 
 
@@ -68,12 +70,12 @@ def _bundle_factor(
                 f"divisor {index} needs a nonconstant bundle with total exponent zero; "
                 "bind two distinct equations"
             )
-        first = _lookup(equations, names[0], f"bundle {index}")
-        second = _lookup(equations, names[1], f"bundle {index}")
+        first = lookup_equation(equations, names[0], f"bundle {index}")
+        second = lookup_equation(equations, names[1], f"bundle {index}")
         if first == second:
             raise SolverError(f"bundle {index} needs two distinct equations")
         return num * first, den * second
-    poly = _lookup(equations, names[0] if names else None, f"bundle {index}")
+    poly = lookup_equation(equations, names[0] if names else None, f"bundle {index}")
     if exponent > 0:
         return num * poly**exponent, den
     return num, den * poly ** (-exponent)
@@ -101,8 +103,8 @@ def build_last(
 ) -> RationalFunction:
     """Numerator and denominator of the controlled-last-divisor candidate."""
     variables = _ring(equations)
-    primary = _lookup(equations, bindings.primary, "primary hypercurvette")
-    secondary = _lookup(equations, bindings.secondary, "secondary hypercurvette")
+    primary = lookup_equation(equations, bindings.primary, "primary hypercurvette")
+    secondary = lookup_equation(equations, bindings.secondary, "secondary hypercurvette")
     if primary == secondary:
         raise SolverError("primary and secondary hypercurvettes must be distinct")
     num = primary**cert.degree
@@ -113,7 +115,7 @@ def build_last(
         exponent = cert.special_exponents[j]
         if exponent < 0:
             raise SolverError("special hypersurfaces carry honest positive powers")
-        poly = _lookup(equations, bindings.specials.get(j), f"special hypersurface {j}")
+        poly = lookup_equation(equations, bindings.specials.get(j), f"special hypersurface {j}")
         den = den * poly**exponent
     return RationalFunction(num, den)
 
@@ -131,10 +133,10 @@ def build_single(
         k = cert.later_exponents[j]
         if k < 1:
             raise SolverError("later hypercurvette powers must be positive")
-        twist = twist * _lookup(equations, bindings.later.get(j), f"later hypercurvette {j}") ** k
+        twist = twist * lookup_equation(equations, bindings.later.get(j), f"later hypercurvette {j}") ** k
     if cert.pole_power < 1:
         raise SolverError("the pole power must be a positive honest power")
-    pole = _lookup(equations, bindings.pole, "pole hypercurvette")
+    pole = lookup_equation(equations, bindings.pole, "pole hypercurvette")
     return RationalFunction(f * twist, g * twist + pole**cert.pole_power)
 
 
@@ -164,7 +166,7 @@ def build_profile(
     for j in sorted(cert.parts):
         part_bindings = bindings.parts.get(j)
         if part_bindings is None:
-            raise SolverError(f"missing bindings for profile part {j}")
+            raise ScenarioError(f"missing bindings for profile part {j}")
         h = build_single(cert.parts[j], equations, part_bindings)
         a = draw_fraction(rng)
         b = draw_fraction(rng)

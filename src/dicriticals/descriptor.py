@@ -13,7 +13,9 @@ functions here are pure and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DescriptorError
@@ -22,11 +24,23 @@ from .linalg import leading_minors
 
 
 @dataclass(frozen=True)
-class Center:
-    """One blow-up center: its dimension and the divisors containing it."""
+class Center(FieldCodec):
+    """One blow-up center j: its dimension, the earlier divisors containing it
+    (sorted and distinct) and the multiplicities of hypercurvette j's strict
+    transform along the centers 1..j."""
 
     dim: int
-    parents: frozenset[int]
+    parents: tuple[int, ...] = json_field(key="D")
+    mults: tuple[int, ...] = json_field(key="T_row")
+
+
+@dataclass(frozen=True)
+class SpecialRow(FieldCodec):
+    """Multiplicities of the special hypersurface owned by divisor ``owner``
+    along the centers below the index it is used at."""
+
+    owner: int
+    mu_row: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -45,15 +59,36 @@ class TailData(FieldCodec):
 
 
 @dataclass(frozen=True)
-class ModificationDescriptor:
+class ModificationDescriptor(FieldCodec):
+    """The combinatorial skeleton of a tower of m blow-ups in dimension n.
+
+    The fields are exactly the JSON form, with a ``schema_version`` envelope;
+    constructing a descriptor validates it, so an invalid one cannot be held.
+    """
+
     n: int
     m: int
     centers: tuple[Center, ...]
-    curvette_mults: tuple[tuple[int, ...], ...]  # row j has exactly j entries
-    special_mults: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
-    tail: TailData | None = None
+    special: tuple[SpecialRow, ...] = json_field(omit=True, default=())
+    tail: TailData | None = json_field(omit=True, default=None)
 
-    def parents(self, j: int) -> frozenset[int]:
+    def __post_init__(self):
+        require_valid(self)
+
+    def envelope(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION}
+
+    @cached_property
+    def curvette_mults(self) -> tuple[tuple[int, ...], ...]:
+        """Row j holds the multiplicities of hypercurvette j along centers 1..j."""
+        return tuple(c.mults for c in self.centers)
+
+    @cached_property
+    def special_mults(self) -> Mapping[int, tuple[int, ...]]:
+        """The special multiplicity row of each owner."""
+        return MappingProxyType({row.owner: row.mu_row for row in self.special})
+
+    def parents(self, j: int) -> tuple[int, ...]:
         return self.centers[j - 1].parents
 
     def curvette_mult(self, j: int, t: int) -> int:
@@ -100,22 +135,20 @@ def validate_descriptor(d: ModificationDescriptor) -> list[Violation]:
     if len(d.centers) != d.m:
         bad("centers-count", None, f"expected {d.m} centers, got {len(d.centers)}")
         return out
-    if len(d.curvette_mults) != d.m:
-        bad("mult-rows", None, f"expected {d.m} multiplicity rows, got {len(d.curvette_mults)}")
-        return out
 
     for j, center in enumerate(d.centers, start=1):
+        parents, row = center.parents, center.mults
         if not (0 <= center.dim <= d.n - 2):
             bad("center-dim", j, f"center {j} has dimension {center.dim}, outside [0, {d.n - 2}]")
         if j == 1:
-            if center.parents:
+            if parents:
                 bad("first-center", j, "the first center lies in the base point, not in any divisor")
-        elif not center.parents:
+        elif not parents:
             bad("empty-parents", j, f"center {j} must lie in at least one earlier divisor")
-        if any(not (1 <= q < j) for q in center.parents):
+        if any(not (1 <= q < j) for q in parents):
             bad("parent-range", j, f"center {j} lists a divisor outside 1..{j - 1}")
-
-    for j, row in enumerate(d.curvette_mults, start=1):
+        if parents != tuple(sorted(set(parents))):
+            bad("parent-order", j, f"center {j} must list its divisors sorted and distinct, got {list(parents)}")
         if len(row) != j:
             bad("mult-row-length", j, f"multiplicity row {j} must have {j} entries")
             continue
@@ -124,10 +157,15 @@ def validate_descriptor(d: ModificationDescriptor) -> list[Violation]:
         if any(v < 0 for v in row):
             bad("negative-mult", j, f"multiplicity row {j} has a negative entry")
 
-    for owner, row in d.special_mults.items():
+    owners: set[int] = set()
+    for special in d.special:
+        owner = special.owner
+        if owner in owners:
+            bad("special-twice", owner, f"special multiplicity row for owner {owner} is given twice")
+        owners.add(owner)
         if not (1 <= owner <= d.m):
             bad("special-owner", owner, f"special hypersurface owner {owner} out of range")
-        if any(v < 0 for v in row):
+        if any(v < 0 for v in special.mu_row):
             bad("special-negative", owner, f"special multiplicity row for {owner} has a negative entry")
 
     if d.tail is not None and not out:
@@ -202,8 +240,7 @@ def pullback_orders(d: ModificationDescriptor, mult: Sequence[int]) -> tuple[int
 
 def valuation_matrix(d: ModificationDescriptor) -> ValuationMatrix:
     """Matrix whose row j gives the orders of hypercurvette j along every divisor."""
-    require_valid(d)
-    rows = tuple(pullback_orders(d, d.curvette_mults[j - 1]) for j in range(1, d.m + 1))
+    rows = tuple(pullback_orders(d, row) for row in d.curvette_mults)
     return ValuationMatrix(rows=rows)
 
 
@@ -259,7 +296,7 @@ def special_rows(
     """
     if not (1 <= s <= d.m):
         raise DescriptorError(f"index {s} out of range 1..{d.m}")
-    owners = sorted(d.parents(s))
+    owners = d.parents(s)
     if not owners:
         raise DescriptorError(f"no special hypersurfaces at {s}: its center lies in no earlier divisor")
     if set(contact) != set(owners):
@@ -288,7 +325,7 @@ def special_matrix(
     """The valuation matrix stacked with the ``special_rows`` of s."""
     a = valuation_matrix(d)
     rows = special_rows(d, s, contact, tail)
-    return ValuationMatrix(rows=a.rows, special_rows=rows, special_owners=tuple(sorted(d.parents(s))))
+    return ValuationMatrix(rows=a.rows, special_rows=rows, special_owners=d.parents(s))
 
 
 def low_sets(d: ModificationDescriptor, s: int) -> dict[int, frozenset[int]]:
@@ -331,75 +368,15 @@ def make_descriptor(
     special_mults: Mapping[int, Sequence[int]] | None = None,
     tail: TailData | None = None,
 ) -> ModificationDescriptor:
-    """Convenience constructor filling in defaults (point centers, nested table)."""
+    """Convenience constructor filling in defaults (point centers, nested
+    table); each parent set may come in any order."""
     m = len(parent_sets)
-    dims = list(dims) if dims is not None else [0] * m
-    mults = (
-        tuple(tuple(row) for row in curvette_mults)
-        if curvette_mults is not None
-        else default_curvette_mults(parent_sets)
-    )
-    centers = tuple(Center(dim=dims[j], parents=frozenset(parent_sets[j])) for j in range(m))
-    specials = {int(k): tuple(v) for k, v in (special_mults or {}).items()}
-    return ModificationDescriptor(
-        n=n, m=m, centers=centers, curvette_mults=mults, special_mults=specials, tail=tail
-    )
-
-
-# -- serialization -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DescriptorCenter(FieldCodec):
-    """The JSON form of one center with its hypercurvette's multiplicity row."""
-
-    dim: int
-    D: tuple[int, ...]
-    T_row: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DescriptorSpecial(FieldCodec):
-    """The JSON form of one special hypersurface's multiplicity row."""
-
-    owner: int
-    mu_row: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Descriptor(FieldCodec):
-    """The JSON form of a descriptor, with a schema version."""
-
-    n: int
-    m: int
-    centers: tuple[DescriptorCenter, ...]
-    special: tuple[DescriptorSpecial, ...] = json_field(omit=True, default=())
-    tail: TailData | None = json_field(omit=True, default=None)
-
-    def envelope(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION}
-
-
-def descriptor_to_json(d: ModificationDescriptor) -> dict:
+    dims = dims if dims is not None else [0] * m
+    mults = curvette_mults if curvette_mults is not None else default_curvette_mults(parent_sets)
+    if len(mults) != m:
+        raise DescriptorError(f"expected {m} multiplicity rows, got {len(mults)}")
     centers = tuple(
-        DescriptorCenter(c.dim, tuple(sorted(c.parents)), row) for c, row in zip(d.centers, d.curvette_mults)
+        Center(dim, tuple(sorted(parents)), tuple(row)) for dim, parents, row in zip(dims, parent_sets, mults)
     )
-    specials = tuple(DescriptorSpecial(owner, row) for owner, row in sorted(d.special_mults.items()))
-    return Descriptor(d.n, d.m, centers, specials, d.tail).to_json()
-
-
-def descriptor_from_json(data) -> ModificationDescriptor:
-    form = Descriptor.from_json(data)
-    specials = {}
-    for entry in form.special:
-        if entry.owner in specials:
-            raise DescriptorError(f"special multiplicity row for owner {entry.owner} is given twice")
-        specials[entry.owner] = entry.mu_row
-    return ModificationDescriptor(
-        n=form.n,
-        m=form.m,
-        centers=tuple(Center(dim=c.dim, parents=frozenset(c.D)) for c in form.centers),
-        curvette_mults=tuple(c.T_row for c in form.centers),
-        special_mults=specials,
-        tail=form.tail,
-    )
+    specials = tuple(SpecialRow(owner, tuple(row)) for owner, row in sorted((special_mults or {}).items()))
+    return ModificationDescriptor(n=n, m=m, centers=centers, special=specials, tail=tail)

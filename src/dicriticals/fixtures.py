@@ -18,6 +18,7 @@ from .errors import ScenarioError
 from .poly import Polynomial
 from .scenario import (
     DivisorChart,
+    ExpectedStatus,
     Expectations,
     ExplicitRequest,
     LastRequest,
@@ -227,10 +228,10 @@ def three_points_line_explicit(pole_power: int) -> Scenario:
         expect=Expectations(
             orders=(4, 1, 0, 3),
             statuses={
-                1: ("constant", None),
-                2: ("constant", None),
-                3: ("dicritical", 1),
-                4: ("constant", None),
+                1: ExpectedStatus("constant"),
+                2: ExpectedStatus("constant"),
+                3: ExpectedStatus("dicritical", 1),
+                4: ExpectedStatus("constant"),
             },
         ),
         seed=105,
@@ -262,8 +263,8 @@ def conic_center(k: int = 2, power: int = 6) -> Scenario:
     dominant_first = 2 * k + 1 < power
     constant_second = power < 3 * k + 1
     statuses = {
-        1: ("dicritical", 1) if dominant_first else ("constant", None),
-        2: ("constant", None) if constant_second else ("dicritical", None),
+        1: ExpectedStatus("dicritical", 1) if dominant_first else ExpectedStatus("constant"),
+        2: ExpectedStatus("constant") if constant_second else ExpectedStatus("dicritical"),
     }
     orders = (
         (2 * k + 1) - min(2 * k + 1, power),

@@ -5,8 +5,8 @@ expected outcomes) needed to verify everything symbolically.
 Scenarios serialize to JSON with exact integers only; rationals are
 {num, den} pairs and polynomials are canonical term lists.  Every piece reads
 and writes through ``jsonio.FieldCodec``, so unknown keys and wrongly typed
-values are input errors at every level; only the tower's step list, the
-line templates and the expected statuses have JSON shapes of their own.
+values are input errors at every level; only the tower's step list and the
+line templates have JSON shapes of their own.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .candidates import Bindings
 from .charts import ChartTower, LineClassSpec, check_tower
-from .descriptor import ModificationDescriptor, TailData, descriptor_from_json, descriptor_to_json, require_valid
+from .descriptor import ModificationDescriptor, TailData
 from .errors import ScenarioError
 from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, json_field, type_codec
 from .poly import Polynomial
@@ -85,10 +85,17 @@ class DivisorChart(FieldCodec):
 
 @dataclass(frozen=True)
 class ExpectedStatus(FieldCodec):
-    """The JSON form of one expected status: ``{kind, degree}``."""
+    """The status a divisor's restriction must have: ``constant``, or
+    ``dicritical`` with the degree it must have, if any."""
 
     kind: str
     degree: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "dicritical"):
+            raise ScenarioError(f"expected status kinds must be constant or dicritical, got {self.kind!r}")
+        if self.kind == "constant" and self.degree is not None:
+            raise ScenarioError("an expected constant status takes no degree")
 
 
 @dataclass(frozen=True)
@@ -98,29 +105,19 @@ class LineTemplate(FieldCodec):
     assign: Mapping[str, str]
 
 
-_encode_statuses, _decode_statuses = type_codec(Mapping[int, ExpectedStatus])
 _encode_lines, _decode_lines = type_codec(Mapping[int, LineTemplate])
 
 
 @dataclass(frozen=True)
 class Expectations(FieldCodec):
     orders: tuple[int, ...] | None = json_field(omit=True, default=None)
-    statuses: Mapping[int, tuple[str, int | None]] = json_field(
-        omit=True,
-        default_factory=dict,
-        codec=(
-            lambda statuses: _encode_statuses({i: ExpectedStatus(*st) for i, st in statuses.items()}),
-            lambda data, what: {i: (st.kind, st.degree) for i, st in _decode_statuses(data, what).items()},
-        ),
-    )
+    statuses: Mapping[int, ExpectedStatus] = json_field(omit=True, default_factory=dict)
 
 
 @dataclass(frozen=True)
 class Scenario(FieldCodec):
     name: str
-    descriptor: ModificationDescriptor = json_field(
-        codec=(descriptor_to_json, lambda data, what: descriptor_from_json(data))
-    )
+    descriptor: ModificationDescriptor
     request: Request | None = json_field(omit=True, default=None)
     tower: ChartTower | None = json_field(omit=True, default=None)
     equations: Mapping[str, Polynomial] = json_field(omit=True, default_factory=dict)
@@ -152,18 +149,20 @@ def validate_scenario(sc: Scenario) -> None:
     name = sc.name
     if not isinstance(name, str) or not name or name.startswith(".") or "/" in name or "\\" in name:
         raise ScenarioError(f"scenario name {name!r} must be a nonempty file name without '/', '\\' or a leading '.'")
-    require_valid(sc.descriptor)
     m = sc.descriptor.m
     statuses = sc.expect.statuses if sc.expect is not None else {}
-    for what, keyed in (("chart paths", sc.charts), ("line templates", sc.lines), ("expected statuses", statuses)):
+    parts = sc.request.parts if isinstance(sc.request, ProfileRequest) else {}
+    for what, keyed in (
+        ("chart paths", sc.charts),
+        ("line templates", sc.lines),
+        ("expected statuses", statuses),
+        ("profile parts", parts),
+    ):
         outside = sorted(i for i in keyed if not 1 <= i <= m)
         if outside:
             raise ScenarioError(f"{what} given for divisors {outside} outside 1..{m}")
     if sc.expect is not None and sc.expect.orders is not None and len(sc.expect.orders) != m:
         raise ScenarioError(f"expected orders give {len(sc.expect.orders)} values for {m} divisors")
-    kinds = sorted({kind for kind, _ in statuses.values()} - {"constant", "dicritical"})
-    if kinds:
-        raise ScenarioError(f"expected status kinds must be constant or dicritical, got {kinds}")
     if sc.tower is not None:
         check_tower(sc.descriptor, sc.tower)
         for name, poly in sc.equations.items():
@@ -175,8 +174,11 @@ def validate_scenario(sc: Scenario) -> None:
                 raise ScenarioError(f"line template of divisor {i} names variables outside the ring {unknown}")
     if isinstance(sc.request, TargetRequest) and not 1 <= sc.request.s <= m:
         raise ScenarioError(f"request index {sc.request.s} out of range")
-    if isinstance(sc.request, ProfileRequest) and not sc.request.parts:
+    if isinstance(sc.request, ProfileRequest) and not parts:
         raise ScenarioError("a profile request needs at least one target divisor")
+    for j, part in parts.items():
+        if part.s != j:
+            raise ScenarioError(f"profile part {j} targets divisor {part.s}; a part is keyed by its own s")
 
 
 # -- JSON ----------------------------------------------------------------------

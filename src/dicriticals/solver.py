@@ -29,7 +29,6 @@ from .descriptor import (
     ValuationMatrix,
     low_sets,
     pullback_orders,
-    require_valid,
     special_mults_row,
     special_rows,
     valuation_matrix,
@@ -532,7 +531,6 @@ def solve_single_dicritical(
     too small (heavy special-hypersurface multiplicities), all chosen orders
     are doubled and the pipeline retries, up to ``MAX_DOUBLINGS`` doublings.
     """
-    require_valid(d)
     if not (1 <= s <= d.m):
         raise SolverError(f"index {s} out of range 1..{d.m}")
     tail = _resolve_tail(d, s, tail)

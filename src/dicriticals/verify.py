@@ -13,7 +13,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 
-from .candidates import build_last, build_profile, build_single, build_support
+from .candidates import build_last, build_profile, build_single, build_support, lookup_equation
 from .charts import restriction_degree, status_of, walk_order, walk_restriction, walk_tower
 from .descriptor import valuation_matrix
 from .errors import DicriticalError, ScenarioError
@@ -21,6 +21,7 @@ from .jsonio import SCHEMA_VERSION, FieldCodec
 from .poly import Polynomial
 from .ratfunc import RationalFunction
 from .scenario import (
+    ExpectedStatus,
     ExplicitRequest,
     LastRequest,
     ProfileRequest,
@@ -102,20 +103,14 @@ def explicit_function(sc: Scenario) -> RationalFunction:
     variables = sc.tower.variables
     num = Polynomial.one(variables)
     for name, exp in req.num_factors:
-        num = num * _equation(sc, name) ** exp
+        num = num * lookup_equation(sc.equations, name, "the explicit numerator") ** exp
     den = Polynomial.zero(variables)
     for term in req.den_terms:
         part = Polynomial.one(variables)
         for name, exp in term:
-            part = part * _equation(sc, name) ** exp
+            part = part * lookup_equation(sc.equations, name, "the explicit denominator") ** exp
         den = den + part
     return RationalFunction(num, den)
-
-
-def _equation(sc: Scenario, name: str) -> Polynomial:
-    if name not in sc.equations:
-        raise ScenarioError(f"missing equation {name!r}")
-    return sc.equations[name]
 
 
 def run_verify(
@@ -151,7 +146,10 @@ def run_verify(
     cert = certificate if certificate is not None else solve_scenario(sc)
     _check_certificate_matches(req, cert)
     h, top, predicted, dicritical = _prescription(sc, req, cert, report)
-    expected = {i: (DICRITICAL, dicritical[i]) if i in dicritical else (CONSTANT, None) for i in range(1, top + 1)}
+    expected = {
+        i: ExpectedStatus(DICRITICAL, dicritical[i]) if i in dicritical else ExpectedStatus(CONSTANT)
+        for i in range(1, top + 1)
+    }
     _verify_function(sc, report, "h", h, range(1, top + 1), predicted, expected)
     return report
 
@@ -199,7 +197,7 @@ def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
     if not sc.bindings.rows:
         raise ScenarioError("matrix verification needs row bindings")
     for j in sorted(sc.bindings.rows):
-        h = RationalFunction(_equation(sc, sc.bindings.rows[j]))
+        h = RationalFunction(lookup_equation(sc.equations, sc.bindings.rows[j], f"curvette row {j}"))
         _verify_function(sc, report, f"curvette {j}", h, range(1, sc.descriptor.m + 1), matrix.rows[j - 1], {})
 
 
@@ -210,12 +208,14 @@ def _verify_function(sc, report, item, h, scope, predicted, expected) -> None:
         want = None if predicted is None else predicted[i - 1]
         ok = want is None or symbolic == want
 
-        want_kind, want_degree = expected.get(i, (None, None))
+        wanted = expected.get(i)  # the ExpectedStatus of the divisor; None checks the order only
         status = None
         value = None
         degree = None
         restriction_str = None
-        if want_kind is not None:
+        expected_str = "order"
+        if wanted is not None:
+            expected_str = wanted.kind if wanted.degree is None else f"{wanted.kind}:{wanted.degree}"
             restriction = walk_restriction(walks(*sc.chart_path(i)), i)
             st = status_of(restriction)
             status = st.kind
@@ -223,8 +223,8 @@ def _verify_function(sc, report, item, h, scope, predicted, expected) -> None:
                 value = "inf" if st.infinite else str(st.value)
             else:
                 restriction_str = restriction.render()
-            ok = ok and st.kind == want_kind
-            if want_kind == DICRITICAL and st.kind == DICRITICAL and want_degree is not None:
+            ok = ok and st.kind == wanted.kind
+            if st.kind == DICRITICAL and wanted.degree is not None:
                 line = sc.lines.get(i)
                 if line is None:
                     raise ScenarioError(f"divisor {i} needs a line template for its degree check")
@@ -234,12 +234,7 @@ def _verify_function(sc, report, item, h, scope, predicted, expected) -> None:
                     report.notes.append(f"degree check failed at divisor {i}: {exc}")
                     ok = False
                 else:
-                    ok = ok and degree == want_degree
-        expected_str = "order"
-        if want_kind == CONSTANT:
-            expected_str = CONSTANT
-        elif want_kind == DICRITICAL:
-            expected_str = DICRITICAL if want_degree is None else f"dicritical:{want_degree}"
+                    ok = ok and degree == wanted.degree
         report.rows.append(
             VerifyRow(
                 item=item,

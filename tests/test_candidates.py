@@ -5,7 +5,7 @@ import pytest
 
 from dicriticals.candidates import Bindings, build_profile, build_single, build_support, build_last, mobius
 from dicriticals.descriptor import make_descriptor, valuation_matrix
-from dicriticals.errors import SolverError
+from dicriticals.errors import ScenarioError, SolverError
 from dicriticals.fixtures import load_fixture, RING
 from dicriticals.poly import Polynomial
 from dicriticals.ratfunc import RationalFunction
@@ -69,7 +69,7 @@ def test_missing_equation_is_reported():
     sc = load_fixture("three-points")
     cert = solve_scenario(sc)
     bad = Bindings(primary="C3p", secondary="missing", bundles=sc.bindings.bundles, specials=sc.bindings.specials)
-    with pytest.raises(SolverError):
+    with pytest.raises(ScenarioError):
         build_last(cert, sc.equations, bad)
 
 

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicriticals.descriptor import (
+    Center,
+    ModificationDescriptor,
+    SpecialRow,
     TailData,
     column_recurrence_holds,
     default_curvette_mults,
-    descriptor_from_json,
-    descriptor_to_json,
     leading_principal_minors,
     low_sets,
     make_descriptor,
@@ -36,23 +37,49 @@ def test_validate_minimal_chain():
     assert validate_descriptor(make_descriptor(3, [[]])) == []
 
 
+def violation_codes(build, *args, **kwargs) -> set[str]:
+    """The violation codes of the descriptor ``build(*args, **kwargs)`` fails to construct."""
+    with pytest.raises(DescriptorError) as caught:
+        build(*args, **kwargs)
+    return {v.code for v in caught.value.violations}
+
+
 def test_validate_flags_empty_parents():
-    d = make_descriptor(3, [[], [1], []])
-    codes = {v.code for v in validate_descriptor(d)}
-    assert "empty-parents" in codes
+    assert "empty-parents" in violation_codes(make_descriptor, 3, [[], [1], []])
 
 
 def test_validate_flags_bad_self_multiplicity():
-    d = make_descriptor(3, [[], [1]], curvette_mults=[(1,), (1, 2)])
-    codes = {v.code for v in validate_descriptor(d)}
-    assert "unit-self-mult" in codes
+    assert "unit-self-mult" in violation_codes(make_descriptor, 3, [[], [1]], curvette_mults=[(1,), (1, 2)])
 
 
 def test_validate_tail_requirements():
     tail = TailData(s=1, mu_curvettes={2: {}}, mu_specials={})
-    d = make_descriptor(3, [[], [1]], tail=tail)
-    codes = {v.code for v in validate_descriptor(d)}
-    assert "tail-self" in codes
+    assert "tail-self" in violation_codes(make_descriptor, 3, [[], [1]], tail=tail)
+
+
+def test_validate_flags_parent_order_and_repeated_specials():
+    def centers(*parents):
+        return tuple(Center(0, p, (1,) * j) for j, p in enumerate(parents, start=1))
+
+    for parents in ((2, 1), (1, 1, 2)):
+        assert violation_codes(ModificationDescriptor, 3, 3, centers((), (1,), parents)) == {"parent-order"}
+    twice = (SpecialRow(1, (2, 2)), SpecialRow(2, (3, 2)), SpecialRow(1, (9, 9)))
+    assert violation_codes(ModificationDescriptor, 3, 3, centers((), (1,), (1, 2)), twice) == {"special-twice"}
+
+
+def test_make_descriptor_needs_one_multiplicity_row_per_center():
+    for rows in ([(1,)], [(1,), (1, 1), (1, 1, 1)]):
+        with pytest.raises(DescriptorError):
+            make_descriptor(3, [[], [1]], curvette_mults=rows)
+
+
+def test_derived_views_are_computed_once_and_read_only():
+    d = three_points()
+    assert d.curvette_mults is d.curvette_mults and d.special_mults is d.special_mults
+    assert d.curvette_mults == ((1,), (1, 1), (1, 1, 1))
+    assert d.special_mults == {1: (2, 2), 2: (3, 2)}
+    with pytest.raises(TypeError):
+        d.special_mults[3] = (1, 1)
 
 
 def test_pullback_orders_three_points():
@@ -156,18 +183,18 @@ def test_json_roundtrip():
         special_mults={1: (2, 2), 2: (3, 2)},
         tail=TailData(s=3, mu_curvettes={4: {4: 1}}, mu_specials={}),
     )
-    again = descriptor_from_json(descriptor_to_json(d))
+    again = ModificationDescriptor.from_json(d.to_json())
     assert again == d
 
 
 def test_json_rejects_floats_and_bools():
-    data = descriptor_to_json(three_points())
+    data = three_points().to_json()
     data["centers"][0]["dim"] = 0.0
     with pytest.raises(ScenarioError):
-        descriptor_from_json(data)
+        ModificationDescriptor.from_json(data)
     data["centers"][0]["dim"] = False
     with pytest.raises(ScenarioError):
-        descriptor_from_json(data)
+        ModificationDescriptor.from_json(data)
 
 
 @settings(max_examples=60, deadline=None)

@@ -194,6 +194,8 @@ SCENARIO_MUTATIONS = {
     ),
     "descriptor-schema-version": (("descriptor", "schema_version"), 99),
     "descriptor-schema-version-float": (("descriptor", "schema_version"), 1.5),
+    "descriptor-parents-unsorted": (("descriptor", "centers", 2, "D"), [2, 1]),
+    "descriptor-parents-repeated": (("descriptor", "centers", 2, "D"), [1, 1, 2]),
     "center-without-multiplicity-row": (("descriptor", "centers", 0), {"dim": 0, "D": []}),
     "center-without-parents": (("descriptor", "centers", 0), {"dim": 0, "T_row": [1]}),
     "unknown-tower-key": (("tower", "extra"), 1),
@@ -203,6 +205,7 @@ SCENARIO_MUTATIONS = {
     "tower-vars-string": (("tower", "vars"), "xyz"),
     "unknown-bindings-key": (("bindings", "primry"), "C3p"),
     "binding-not-string": (("bindings", "primary"), 5),
+    "binding-missing-equation": (("bindings", "primary"), "NOPE"),
     "unknown-line-key": (("lines", "3", "extra"), 1),
     "line-assign-pairs": (("lines", "3", "assign"), [["x", "zero"], ["y", "const"], ["z", "param"]]),
     "unknown-expect-key": (("expect", "extra"), 1),
@@ -237,6 +240,10 @@ def set_at(data, keys, value):
         "chart-blowups-not-int",
         "expect-orders-short",
         "expect-status-kind",
+        "expect-constant-with-degree",
+        "profile-part-key",
+        "profile-part-out-of-range",
+        "profile-part-bindings-missing",
         "empty-certificate",
         "non-json-certificate",
         *ARTIFACT_MUTATIONS,
@@ -248,6 +255,8 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     fixture = "three-points"
     if case.startswith("expect-"):
         fixture = "conic-center"
+    elif case.startswith("profile-"):
+        fixture = "two-dicriticals"
     elif case in ARTIFACT_MUTATIONS:
         fixture = ARTIFACT_MUTATIONS[case][0]
     data = scenario_to_json(load_fixture(fixture))
@@ -279,6 +288,18 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
         path.write_text(canonical_dumps(data))
     elif case == "expect-status-kind":
         data["expect"]["statuses"]["2"]["kind"] = "dominant"
+        path.write_text(canonical_dumps(data))
+    elif case == "expect-constant-with-degree":
+        data["expect"]["statuses"]["2"]["degree"] = 3
+        path.write_text(canonical_dumps(data))
+    elif case.startswith("profile-"):
+        parts = data["request"]["parts"]
+        if case == "profile-part-key":
+            parts["2"] = parts.pop("1")
+        elif case == "profile-part-out-of-range":
+            parts["7"] = {**parts.pop("1"), "s": 7}
+        else:
+            del data["bindings"]["parts"]["1"]
         path.write_text(canonical_dumps(data))
     elif case in ARTIFACT_MUTATIONS:
         _, keys, value = ARTIFACT_MUTATIONS[case]

@@ -233,8 +233,8 @@ def test_single_doubles_when_contacts_too_small():
         solve_single_dicritical(doubling_descriptor(200), 2, 1)
 
 
-def counting(monkeypatch, name):
-    """Count the calls of the descriptor function ``name`` from the solver."""
+def counting(monkeypatch, name, modules=(descriptor, solver)):
+    """Count the calls of the descriptor function ``name`` looked up in ``modules``."""
     calls = []
     original = getattr(descriptor, name)
 
@@ -242,7 +242,7 @@ def counting(monkeypatch, name):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for module in (descriptor, solver):
+    for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
 
@@ -254,7 +254,7 @@ def counting(monkeypatch, name):
 )
 def test_single_validates_once_and_builds_one_matrix(d, s, contacts, doublings, monkeypatch):
     matrices = counting(monkeypatch, "valuation_matrix")
-    validations = counting(monkeypatch, "require_valid")
+    validations = counting(monkeypatch, "require_valid", (descriptor,))  # called only at construction
     cert = solve_single_dicritical(d, s, 1, contact_orders=contacts)
     assert cert.doublings == doublings
     assert len(matrices) == 1
