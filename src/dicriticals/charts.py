@@ -93,22 +93,20 @@ class ChartTower(FieldCodec):
     def blowup_count(self) -> int:
         return sum(1 for s in self.steps if isinstance(s, BlowupStep))
 
-    def ring(self) -> tuple[str, ...]:
-        return self.variables
-
 
 @dataclass(frozen=True)
-class LineClassSpec:
+class LineClassSpec(FieldCodec):
     """Parametrized representative of a curve class inside one divisor.
 
     Each chart variable is a parameter, a generic constant, or zero; the
     divisor's own local equation must be assigned zero so the curve lies in
-    the divisor.  Which curve class this template represents is the
-    scenario author's choice.  The constants are never drawn: they stay
-    symbols, so the degree measured is the one at generic constants.
+    the divisor.  Which divisor is the caller's: the key of
+    ``Scenario.lines``, the argument of ``dicritical_degree``.  Which curve
+    class this template represents is the scenario author's choice.  The
+    constants are never drawn: they stay symbols, so the degree measured is
+    the one at generic constants.  The JSON form is ``{assign}``.
     """
 
-    divisor: int
     assign: Mapping[str, str]
 
     def __post_init__(self):
@@ -418,8 +416,6 @@ def restriction_degree(restriction: Restriction, line: LineClassSpec) -> int:
     """
     if status_of(restriction).kind != "dicritical":
         raise ChartError("degree is only defined for dicritical restrictions")
-    if line.divisor != restriction.divisor:
-        raise ChartError("line template belongs to a different divisor")
     variables = restriction.num.variables
     unknown = sorted(set(line.assign) - set(variables))
     if unknown:

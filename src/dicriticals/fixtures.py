@@ -142,7 +142,7 @@ def three_points() -> Scenario:
             specials={1: "H1", 2: "H2"},
             rows={1: "C1", 2: "C2", 3: "C3p"},
         ),
-        lines={3: LineClassSpec(3, {"x": "zero", "y": "const", "z": "param"})},
+        lines={3: LineClassSpec({"x": "zero", "y": "const", "z": "param"})},
         expect=Expectations(orders=(1, 1, 0)),
         seed=103,
     )
@@ -196,7 +196,7 @@ def three_points_line() -> Scenario:
             2: DivisorChart(blowups=3),
             3: DivisorChart(blowups=3),
         },
-        lines={3: LineClassSpec(3, {"x": "zero", "y": "const", "z": "param"})},
+        lines={3: LineClassSpec({"x": "zero", "y": "const", "z": "param"})},
         expect=Expectations(orders=(4, 1, 0, 3)),
         seed=104,
     )
@@ -287,8 +287,8 @@ def conic_center(k: int = 2, power: int = 6) -> Scenario:
         },
         bindings=Bindings(rows={1: "C1", 2: "Q"}),
         lines={
-            1: LineClassSpec(1, {"x": "zero", "y": "const", "z": "param"}),
-            2: LineClassSpec(2, {"x": "param", "y": "const", "z": "zero"}),
+            1: LineClassSpec({"x": "zero", "y": "const", "z": "param"}),
+            2: LineClassSpec({"x": "param", "y": "const", "z": "zero"}),
         },
         expect=Expectations(orders=orders, statuses=statuses),
         seed=106,
@@ -343,8 +343,8 @@ def two_dicriticals() -> Scenario:
             }
         ),
         lines={
-            1: LineClassSpec(1, {"x": "const", "y": "param", "z": "zero"}),
-            3: LineClassSpec(3, {"x": "zero", "y": "const", "z": "param"}),
+            1: LineClassSpec({"x": "const", "y": "param", "z": "zero"}),
+            3: LineClassSpec({"x": "zero", "y": "const", "z": "param"}),
         },
         seed=107,
     )

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import types
 import typing
 from collections.abc import Mapping
@@ -36,9 +37,13 @@ def fraction_to_json(value: Fraction) -> dict:
 
 
 def fraction_from_json(data, what: str = "rational") -> Fraction:
+    """Read the pair ``fraction_to_json`` writes: reduced, with ``den > 0``."""
     if not isinstance(data, dict) or set(data) != {"num", "den"}:
         raise ScenarioError(f"{what} must be a {{num, den}} pair")
-    return Fraction(require_int(data["num"], what), require_int(data["den"], what))
+    num, den = require_int(data["num"], what), require_int(data["den"], what)
+    if den <= 0 or math.gcd(num, den) != 1:
+        raise ScenarioError(f"{what} must be a reduced {{num, den}} pair with den > 0, got {data!r}")
+    return Fraction(num, den)
 
 
 def canonical_dumps(obj) -> str:

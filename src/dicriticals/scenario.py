@@ -5,8 +5,8 @@ expected outcomes) needed to verify everything symbolically.
 Scenarios serialize to JSON with exact integers only; rationals are
 {num, den} pairs and polynomials are canonical term lists.  Every piece reads
 and writes through ``jsonio.FieldCodec``, so unknown keys and wrongly typed
-values are input errors at every level; only the tower's step list and the
-line templates have JSON shapes of their own.
+values are input errors at every level; only the tower's step list has a JSON
+shape of its own.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from typing import Mapping
 
 from .candidates import Bindings
 from .charts import ChartTower, LineClassSpec, check_tower
-from .descriptor import ModificationDescriptor, TailData
-from .errors import ScenarioError
-from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, json_field, type_codec
+from .descriptor import ModificationDescriptor, TailData, special_mults_row
+from .errors import DescriptorError, ScenarioError
+from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, json_field
 from .poly import Polynomial
 
 
@@ -99,16 +99,6 @@ class ExpectedStatus(FieldCodec):
 
 
 @dataclass(frozen=True)
-class LineTemplate(FieldCodec):
-    """The JSON form of one line template: ``{assign}``, keyed by its divisor."""
-
-    assign: Mapping[str, str]
-
-
-_encode_lines, _decode_lines = type_codec(Mapping[int, LineTemplate])
-
-
-@dataclass(frozen=True)
 class Expectations(FieldCodec):
     orders: tuple[int, ...] | None = json_field(omit=True, default=None)
     statuses: Mapping[int, ExpectedStatus] = json_field(omit=True, default_factory=dict)
@@ -124,14 +114,7 @@ class Scenario(FieldCodec):
     bindings: Bindings = json_field(omit=True, default_factory=Bindings)
     seed: int = 1
     charts: Mapping[int, DivisorChart] = json_field(omit=True, default_factory=dict)
-    lines: Mapping[int, LineClassSpec] = json_field(
-        omit=True,
-        default_factory=dict,
-        codec=(
-            lambda lines: _encode_lines({i: LineTemplate(line.assign) for i, line in lines.items()}),
-            lambda data, what: {i: LineClassSpec(i, t.assign) for i, t in _decode_lines(data, what).items()},
-        ),
-    )
+    lines: Mapping[int, LineClassSpec] = json_field(omit=True, default_factory=dict)
     expect: Expectations | None = json_field(omit=True, default=None)
 
     def envelope(self) -> dict:
@@ -156,7 +139,6 @@ def validate_scenario(sc: Scenario) -> None:
         ("chart paths", sc.charts),
         ("line templates", sc.lines),
         ("expected statuses", statuses),
-        ("profile parts", parts),
     ):
         outside = sorted(i for i in keyed if not 1 <= i <= m)
         if outside:
@@ -172,13 +154,29 @@ def validate_scenario(sc: Scenario) -> None:
             unknown = sorted(set(line.assign) - set(sc.tower.variables))
             if unknown:
                 raise ScenarioError(f"line template of divisor {i} names variables outside the ring {unknown}")
-    if isinstance(sc.request, TargetRequest) and not 1 <= sc.request.s <= m:
-        raise ScenarioError(f"request index {sc.request.s} out of range")
+    if isinstance(sc.request, SupportRequest):
+        targets = set(sc.request.targets)
+        if not targets or not targets <= set(range(1, m + 1)):
+            raise ScenarioError(f"support targets {sorted(targets)} must be a nonempty subset of 1..{m}")
+        bad = sorted(j for j, order in sc.request.offsets.items() if not 1 <= j <= m or j in targets or not order)
+        if bad:
+            raise ScenarioError(f"support offsets at {bad} must be nonzero orders at divisors of 1..{m} off the targets")
     if isinstance(sc.request, ProfileRequest) and not parts:
         raise ScenarioError("a profile request needs at least one target divisor")
     for j, part in parts.items():
         if part.s != j:
             raise ScenarioError(f"profile part {j} targets divisor {part.s}; a part is keyed by its own s")
+    for req in [sc.request] if isinstance(sc.request, TargetRequest) else parts.values():
+        if not 1 <= req.s <= m:
+            raise ScenarioError(f"request index {req.s} out of range")
+        if req.degree < 1:
+            raise ScenarioError(f"the degree requested at divisor {req.s} must be >= 1, got {req.degree}")
+        # every parent of s owns a special row of length s - 1
+        for owner in sc.descriptor.parents(req.s):
+            try:
+                special_mults_row(sc.descriptor, req.s, owner, 1, None)
+            except DescriptorError as exc:
+                raise ScenarioError(str(exc)) from None
 
 
 # -- JSON ----------------------------------------------------------------------

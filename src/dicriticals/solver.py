@@ -33,8 +33,8 @@ from .descriptor import (
     special_rows,
     valuation_matrix,
 )
-from .errors import BoundViolation, ScenarioError, SolverError
-from .jsonio import SCHEMA_VERSION, Kinded, fraction_from_json, fraction_to_json, read_kinded
+from .errors import BoundViolation, SolverError
+from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, read_kinded
 from .linalg import solve_row_system
 
 NON_DICRITICAL = "non_dicritical"
@@ -46,27 +46,29 @@ DICRITICAL_IF_SPLIT = "dicritical_if_split"
 
 
 @dataclass(frozen=True)
-class LinearForm:
-    """Exact affine-linear form in integer-indexed unknowns."""
+class LinearForm(FieldCodec):
+    """Exact affine-linear form in integer-indexed unknowns; no coefficient is zero.
 
-    const: Fraction = Fraction(0)
-    coeffs: tuple[tuple[int, Fraction], ...] = ()
+    ``make`` is the normalising constructor: it drops zero coefficients.
+    """
+
+    const: Fraction
+    coeffs: Mapping[int, Fraction]
+
+    def __post_init__(self):
+        if not all(self.coeffs.values()):
+            raise SolverError(f"LinearForm field 'coeffs' holds a zero coefficient: {self.coeffs}")
 
     @classmethod
     def make(cls, const=0, coeffs: Mapping[int, Fraction | int] | None = None) -> "LinearForm":
-        items = []
-        for idx in sorted(coeffs or {}):
-            c = Fraction(coeffs[idx])
-            if c:
-                items.append((idx, c))
-        return cls(Fraction(const), tuple(items))
+        return cls(Fraction(const), {k: Fraction(c) for k, c in (coeffs or {}).items() if c})
 
     def __add__(self, other: "LinearForm | int | Fraction") -> "LinearForm":
         if not isinstance(other, LinearForm):
             return LinearForm(self.const + Fraction(other), self.coeffs)
         merged = dict(self.coeffs)
-        for k, c in other.coeffs:
-            merged[k] = merged.get(k, Fraction(0)) + c
+        for k, c in other.coeffs.items():
+            merged[k] = merged.get(k, 0) + c
         return LinearForm.make(self.const + other.const, merged)
 
     def __sub__(self, other: "LinearForm | int | Fraction") -> "LinearForm":
@@ -76,27 +78,13 @@ class LinearForm:
 
     def scale(self, factor: Fraction | int) -> "LinearForm":
         f = Fraction(factor)
-        return LinearForm.make(self.const * f, {k: c * f for k, c in self.coeffs})
+        return LinearForm.make(self.const * f, {k: c * f for k, c in self.coeffs.items()})
 
     def evaluate(self, assignment: Mapping[int, int | Fraction]) -> Fraction:
         total = self.const
-        for k, c in self.coeffs:
+        for k, c in self.coeffs.items():
             total += c * Fraction(assignment[k])
         return total
-
-    def to_json(self) -> dict:
-        return {
-            "const": fraction_to_json(self.const),
-            "coeffs": {str(k): fraction_to_json(c) for k, c in self.coeffs},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LinearForm":
-        coeffs = {int(k): fraction_from_json(v, "coefficient") for k, v in data.get("coeffs", {}).items()}
-        form = cls.make(fraction_from_json(data["const"], "constant"), coeffs)
-        if form.to_json() != data:
-            raise ScenarioError(f"linear form {data!r} is not in the form the writer writes")
-        return form
 
 
 # -- certificates ----------------------------------------------------------------
@@ -144,8 +132,8 @@ def solve_support(
         raise SolverError(f"targets must lie in 1..{m}")
     offsets = dict(offsets or {})
     for j in offsets:
-        if j in target_set:
-            raise SolverError(f"divisor {j} is a target; it cannot carry an off-target order")
+        if j in target_set or not 1 <= j <= m:
+            raise SolverError(f"divisor {j} is a target or outside 1..{m}; it cannot carry an off-target order")
     orders = []
     for j in range(1, m + 1):
         if j in target_set:
@@ -471,7 +459,7 @@ def window_forms(
             form = form + windows[p].scale(Fraction(weights[p], weight))
         mu_row = tail.mu_curvettes.get(i, {})
         form = form + LinearForm.make(0, {j: Fraction(mu, weight * a_ss) for j, mu in mu_row.items()})
-        if any(c <= 0 for _, c in form.coeffs):
+        if any(c <= 0 for c in form.coeffs.values()):
             raise SolverError(f"window form at divisor {i} has a nonpositive coefficient")
         identity = numer_forms[s - 1] + form.scale(a_ss)
         if identity.scale(weight) != numer_forms[i - 1]:

@@ -172,12 +172,20 @@ def _prescription(sc: Scenario, req, cert, report: VerifyReport):
 
 
 def _check_certificate_matches(req, cert) -> None:
+    """The certificate answers the request: the same kind, targets and
+    degrees, and every off-target order the request gives."""
     if cert.kind != req.kind:
         raise ScenarioError(f"a {cert.kind} certificate does not match the {req.kind} request")
-    if isinstance(req, TargetRequest) and (cert.s, cert.degree) != (req.s, req.degree):
-        raise ScenarioError("certificate target or degree disagrees with the request")
-    if isinstance(req, ProfileRequest) and set(cert.parts) != set(req.parts):
-        raise ScenarioError("certificate target set disagrees with the request")
+    if isinstance(req, SupportRequest):
+        given = set(req.targets), dict(req.offsets)
+        stored = set(cert.targets), {j: cert.offsets.get(j) for j in req.offsets}
+    elif isinstance(req, TargetRequest):
+        given, stored = (req.s, req.degree), (cert.s, cert.degree)
+    else:
+        given = req.degrees, {j: (part.s, part.degree) for j, part in req.parts.items()}
+        stored = dict(cert.degrees), {j: (part.s, part.degree) for j, part in cert.parts.items()}
+    if given != stored:
+        raise ScenarioError(f"the certificate answers {stored}, the request asks for {given}")
 
 
 def _path_walks(sc: Scenario, h: RationalFunction):

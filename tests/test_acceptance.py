@@ -220,7 +220,7 @@ def test_09_twist_invariance_and_product_degrees():
         # product degree bounds on one point blow-up
         x, y, z = xyz()
         tower = ChartTower(RING, (BlowupStep(("x", "y", "z"), "x"),))
-        line = LineClassSpec(1, {"x": "zero", "y": "const", "z": "param"})
+        line = LineClassSpec({"x": "zero", "y": "const", "z": "param"})
         h1 = RationalFunction(x + y + z, x + 2 * y + 3 * z)
         h2 = RationalFunction(
             x**2 + 2 * y**2 + 3 * z**2 + x * y, x**2 + 5 * y**2 + z**2 + y * z
@@ -236,7 +236,7 @@ def test_09_twist_invariance_and_product_degrees():
 
         # degree exactly d2 when d1 = 0 < d2, on the ruled divisor
         sc_ruled = conic_center(1, 4)
-        fiber = LineClassSpec(2, {"x": "param", "y": "const", "z": "zero"})
+        fiber = LineClassSpec({"x": "param", "y": "const", "z": "zero"})
         ha = RationalFunction(x, y)
         hb = explicit_function(sc_ruled)
         assert dicritical_degree(ha, sc_ruled.tower, 2, fiber) == 0

@@ -82,7 +82,7 @@ def test_pencil_of_hyperplanes():
     h = build_last(cert, {"P": x + y + z, "Q": x + 2 * y + 5 * z}, Bindings(primary="P", secondary="Q"))
     assert h == RationalFunction(x + y + z, x + 2 * y + 5 * z)
     tower = ChartTower(RING, (BlowupStep(("x", "y", "z"), "x"),))
-    line = LineClassSpec(1, {"x": "zero", "y": "const", "z": "param"})
+    line = LineClassSpec({"x": "zero", "y": "const", "z": "param"})
     assert dicritical_degree(h, tower, 1, line) == 1
 
 

@@ -129,7 +129,7 @@ def test_restriction_infinite():
 def test_degree_identity_line():
     x, y, _ = xyz()
     h = RationalFunction(x, y)
-    line = LineClassSpec(1, {"x": "param", "y": "const", "z": "zero"})
+    line = LineClassSpec({"x": "param", "y": "const", "z": "zero"})
     assert dicritical_degree(h, single_blowup(), 1, line, charts=("z",)) == 1
 
 
@@ -138,7 +138,7 @@ def test_degree_zero_on_ruling():
     x, y, _ = xyz()
     h = RationalFunction(x, y)
     # depends only on the base coordinate of the ruled divisor
-    line = LineClassSpec(2, {"x": "param", "y": "const", "z": "zero"})
+    line = LineClassSpec({"x": "param", "y": "const", "z": "zero"})
     assert dicritical_degree(h, sc.tower, 2, line) == 0
     assert dicritical_status(h, sc.tower, 2).kind == "dicritical"
 
@@ -202,7 +202,7 @@ def test_nongeneric_line_template_errors():
     x, y, _ = xyz()
     h = RationalFunction(x, y)
     # the template collapses the denominator to zero for every constant
-    bad = LineClassSpec(1, {"x": "param", "y": "zero", "z": "zero"})
+    bad = LineClassSpec({"x": "param", "y": "zero", "z": "zero"})
     with pytest.raises(GenericityError):
         dicritical_degree(h, single_blowup(), 1, bad, charts=("z",))
 

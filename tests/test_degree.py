@@ -103,14 +103,14 @@ def _three_points_functions():
 def _product_functions():
     x, y, z = (Polynomial.variable(RING, v) for v in RING)
     tower = ChartTower(RING, (BlowupStep(("x", "y", "z"), "x"),))
-    line = LineClassSpec(1, {"x": "zero", "y": "const", "z": "param"})
+    line = LineClassSpec({"x": "zero", "y": "const", "z": "param"})
     h1 = RationalFunction(x + y + z, x + 2 * y + 3 * z)
     h2 = RationalFunction(x**2 + 2 * y**2 + 3 * z**2 + x * y, x**2 + 5 * y**2 + z**2 + y * z)
     h3 = RationalFunction(x + 5 * y + 2 * z, x + 7 * y + 4 * z)
     for h in (h1, h2, h3, h1 * h2, h1 * h3):
         yield restrict(h, tower, 1), line
     sc = conic_center(1, 4)
-    fiber = LineClassSpec(2, {"x": "param", "y": "const", "z": "zero"})
+    fiber = LineClassSpec({"x": "param", "y": "const", "z": "zero"})
     ha = RationalFunction(x, y)
     hb = explicit_function(sc)
     for h in (ha, hb, ha * hb):
@@ -127,7 +127,7 @@ def test_twist_and_product_degrees_match_the_double_draw():
 # -- generated restrictions whose zero roles create a common factor in t ------
 
 W = ("x", "y", "z", "w")  # x: zero (the chart variable), y: const, z: param, w: const by default
-TEMPLATE = LineClassSpec(1, {"x": "zero", "y": "const", "z": "param"})
+TEMPLATE = LineClassSpec({"x": "zero", "y": "const", "z": "param"})
 _small = st.integers(-3, 3)
 
 
@@ -161,7 +161,7 @@ def test_template_outside_the_ring_is_rejected():
     x, y, z, w = (Polynomial.variable(W, v) for v in W)
     restriction = Restriction(1, z + y, z - w, 0, "x")
     with pytest.raises(ChartError):
-        restriction_degree(restriction, LineClassSpec(1, {"x": "zero", "v": "param"}))
+        restriction_degree(restriction, LineClassSpec({"x": "zero", "v": "param"}))
 
 
 def test_verify_draws_nothing_for_its_degree_checks(monkeypatch):

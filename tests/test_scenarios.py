@@ -163,6 +163,21 @@ ARTIFACT_MUTATIONS = {
     "certificate-mobius": ("two-dicriticals", ("mobius",), {"1": {"a": "0", "b": "1"}}),
     "certificate-mobius-note-int": ("two-dicriticals", ("mobius_note",), 5),
     "certificate-linear-form-extra-key": ("three-points-line", ("threshold_form", "extra"), 1),
+    "certificate-linear-form-unreduced-const": ("three-points-line", ("threshold_form", "const"), {"num": 10, "den": 2}),
+    "certificate-linear-form-negative-den": ("three-points-line", ("threshold_form", "const"), {"num": -5, "den": -1}),
+    "certificate-linear-form-zero-coefficient": (
+        "three-points-line",
+        ("threshold_form", "coeffs", "4"),
+        {"num": 0, "den": 1},
+    ),
+    "certificate-linear-form-key-not-canonical": (
+        "three-points-line",
+        ("threshold_form", "coeffs"),
+        {"04": {"num": 3, "den": 2}},
+    ),
+    "certificate-linear-form-missing-coeffs": ("three-points-line", ("threshold_form",), {"const": {"num": 5, "den": 1}}),
+    "certificate-profile-degree": ("two-dicriticals", ("degrees", "1"), 2),
+    "certificate-profile-part-degree": ("two-dicriticals", ("parts", "1", "degree"), 2),
     "report-row-extra-key": ("three-points", ("rows", 0, "extra"), 1),
     "report-row-ok-not-bool": ("three-points", ("rows", 0, "ok"), "no"),
     "report-row-divisor-not-int": ("three-points", ("rows", 0, "divisor"), "E"),
@@ -181,7 +196,9 @@ C1_TERMS = [
 ]
 
 # Scenario mutations, case -> (key path, value): the value is written at the
-# key path into the JSON form of "three-points".
+# key path into the JSON form of "three-points".  The support requests target
+# divisor 1, whose bundle exponent only is nonzero among the bound bundles.
+SUPPORT = {"kind": "support", "targets": [1]}
 SCENARIO_MUTATIONS = {
     "name-climbs-out": (("name",), "../../evil"),
     "name-empty": (("name",), ""),
@@ -207,6 +224,7 @@ SCENARIO_MUTATIONS = {
     "binding-not-string": (("bindings", "primary"), 5),
     "binding-missing-equation": (("bindings", "primary"), "NOPE"),
     "unknown-line-key": (("lines", "3", "extra"), 1),
+    "line-divisor-key": (("lines", "3", "divisor"), 3),
     "line-assign-pairs": (("lines", "3", "assign"), [["x", "zero"], ["y", "const"], ["z", "param"]]),
     "unknown-expect-key": (("expect", "extra"), 1),
     "chart-key-not-canonical": (("charts",), {"01": {"charts": None, "blowups": 3}}),
@@ -214,6 +232,19 @@ SCENARIO_MUTATIONS = {
     "zero-term": (("equations", "C1", "terms"), [*C1_TERMS, {"exps": [0, 0, 2], "num": 0, "den": 1}]),
     "unknown-term-key": (("equations", "C1", "terms", 0, "extra"), 1),
     "unreduced-term": (("equations", "C1", "terms", 0), {"exps": [0, 0, 1], "num": 2, "den": 2}),
+    "support-target-outside": (("request",), {**SUPPORT, "targets": [7]}),
+    "support-targets-empty": (("request",), {**SUPPORT, "targets": []}),
+    "support-offset-on-target": (("request",), {**SUPPORT, "offsets": {"1": 1}}),
+    "support-offset-zero": (("request",), {**SUPPORT, "offsets": {"2": 0}}),
+    "support-offset-outside": (("request",), {**SUPPORT, "offsets": {"7": 1}}),
+    "zero-degree-last": (("request", "degree"), 0),
+    "zero-degree-single": (("request",), {"kind": "single", "s": 3, "degree": 0}),
+    "zero-degree-profile-part": (
+        ("request",),
+        {"kind": "profile", "parts": {"3": {"kind": "single", "s": 3, "degree": 0}}},
+    ),
+    "special-row-short": (("descriptor", "special", 0, "mu_row"), [2]),
+    "special-row-of-no-parent": (("descriptor", "special", 1, "owner"), 3),
 }
 
 
@@ -338,3 +369,33 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error:"), err
     assert not any(tmp_path.parent.glob("evil*"))  # nothing written above --out
+
+
+def _raise_part_degrees(request):
+    for part in request["parts"].values():
+        part["degree"] = 2
+
+
+# Request edits, case -> (scenario, edit): the scenario's certificate is
+# stored, then verified against the scenario with its request edited.
+STALE_CERTIFICATES = {
+    "support-targets": (support_middle, lambda request: request.update(targets=[3], offsets={"1": 1})),
+    "support-offset": (support_middle, lambda request: request["offsets"].update({"1": 2})),
+    "profile-degrees": (lambda: load_fixture("two-dicriticals"), _raise_part_degrees),
+}
+
+
+@pytest.mark.parametrize("case", STALE_CERTIFICATES)
+def test_cli_rejects_a_certificate_for_another_request(case, tmp_path, capsys):
+    scenario, edit = STALE_CERTIFICATES[case]
+    sc = scenario()
+    stored = tmp_path / "certificate.json"
+    stored.write_text(canonical_dumps(solve_scenario(sc).to_json()))
+    data = scenario_to_json(sc)
+    edit(data["request"])
+    path = tmp_path / "scenario.json"
+    path.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "out"), "--certificate", str(stored)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:"), err

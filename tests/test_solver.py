@@ -74,6 +74,8 @@ def test_support_rejects_zero_offset():
         solve_support(matrix, {2}, {1: 0})
     with pytest.raises(SolverError):
         solve_support(matrix, set())
+    with pytest.raises(SolverError):
+        solve_support(matrix, {2}, {7: 1})
 
 
 def test_classify():
@@ -316,7 +318,7 @@ def test_single_randomized_invariants():
         aux = tuple(a - b for a, b in zip(cert.numer_orders, cert.denom_orders))
         assert aux == cert.aux_orders
         for i, w in cert.window_forms.items():
-            assert all(c > 0 for _, c in w.coeffs)
+            assert all(c > 0 for c in w.coeffs.values())
             assert w.evaluate(cert.later_exponents) > 1
 
 
@@ -353,3 +355,13 @@ def test_certificate_json_roundtrips():
     plan = combine_profile([single])
     again = certificate_from_json(plan.to_json())
     assert again.degrees == plan.degrees and again.parts == plan.parts
+
+    for form in (single.threshold_form, *single.window_forms.values()):
+        assert LinearForm.from_json(form.to_json()) == form
+
+
+def test_linear_form_holds_no_zero_coefficient():
+    assert LinearForm.make(1, {2: 0, 1: Fraction(1, 2)}) == LinearForm(Fraction(1), {1: Fraction(1, 2)})
+    assert LinearForm.make(0, {1: 1}) - LinearForm.make(0, {1: 1}) == LinearForm.make(0)
+    with pytest.raises(SolverError):
+        LinearForm(Fraction(0), {1: Fraction(0)})
