@@ -210,6 +210,13 @@ def walk_tower(
     return state
 
 
+def vanishes_on_center(eq: Polynomial, center: Sequence[str]) -> bool:
+    """Whether ``eq`` vanishes on the coordinate subspace ``{center = 0}``:
+    every term has a positive exponent in some variable of the center."""
+    idxs = [eq.variables.index(name) for name in center]
+    return all(any(exps[i] for i in idxs) for exps in eq._terms)
+
+
 def check_tower(d: ModificationDescriptor, tower: ChartTower) -> None:
     """Verify the tower realizes the descriptor's center structure.
 
@@ -232,8 +239,7 @@ def check_tower(d: ModificationDescriptor, tower: ChartTower) -> None:
                     f"blow-up {j}: center {step.center} has dimension {d.n - len(step.center)}, "
                     f"descriptor says {center.dim}"
                 )
-            zeroed = {name: 0 for name in step.center}
-            contains = {idx for idx, eq in state.divisor_eqs.items() if eq.substitute(zeroed).is_zero()}
+            contains = {idx for idx, eq in state.divisor_eqs.items() if vanishes_on_center(eq, step.center)}
             if contains != set(center.parents):
                 raise ChartError(
                     f"blow-up {j}: chart says the center lies in divisors {sorted(contains)}, "

@@ -22,12 +22,14 @@ random.
 
 Construction policy: validated at the boundary, trusted inside.  The public
 constructor ``Polynomial(variables, terms)`` and the classmethods built on it
-(``zero``, ``constant``, ``variable``, ``monomial``, ``from_json``) check
-every variable name, exponent and coefficient; they are how data from outside
-becomes a polynomial.  Results computed from polynomials that are already
-valid (sums, products, substitutions, quotients, univariate views) are
-wrapped by the private ``Polynomial._trusted`` without re-validation, which
-only drops zero coefficients and stores integral fractions as ``int``.
+(``zero``, ``constant``, ``variable``, ``monomial``) check every variable
+name, exponent and coefficient; they are how data from outside becomes a
+polynomial.  ``from_json`` checks the canonical term list ``to_json`` writes
+in one pass, term by term, and then wraps it as trusted.  Results computed
+from polynomials that are already valid (sums, products, substitutions,
+quotients, univariate views) are wrapped by the private
+``Polynomial._trusted`` without re-validation, which only drops zero
+coefficients and stores integral fractions as ``int``.
 ``substitute`` expands each term in one pass: unmapped variables stay
 exponent shifts, and only mapped variables are expanded, against cached
 powers of their images.  A shear ``y -> y + s`` is therefore a Taylor shift,
@@ -81,6 +83,22 @@ def _div(a, b) -> Coeff:
 def _term_key(item):
     exps = item[0]
     return (sum(exps), exps)
+
+
+_TERM_KEYS = {"exps", "num", "den"}
+
+
+def _broken_term_rule(item, n: int) -> str | None:
+    """The rule of the JSON term form that ``item`` breaks, in a ring of
+    ``n`` variables, or None; the order of the terms is the caller's."""
+    if type(item) is not dict or item.keys() != _TERM_KEYS:
+        return "is not an object with the keys exps, num and den only"
+    exps, num, den = item["exps"], item["num"], item["den"]
+    if type(exps) is not list or len(exps) != n or not all(type(v) is int and v >= 0 for v in exps):
+        return f"does not have exps a list of {n} nonnegative integers"
+    if type(num) is not int or type(den) is not int or not num or den <= 0 or int_gcd(num, den) != 1:
+        return "does not have num/den a reduced pair of integers with num != 0 and den > 0"
+    return None
 
 
 def _mul_terms(
@@ -137,8 +155,8 @@ class Polynomial:
         """Wrap a term dict computed from valid polynomials, without checks.
 
         Zero coefficients are dropped and integral fractions become ``int``;
-        nothing else is looked at, so outside data must go through
-        ``Polynomial(...)`` instead.
+        nothing else is looked at, so outside data must be checked first, by
+        ``Polynomial(...)`` or by ``from_json``.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
@@ -485,24 +503,42 @@ class Polynomial:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Polynomial":
-        """Read the canonical form ``to_json`` writes, and nothing else: a
-        repeated, zero, unreduced, misplaced or extra-keyed term is an error."""
-        from .jsonio import require_int
+    def from_json(cls, data) -> "Polynomial":
+        """Read the canonical form ``to_json`` writes, and nothing else, in one
+        pass over the term list.
 
-        terms = {
-            tuple(require_int(v, "exponent") for v in item["exps"]): Fraction(
-                require_int(item["num"], "numerator"), require_int(item["den"], "denominator")
-            )
-            for item in data["terms"]
-        }
-        poly = cls(tuple(str(v) for v in data["vars"]), terms)
-        if poly.to_json() != data:
-            raise PolynomialError(
-                f"polynomial in {data['vars']!r} is not a canonical term list: sorted, distinct, nonzero"
-                " and reduced terms with the keys exps, num and den only"
-            )
-        return poly
+        Every term has the keys ``exps``, ``num`` and ``den`` only, one exact
+        nonnegative exponent per variable and a reduced nonzero ``num/den``
+        with ``den > 0``; the terms strictly increase under the writer's sort
+        key, so a repeated term fails as a non-increase.
+        """
+        if type(data) is not dict or data.keys() != {"vars", "terms"}:
+            raise PolynomialError(f"a polynomial must be an object with the keys vars and terms only, got {data!r}")
+        variables, items = data["vars"], data["terms"]
+        if (
+            type(variables) is not list
+            or not all(type(v) is str for v in variables)
+            or len(set(variables)) != len(variables)
+        ):
+            raise PolynomialError(f"polynomial vars must be a list of distinct strings, got {variables!r}")
+        if type(items) is not list:
+            raise PolynomialError(f"polynomial terms in {variables!r} must be a list, got {items!r}")
+        n = len(variables)
+        terms: dict[Exponents, Coeff] = {}
+        last = None
+        for k, item in enumerate(items):
+            rule = _broken_term_rule(item, n)
+            if rule is None:
+                e = tuple(item["exps"])
+                key = (sum(e), e)  # the order of ``_term_key``, which ``to_json`` sorts by
+                if last is not None and key <= last:
+                    rule = "does not come strictly after the term before it in (total degree, exponents) order"
+            if rule is not None:
+                raise PolynomialError(f"polynomial in {variables!r}: term {k} {rule}, got {item!r}")
+            last = key
+            num, den = item["num"], item["den"]
+            terms[e] = num if den == 1 else Fraction(num, den)
+        return cls._trusted(tuple(variables), terms)
 
 
 # -- rational normalization -------------------------------------------------

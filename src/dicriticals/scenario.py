@@ -17,9 +17,10 @@ from typing import Mapping
 from .candidates import Bindings
 from .charts import ChartTower, LineClassSpec, check_tower
 from .descriptor import ModificationDescriptor, TailData, special_mults_row
-from .errors import DescriptorError, ScenarioError
+from .errors import DescriptorError, ScenarioError, SolverError
 from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, json_field
 from .poly import Polynomial
+from .solver import request_maps
 
 
 @dataclass(frozen=True)
@@ -171,12 +172,21 @@ def validate_scenario(sc: Scenario) -> None:
             raise ScenarioError(f"request index {req.s} out of range")
         if req.degree < 1:
             raise ScenarioError(f"the degree requested at divisor {req.s} must be >= 1, got {req.degree}")
-        # every parent of s owns a special row of length s - 1
-        for owner in sc.descriptor.parents(req.s):
-            try:
+        try:
+            # every parent of s owns a special row of length s - 1
+            for owner in sc.descriptor.parents(req.s):
                 special_mults_row(sc.descriptor, req.s, owner, 1, None)
-            except DescriptorError as exc:
-                raise ScenarioError(str(exc)) from None
+            if req.special_exponents or req.contact_orders or req.target_orders:  # the defaults always pass
+                request_maps(
+                    sc.descriptor,
+                    req.s,
+                    req.special_exponents,
+                    req.contact_orders,
+                    req.target_orders,
+                    positive_targets=isinstance(req, SingleRequest),
+                )
+        except (DescriptorError, SolverError) as exc:
+            raise ScenarioError(f"request at divisor {req.s}: {exc}") from None
 
 
 # -- JSON ----------------------------------------------------------------------

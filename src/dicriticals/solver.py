@@ -207,12 +207,22 @@ def solve_last_dicritical(
     return _solve_last(d, valuation_matrix(d), s, degree, special_exponents, contact_orders, target_orders, tail)
 
 
-def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_orders, tail):
-    """``solve_last_dicritical`` on a valid descriptor with its valuation matrix."""
-    if not (1 <= s <= d.m):
-        raise SolverError(f"index {s} out of range 1..{d.m}")
-    if degree < 1:
-        raise SolverError("the prescribed degree must be >= 1")
+def request_maps(
+    d: ModificationDescriptor,
+    s: int,
+    special_exponents: Mapping[int, int] | None = None,
+    contact_orders: Mapping[int, int] | None = None,
+    target_orders: Mapping[int, int] | None = None,
+    positive_targets: bool = False,
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """The three order maps of a request at divisor s, each completed with 1
+    wherever it leaves a divisor out.
+
+    ``special_exponents`` and ``contact_orders`` are keyed by the parents of
+    s, with values >= 1; ``target_orders`` is keyed by the divisors below s
+    that are not parents of s, with nonzero values, or with positive ones when
+    ``positive_targets`` is set (a single-divisor construction needs them).
+    """
     owners = sorted(d.parents(s))
     special_exponents = {j: 1 for j in owners} | dict(special_exponents or {})
     contact_orders = {j: 1 for j in owners} | dict(contact_orders or {})
@@ -228,6 +238,22 @@ def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_
         raise SolverError("target orders must be indexed by the divisors below s outside the parents of s")
     if any(v == 0 for v in target_orders.values()):
         raise SolverError("target orders must be nonzero")
+    # below s the construction needs positive orders, not merely nonzero ones
+    if positive_targets and any(v < 1 for v in target_orders.values()):
+        raise SolverError("target orders must be positive for a single-divisor construction")
+    return special_exponents, contact_orders, target_orders
+
+
+def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_orders, tail):
+    """``solve_last_dicritical`` on a valid descriptor with its valuation matrix."""
+    if not (1 <= s <= d.m):
+        raise SolverError(f"index {s} out of range 1..{d.m}")
+    if degree < 1:
+        raise SolverError("the prescribed degree must be >= 1")
+    owners = sorted(d.parents(s))
+    special_exponents, contact_orders, target_orders = request_maps(
+        d, s, special_exponents, contact_orders, target_orders
+    )
 
     _check_order_identity(matrix, s, owners)
     b_rows = special_rows(d, s, contact_orders, tail=tail) if owners else ()
@@ -525,17 +551,17 @@ def solve_single_dicritical(
     d = replace(d, tail=tail)
     matrix = valuation_matrix(d)
     owners = sorted(d.parents(s))
-    special_exponents = {j: 1 for j in owners} | dict(special_exponents or {})
+    special_exponents, _, _ = request_maps(
+        d, s, special_exponents, contact_orders, target_orders, positive_targets=True
+    )
     free = [i for i in range(1, s) if i not in owners]
 
     explicit = contact_orders is not None or target_orders is not None
     if explicit:
+        # a doubling doubles the given orders; _solve_last fills in the rest
         contacts = dict(contact_orders) if contact_orders is not None else {j: 1 for j in owners}
         floor = None
         targets = dict(target_orders) if target_orders is not None else {i: 1 for i in free}
-        # below s the construction needs positive orders, not merely nonzero ones
-        if any(v < 1 for v in targets.values()):
-            raise SolverError("target orders must be positive for a single-divisor construction")
     else:
         floor, contacts = aux_order_bounds(d.m, s, special_exponents, d.n)
         targets = {i: floor for i in free}

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicriticals.charts import (
     BlowupStep,
@@ -15,6 +17,7 @@ from dicriticals.charts import (
     pullback,
     restrict,
     status_of,
+    vanishes_on_center,
 )
 from dicriticals.descriptor import valuation_matrix
 from dicriticals.errors import ChartError, GenericityError
@@ -247,3 +250,15 @@ def test_single_candidate_orders_match_certificate():
         assert divisor_order(h, sc.tower, i) == cert.orders[i - 1]
     r4 = restrict(h, sc.tower, 4)
     assert status_of(r4).kind == "constant"
+
+
+_exps = st.tuples(*[st.integers(0, 2)] * len(RING))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(_exps, st.integers(-3, 3), max_size=5).map(lambda t: Polynomial(RING, t)),
+    st.lists(st.sampled_from(RING), min_size=1, unique=True),
+)
+def test_center_containment_scan_agrees_with_substituting_zero(eq, center):
+    assert vanishes_on_center(eq, center) == eq.substitute({c: 0 for c in center}).is_zero()

@@ -390,3 +390,74 @@ def test_gcd_agrees_with_sympy(sympy, f, p, q):
         return sympy.Poly.from_dict(rep, gens, domain="QQ")
 
     assert to_sympy(polynomial_gcd(a, b)).monic() == sympy.gcd(to_sympy(a), to_sympy(b)).monic()
+
+
+# -- the one-pass JSON reader ------------------------------------------------
+
+
+def _corruptions(data: dict, k: int) -> dict:
+    """Single corruptions of the canonical form ``data``, by name; each breaks
+    one rule of ``Polynomial.from_json``.  Term corruptions hit term ``k``."""
+    variables, terms = data["vars"], data["terms"]
+
+    def with_term(**changes):
+        term = {key: value for key, value in {**terms[k], **changes}.items() if value is not None}
+        return {"vars": variables, "terms": terms[:k] + [term] + terms[k + 1 :]}
+
+    out = {
+        "extra top-level key": {**data, "extra": 1},
+        "missing vars": {"terms": terms},
+        "missing terms": {"vars": variables},
+        "repeated variable": {**data, "vars": [variables[0], *variables[:-1]]},
+        "non-string variable": {**data, "vars": [1, *variables[1:]]},
+        "terms not a list": {**data, "terms": {"0": terms}},
+    }
+    if not terms:
+        return out
+    exps, num, den = terms[k]["exps"], terms[k]["num"], terms[k]["den"]
+    out |= {
+        "zero num": with_term(num=0),
+        "unreduced pair": with_term(num=2 * num, den=2 * den),
+        "zero den": with_term(den=0),
+        "negative den": with_term(num=-num, den=-den),
+        "float exponent": with_term(exps=[float(exps[0]), *exps[1:]]),
+        "bool exponent": with_term(exps=[exps[0] == 1, *exps[1:]]),
+        "negative exponent": with_term(exps=[-1, *exps[1:]]),
+        "float num": with_term(num=float(num)),
+        "bool num": with_term(num=num > 0),
+        "bool den": with_term(den=True),
+        "exps too long": with_term(exps=[*exps, 0]),
+        "exps too short": with_term(exps=exps[:-1]),
+        "extra term key": with_term(extra=1),
+        "missing term key": with_term(den=None),
+        "term not an object": {**data, "terms": terms[:k] + [[exps, num, den]] + terms[k + 1 :]},
+        "repeated term": {**data, "terms": terms[: k + 1] + terms[k:]},
+    }
+    if k + 1 < len(terms):
+        out["swapped terms"] = {**data, "terms": terms[:k] + [terms[k + 1], terms[k]] + terms[k + 2 :]}
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, st.integers(min_value=0))
+def test_from_json_reads_exactly_what_to_json_writes(p, pick):
+    data = p.to_json()
+    again = Polynomial.from_json(data)
+    assert again == p and again.to_json() == data
+    for name, bad in _corruptions(data, pick % max(len(data["terms"]), 1)).items():
+        with pytest.raises(PolynomialError):
+            Polynomial.from_json(bad)
+            pytest.fail(f"{name}: {bad!r} was read")
+
+
+def test_from_json_names_the_first_bad_term_and_its_rule():
+    x, y, z = xyz()
+    data = (x + 2 * y + 3 * z).to_json()
+    data["terms"][1]["num"] = 0
+    data["terms"][2]["den"] = -1
+    with pytest.raises(PolynomialError, match="term 1 .*num != 0"):
+        Polynomial.from_json(data)
+    data = (x + y).to_json()
+    data["terms"].reverse()
+    with pytest.raises(PolynomialError, match="term 1 .*strictly after"):
+        Polynomial.from_json(data)

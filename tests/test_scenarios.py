@@ -1,18 +1,23 @@
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from helpers import support_middle
 
 from dicriticals.cli import build_parser, main
+from dicriticals.descriptor import make_descriptor
 from dicriticals.errors import ScenarioError
 from dicriticals.fixtures import FIXTURES, load_fixture, three_points_line_explicit
 from dicriticals.jsonio import canonical_dumps
-from dicriticals.scenario import scenario_from_json, scenario_to_json
+from dicriticals.poly import Polynomial
+from dicriticals.scenario import LastRequest, Scenario, SingleRequest, scenario_from_json, scenario_to_json
 from dicriticals.verify import run_verify, solve_scenario
 
 DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_every_fixture_round_trips_through_json():
@@ -245,6 +250,9 @@ SCENARIO_MUTATIONS = {
     ),
     "special-row-short": (("descriptor", "special", 0, "mu_row"), [2]),
     "special-row-of-no-parent": (("descriptor", "special", 1, "owner"), 3),
+    "contact-order-zero": (("request", "contact_orders"), {"1": 0, "2": 1}),
+    "special-exponent-of-no-parent": (("request", "special_exponents"), {"7": 1}),
+    "target-order-at-a-parent": (("request", "target_orders"), {"1": 1}),
 }
 
 
@@ -399,3 +407,52 @@ def test_cli_rejects_a_certificate_for_another_request(case, tmp_path, capsys):
     assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "out"), "--certificate", str(stored)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error:"), err
+
+
+@pytest.mark.parametrize("command", ["matrix", "solve", "verify"])
+def test_every_command_checks_the_tower(command, tmp_path, capsys):
+    data = scenario_to_json(load_fixture("three-points"))
+    # still a valid descriptor, but the tower's third center lies in E_1 too
+    data["descriptor"]["centers"][2]["D"] = [2]
+    path = tmp_path / "scenario.json"
+    path.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and "blow-up 3" in err[0], err
+
+
+def test_single_request_target_orders_must_be_positive():
+    # s = 3 has the one parent 2, so divisor 1 takes a target order
+    descriptor = make_descriptor(3, [[], [1], [2]], special_mults={2: (1, 1)})
+    last = Scenario(name="path", descriptor=descriptor, request=LastRequest(s=3, degree=1, target_orders={1: -1}))
+    assert scenario_from_json(scenario_to_json(last)) == last
+    single = Scenario(name="path", descriptor=descriptor, request=SingleRequest(s=3, degree=1, target_orders={1: -1}))
+    with pytest.raises(ScenarioError, match="must be positive"):
+        scenario_from_json(scenario_to_json(single))
+
+
+def _bench_workloads(monkeypatch):
+    """``bench/workloads.py``, loaded from its file: the suite does not collect the bench."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reading_a_scenario_never_writes_a_polynomial_back(monkeypatch):
+    """The reader checks each term list in one pass; a write-back comparison
+    (``to_json`` and compare) must not come back."""
+    workloads = _bench_workloads(monkeypatch)
+    scenarios = [load_fixture(name) for name in FIXTURES]
+    scenarios += workloads.chain_scenarios(1) + workloads.shear_chain_scenarios(1)
+    texts = [json.dumps(scenario_to_json(sc)) for sc in scenarios]
+
+    def refuse(self):
+        raise AssertionError("the scenario reader wrote a polynomial back")
+
+    monkeypatch.setattr(Polynomial, "to_json", refuse)
+    read = [scenario_from_json(json.loads(text)) for text in texts]
+    assert read == scenarios
