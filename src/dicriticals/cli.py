@@ -19,6 +19,7 @@ from .errors import DicriticalError, ScenarioError
 from .fixtures import FIXTURES, load_fixture
 from .jsonio import canonical_dumps
 from .scenario import Scenario, TargetRequest, scenario_from_json
+from .solver import request_maps
 from .verify import VerifyReport, render_report, run_verify, solve_scenario
 
 PASS, VIOLATION, INPUT_ERROR = 0, 1, 2
@@ -79,10 +80,11 @@ def cmd_matrix(args) -> int:
     print(f"valuation matrix of {scenario.name}:")
     print(_format_matrix(matrix.rows))
     specials = ()
-    request = scenario.request
-    if isinstance(request, TargetRequest) and scenario.descriptor.special_mults:
-        contacts = request.contact_orders or {j: 1 for j in scenario.descriptor.parents(request.s)}
-        specials = special_rows(scenario.descriptor, request.s, contacts)
+    request, d = scenario.request, scenario.descriptor
+    if isinstance(request, TargetRequest) and d.parents(request.s):
+        maps = request.special_exponents, request.contact_orders, request.target_orders
+        _, contacts, _ = request_maps(d, request.s, request.degree, *maps)
+        specials = special_rows(d, request.s, contacts)
         print("special hypersurface rows:")
         print(_format_matrix(specials))
     print(f"leading principal minors: {list(minors)}")

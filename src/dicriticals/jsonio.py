@@ -27,7 +27,7 @@ def require_int(value, what: str) -> int:
 
 def reject_unknown_keys(data: dict, known, what: str) -> None:
     """Input error naming the keys of ``data`` outside ``known``."""
-    unknown = sorted(data.keys() - set(known))
+    unknown = sorted(data.keys() - known)
     if unknown:
         raise ScenarioError(f"{what} has unknown keys {unknown}")
 
@@ -98,16 +98,15 @@ class FieldCodec:
         """
         if type(data) is not dict:
             raise ScenarioError(f"{cls.__name__} must be a JSON object, got {data!r}")
-        plan = _plan(cls)
         kwargs = {}
-        for name, key, what, _, decode, required, _ in plan:
+        for name, key, what, _, decode, required, _ in _plan(cls):
             if key in data:
                 kwargs[name] = decode(data[key], what)
             elif required:
                 raise ScenarioError(f"{cls.__name__} lacks the key {key!r}")
         obj = cls(**kwargs)
         expected = obj.envelope()
-        reject_unknown_keys(data, [entry[1] for entry in plan] + list(expected), cls.__name__)
+        reject_unknown_keys(data, _field_keys(cls) | expected.keys(), cls.__name__)
         for key, value in expected.items():
             got = data.get(key)
             if type(got) is not type(value) or got != value:
@@ -162,6 +161,12 @@ def _plan(cls) -> tuple:
             )
         )
     return tuple(plan)
+
+
+@functools.cache
+def _field_keys(cls) -> frozenset:
+    """The JSON keys of the fields of ``cls``, cached per class like ``_plan``."""
+    return frozenset(entry[1] for entry in _plan(cls))
 
 
 @functools.cache

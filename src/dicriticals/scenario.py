@@ -16,11 +16,11 @@ from typing import Mapping
 
 from .candidates import Bindings
 from .charts import ChartTower, LineClassSpec, check_tower
-from .descriptor import ModificationDescriptor, TailData, special_mults_row
+from .descriptor import ModificationDescriptor, TailData
 from .errors import DescriptorError, ScenarioError, SolverError
 from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, json_field
 from .poly import Polynomial
-from .solver import request_maps
+from .solver import request_maps, support_orders, tail_descriptor
 
 
 @dataclass(frozen=True)
@@ -155,38 +155,22 @@ def validate_scenario(sc: Scenario) -> None:
             unknown = sorted(set(line.assign) - set(sc.tower.variables))
             if unknown:
                 raise ScenarioError(f"line template of divisor {i} names variables outside the ring {unknown}")
-    if isinstance(sc.request, SupportRequest):
-        targets = set(sc.request.targets)
-        if not targets or not targets <= set(range(1, m + 1)):
-            raise ScenarioError(f"support targets {sorted(targets)} must be a nonempty subset of 1..{m}")
-        bad = sorted(j for j, order in sc.request.offsets.items() if not 1 <= j <= m or j in targets or not order)
-        if bad:
-            raise ScenarioError(f"support offsets at {bad} must be nonzero orders at divisors of 1..{m} off the targets")
     if isinstance(sc.request, ProfileRequest) and not parts:
         raise ScenarioError("a profile request needs at least one target divisor")
     for j, part in parts.items():
         if part.s != j:
             raise ScenarioError(f"profile part {j} targets divisor {part.s}; a part is keyed by its own s")
-    for req in [sc.request] if isinstance(sc.request, TargetRequest) else parts.values():
-        if not 1 <= req.s <= m:
-            raise ScenarioError(f"request index {req.s} out of range")
-        if req.degree < 1:
-            raise ScenarioError(f"the degree requested at divisor {req.s} must be >= 1, got {req.degree}")
-        try:
-            # every parent of s owns a special row of length s - 1
-            for owner in sc.descriptor.parents(req.s):
-                special_mults_row(sc.descriptor, req.s, owner, 1, None)
-            if req.special_exponents or req.contact_orders or req.target_orders:  # the defaults always pass
-                request_maps(
-                    sc.descriptor,
-                    req.s,
-                    req.special_exponents,
-                    req.contact_orders,
-                    req.target_orders,
-                    positive_targets=isinstance(req, SingleRequest),
-                )
-        except (DescriptorError, SolverError) as exc:
-            raise ScenarioError(f"request at divisor {req.s}: {exc}") from None
+    try:
+        if isinstance(sc.request, SupportRequest):
+            support_orders(m, sc.request.targets, sc.request.offsets)
+        for req in [sc.request] if isinstance(sc.request, TargetRequest) else parts.values():
+            single = isinstance(req, SingleRequest)
+            maps = req.special_exponents, req.contact_orders, req.target_orders
+            request_maps(sc.descriptor, req.s, req.degree, *maps, positive_targets=single)
+            if single:
+                tail_descriptor(sc.descriptor, req.s, req.tail)
+    except (DescriptorError, SolverError) as exc:
+        raise ScenarioError(f"invalid request: {exc}") from None
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -124,34 +124,35 @@ def solve_support(
     target whose solved exponent is zero is flagged: its bundle must then be
     a nonconstant ratio of two hypercurvettes of the same divisor.
     """
-    m = matrix.size
     target_set = set(targets)
-    if not target_set:
-        raise SolverError("the target set must be nonempty")
-    if not target_set <= set(range(1, m + 1)):
-        raise SolverError(f"targets must lie in 1..{m}")
-    offsets = dict(offsets or {})
-    for j in offsets:
-        if j in target_set or not 1 <= j <= m:
-            raise SolverError(f"divisor {j} is a target or outside 1..{m}; it cannot carry an off-target order")
-    orders = []
-    for j in range(1, m + 1):
-        if j in target_set:
-            orders.append(0)
-        else:
-            value = offsets.setdefault(j, 1)
-            if value == 0:
-                raise SolverError(f"off-target order for divisor {j} must be nonzero")
-            orders.append(value)
+    orders = support_orders(matrix.size, target_set, offsets or {})
     exponents = solve_row_system([list(row) for row in matrix.rows], orders)
     needs_split = tuple(j for j in sorted(target_set) if exponents[j - 1] == 0)
     return SupportCertificate(
         exponents=exponents,
-        orders=tuple(orders),
+        orders=orders,
         targets=tuple(sorted(target_set)),
-        offsets=offsets,
+        offsets={j: v for j, v in enumerate(orders, start=1) if j not in target_set},
         needs_split=needs_split,
     )
+
+
+def support_orders(m: int, targets: Iterable[int], offsets: Mapping[int, int]) -> tuple[int, ...]:
+    """The order vector a support request prescribes on m divisors: zero on
+    the targets, the given nonzero offsets off them and +1 elsewhere.
+
+    The targets form a nonempty subset of 1..m; the offsets are keyed by
+    divisors of 1..m off the targets.
+    """
+    target_set = set(targets)
+    if not target_set or not target_set <= set(range(1, m + 1)):
+        raise SolverError(f"support targets {sorted(target_set)} must be a nonempty subset of 1..{m}")
+    for j, value in offsets.items():
+        if j in target_set or not 1 <= j <= m:
+            raise SolverError(f"divisor {j} is a target or outside 1..{m}; it cannot carry an off-target order")
+        if value == 0:
+            raise SolverError(f"off-target order for divisor {j} must be nonzero")
+    return tuple(0 if j in target_set else offsets.get(j, 1) for j in range(1, m + 1))
 
 
 def classify(orders: Sequence[int], exponents: Sequence[int]) -> tuple[str, ...]:
@@ -210,20 +211,30 @@ def solve_last_dicritical(
 def request_maps(
     d: ModificationDescriptor,
     s: int,
+    degree: int,
     special_exponents: Mapping[int, int] | None = None,
     contact_orders: Mapping[int, int] | None = None,
     target_orders: Mapping[int, int] | None = None,
     positive_targets: bool = False,
 ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """The three order maps of a request at divisor s, each completed with 1
-    wherever it leaves a divisor out.
+    """The three order maps of a request for a dicritical divisor s of the
+    given degree, each completed with 1 wherever it leaves a divisor out.
 
-    ``special_exponents`` and ``contact_orders`` are keyed by the parents of
-    s, with values >= 1; ``target_orders`` is keyed by the divisors below s
-    that are not parents of s, with nonzero values, or with positive ones when
-    ``positive_targets`` is set (a single-divisor construction needs them).
+    This is the one statement of what such a request is: s lies in 1..m, the
+    degree is >= 1 and every parent of s owns a special multiplicity row of
+    length s - 1.  ``special_exponents`` and ``contact_orders`` are keyed by
+    the parents of s, with values >= 1; ``target_orders`` is keyed by the
+    divisors below s that are not parents of s, with nonzero values, or with
+    positive ones when ``positive_targets`` is set (a single-divisor
+    construction needs them).
     """
+    if not (1 <= s <= d.m):
+        raise SolverError(f"index {s} out of range 1..{d.m}")
+    if degree < 1:
+        raise SolverError(f"the degree requested at divisor {s} must be >= 1, got {degree}")
     owners = sorted(d.parents(s))
+    for j in owners:
+        special_mults_row(d, s, j, 1, None)
     special_exponents = {j: 1 for j in owners} | dict(special_exponents or {})
     contact_orders = {j: 1 for j in owners} | dict(contact_orders or {})
     if set(special_exponents) != set(owners) or set(contact_orders) != set(owners):
@@ -246,14 +257,10 @@ def request_maps(
 
 def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_orders, tail):
     """``solve_last_dicritical`` on a valid descriptor with its valuation matrix."""
-    if not (1 <= s <= d.m):
-        raise SolverError(f"index {s} out of range 1..{d.m}")
-    if degree < 1:
-        raise SolverError("the prescribed degree must be >= 1")
-    owners = sorted(d.parents(s))
     special_exponents, contact_orders, target_orders = request_maps(
-        d, s, special_exponents, contact_orders, target_orders
+        d, s, degree, special_exponents, contact_orders, target_orders
     )
+    owners = sorted(d.parents(s))
 
     _check_order_identity(matrix, s, owners)
     b_rows = special_rows(d, s, contact_orders, tail=tail) if owners else ()
@@ -517,16 +524,21 @@ def choose_exponents(
     raise SolverError("no admissible exponents found below the search cap")
 
 
-def _resolve_tail(d: ModificationDescriptor, s: int, tail: TailData | None) -> TailData:
+def tail_descriptor(d: ModificationDescriptor, s: int, tail: TailData | None = None) -> ModificationDescriptor:
+    """``d`` carrying the multiplicity data for the centers after s.
+
+    The data is ``tail``, else ``d.tail``; it must be for s, and only s = m
+    may go without (there are no later centers).  The result is validated
+    as a descriptor, so a tail that contradicts ``d`` is rejected here.
+    """
+    tail = d.tail if tail is None else tail
     if tail is None:
-        tail = d.tail
-    if tail is None:
-        if s == d.m:
-            return TailData(s=s)
-        raise SolverError("multiplicity data for the centers beyond s is required")
+        if s != d.m:
+            raise SolverError("multiplicity data for the centers beyond s is required")
+        tail = TailData(s=s)
     if tail.s != s:
         raise SolverError(f"tail data is for index {tail.s}, not {s}")
-    return tail
+    return replace(d, tail=tail)
 
 
 def solve_single_dicritical(
@@ -540,31 +552,25 @@ def solve_single_dicritical(
 ) -> SingleDicriticalCertificate:
     """Full pipeline: divisor s dicritical of the given degree, all others not.
 
-    When contact and target orders are not supplied they start at the safe
-    floors from ``aux_order_bounds``.  If the auxiliary orders still come out
-    too small (heavy special-hypersurface multiplicities), all chosen orders
-    are doubled and the pipeline retries, up to ``MAX_DOUBLINGS`` doublings.
+    The tail data comes from ``tail_descriptor`` and the orders from
+    ``request_maps``, so an entry that ``contact_orders`` or
+    ``target_orders`` leaves out is 1, as for every other request.  When
+    neither map is supplied the orders start instead at the safe floors from
+    ``aux_order_bounds``.  If the auxiliary orders still come out too small
+    (heavy special-hypersurface multiplicities), every chosen contact and
+    target order is doubled and the pipeline retries, up to
+    ``MAX_DOUBLINGS`` doublings.
     """
-    if not (1 <= s <= d.m):
-        raise SolverError(f"index {s} out of range 1..{d.m}")
-    tail = _resolve_tail(d, s, tail)
-    d = replace(d, tail=tail)
+    d = tail_descriptor(d, s, tail)
+    tail = d.tail
     matrix = valuation_matrix(d)
-    owners = sorted(d.parents(s))
-    special_exponents, _, _ = request_maps(
-        d, s, special_exponents, contact_orders, target_orders, positive_targets=True
+    special_exponents, contacts, targets = request_maps(
+        d, s, degree, special_exponents, contact_orders, target_orders, positive_targets=True
     )
-    free = [i for i in range(1, s) if i not in owners]
-
-    explicit = contact_orders is not None or target_orders is not None
-    if explicit:
-        # a doubling doubles the given orders; _solve_last fills in the rest
-        contacts = dict(contact_orders) if contact_orders is not None else {j: 1 for j in owners}
-        floor = None
-        targets = dict(target_orders) if target_orders is not None else {i: 1 for i in free}
-    else:
+    floor = None
+    if contact_orders is None and target_orders is None:
         floor, contacts = aux_order_bounds(d.m, s, special_exponents, d.n)
-        targets = {i: floor for i in free}
+        targets = dict.fromkeys(targets, floor)
 
     doublings = 0
     while True:

@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random descriptors and two request scenarios."""
+"""Shared test utilities: seeded random descriptors, a four-divisor tower
+that needs doublings and two request scenarios."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import dataclasses
 import random
 
 from dicriticals.candidates import Bindings
-from dicriticals.descriptor import ModificationDescriptor, make_descriptor
+from dicriticals.descriptor import ModificationDescriptor, TailData, make_descriptor
 from dicriticals.fixtures import point_point_line, three_points_line
 from dicriticals.scenario import LastRequest, Scenario, SupportRequest
 
@@ -22,6 +23,19 @@ def random_descriptor(rng: random.Random, max_m: int = 8) -> ModificationDescrip
     for j in range(1, m + 1):
         rows.append(tuple(rng.randint(0, 1) for _ in range(j - 1)) + (1,))
     return make_descriptor(3, parents, curvette_mults=rows)
+
+
+def four_divisor_tower() -> ModificationDescriptor:
+    """Three points and then a point on E_2 and E_3 that the special
+    hypersurface of E_1 passes through twice: a single request at 3 with
+    unit contact orders needs two doublings."""
+    return make_descriptor(
+        3,
+        [[], [1], [1, 2], [2, 3]],
+        curvette_mults=[(1,), (1, 1), (1, 1, 1), (2, 1, 1, 1)],
+        special_mults={1: (2, 2), 2: (3, 2)},
+        tail=TailData(s=3, mu_curvettes={4: {4: 1}}, mu_specials={4: {1: 2}}),
+    )
 
 
 def support_middle() -> Scenario:

@@ -1,19 +1,27 @@
+import contextlib
+import copy
+import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from helpers import support_middle
+from helpers import four_divisor_tower, support_middle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicriticals.cli import build_parser, main
 from dicriticals.descriptor import make_descriptor
 from dicriticals.errors import ScenarioError
-from dicriticals.fixtures import FIXTURES, load_fixture, three_points_line_explicit
+from dicriticals.fixtures import FIXTURES, load_fixture, three_points, three_points_line, three_points_line_explicit
 from dicriticals.jsonio import canonical_dumps
 from dicriticals.poly import Polynomial
 from dicriticals.scenario import LastRequest, Scenario, SingleRequest, scenario_from_json, scenario_to_json
+from dicriticals.solver import request_maps
 from dicriticals.verify import run_verify, solve_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -200,66 +208,88 @@ C1_TERMS = [
     {"exps": [1, 0, 0], "num": 1, "den": 1},
 ]
 
-# Scenario mutations, case -> (key path, value): the value is written at the
-# key path into the JSON form of "three-points".  The support requests target
-# divisor 1, whose bundle exponent only is nonzero among the bound bundles.
+# Scenario mutations, case -> (scenario fixture, key path, value): the value
+# is written at the key path into the fixture's JSON form, or the key is
+# deleted where the value is DELETE.  The support requests target divisor 1,
+# whose bundle exponent only is nonzero among the bound bundles.
 SUPPORT = {"kind": "support", "targets": [1]}
+DELETE = object()
+# A single request without usable tail data, which every command rejects.
+TAIL_MUTATIONS = {
+    "tail-missing": ("three-points-line", ("descriptor", "tail"), DELETE),
+    "tail-for-another-index": ("three-points-line", ("request", "tail"), {"s": 2}),
+    "tail-without-own-center": ("two-dicriticals", ("request", "parts", "1", "tail", "muZ", "2", "2"), DELETE),
+}
 SCENARIO_MUTATIONS = {
-    "name-climbs-out": (("name",), "../../evil"),
-    "name-empty": (("name",), ""),
-    "name-not-string": (("name",), 5),
-    "unknown-scenario-key": (("notes",), "ignored"),
-    "unknown-request-key": (("request", "contact_order"), {"1": 3, "2": 3}),
+    "name-climbs-out": ("three-points", ("name",), "../../evil"),
+    "name-empty": ("three-points", ("name",), ""),
+    "name-not-string": ("three-points", ("name",), 5),
+    "unknown-scenario-key": ("three-points", ("notes",), "ignored"),
+    "unknown-request-key": ("three-points", ("request", "contact_order"), {"1": 3, "2": 3}),
     "duplicate-special-owner": (
+        "three-points",
         ("descriptor", "special"),
         [{"owner": 1, "mu_row": [2, 2]}, {"owner": 2, "mu_row": [3, 2]}, {"owner": 1, "mu_row": [9, 9]}],
     ),
-    "descriptor-schema-version": (("descriptor", "schema_version"), 99),
-    "descriptor-schema-version-float": (("descriptor", "schema_version"), 1.5),
-    "descriptor-parents-unsorted": (("descriptor", "centers", 2, "D"), [2, 1]),
-    "descriptor-parents-repeated": (("descriptor", "centers", 2, "D"), [1, 1, 2]),
-    "center-without-multiplicity-row": (("descriptor", "centers", 0), {"dim": 0, "D": []}),
-    "center-without-parents": (("descriptor", "centers", 0), {"dim": 0, "T_row": [1]}),
-    "unknown-tower-key": (("tower", "extra"), 1),
-    "unknown-blowup-key": (("tower", "steps", 0, "blowup", "extra"), 1),
-    "step-with-both-tags": (("tower", "steps", 0, "shear"), {}),
-    "blowup-center-string": (("tower", "steps", 0, "blowup", "center"), "xyz"),
-    "tower-vars-string": (("tower", "vars"), "xyz"),
-    "unknown-bindings-key": (("bindings", "primry"), "C3p"),
-    "binding-not-string": (("bindings", "primary"), 5),
-    "binding-missing-equation": (("bindings", "primary"), "NOPE"),
-    "unknown-line-key": (("lines", "3", "extra"), 1),
-    "line-divisor-key": (("lines", "3", "divisor"), 3),
-    "line-assign-pairs": (("lines", "3", "assign"), [["x", "zero"], ["y", "const"], ["z", "param"]]),
-    "unknown-expect-key": (("expect", "extra"), 1),
-    "chart-key-not-canonical": (("charts",), {"01": {"charts": None, "blowups": 3}}),
-    "repeated-term": (("equations", "C1", "terms"), [C1_TERMS[0], *C1_TERMS]),
-    "zero-term": (("equations", "C1", "terms"), [*C1_TERMS, {"exps": [0, 0, 2], "num": 0, "den": 1}]),
-    "unknown-term-key": (("equations", "C1", "terms", 0, "extra"), 1),
-    "unreduced-term": (("equations", "C1", "terms", 0), {"exps": [0, 0, 1], "num": 2, "den": 2}),
-    "support-target-outside": (("request",), {**SUPPORT, "targets": [7]}),
-    "support-targets-empty": (("request",), {**SUPPORT, "targets": []}),
-    "support-offset-on-target": (("request",), {**SUPPORT, "offsets": {"1": 1}}),
-    "support-offset-zero": (("request",), {**SUPPORT, "offsets": {"2": 0}}),
-    "support-offset-outside": (("request",), {**SUPPORT, "offsets": {"7": 1}}),
-    "zero-degree-last": (("request", "degree"), 0),
-    "zero-degree-single": (("request",), {"kind": "single", "s": 3, "degree": 0}),
+    "descriptor-schema-version": ("three-points", ("descriptor", "schema_version"), 99),
+    "descriptor-schema-version-float": ("three-points", ("descriptor", "schema_version"), 1.5),
+    "descriptor-parents-unsorted": ("three-points", ("descriptor", "centers", 2, "D"), [2, 1]),
+    "descriptor-parents-repeated": ("three-points", ("descriptor", "centers", 2, "D"), [1, 1, 2]),
+    "center-without-multiplicity-row": ("three-points", ("descriptor", "centers", 0), {"dim": 0, "D": []}),
+    "center-without-parents": ("three-points", ("descriptor", "centers", 0), {"dim": 0, "T_row": [1]}),
+    "unknown-tower-key": ("three-points", ("tower", "extra"), 1),
+    "unknown-blowup-key": ("three-points", ("tower", "steps", 0, "blowup", "extra"), 1),
+    "step-with-both-tags": ("three-points", ("tower", "steps", 0, "shear"), {}),
+    "blowup-center-string": ("three-points", ("tower", "steps", 0, "blowup", "center"), "xyz"),
+    "tower-vars-string": ("three-points", ("tower", "vars"), "xyz"),
+    "unknown-bindings-key": ("three-points", ("bindings", "primry"), "C3p"),
+    "binding-not-string": ("three-points", ("bindings", "primary"), 5),
+    "binding-missing-equation": ("three-points", ("bindings", "primary"), "NOPE"),
+    "unknown-line-key": ("three-points", ("lines", "3", "extra"), 1),
+    "line-divisor-key": ("three-points", ("lines", "3", "divisor"), 3),
+    "line-assign-pairs": ("three-points", ("lines", "3", "assign"), [["x", "zero"], ["y", "const"], ["z", "param"]]),
+    "unknown-expect-key": ("three-points", ("expect", "extra"), 1),
+    "chart-key-not-canonical": ("three-points", ("charts",), {"01": {"charts": None, "blowups": 3}}),
+    "repeated-term": ("three-points", ("equations", "C1", "terms"), [C1_TERMS[0], *C1_TERMS]),
+    "zero-term": ("three-points", ("equations", "C1", "terms"), [*C1_TERMS, {"exps": [0, 0, 2], "num": 0, "den": 1}]),
+    "unknown-term-key": ("three-points", ("equations", "C1", "terms", 0, "extra"), 1),
+    "unreduced-term": ("three-points", ("equations", "C1", "terms", 0), {"exps": [0, 0, 1], "num": 2, "den": 2}),
+    "support-target-outside": ("three-points", ("request",), {**SUPPORT, "targets": [7]}),
+    "support-targets-empty": ("three-points", ("request",), {**SUPPORT, "targets": []}),
+    "support-offset-on-target": ("three-points", ("request",), {**SUPPORT, "offsets": {"1": 1}}),
+    "support-offset-zero": ("three-points", ("request",), {**SUPPORT, "offsets": {"2": 0}}),
+    "support-offset-outside": ("three-points", ("request",), {**SUPPORT, "offsets": {"7": 1}}),
+    "zero-degree-last": ("three-points", ("request", "degree"), 0),
+    "zero-degree-single": ("three-points", ("request",), {"kind": "single", "s": 3, "degree": 0}),
     "zero-degree-profile-part": (
+        "three-points",
         ("request",),
         {"kind": "profile", "parts": {"3": {"kind": "single", "s": 3, "degree": 0}}},
     ),
-    "special-row-short": (("descriptor", "special", 0, "mu_row"), [2]),
-    "special-row-of-no-parent": (("descriptor", "special", 1, "owner"), 3),
-    "contact-order-zero": (("request", "contact_orders"), {"1": 0, "2": 1}),
-    "special-exponent-of-no-parent": (("request", "special_exponents"), {"7": 1}),
-    "target-order-at-a-parent": (("request", "target_orders"), {"1": 1}),
+    "special-row-short": ("three-points", ("descriptor", "special", 0, "mu_row"), [2]),
+    "special-row-of-no-parent": ("three-points", ("descriptor", "special", 1, "owner"), 3),
+    "contact-order-zero": ("three-points", ("request", "contact_orders"), {"1": 0, "2": 1}),
+    "special-exponent-of-no-parent": ("three-points", ("request", "special_exponents"), {"7": 1}),
+    "target-order-at-a-parent": ("three-points", ("request", "target_orders"), {"1": 1}),
+    **TAIL_MUTATIONS,
 }
 
 
 def set_at(data, keys, value):
     for key in keys[:-1]:
         data = data[key]
-    data[keys[-1]] = value
+    if value is DELETE:
+        del data[keys[-1]]
+    else:
+        data[keys[-1]] = value
+
+
+def mutated(case):
+    """The JSON form of the scenario of ``SCENARIO_MUTATIONS[case]``, mutated."""
+    fixture, keys, value = SCENARIO_MUTATIONS[case]
+    data = scenario_to_json(load_fixture(fixture))
+    set_at(data, keys, value)
+    return data
 
 
 @pytest.mark.parametrize(
@@ -355,8 +385,7 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
         set_at(artifact, keys, value)
         stored.write_text(canonical_dumps(artifact))
     elif case in SCENARIO_MUTATIONS:
-        set_at(data, *SCENARIO_MUTATIONS[case])
-        path.write_text(canonical_dumps(data))
+        path.write_text(canonical_dumps(mutated(case)))
     elif case in ("empty-certificate", "non-json-certificate"):
         path.write_text(canonical_dumps(data))
         certificate = tmp_path / "certificate.json"
@@ -409,17 +438,121 @@ def test_cli_rejects_a_certificate_for_another_request(case, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("input error:"), err
 
 
+def run_command(command, data, tmp_path, capsys):
+    """Exit code and stderr lines of ``command`` on the scenario JSON ``data``."""
+    path = tmp_path / "scenario.json"
+    path.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    code = main([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err.splitlines()
+
+
 @pytest.mark.parametrize("command", ["matrix", "solve", "verify"])
 def test_every_command_checks_the_tower(command, tmp_path, capsys):
     data = scenario_to_json(load_fixture("three-points"))
     # still a valid descriptor, but the tower's third center lies in E_1 too
     data["descriptor"]["centers"][2]["D"] = [2]
-    path = tmp_path / "scenario.json"
-    path.write_text(canonical_dumps(data))
-    capsys.readouterr()
-    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err.splitlines()
+    code, err = run_command(command, data, tmp_path, capsys)
+    assert code == 2
     assert len(err) == 1 and err[0].startswith("input error:") and "blow-up 3" in err[0], err
+
+
+@pytest.mark.parametrize("command", ["matrix", "solve", "verify"])
+@pytest.mark.parametrize("case", TAIL_MUTATIONS)
+def test_every_command_checks_the_tail(case, command, tmp_path, capsys):
+    code, err = run_command(command, mutated(case), tmp_path, capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("input error:"), err
+
+
+# Requests matrix accepts, case -> (key path, value, special rows): the value
+# is written at the key path into the JSON form of "three-points".
+MATRIX_REQUESTS = {
+    "contact-order-of-one-parent": (("request", "contact_orders"), {"1": 2}, [[2, 4, 8], [3, 5, 9]]),
+    "divisor-without-parents": (("request",), {"kind": "last", "s": 1, "degree": 1}, []),
+}
+
+
+@pytest.mark.parametrize("case", MATRIX_REQUESTS)
+def test_matrix_writes_special_rows_only_for_a_divisor_with_parents(case, tmp_path, capsys):
+    keys, value, rows = MATRIX_REQUESTS[case]
+    data = scenario_to_json(load_fixture("three-points"))
+    set_at(data, keys, value)
+    assert run_command("matrix", data, tmp_path, capsys) == (0, [])
+    artifact = json.loads((tmp_path / "out" / "three-points.matrix.json").read_text())
+    assert artifact["special_rows"] == rows
+
+
+MAP_NAMES = ("special_exponents", "contact_orders", "target_orders")
+
+
+def four_divisor_single() -> Scenario:
+    return Scenario(
+        name="four-divisors",
+        descriptor=four_divisor_tower(),
+        request=SingleRequest(s=3, degree=1, contact_orders={1: 1}),
+    )
+
+
+@pytest.mark.parametrize("scenario", [four_divisor_single, three_points, three_points_line])
+def test_writing_out_a_default_never_changes_a_certificate(scenario):
+    """The certificate is the same whether an order of 1 is given or left out."""
+    sc = scenario()
+    req = sc.request
+    maps = request_maps(sc.descriptor, req.s, req.degree, *(getattr(req, name) for name in MAP_NAMES))
+    written = dataclasses.replace(req, **dict(zip(MAP_NAMES, maps)))
+    expected = solve_scenario(dataclasses.replace(sc, request=written)).to_json()
+    assert solve_scenario(sc).to_json() == expected
+    for name, full in zip(MAP_NAMES, maps):
+        for j in [j for j, v in full.items() if v == 1]:
+            sparse = dataclasses.replace(written, **{name: {k: v for k, v in full.items() if k != j}})
+            assert solve_scenario(dataclasses.replace(sc, request=sparse)).to_json() == expected, (name, j)
+
+
+SCENARIOS = {name: scenario_to_json(load_fixture(name)) for name in sorted(FIXTURES)}
+
+
+def leaves(data, path=()):
+    """Key paths of the leaves of a JSON value: its scalars and empty containers."""
+    if isinstance(data, (dict, list)) and data:
+        keys = data if isinstance(data, dict) else range(len(data))
+        return [leaf for key in keys for leaf in leaves(data[key], (*path, key))]
+    return [path]
+
+
+SMALL_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-7, 7),
+    st.floats(-7, 7),
+    st.text(max_size=3),
+    st.just([]),
+    st.just({}),
+)
+
+
+@st.composite
+def leaf_mutations(draw):
+    """A fixture's scenario JSON with one leaf deleted or replaced by a small JSON value."""
+    data = copy.deepcopy(SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))])
+    set_at(data, draw(st.sampled_from(leaves(data))), draw(st.one_of(st.just(DELETE), SMALL_JSON)))
+    return data
+
+
+@settings(max_examples=250, deadline=None)
+@given(leaf_mutations())
+def test_every_command_keeps_the_exit_code_contract(data):
+    """Exit 0, 1 or 2 and no traceback; exit 2 prints one ``input error:`` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(canonical_dumps(data))
+        for command in ("matrix", "solve", "verify"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+            assert code in (0, 1, 2), (command, code)
+            lines = err.getvalue().splitlines()
+            assert code != 2 or (len(lines) == 1 and lines[0].startswith("input error:")), (command, lines)
 
 
 def test_single_request_target_orders_must_be_positive():

@@ -22,7 +22,7 @@ from dicriticals.solver import (
     solve_support,
     window_forms,
 )
-from helpers import random_descriptor
+from helpers import four_divisor_tower, random_descriptor
 
 A_ROWS = ((1, 1, 1), (1, 2, 1), (1, 2, 2))
 
@@ -233,6 +233,13 @@ def test_single_doubles_when_contacts_too_small():
     assert cert.aux_orders[2] == 8
     with pytest.raises(BoundViolation):  # needs 5 doublings, one more than allowed
         solve_single_dicritical(doubling_descriptor(200), 2, 1)
+
+
+@pytest.mark.parametrize("contacts", [{1: 1}, {1: 1, 2: 1}, {2: 1}])
+def test_a_doubling_doubles_every_chosen_order(contacts):
+    """A contact order left out is 1, and a doubling doubles it with the given ones."""
+    cert = solve_single_dicritical(four_divisor_tower(), 3, 1, contact_orders=contacts)
+    assert (cert.base.contact_orders, cert.pole_power, cert.doublings) == ({1: 4, 2: 4}, 9, 2)
 
 
 def counting(monkeypatch, name, modules=(descriptor, solver)):

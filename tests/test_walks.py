@@ -10,6 +10,7 @@ from helpers import support_middle, three_points_line_last
 
 from dicriticals import charts, verify
 from dicriticals.candidates import build_last
+from dicriticals.cli import main
 from dicriticals.charts import cross_check, divisor_order, walk_order, walk_tower
 from dicriticals.errors import ChartError
 from dicriticals.fixtures import FIXTURES, load_fixture, three_points
@@ -28,6 +29,18 @@ VERIFY_SHA256 = {
     "three-points": "5796e8b1d0d02f70abd9f6132ae2d3b395b1d0845cc297bca1452c935a80b836",
     "three-points-line": "3e8ef5222a582932bd1e057a028e1a2417508624501a8ee1e0d8834a0c3f69c5",
     "two-dicriticals": "e0d1a04e5d82d1575ed85dc1c5f26d4eb77d2c5047d7bfb7e54bd57439ac366f",
+}
+
+# sha256 of each fixture's matrix artifact, taken before ``cli.cmd_matrix``
+# took its contact orders from ``solver.request_maps``; that must not change
+# a byte.
+MATRIX_SHA256 = {
+    "conic-center": "c12743d8782beb4865d4831c96f90cb7dd4a206e5b7a33cce54a0b493870301b",
+    "point-line-fiber": "f9c2bde459137ecfbd6bd3652dae6112f9465543514b4044a3f152e30642166f",
+    "point-point-line": "fec9f638a6dd550c1fd43202d5523a3fb707d726492c19a64e4b90652ba4644e",
+    "three-points": "78f8705fcb9d2c51e073dd18686900331e545aae29d5bb6e02ff57a9930e769f",
+    "three-points-line": "60be0177e40abf3757b58e0334ddb94acc20418cd097c68322f07b30c03f95bb",
+    "two-dicriticals": "19b9b9f3eebe28901720b960b14033ddb8524cc354a6f0c87c9cb37ba01460a1",
 }
 
 # sha256 of the verify artifacts of the request shapes no fixture has: a
@@ -62,7 +75,14 @@ def counting_walks(monkeypatch, module):
 
 
 def test_fixture_table_is_pinned():
-    assert sorted(VERIFY_SHA256) == sorted(FIXTURES)
+    assert sorted(VERIFY_SHA256) == sorted(MATRIX_SHA256) == sorted(FIXTURES)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_SHA256))
+def test_matrix_artifact_bytes_are_pinned(name, tmp_path, capsys):
+    assert main(["matrix", "--scenario", name, "--out", str(tmp_path)]) == 0
+    payload = (tmp_path / f"{name}.matrix.json").read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == MATRIX_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_SHA256))
