@@ -12,8 +12,9 @@ One step function drives both ``walk_tower`` and ``check_tower``.  A walk
 tracks the local equation of every exceptional divisor still visible in the
 current chart, and at each blow-up records the orders along the divisor it
 creates (the orders in the new chart variable, independent of later charts).
-Callers walk a function once per chart path and read every divisor's order,
-restriction, status and degree on that path from the one walk.
+A walk also keeps a stage after each blow-up, exactly what a walk stopped
+there gives, so callers walk a function once per chart override and read
+every blow-up count's order, restriction, status and degree off its stage.
 """
 
 from __future__ import annotations
@@ -120,13 +121,25 @@ class LineClassSpec(FieldCodec):
 @dataclass
 class WalkState:
     """A walk in progress; ``orders[i]`` holds each walked polynomial's order
-    along divisor i (None for zero), recorded at the blow-up creating it."""
+    along divisor i (None for zero), recorded at the blow-up creating it, and
+    ``stages[k]`` the polynomials and divisor equations right after k blow-ups."""
 
     variables: tuple[str, ...]
     polys: list[Polynomial]
     divisor_eqs: dict[int, Polynomial]
     blowups_done: int
     orders: dict[int, tuple[int | None, ...]] = field(default_factory=dict)
+    stages: list[tuple[list[Polynomial], dict[int, Polynomial]]] = field(init=False)
+
+    def __post_init__(self):
+        self.stages = [(self.polys, self.divisor_eqs)]
+
+    def stage(self, k: int) -> WalkState:
+        """The walk as it stood right after ``k`` blow-ups: what a walk stopped there gives."""
+        polys, divisor_eqs = self.stages[k]
+        state = WalkState(self.variables, polys, divisor_eqs, k, {i: self.orders[i] for i in range(1, k + 1)})
+        state.stages = self.stages[: k + 1]
+        return state
 
 
 def _apply_blowup(poly: Polynomial, center: tuple[str, ...], chart: str) -> Polynomial:
@@ -180,6 +193,7 @@ def _step(state: WalkState, step: Step, charts: Sequence[str] | None = None) -> 
     new_eqs[state.blowups_done] = _coordinate(state.variables, chart)
     state.divisor_eqs = new_eqs
     state.orders[state.blowups_done] = tuple(None if p.is_zero() else p.order_in(chart) for p in state.polys)
+    state.stages.append((state.polys, new_eqs))
 
 
 def walk_tower(
@@ -195,8 +209,8 @@ def walk_tower(
     applied, trailing shears are not).
     """
     limit = tower.blowup_count if blowups is None else blowups
-    if limit > tower.blowup_count:
-        raise ChartError(f"tower has only {tower.blowup_count} blow-ups")
+    if not 0 <= limit <= tower.blowup_count:
+        raise ChartError(f"blow-up count {limit} is outside 0..{tower.blowup_count}")
     state = WalkState(variables=tower.variables, polys=list(polys), divisor_eqs={}, blowups_done=0)
     for poly in state.polys:
         if poly.variables != tower.variables:
@@ -205,8 +219,6 @@ def walk_tower(
         if state.blowups_done >= limit:
             break
         _step(state, step, charts)
-    if state.blowups_done < limit:
-        raise ChartError("tower ended before the requested blow-up count")
     return state
 
 
@@ -217,13 +229,14 @@ def vanishes_on_center(eq: Polynomial, center: Sequence[str]) -> bool:
     return all(any(exps[i] for i in idxs) for exps in eq._terms)
 
 
-def check_tower(d: ModificationDescriptor, tower: ChartTower) -> None:
+def check_tower(d: ModificationDescriptor, tower: ChartTower) -> WalkState:
     """Verify the tower realizes the descriptor's center structure.
 
     Per blow-up: the center codimension matches the recorded dimension, and a
     visible divisor's local equation vanishes on the center exactly when the
     descriptor lists it as containing the center.  Invisible divisors cannot
-    contain a center that lives in the current chart.
+    contain a center that lives in the current chart.  Returns the walk,
+    whose stages hold the divisor equations in the default charts.
     """
     if tower.blowup_count != d.m:
         raise ChartError(f"tower has {tower.blowup_count} blow-ups, descriptor has {d.m}")
@@ -246,6 +259,7 @@ def check_tower(d: ModificationDescriptor, tower: ChartTower) -> None:
                     f"descriptor says {sorted(center.parents)}"
                 )
         _step(state, step)
+    return state
 
 
 def walk_order(state: WalkState, divisor: int) -> int:
@@ -331,14 +345,7 @@ def restrict(
 
 def walk_restriction(state: WalkState, divisor: int) -> Restriction:
     """Restriction of the walked h = polys[0] / polys[1] to a divisor visible at the walk's end."""
-    eq = state.divisor_eqs.get(divisor)
-    if eq is None:
-        raise ChartError(f"divisor {divisor} is not visible in the selected chart")
-    chart_var = _coordinate_name(eq)
-    if chart_var is None:
-        raise ChartError(
-            f"divisor {divisor} has local equation {eq.render()}; restriction needs a coordinate chart"
-        )
+    chart_var = restriction_chart_variable(state.divisor_eqs, divisor)
     num, den = state.polys
     if num.is_zero():
         return Restriction(divisor, num, Polynomial.one(state.variables), 0, chart_var)
@@ -354,6 +361,19 @@ def walk_restriction(state: WalkState, divisor: int) -> Restriction:
         return Restriction(divisor, num0, den0, a - b, chart_var)
     reduced = RationalFunction(num0, den0)
     return Restriction(divisor, reduced.num, reduced.den, a - b, chart_var)
+
+
+def restriction_chart_variable(divisor_eqs: Mapping[int, Polynomial], divisor: int) -> str:
+    """The coordinate that is the divisor's local equation among a walk's ``divisor_eqs``."""
+    eq = divisor_eqs.get(divisor)
+    if eq is None:
+        raise ChartError(f"divisor {divisor} is not visible in the selected chart")
+    chart_var = _coordinate_name(eq)
+    if chart_var is None:
+        raise ChartError(
+            f"divisor {divisor} has local equation {eq.render()}; restriction needs a coordinate chart"
+        )
+    return chart_var
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .candidates import Bindings
-from .charts import ChartTower, LineClassSpec, check_tower
+from .charts import ChartTower, LineClassSpec, WalkState, check_tower, restriction_chart_variable, walk_tower
 from .descriptor import ModificationDescriptor, TailData
-from .errors import DescriptorError, ScenarioError, SolverError
+from .errors import ChartError, DescriptorError, ScenarioError, SolverError
 from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, json_field
 from .poly import Polynomial
 from .solver import request_maps, support_orders, tail_descriptor
@@ -74,6 +74,10 @@ class ExplicitRequest(Kinded):
 
     kind = "explicit"
 
+    def __post_init__(self):
+        if any(exp < 0 for _, exp in (*self.num_factors, *(f for term in self.den_terms for f in term))):
+            raise ScenarioError("explicit request exponents must be nonnegative")
+
 
 Request = SupportRequest | LastRequest | SingleRequest | ProfileRequest | ExplicitRequest
 
@@ -121,11 +125,42 @@ class Scenario(FieldCodec):
     def envelope(self) -> dict:
         return {"schema_version": SCHEMA_VERSION}
 
-    def chart_path(self, divisor: int) -> tuple[tuple[str, ...] | None, int | None]:
-        dc = self.charts.get(divisor)
-        if dc is None:
-            return None, None
-        return dc.charts, dc.blowups
+    def chart_path(self, divisor: int) -> tuple[tuple[str, ...] | None, int]:
+        """The chart override (None for the default charts) and the blow-up
+        count at which the divisor's restriction is read; all m by default."""
+        dc = self.charts.get(divisor, DivisorChart())
+        return dc.charts, self.descriptor.m if dc.blowups is None else dc.blowups
+
+
+def restricted_divisors(sc: Scenario) -> range | list[int]:
+    """The divisors whose restriction ``verify`` reads: 1..top of a solved
+    request (top is s for ``last`` and m otherwise), the ``expect.statuses``
+    keys of an ``explicit`` request, and none of a matrix-only scenario."""
+    req = sc.request
+    if req is None:
+        return []
+    if isinstance(req, ExplicitRequest):
+        return sorted(sc.expect.statuses) if sc.expect is not None else []
+    return range(1, (req.s if isinstance(req, LastRequest) else sc.descriptor.m) + 1)
+
+
+def _check_chart_paths(sc: Scenario, default_walk: WalkState) -> None:
+    """Every override chart belongs to a blow-up and lies in its center, and
+    every divisor whose restriction verify reads is a coordinate at the stage
+    of its chart path that verify reads.  The default path is the tower
+    check's walk; each override is walked once, with no polynomials."""
+    walks = {None: default_walk}
+    try:
+        for i, path in sorted(sc.charts.items()):
+            if path.charts not in walks:
+                if len(path.charts) > sc.tower.blowup_count:
+                    raise ChartError(f"{len(path.charts)} charts given for {sc.tower.blowup_count} blow-ups")
+                walks[path.charts] = walk_tower(sc.tower, [], path.charts)
+        for i in restricted_divisors(sc):
+            charts, blowups = sc.chart_path(i)
+            restriction_chart_variable(walks[charts].stages[blowups][1], i)
+    except ChartError as exc:
+        raise ScenarioError(f"chart path of divisor {i}: {exc}") from None
 
 
 def validate_scenario(sc: Scenario) -> None:
@@ -144,10 +179,13 @@ def validate_scenario(sc: Scenario) -> None:
         outside = sorted(i for i in keyed if not 1 <= i <= m)
         if outside:
             raise ScenarioError(f"{what} given for divisors {outside} outside 1..{m}")
+    for i, path in sc.charts.items():
+        if path.blowups is not None and not 0 <= path.blowups <= m:
+            raise ScenarioError(f"the chart path of divisor {i} stops after {path.blowups} blow-ups, outside 0..{m}")
     if sc.expect is not None and sc.expect.orders is not None and len(sc.expect.orders) != m:
         raise ScenarioError(f"expected orders give {len(sc.expect.orders)} values for {m} divisors")
     if sc.tower is not None:
-        check_tower(sc.descriptor, sc.tower)
+        default_walk = check_tower(sc.descriptor, sc.tower)
         for name, poly in sc.equations.items():
             if poly.variables != sc.tower.variables:
                 raise ScenarioError(f"equation {name!r} does not live in the tower's ring")
@@ -171,6 +209,9 @@ def validate_scenario(sc: Scenario) -> None:
                 tail_descriptor(sc.descriptor, req.s, req.tail)
     except (DescriptorError, SolverError) as exc:
         raise ScenarioError(f"invalid request: {exc}") from None
+    if sc.tower is not None:
+        # after the request checks: a well-formed request names the divisors read
+        _check_chart_paths(sc, default_walk)
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ no code path for these numbers, so agreement is a real cross-check.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 
@@ -29,6 +28,7 @@ from .scenario import (
     SingleRequest,
     SupportRequest,
     TargetRequest,
+    restricted_divisors,
     validate_scenario,
 )
 from .solver import (
@@ -145,30 +145,29 @@ def run_verify(
 
     cert = certificate if certificate is not None else solve_scenario(sc)
     _check_certificate_matches(req, cert)
-    h, top, predicted, dicritical = _prescription(sc, req, cert, report)
+    h, predicted, dicritical = _prescription(sc, req, cert, report)
+    scope = restricted_divisors(sc)
     expected = {
-        i: ExpectedStatus(DICRITICAL, dicritical[i]) if i in dicritical else ExpectedStatus(CONSTANT)
-        for i in range(1, top + 1)
+        i: ExpectedStatus(DICRITICAL, dicritical[i]) if i in dicritical else ExpectedStatus(CONSTANT) for i in scope
     }
-    _verify_function(sc, report, "h", h, range(1, top + 1), predicted, expected)
+    _verify_function(sc, report, "h", h, scope, predicted, expected)
     return report
 
 
 def _prescription(sc: Scenario, req, cert, report: VerifyReport):
-    """``(h, top, predicted orders, {dicritical divisor: degree or None})``
-    for a solved request: h must be dicritical exactly at the listed divisors
-    (with the listed degree where one is given) and constant on every other
-    divisor of 1..top."""
-    m = sc.descriptor.m
+    """``(h, predicted orders, {dicritical divisor: degree or None})`` for a
+    solved request: h must be dicritical exactly at the listed divisors (with
+    the listed degree where one is given) and constant on every other divisor
+    whose restriction verify reads."""
     if isinstance(req, SupportRequest):
-        return build_support(cert, sc.equations, sc.bindings), m, cert.orders, dict.fromkeys(cert.targets)
+        return build_support(cert, sc.equations, sc.bindings), cert.orders, dict.fromkeys(cert.targets)
     if isinstance(req, LastRequest):
-        return build_last(cert, sc.equations, sc.bindings), req.s, cert.orders, {req.s: cert.degree}
+        return build_last(cert, sc.equations, sc.bindings), cert.orders, {req.s: cert.degree}
     if isinstance(req, SingleRequest):
-        return build_single(cert, sc.equations, sc.bindings), m, cert.orders, {req.s: cert.degree}
+        return build_single(cert, sc.equations, sc.bindings), cert.orders, {req.s: cert.degree}
     h, twists = build_profile(cert, sc.equations, sc.bindings, random.Random(report.seed))
     report.notes.append("twists: " + ", ".join(f"{t.target}: a={t.a}, b={t.b}" for t in twists))
-    return h, m, (0,) * m, dict(cert.degrees)
+    return h, (0,) * sc.descriptor.m, dict(cert.degrees)
 
 
 def _check_certificate_matches(req, cert) -> None:
@@ -188,15 +187,15 @@ def _check_certificate_matches(req, cert) -> None:
         raise ScenarioError(f"the certificate answers {stored}, the request asks for {given}")
 
 
-def _path_walks(sc: Scenario, h: RationalFunction):
-    """Walk h at most once per (charts, blowups) chart path of the scenario."""
-    return functools.cache(lambda charts, blowups: walk_tower(sc.tower, [h.num, h.den], charts, blowups))
-
-
-def _order(walks, sc: Scenario, divisor: int) -> int:
-    charts, blowups = sc.chart_path(divisor)
-    # a path that stops before the divisor exists is walked on to its creating step
-    return walk_order(walks(charts, None if blowups is None else max(blowups, divisor)), divisor)
+def _path_walks(sc: Scenario, h: RationalFunction, scope) -> dict:
+    """Walk h once per chart override of the scope's divisors, as far as the
+    highest blow-up count read there; each count is read off its stage.  An
+    order row reads past its path's count up to the divisor's creating step."""
+    reach: dict = {}
+    for i in scope:
+        charts, blowups = sc.chart_path(i)
+        reach[charts] = max(reach.get(charts, 0), blowups, i)
+    return {charts: walk_tower(sc.tower, [h.num, h.den], charts, k) for charts, k in reach.items()}
 
 
 def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
@@ -210,9 +209,10 @@ def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
 
 
 def _verify_function(sc, report, item, h, scope, predicted, expected) -> None:
-    walks = _path_walks(sc, h)
+    walks = _path_walks(sc, h, scope)
     for i in scope:
-        symbolic = _order(walks, sc, i)
+        charts, blowups = sc.chart_path(i)
+        symbolic = walk_order(walks[charts], i)  # recorded at blow-up i, so stage max(blowups, i) has it
         want = None if predicted is None else predicted[i - 1]
         ok = want is None or symbolic == want
 
@@ -224,7 +224,7 @@ def _verify_function(sc, report, item, h, scope, predicted, expected) -> None:
         expected_str = "order"
         if wanted is not None:
             expected_str = wanted.kind if wanted.degree is None else f"{wanted.kind}:{wanted.degree}"
-            restriction = walk_restriction(walks(*sc.chart_path(i)), i)
+            restriction = walk_restriction(walks[charts].stage(blowups), i)
             st = status_of(restriction)
             status = st.kind
             if st.kind == CONSTANT:

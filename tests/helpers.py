@@ -1,10 +1,14 @@
 """Shared test utilities: seeded random descriptors, a four-divisor tower
-that needs doublings and two request scenarios."""
+that needs doublings, two request scenarios and the bench's scenario
+generators."""
 
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from dicriticals.candidates import Bindings
 from dicriticals.descriptor import ModificationDescriptor, TailData, make_descriptor
@@ -60,3 +64,14 @@ def three_points_line_last() -> Scenario:
         name="three-points-line-last",
         request=LastRequest(s=3, degree=1, special_exponents={1: 1, 2: 1}, contact_orders={1: 1, 2: 1}),
     )
+
+
+def bench_workloads(monkeypatch):
+    """``bench/workloads.py``, loaded from its file: the suite does not collect the bench."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module

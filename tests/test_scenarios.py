@@ -2,15 +2,13 @@ import contextlib
 import copy
 import dataclasses
 import hashlib
-import importlib.util
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from helpers import four_divisor_tower, support_middle
+from helpers import bench_workloads, four_divisor_tower, support_middle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +23,6 @@ from dicriticals.solver import request_maps
 from dicriticals.verify import run_verify, solve_scenario
 
 DATA = Path(__file__).parent / "data"
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_every_fixture_round_trips_through_json():
@@ -271,6 +268,12 @@ SCENARIO_MUTATIONS = {
     "contact-order-zero": ("three-points", ("request", "contact_orders"), {"1": 0, "2": 1}),
     "special-exponent-of-no-parent": ("three-points", ("request", "special_exponents"), {"7": 1}),
     "target-order-at-a-parent": ("three-points", ("request", "target_orders"), {"1": 1}),
+    "chart-blowups-beyond-tower": ("three-points", ("charts",), {"3": {"charts": None, "blowups": 9}}),
+    "chart-blowups-negative": ("three-points", ("charts",), {"3": {"charts": None, "blowups": -1}}),
+    "chart-variable-outside-center": ("three-points", ("charts",), {"2": {"charts": ["q"], "blowups": None}}),
+    "chart-list-beyond-tower": ("three-points", ("charts",), {"3": {"charts": ["z", "y", "x", "q"], "blowups": None}}),
+    "chart-path-hides-divisor": ("three-points-line", ("charts", "3", "blowups"), None),
+    "explicit-negative-exponent": ("conic-center", ("request", "den", 1, 0, 1), -3),
     **TAIL_MUTATIONS,
 }
 
@@ -565,20 +568,10 @@ def test_single_request_target_orders_must_be_positive():
         scenario_from_json(scenario_to_json(single))
 
 
-def _bench_workloads(monkeypatch):
-    """``bench/workloads.py``, loaded from its file: the suite does not collect the bench."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look the module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_reading_a_scenario_never_writes_a_polynomial_back(monkeypatch):
     """The reader checks each term list in one pass; a write-back comparison
     (``to_json`` and compare) must not come back."""
-    workloads = _bench_workloads(monkeypatch)
+    workloads = bench_workloads(monkeypatch)
     scenarios = [load_fixture(name) for name in FIXTURES]
     scenarios += workloads.chain_scenarios(1) + workloads.shear_chain_scenarios(1)
     texts = [json.dumps(scenario_to_json(sc)) for sc in scenarios]

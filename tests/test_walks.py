@@ -1,24 +1,25 @@
-"""The walk engine: one walk per chart path, orders recorded during the walk."""
+"""The walk engine: one walk per chart override, orders and stages recorded during the walk."""
 
 import dataclasses
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
-from helpers import support_middle, three_points_line_last
+from helpers import bench_workloads, support_middle, three_points_line_last
 
-from dicriticals import charts, verify
+from dicriticals import charts, scenario, verify
 from dicriticals.candidates import build_last
 from dicriticals.cli import main
-from dicriticals.charts import cross_check, divisor_order, walk_order, walk_tower
+from dicriticals.charts import ShearStep, cross_check, divisor_order, walk_order, walk_tower
 from dicriticals.errors import ChartError
 from dicriticals.fixtures import FIXTURES, load_fixture, three_points
 from dicriticals.jsonio import canonical_dumps
 from dicriticals.ratfunc import RationalFunction
-from dicriticals.scenario import DivisorChart
+from dicriticals.scenario import DivisorChart, ExplicitRequest, scenario_from_json, scenario_to_json
 from dicriticals.solver import certificate_from_json
-from dicriticals.verify import run_verify, solve_scenario
+from dicriticals.verify import VerifyReport, explicit_function, run_verify, solve_scenario
 
 # sha256 of each fixture's canonical verify artifact, taken before the walk
 # engine was merged; the walk engine must not change a byte.
@@ -118,9 +119,12 @@ def test_certificate_bytes_are_pinned_and_read_back(name):
 def test_path_stopping_before_its_divisor_keeps_the_order_row(monkeypatch):
     sc = load_fixture("point-point-line")
     cut = dataclasses.replace(sc, charts={3: DivisorChart(charts=None, blowups=2)})
+    expected = run_verify(sc).to_json()
     calls = counting_walks(monkeypatch, verify)
-    assert run_verify(cut).to_json() == run_verify(sc).to_json()
-    assert {key[1:] for key in calls} == {(None, 3), (None, None)}
+    assert run_verify(cut).to_json() == expected
+    # one walk per curvette row, to the creating step of divisor 3
+    assert [key[1:] for key in calls.elements()] == [(None, 3)] * len(sc.bindings.rows)
+    assert set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -140,6 +144,63 @@ def test_full_walk_orders_match_divisor_order_across_charts():
         state = walk_tower(sc.tower, [h.num, h.den], charts=path)
         for i in (1, 2, 3):
             assert walk_order(state, i) == divisor_order(h, sc.tower, i, charts=path)
+        assert_stages_match_stopped_walks(sc.tower, h, charts=path)
+
+
+def solved_function(sc):
+    """The function verify checks on a scenario with a request."""
+    if isinstance(sc.request, ExplicitRequest):
+        return explicit_function(sc)
+    report = VerifyReport(scenario=sc.name, seed=sc.seed, rows=[])
+    return verify._prescription(sc, sc.request, solve_scenario(sc), report)[0]
+
+
+def assert_stages_match_stopped_walks(tower, h, charts=None):
+    """Stage k of one full walk is the walk stopped after k blow-ups."""
+    full = walk_tower(tower, [h.num, h.den], charts=charts)
+    assert len(full.stages) == tower.blowup_count + 1
+    for k in range(tower.blowup_count + 1):
+        stage, stopped = full.stage(k), walk_tower(tower, [h.num, h.den], charts=charts, blowups=k)
+        assert (stage.polys, stage.divisor_eqs, stage.blowups_done) == (
+            stopped.polys,
+            stopped.divisor_eqs,
+            stopped.blowups_done,
+        ), k
+        assert stage.orders == stopped.orders == {i: full.orders[i] for i in range(1, k + 1)}, k
+        assert stage.stages == stopped.stages, k
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_every_stage_of_a_walk_is_the_walk_stopped_there(name):
+    sc = load_fixture(name)
+    functions = [RationalFunction(poly) for poly in sc.equations.values()]
+    if sc.request is not None:
+        functions.append(solved_function(sc))
+    for h in functions:
+        assert_stages_match_stopped_walks(sc.tower, h)
+
+
+def test_every_stage_matches_on_a_shear_chain(monkeypatch):
+    workloads = bench_workloads(monkeypatch)
+    sc = workloads.chain_scenario("shear-chain-6", 6, (6,), random.Random(6), shear=True)
+    assert sum(isinstance(step, ShearStep) for step in sc.tower.steps) == 5
+    for h in [*(RationalFunction(poly) for poly in sc.equations.values()), solved_function(sc)]:
+        assert_stages_match_stopped_walks(sc.tower, h)
+
+
+def test_verify_walks_a_chain_once_and_reading_it_walks_nothing(monkeypatch):
+    """A chain reads divisor i's restriction after i blow-ups: all of them
+    are stages of the one walk, and the reader finds every default path in
+    the tower check's walk."""
+    workloads = bench_workloads(monkeypatch)
+    sc = workloads.chain_scenario("chain-5", 5, (5,), random.Random(5), shear=False)
+    assert {sc.chart_path(i) for i in range(1, 6)} == {(None, i) for i in range(1, 6)}
+    read_walks = counting_walks(monkeypatch, scenario)
+    assert scenario_from_json(json.loads(json.dumps(scenario_to_json(sc)))) == sc
+    assert not read_walks
+    calls = counting_walks(monkeypatch, verify)
+    assert run_verify(sc).overall
+    assert [key[1:] for key in calls.elements()] == [(None, 5)]
 
 
 def test_walk_stopped_early_has_no_order_for_later_divisors():
@@ -149,6 +210,14 @@ def test_walk_stopped_early_has_no_order_for_later_divisors():
     assert walk_order(state, 1) == 2
     with pytest.raises(ChartError):
         walk_order(state, 2)
+
+
+@pytest.mark.parametrize("blowups", [-1, 4])
+def test_walk_rejects_a_blowup_count_outside_the_tower(blowups):
+    sc = three_points()
+    h = RationalFunction(sc.equations["H1"])
+    with pytest.raises(ChartError, match="outside 0..3"):
+        walk_tower(sc.tower, [h.num, h.den], blowups=blowups)
 
 
 def test_cross_check_walks_once_per_chart_path(monkeypatch):
