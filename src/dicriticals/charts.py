@@ -10,11 +10,11 @@ brought into coordinate position.
 
 One step function drives both ``walk_tower`` and ``check_tower``.  A walk
 tracks the local equation of every exceptional divisor still visible in the
-current chart, and at each blow-up records the orders along the divisor it
-creates (the orders in the new chart variable, independent of later charts).
-A walk also keeps a stage after each blow-up, exactly what a walk stopped
-there gives, so callers walk a function once per chart override and read
-every blow-up count's order, restriction, status and degree off its stage.
+current chart and keeps a stage after each blow-up: the walked polynomials
+and divisor equations, exactly what a walk stopped there gives.  The order
+along E_i is read at stage i, where E_i's equation is the chart variable, so
+it does not depend on later charts.  ``path_walks`` walks a function once per
+chart override; every order, restriction, status and degree is a stage read.
 """
 
 from __future__ import annotations
@@ -91,8 +91,13 @@ class ChartTower(FieldCodec):
                     raise ChartError(f"step uses unknown variable {name!r}")
 
     @property
+    def centers(self) -> tuple[tuple[str, ...], ...]:
+        """The center of each blow-up step, in order."""
+        return tuple(s.center for s in self.steps if isinstance(s, BlowupStep))
+
+    @property
     def blowup_count(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, BlowupStep))
+        return len(self.centers)
 
 
 @dataclass(frozen=True)
@@ -118,28 +123,22 @@ class LineClassSpec(FieldCodec):
             raise ChartError("a line template needs exactly one parameter variable")
 
 
+Stage = tuple[list[Polynomial], dict[int, Polynomial]]
+
+
 @dataclass
 class WalkState:
-    """A walk in progress; ``orders[i]`` holds each walked polynomial's order
-    along divisor i (None for zero), recorded at the blow-up creating it, and
-    ``stages[k]`` the polynomials and divisor equations right after k blow-ups."""
+    """A walk in progress; ``stages[k]`` holds the polynomials and divisor
+    equations right after k blow-ups, shared with the walk, not copied."""
 
     variables: tuple[str, ...]
     polys: list[Polynomial]
     divisor_eqs: dict[int, Polynomial]
     blowups_done: int
-    orders: dict[int, tuple[int | None, ...]] = field(default_factory=dict)
-    stages: list[tuple[list[Polynomial], dict[int, Polynomial]]] = field(init=False)
+    stages: list[Stage] = field(init=False)
 
     def __post_init__(self):
         self.stages = [(self.polys, self.divisor_eqs)]
-
-    def stage(self, k: int) -> WalkState:
-        """The walk as it stood right after ``k`` blow-ups: what a walk stopped there gives."""
-        polys, divisor_eqs = self.stages[k]
-        state = WalkState(self.variables, polys, divisor_eqs, k, {i: self.orders[i] for i in range(1, k + 1)})
-        state.stages = self.stages[: k + 1]
-        return state
 
 
 def _apply_blowup(poly: Polynomial, center: tuple[str, ...], chart: str) -> Polynomial:
@@ -192,7 +191,6 @@ def _step(state: WalkState, step: Step, charts: Sequence[str] | None = None) -> 
     state.blowups_done += 1
     new_eqs[state.blowups_done] = _coordinate(state.variables, chart)
     state.divisor_eqs = new_eqs
-    state.orders[state.blowups_done] = tuple(None if p.is_zero() else p.order_in(chart) for p in state.polys)
     state.stages.append((state.polys, new_eqs))
 
 
@@ -212,9 +210,8 @@ def walk_tower(
     if not 0 <= limit <= tower.blowup_count:
         raise ChartError(f"blow-up count {limit} is outside 0..{tower.blowup_count}")
     state = WalkState(variables=tower.variables, polys=list(polys), divisor_eqs={}, blowups_done=0)
-    for poly in state.polys:
-        if poly.variables != tower.variables:
-            raise PolynomialError("polynomial does not live in the tower's coordinate ring")
+    if any(poly.variables != tower.variables for poly in state.polys):
+        raise PolynomialError("polynomial does not live in the tower's coordinate ring")
     for step in tower.steps:
         if state.blowups_done >= limit:
             break
@@ -263,13 +260,31 @@ def check_tower(d: ModificationDescriptor, tower: ChartTower) -> WalkState:
 
 
 def walk_order(state: WalkState, divisor: int) -> int:
-    """Order of the walked h = polys[0] / polys[1] along a divisor the walk created."""
-    if divisor not in state.orders:
+    """Order of the walked h = polys[0] / polys[1] along a divisor the walk
+    created, read at stage ``divisor``, where its equation is the chart variable."""
+    if not 1 <= divisor <= state.blowups_done:
         raise ChartError(f"the walk stopped before divisor {divisor} was created")
-    a, b = state.orders[divisor]
-    if a is None:
+    (num, den), divisor_eqs = state.stages[divisor]
+    if num.is_zero():
         raise ChartError("cannot take the order of the zero function")
-    return a - b
+    chart_var = _coordinate_name(divisor_eqs[divisor])
+    return num.order_in(chart_var) - den.order_in(chart_var)
+
+
+def path_walks(
+    tower: ChartTower, polys: Sequence[Polynomial], reads: Mapping[int, tuple[tuple[str, ...] | None, int]]
+) -> dict[tuple[str, ...] | None, WalkState]:
+    """Walk ``polys`` once per chart override that ``reads`` names.
+
+    ``reads`` maps a divisor to its chart override (None for the default
+    charts) and the blow-up count at which its restriction is read.  Each
+    override is walked as far as the highest count read there, or the
+    divisor's creating step if that is later: stage i holds the order along E_i.
+    """
+    reach: dict[tuple[str, ...] | None, int] = {}
+    for divisor, (charts, blowups) in reads.items():
+        reach[charts] = max(reach.get(charts, 0), blowups, divisor)
+    return {charts: walk_tower(tower, polys, charts, k) for charts, k in reach.items()}
 
 
 def pullback(
@@ -307,7 +322,6 @@ class Restriction:
     divisor: int
     num: Polynomial
     den: Polynomial
-    order: int
     chart_var: str
 
     def is_zero(self) -> bool:
@@ -340,27 +354,25 @@ def restrict(
     numerator and denominator, then the equation is set to zero.  A nonzero
     order therefore yields the constant 0 or infinity.
     """
-    return walk_restriction(walk_tower(tower, [h.num, h.den], charts=charts, blowups=blowups), divisor)
+    return walk_restriction(walk_tower(tower, [h.num, h.den], charts=charts, blowups=blowups).stages[-1], divisor)
 
 
-def walk_restriction(state: WalkState, divisor: int) -> Restriction:
-    """Restriction of the walked h = polys[0] / polys[1] to a divisor visible at the walk's end."""
-    chart_var = restriction_chart_variable(state.divisor_eqs, divisor)
-    num, den = state.polys
+def walk_restriction(stage: Stage, divisor: int) -> Restriction:
+    """Restriction of the walked h = polys[0] / polys[1] to a divisor visible at a stage."""
+    (num, den), divisor_eqs = stage
+    chart_var = restriction_chart_variable(divisor_eqs, divisor)
     if num.is_zero():
-        return Restriction(divisor, num, Polynomial.one(state.variables), 0, chart_var)
-    a = num.order_in(chart_var)
-    b = den.order_in(chart_var)
-    common = min(a, b)
-    clear = tuple(common if v == chart_var else 0 for v in state.variables)
+        return Restriction(divisor, num, Polynomial.one(num.variables), chart_var)
+    common = min(num.order_in(chart_var), den.order_in(chart_var))
+    clear = tuple(common if v == chart_var else 0 for v in num.variables)
     num0 = num.divide_by_monomial(clear).set_to_zero(chart_var)
     den0 = den.divide_by_monomial(clear).set_to_zero(chart_var)
     if num0.is_zero() and den0.is_zero():
         raise ChartError("numerator and denominator both vanish on the divisor; input was not reduced")
     if den0.is_zero():
-        return Restriction(divisor, num0, den0, a - b, chart_var)
+        return Restriction(divisor, num0, den0, chart_var)
     reduced = RationalFunction(num0, den0)
-    return Restriction(divisor, reduced.num, reduced.den, a - b, chart_var)
+    return Restriction(divisor, reduced.num, reduced.den, chart_var)
 
 
 def restriction_chart_variable(divisor_eqs: Mapping[int, Polynomial], divisor: int) -> str:
@@ -489,11 +501,7 @@ def cross_check(
     check_tower(d, tower)
     if len(predicted) > tower.blowup_count:
         raise ChartError("more predictions than divisors")
-    walks: dict[tuple[str, ...] | None, WalkState] = {}
-    rows = []
-    for i, value in enumerate(predicted, start=1):
-        path = None if charts is None or charts.get(i) is None else tuple(charts[i])
-        if path not in walks:
-            walks[path] = walk_tower(tower, [h.num, h.den], charts=path, blowups=len(predicted))
-        rows.append(CrossCheckRow(i, value, walk_order(walks[path], i)))
-    return rows
+    charts = charts or {}
+    paths = {i: None if charts.get(i) is None else tuple(charts[i]) for i in range(1, len(predicted) + 1)}
+    walks = path_walks(tower, [h.num, h.den], {i: (path, i) for i, path in paths.items()})
+    return [CrossCheckRow(i, value, walk_order(walks[paths[i]], i)) for i, value in enumerate(predicted, start=1)]

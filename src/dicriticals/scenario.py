@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .candidates import Bindings
-from .charts import ChartTower, LineClassSpec, WalkState, check_tower, restriction_chart_variable, walk_tower
+from .charts import ChartTower, LineClassSpec, WalkState, check_tower, path_walks, restriction_chart_variable
 from .descriptor import ModificationDescriptor, TailData
 from .errors import ChartError, DescriptorError, ScenarioError, SolverError
 from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, json_field
@@ -145,19 +145,24 @@ def restricted_divisors(sc: Scenario) -> range | list[int]:
 
 
 def _check_chart_paths(sc: Scenario, default_walk: WalkState) -> None:
-    """Every override chart belongs to a blow-up and lies in its center, and
-    every divisor whose restriction verify reads is a coordinate at the stage
-    of its chart path that verify reads.  The default path is the tower
-    check's walk; each override is walked once, with no polynomials."""
-    walks = {None: default_walk}
+    """Every override chart belongs to a blow-up and lies in its center, checked
+    without a walk, and every divisor whose restriction verify reads is a
+    coordinate at the stage of its chart path that verify reads.  The default
+    path is the tower check's walk; an override is walked, with no
+    polynomials, only when a divisor read there uses it."""
+    centers = sc.tower.centers
     try:
         for i, path in sorted(sc.charts.items()):
-            if path.charts not in walks:
-                if len(path.charts) > sc.tower.blowup_count:
-                    raise ChartError(f"{len(path.charts)} charts given for {sc.tower.blowup_count} blow-ups")
-                walks[path.charts] = walk_tower(sc.tower, [], path.charts)
-        for i in restricted_divisors(sc):
-            charts, blowups = sc.chart_path(i)
+            charts = path.charts or ()
+            if len(charts) > len(centers):
+                raise ChartError(f"{len(charts)} charts given for {len(centers)} blow-ups")
+            for center, chart in zip(centers, charts):
+                if chart not in center:
+                    raise ChartError(f"chart variable {chart!r} is not in the center {center}")
+        reads = {i: sc.chart_path(i) for i in restricted_divisors(sc)}
+        walks = path_walks(sc.tower, [], {i: read for i, read in reads.items() if read[0] is not None})
+        walks[None] = default_walk
+        for i, (charts, blowups) in reads.items():
             restriction_chart_variable(walks[charts].stages[blowups][1], i)
     except ChartError as exc:
         raise ScenarioError(f"chart path of divisor {i}: {exc}") from None

@@ -392,7 +392,6 @@ def aux_order_bounds(m: int, s: int, special_exponents: Mapping[int, int], n: in
 
 
 MAX_DOUBLINGS = 4  # doublings of the chosen orders before a too-small auxiliary order stands
-CHOOSE_CAP = 1_000_000  # largest uniform later exponent that ``choose_exponents`` tries
 
 
 def candidate_tables(d: ModificationDescriptor, base: LastDicriticalCertificate, tail: TailData):
@@ -509,19 +508,18 @@ def choose_exponents(
 ) -> tuple[dict[int, int], int]:
     """Pick the later exponents and the pole power.
 
-    All later exponents share one value, raised until every window form
-    exceeds 1 there; the pole power is then the smallest integer above
-    the threshold, which the window length guarantees admissible.
+    All later exponents share the least value u >= 1 at which every window
+    form exceeds 1; the pole power is then the smallest integer above the
+    threshold, so it lies below the threshold plus every window form.
     """
-    for uniform in range(1, CHOOSE_CAP + 1):
-        assign = {j: uniform for j in later}
-        if all(w.evaluate(assign) > 1 for w in windows.values()):
-            threshold = threshold_form.evaluate(assign)
-            pole = threshold.numerator // threshold.denominator + 1
-            upper_ok = all(pole < threshold + w.evaluate(assign) for w in windows.values())
-            if pole > threshold and upper_ok:
-                return assign, pole
-    raise SolverError("no admissible exponents found below the search cap")
+    uniform = 1
+    for w in windows.values():
+        slope = sum(w.coeffs.values())
+        if slope <= 0:
+            raise SolverError("a window form must grow with the later exponents")
+        uniform = max(uniform, (1 - w.const) // slope + 1)
+    assign = dict.fromkeys(later, uniform)
+    return assign, threshold_form.evaluate(assign) // 1 + 1
 
 
 def tail_descriptor(d: ModificationDescriptor, s: int, tail: TailData | None = None) -> ModificationDescriptor:

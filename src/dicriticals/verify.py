@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .candidates import build_last, build_profile, build_single, build_support, lookup_equation
-from .charts import restriction_degree, status_of, walk_order, walk_restriction, walk_tower
+from .charts import path_walks, restriction_degree, status_of, walk_order, walk_restriction
 from .descriptor import valuation_matrix
 from .errors import DicriticalError, ScenarioError
 from .jsonio import SCHEMA_VERSION, FieldCodec
@@ -187,17 +187,6 @@ def _check_certificate_matches(req, cert) -> None:
         raise ScenarioError(f"the certificate answers {stored}, the request asks for {given}")
 
 
-def _path_walks(sc: Scenario, h: RationalFunction, scope) -> dict:
-    """Walk h once per chart override of the scope's divisors, as far as the
-    highest blow-up count read there; each count is read off its stage.  An
-    order row reads past its path's count up to the divisor's creating step."""
-    reach: dict = {}
-    for i in scope:
-        charts, blowups = sc.chart_path(i)
-        reach[charts] = max(reach.get(charts, 0), blowups, i)
-    return {charts: walk_tower(sc.tower, [h.num, h.den], charts, k) for charts, k in reach.items()}
-
-
 def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
     """Matrix-only scenarios: check every bound hypercurvette row symbolically."""
     matrix = valuation_matrix(sc.descriptor)
@@ -209,22 +198,20 @@ def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
 
 
 def _verify_function(sc, report, item, h, scope, predicted, expected) -> None:
-    walks = _path_walks(sc, h, scope)
+    paths = {i: sc.chart_path(i) for i in scope}
+    walks = path_walks(sc.tower, [h.num, h.den], paths)
     for i in scope:
-        charts, blowups = sc.chart_path(i)
-        symbolic = walk_order(walks[charts], i)  # recorded at blow-up i, so stage max(blowups, i) has it
+        charts, blowups = paths[i]
+        symbolic = walk_order(walks[charts], i)
         want = None if predicted is None else predicted[i - 1]
         ok = want is None or symbolic == want
 
         wanted = expected.get(i)  # the ExpectedStatus of the divisor; None checks the order only
-        status = None
-        value = None
-        degree = None
-        restriction_str = None
+        status = value = degree = restriction_str = None
         expected_str = "order"
         if wanted is not None:
             expected_str = wanted.kind if wanted.degree is None else f"{wanted.kind}:{wanted.degree}"
-            restriction = walk_restriction(walks[charts].stage(blowups), i)
+            restriction = walk_restriction(walks[charts].stages[blowups], i)
             st = status_of(restriction)
             status = st.kind
             if st.kind == CONSTANT:

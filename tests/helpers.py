@@ -1,5 +1,5 @@
 """Shared test utilities: seeded random descriptors, a four-divisor tower
-that needs doublings, two request scenarios and the bench's scenario
+that needs doublings, three request scenarios and the bench's scenario
 generators."""
 
 from __future__ import annotations
@@ -11,9 +11,11 @@ import sys
 from pathlib import Path
 
 from dicriticals.candidates import Bindings
+from dicriticals.charts import BlowupStep, ChartTower, LineClassSpec
 from dicriticals.descriptor import ModificationDescriptor, TailData, make_descriptor
 from dicriticals.fixtures import point_point_line, three_points_line
-from dicriticals.scenario import LastRequest, Scenario, SupportRequest
+from dicriticals.poly import Polynomial
+from dicriticals.scenario import DivisorChart, LastRequest, Scenario, SingleRequest, SupportRequest
 
 
 def random_descriptor(rng: random.Random, max_m: int = 8) -> ModificationDescriptor:
@@ -63,6 +65,66 @@ def three_points_line_last() -> Scenario:
         three_points_line(),
         name="three-points-line-last",
         request=LastRequest(s=3, degree=1, special_exponents={1: 1, 2: 1}, contact_orders={1: 1, 2: 1}),
+    )
+
+
+def pole_tie_single() -> Scenario:
+    """A single request at 5 on a five-blow-up tower in four variables whose
+    denominator g * twist + pole^k ties at E_2 (order 14 each): the leading
+    forms cancel, so h walks to order 0 at E_2 where the solver predicts 1."""
+    ring = ("x1", "x2", "x3", "x4")
+    x1, x2, x3, x4 = (Polynomial.variable(ring, v) for v in ring)
+    tower = ChartTower(
+        ring,
+        (
+            BlowupStep(ring, "x4"),
+            BlowupStep(("x1", "x3", "x4"), "x1"),
+            BlowupStep(("x1", "x4"), "x1"),
+            BlowupStep(("x1", "x2"), "x1"),
+            BlowupStep(ring, "x1"),
+        ),
+    )
+    descriptor = make_descriptor(
+        4,
+        [[], [1], [1, 2], [3], [1, 4]],
+        dims=[0, 1, 2, 2, 0],
+        curvette_mults=[(1,), (1, 1), (2, 1, 1), (1, 0, 0, 1), (2, 0, 0, 1, 1)],
+        special_mults={1: (2, 0, 0, 2), 4: (3, 0, 0, 2)},
+    )
+    equations = {
+        "C1": x1 - 2 * x4,
+        "C1b": 2 * x1 + 5 * x4,
+        "C2": x3 - 2 * x1,
+        "C2b": 2 * x3 + 5 * x1,
+        "C3": x4**3 - 3 * x1**2,
+        "C3b": 2 * x4**3 + 5 * x1**2,
+        "C4": x2 - 7 * x1,
+        "C4b": 2 * x2 + 5 * x1,
+        "C5": x2 * x4 - 2 * x1**2,
+        "C5b": 2 * x2 * x4 + 5 * x1**2,
+        "P": x2 * x4 - 11 * x1**2,
+        "Q": x2 * x4 + 13 * x1**2,
+        "L": x2 * x4 - 17 * x1**2,
+        "H1": x2**2 + x4**3,
+        "H4": x2**2 * x4 + x1**3,
+    }
+    return Scenario(
+        name="pole-tie-single",
+        descriptor=descriptor,
+        request=SingleRequest(
+            s=5, degree=3, special_exponents={1: 1, 4: 1}, contact_orders={1: 1, 4: 1}, tail=TailData(s=5)
+        ),
+        tower=tower,
+        equations=equations,
+        bindings=Bindings(
+            primary="P",
+            secondary="Q",
+            bundles={j: (f"C{j}", f"C{j}b") for j in range(1, 6)},
+            specials={1: "H1", 4: "H4"},
+            pole="L",
+        ),
+        charts={i: DivisorChart(blowups=i) for i in range(1, 6)},
+        lines={5: LineClassSpec({"x1": "zero", "x2": "param", "x3": "const", "x4": "const"})},
     )
 
 

@@ -145,7 +145,7 @@ x_polys = _polys(W).map(lambda p: p * Polynomial.variable(W, "x"))
 def test_generated_degrees_match_the_double_draw(a, b, extra, p, q, r, s):
     y, z, w = (Polynomial.variable(W, v) for v in "yzw")
     common = (z - a * y - b * w + 1) * (extra if extra.degree_in("z") > 0 else 1)
-    restriction = Restriction(1, common * p + r, common * q + s, 0, "x")
+    restriction = Restriction(1, common * p + r, common * q + s, "x")
     assume(not q.is_zero() and status_of(restriction).kind == "dicritical")
     assert restriction_degree(restriction, TEMPLATE) == oracle_degree(restriction, TEMPLATE)
 
@@ -153,13 +153,13 @@ def test_generated_degrees_match_the_double_draw(a, b, extra, p, q, r, s):
 def test_common_factor_from_zero_roles_is_cancelled():
     x, y, z, w = (Polynomial.variable(W, v) for v in W)
     factor = z - y
-    restriction = Restriction(1, factor * z + x, factor * (z + w) + x * y, 0, "x")
+    restriction = Restriction(1, factor * z + x, factor * (z + w) + x * y, "x")
     assert restriction_degree(restriction, TEMPLATE) == 1
 
 
 def test_template_outside_the_ring_is_rejected():
     x, y, z, w = (Polynomial.variable(W, v) for v in W)
-    restriction = Restriction(1, z + y, z - w, 0, "x")
+    restriction = Restriction(1, z + y, z - w, "x")
     with pytest.raises(ChartError):
         restriction_degree(restriction, LineClassSpec({"x": "zero", "v": "param"}))
 

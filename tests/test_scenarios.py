@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from helpers import bench_workloads, four_divisor_tower, support_middle
+from helpers import bench_workloads, four_divisor_tower, pole_tie_single, support_middle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -582,3 +582,14 @@ def test_reading_a_scenario_never_writes_a_polynomial_back(monkeypatch):
     monkeypatch.setattr(Polynomial, "to_json", refuse)
     read = [scenario_from_json(json.loads(text)) for text in texts]
     assert read == scenarios
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the pole term of a single construction can cancel the leading form of g * twist at a tie below s",
+)
+def test_a_single_construction_keeps_its_orders_where_the_pole_term_ties():
+    """E_2 of ``pole_tie_single`` walks to order 0 and dicritical, where the
+    solver predicts order 1 and a constant; E_5 is dicritical of degree 3."""
+    assert run_verify(pole_tie_single()).overall

@@ -153,6 +153,45 @@ def untwisted_forms(d, s, base):
     return nu_f, nu_g, order_forms(nu_f, later_rows), order_forms(nu_g, later_rows)
 
 
+def searched_exponents(threshold_form, windows, later, cap=10_000):
+    """The search that ``choose_exponents`` replaced, kept as its oracle: try
+    uniform later exponents 1, 2, ... until every window form exceeds 1 and
+    the least integer above the threshold lies below threshold + window."""
+    for uniform in range(1, cap + 1):
+        assign = {j: uniform for j in later}
+        if all(w.evaluate(assign) > 1 for w in windows.values()):
+            threshold = threshold_form.evaluate(assign)
+            pole = threshold.numerator // threshold.denominator + 1
+            if pole > threshold and all(pole < threshold + w.evaluate(assign) for w in windows.values()):
+                return assign, pole
+    raise AssertionError("no admissible exponents below the cap")
+
+
+def random_fraction(rng, low, high):
+    den = rng.randint(1, 12)
+    return Fraction(rng.randint(low * den, high * den), den)
+
+
+def test_closed_form_exponents_match_the_search():
+    rng = random.Random(17)
+    for _ in range(400):
+        later = sorted(rng.sample(range(2, 10), rng.randint(0, 4)))
+        windows = {}
+        for i in rng.sample(later, rng.randint(0, len(later))):
+            keys = rng.sample(later, rng.randint(1, len(later)))
+            coeffs = {j: Fraction(rng.randint(1, 9), rng.randint(1, 12)) for j in keys}
+            windows[i] = LinearForm.make(random_fraction(rng, -4, 2), coeffs)
+        coeffs = {j: random_fraction(rng, -3, 5) for j in later}
+        threshold_form = LinearForm.make(random_fraction(rng, -5, 20), coeffs)
+        expected = searched_exponents(threshold_form, windows, later)
+        assert choose_exponents(threshold_form, windows, later) == expected, (threshold_form, windows)
+
+
+def test_a_window_that_does_not_grow_is_rejected():
+    with pytest.raises(SolverError, match="window form"):
+        choose_exponents(LinearForm.make(5), {4: LinearForm.make(0)}, (4,))
+
+
 def test_single_workspace_forms():
     d = three_points_line()
     base = solve_last_dicritical(d, 3, 1, contact_orders={1: 1, 2: 1})

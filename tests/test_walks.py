@@ -1,4 +1,5 @@
-"""The walk engine: one walk per chart override, orders and stages recorded during the walk."""
+"""The walk engine: one walk per chart override, a stage kept after every
+blow-up, and each order and restriction read off a stage."""
 
 import dataclasses
 import hashlib
@@ -9,7 +10,7 @@ from collections import Counter
 import pytest
 from helpers import bench_workloads, support_middle, three_points_line_last
 
-from dicriticals import charts, scenario, verify
+from dicriticals import charts, verify
 from dicriticals.candidates import build_last
 from dicriticals.cli import main
 from dicriticals.charts import ShearStep, cross_check, divisor_order, walk_order, walk_tower
@@ -62,16 +63,16 @@ CERTIFICATE_SHA256 = {
 }
 
 
-def counting_walks(monkeypatch, module):
-    """Count walk_tower calls made through ``module``, keyed by (polys, charts, blowups)."""
+def counting_walks(monkeypatch):
+    """Count calls of ``charts.walk_tower``, the one walk loop, keyed by (polys, charts, blowups)."""
     calls = Counter()
-    original = module.walk_tower
+    original = charts.walk_tower
 
     def counted(tower, polys, charts=None, blowups=None):
         calls[(tuple(polys), None if charts is None else tuple(charts), blowups)] += 1
         return original(tower, polys, charts=charts, blowups=blowups)
 
-    monkeypatch.setattr(module, "walk_tower", counted)
+    monkeypatch.setattr(charts, "walk_tower", counted)
     return calls
 
 
@@ -88,7 +89,7 @@ def test_matrix_artifact_bytes_are_pinned(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(VERIFY_SHA256))
 def test_verify_walks_once_per_chart_path_with_unchanged_bytes(name, monkeypatch):
-    calls = counting_walks(monkeypatch, verify)
+    calls = counting_walks(monkeypatch)
     sc = load_fixture(name)
     payload = canonical_dumps(run_verify(sc).to_json())
     assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_SHA256[name]
@@ -120,7 +121,7 @@ def test_path_stopping_before_its_divisor_keeps_the_order_row(monkeypatch):
     sc = load_fixture("point-point-line")
     cut = dataclasses.replace(sc, charts={3: DivisorChart(charts=None, blowups=2)})
     expected = run_verify(sc).to_json()
-    calls = counting_walks(monkeypatch, verify)
+    calls = counting_walks(monkeypatch)
     assert run_verify(cut).to_json() == expected
     # one walk per curvette row, to the creating step of divisor 3
     assert [key[1:] for key in calls.elements()] == [(None, 3)] * len(sc.bindings.rows)
@@ -160,14 +161,10 @@ def assert_stages_match_stopped_walks(tower, h, charts=None):
     full = walk_tower(tower, [h.num, h.den], charts=charts)
     assert len(full.stages) == tower.blowup_count + 1
     for k in range(tower.blowup_count + 1):
-        stage, stopped = full.stage(k), walk_tower(tower, [h.num, h.den], charts=charts, blowups=k)
-        assert (stage.polys, stage.divisor_eqs, stage.blowups_done) == (
-            stopped.polys,
-            stopped.divisor_eqs,
-            stopped.blowups_done,
-        ), k
-        assert stage.orders == stopped.orders == {i: full.orders[i] for i in range(1, k + 1)}, k
-        assert stage.stages == stopped.stages, k
+        stopped = walk_tower(tower, [h.num, h.den], charts=charts, blowups=k)
+        assert full.stages[k] == (stopped.polys, stopped.divisor_eqs), k
+        assert stopped.blowups_done == k and stopped.stages == full.stages[: k + 1], k
+        assert [walk_order(stopped, i) for i in range(1, k + 1)] == [walk_order(full, i) for i in range(1, k + 1)], k
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -195,12 +192,32 @@ def test_verify_walks_a_chain_once_and_reading_it_walks_nothing(monkeypatch):
     workloads = bench_workloads(monkeypatch)
     sc = workloads.chain_scenario("chain-5", 5, (5,), random.Random(5), shear=False)
     assert {sc.chart_path(i) for i in range(1, 6)} == {(None, i) for i in range(1, 6)}
-    read_walks = counting_walks(monkeypatch, scenario)
+    calls = counting_walks(monkeypatch)
     assert scenario_from_json(json.loads(json.dumps(scenario_to_json(sc)))) == sc
-    assert not read_walks
-    calls = counting_walks(monkeypatch, verify)
+    assert not calls
     assert run_verify(sc).overall
     assert [key[1:] for key in calls.elements()] == [(None, 5)]
+
+
+def test_reading_an_override_no_divisor_reads_there_walks_nothing(monkeypatch):
+    """Divisor 4 of the last request at 3 is not read: its override's charts
+    are checked against the blow-up centers, and nothing is walked."""
+    sc = three_points_line_last()
+    sc = dataclasses.replace(sc, charts={**sc.charts, 4: DivisorChart(charts=("z", "y", "x", "y"))})
+    calls = counting_walks(monkeypatch)
+    assert scenario_from_json(json.loads(json.dumps(scenario_to_json(sc)))) == sc
+    assert not calls
+
+
+def test_an_unread_override_outside_its_center_is_an_input_error(tmp_path, capsys):
+    data = scenario_to_json(three_points_line_last())
+    data["charts"]["4"] = {"charts": ["z", "y", "x", "q"], "blowups": None}
+    path = tmp_path / "scenario.json"
+    path.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and "divisor 4" in err[0], err
 
 
 def test_walk_stopped_early_has_no_order_for_later_divisors():
@@ -223,7 +240,7 @@ def test_walk_rejects_a_blowup_count_outside_the_tower(blowups):
 def test_cross_check_walks_once_per_chart_path(monkeypatch):
     sc = three_points()
     h = RationalFunction(sc.equations["H1"])
-    calls = counting_walks(monkeypatch, charts)
+    calls = counting_walks(monkeypatch)
     rows = cross_check(sc.descriptor, sc.tower, h, (2, 4, 7), charts={2: ("z", "x")})
     assert all(row.ok for row in rows)
     assert sorted(calls.values()) == [1, 1]
