@@ -148,10 +148,15 @@ class MobiusTwist:
 
 
 def mobius(h: RationalFunction, a: Fraction, b: Fraction) -> RationalFunction:
-    """(h - a)/(h - b); generic constants keep statuses and degrees intact."""
+    """(h - a)/(h - b); generic constants keep statuses and degrees intact.
+
+    With h = N/D reduced, (N - aD)/(N - bD) is reduced too: a common factor
+    divides the difference (b - a)D, hence D, hence N, so it is a unit.  The
+    quotient is therefore built without a gcd.
+    """
     if a == b:
         raise SolverError("the two twist constants must be distinct")
-    return RationalFunction(h.num - a * h.den, h.num - b * h.den)
+    return RationalFunction(h.num - a * h.den, h.num - b * h.den, reduce=False)
 
 
 def build_profile(

@@ -364,15 +364,22 @@ def walk_restriction(stage: Stage, divisor: int) -> Restriction:
     if num.is_zero():
         return Restriction(divisor, num, Polynomial.one(num.variables), chart_var)
     common = min(num.order_in(chart_var), den.order_in(chart_var))
-    clear = tuple(common if v == chart_var else 0 for v in num.variables)
-    num0 = num.divide_by_monomial(clear).set_to_zero(chart_var)
-    den0 = den.divide_by_monomial(clear).set_to_zero(chart_var)
+    idx = num.variables.index(chart_var)
+    num0 = _slice(num, idx, common)
+    den0 = _slice(den, idx, common)
     if num0.is_zero() and den0.is_zero():
         raise ChartError("numerator and denominator both vanish on the divisor; input was not reduced")
     if den0.is_zero():
         return Restriction(divisor, num0, den0, chart_var)
     reduced = RationalFunction(num0, den0)
     return Restriction(divisor, reduced.num, reduced.den, chart_var)
+
+
+def _slice(poly: Polynomial, idx: int, k: int) -> Polynomial:
+    """``(poly / v**k)`` at ``v = 0`` for the variable v at ``idx``, when v**k
+    divides poly: its terms of v-exponent k, with that exponent set to 0."""
+    terms = {e[:idx] + (0,) + e[idx + 1 :]: c for e, c in poly._terms.items() if e[idx] == k}
+    return Polynomial._trusted(poly.variables, terms)
 
 
 def restriction_chart_variable(divisor_eqs: Mapping[int, Polynomial], divisor: int) -> str:

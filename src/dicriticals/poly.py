@@ -30,17 +30,21 @@ from polynomials that are already valid (sums, products, substitutions,
 quotients, univariate views) are wrapped by the private
 ``Polynomial._trusted`` without re-validation, which only drops zero
 coefficients and stores integral fractions as ``int``.
-``substitute`` expands each term in one pass: unmapped variables stay
-exponent shifts, and only mapped variables are expanded, against cached
-powers of their images.  A shear ``y -> y + s`` is therefore a Taylor shift,
-each ``y**k`` expanded against the cached ``(y + s)**k``.
+``substitute`` expands a translation ``y -> y + c`` by a constant c (in the
+same ring) with the binomial theorem: each ``y**k`` contributes its cached
+row ``C(k, j) * c**(k - j)``, and the coefficients of each monomial in the
+other variables are summed in one list.  Every other substitution (a
+polynomial shift such as ``z -> z + y**2``, several variables, a change of
+ring) expands each term in one pass: unmapped variables stay exponent
+shifts, and only mapped variables are expanded, against cached powers of
+their images.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
 from math import gcd as int_gcd
-from math import lcm
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -118,6 +122,15 @@ def _mul_terms(
             else:
                 terms[e] = c1 * c2
     return terms
+
+
+def _translation_constant(image: Mapping[Exponents, Coeff], idx: int, zero: Exponents) -> Coeff | None:
+    """The constant c when the term dict ``image`` is ``v + c`` for the
+    variable at ``idx``, else None."""
+    unit = zero[:idx] + (1,) + zero[idx + 1 :]
+    if image.get(unit) != 1 or len(image) - (zero in image) != 1:
+        return None
+    return image.get(zero, 0)
 
 
 class Polynomial:
@@ -347,6 +360,11 @@ class Polynomial:
             for idx, name in enumerate(self.variables):
                 if idx not in images and any(e[idx] for e in self._terms):
                     raise PolynomialError(f"variable {name!r} occurs but has no image")
+        elif len(images) == 1:
+            ((idx, image),) = images.items()
+            shift = _translation_constant(image, idx, zero)
+            if shift is not None:
+                return self._translate(idx, shift)
 
         mapped = sorted(images)
         powers = {idx: [{zero: 1}] for idx in mapped}
@@ -376,6 +394,47 @@ class Polynomial:
                 acc = _mul_terms(acc, factor)
             _mul_terms(acc, factors[-1], out)
         return Polynomial._trusted(target, out)
+
+    def _translate(self, idx: int, c: Coeff) -> "Polynomial":
+        """``self`` under ``v -> v + c`` for the variable at ``idx``.
+
+        The terms are grouped by their monomial in the other variables.  In a
+        group, each ``a * v**k`` adds ``a * C(k, j) * c**(k - j)`` to the
+        coefficient of ``v**j``, summed in one list; a group of one term is
+        written out directly.
+        """
+        if not any(e[idx] for e in self._terms):
+            return self
+        columns: dict[Exponents, list[tuple[int, Coeff]]] = {}
+        for exps, a in self._terms.items():
+            rest = exps[:idx] + exps[idx + 1 :]
+            column = columns.get(rest)
+            if column is None:
+                columns[rest] = [(exps[idx], a)]
+            else:
+                column.append((exps[idx], a))
+        rows: dict[int, list[Coeff]] = {}
+
+        def row(k: int) -> list[Coeff]:
+            if k not in rows:
+                rows[k] = [comb(k, j) * c ** (k - j) for j in range(k + 1)]
+            return rows[k]
+
+        out: dict[Exponents, Coeff] = {}
+        for rest, column in columns.items():
+            pre, post = rest[:idx], rest[idx:]
+            if len(column) == 1:
+                ((k, a),) = column
+                for j, r in enumerate(row(k)):
+                    out[pre + (j,) + post] = a * r
+                continue
+            acc = [0] * (max(k for k, _ in column) + 1)
+            for k, a in column:
+                for j, r in enumerate(row(k)):
+                    acc[j] += a * r
+            for j, value in enumerate(acc):
+                out[pre + (j,) + post] = value
+        return Polynomial._trusted(self.variables, out)
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         total = Fraction(0)

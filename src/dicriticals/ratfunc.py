@@ -1,10 +1,14 @@
 """Exact rational functions: reduced quotients of sparse polynomials.
 
-Reduction always runs through ``polynomial_gcd``, so a freshly built
-quotient has coprime numerator and denominator.  The canonical scaling
-makes all coefficients integers with overall gcd 1 and gives the
-denominator a positive trailing (grlex-minimal) coefficient, which keeps
-serialized output byte-stable.
+Every quotient is reduced: its numerator and denominator are coprime.  The
+constructor reduces through ``polynomial_gcd``; ``reduce=False`` is for
+pairs already known to be coprime.  A product of reduced operands a/b and
+c/d cancels crosswise instead: with g = gcd(a, d) and k = gcd(c, b), the
+product (a/g)(c/k) / ((b/k)(d/g)) is reduced, because a/g is coprime to d/g,
+c/k to b/k, a to b and c to d; so no gcd of the full products is taken.
+The canonical scaling makes all coefficients integers with overall gcd 1
+and gives the denominator a positive trailing (grlex-minimal) coefficient,
+which keeps serialized output byte-stable.
 """
 
 from __future__ import annotations
@@ -30,13 +34,7 @@ class RationalFunction:
             num = Polynomial.zero(num.variables)
             den = Polynomial.one(num.variables)
         elif reduce:
-            g = polynomial_gcd(num, den)
-            if not g.is_constant():
-                qn = num.exact_div(g)
-                qd = den.exact_div(g)
-                if qn is None or qd is None:
-                    raise PolynomialError("gcd failed to divide; internal error")
-                num, den = qn, qd
+            num, den = _cancel(num, den)
         num, den = _canonical_pair(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -89,7 +87,9 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        a, b = _cancel(self.num, other.den)
+        c, d = _cancel(other.num, self.den)
+        return RationalFunction(a * c, d * b, reduce=False)
 
     __rmul__ = __mul__
 
@@ -97,7 +97,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other.num.is_zero():
             raise PolynomialError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * RationalFunction(other.den, other.num, reduce=False)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
@@ -140,6 +140,18 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.render()!r})"
+
+
+def _cancel(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """``p`` and ``q`` divided by their gcd."""
+    g = polynomial_gcd(p, q)
+    if g.is_constant():
+        return p, q
+    qp = p.exact_div(g)
+    qq = q.exact_div(g)
+    if qp is None or qq is None:
+        raise PolynomialError("gcd failed to divide; internal error")
+    return qp, qq
 
 
 def _canonical_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:

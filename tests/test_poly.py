@@ -207,13 +207,6 @@ def test_rational_function_equality_cross_multiplies():
     assert a == b
 
 
-def test_mobius_shift_stays_reduced():
-    x, y, z = xyz()
-    h = RationalFunction(x + z**2, x - z**2)
-    g = (h - Fraction(1, 3)) / (h - 2)
-    assert polynomial_gcd(g.num, g.den).is_constant()
-
-
 def test_zero_denominator_rejected():
     x, _, _ = xyz()
     with pytest.raises(PolynomialError):
@@ -313,6 +306,65 @@ def test_shear_and_inverse_shear_give_back_p(p, q, target):
     sheared = p.substitute({target: var + shift})
     assert_canonical(sheared)
     assert sheared.substitute({target: var - shift}) == p
+
+
+shift_constants = st.one_of(st.integers(-5, 5), small_fractions, st.just(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, st.sampled_from(V), shift_constants)
+def test_translation_by_a_constant_agrees_with_naive_substitute(p, target, c):
+    # ``polys`` often leaves out the target, and the constants cover int,
+    # negative, Fraction and zero.
+    images = {v: Polynomial.variable(V, v) for v in V}
+    images[target] = images[target] + c
+    sheared = p.substitute({target: images[target]})
+    assert_canonical(sheared)
+    assert sheared == naive_substitute(p, images, V)
+    assert sheared.substitute({target: Polynomial.variable(V, target) - c}) == p
+
+
+def test_three_points_line_stage_3_numerator_shears_like_naive_substitute():
+    from dicriticals.candidates import build_single
+    from dicriticals.charts import walk_tower
+    from dicriticals.fixtures import load_fixture
+    from dicriticals.verify import solve_scenario
+
+    sc = load_fixture("three-points-line")
+    h = build_single(solve_scenario(sc), sc.equations, sc.bindings)
+    (num, _), _ = walk_tower(sc.tower, [h.num, h.den], blowups=3).stages[3]
+    assert (len(num.terms()), num.degree_in("y")) == (126, 34)
+    images = {v: Polynomial.variable(num.variables, v) for v in num.variables}
+    images["y"] = images["y"] - 1
+    sheared = num.substitute({"y": images["y"]})
+    assert sheared == naive_substitute(num, images, num.variables)
+    assert len(sheared.terms()) == 532
+
+
+def test_only_a_translation_by_a_constant_takes_the_binomial_path(monkeypatch):
+    x, y, z = xyz()
+    p = (x + 2 * y) ** 3 * z - 3 * y**2 + Fraction(1, 2)
+    calls = []
+    original = Polynomial._translate
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(Polynomial, "_translate", counting)
+    generic = {
+        "polynomial shift": ({"z": z + y**2}, None),
+        "scaled variable": ({"y": 2 * y - 1}, None),
+        "constant image": ({"y": Polynomial.constant(V, 3)}, None),
+        "two variables": ({"x": x + 1, "y": y - 1}, None),
+        "given ring": ({"x": x, "y": y - 1, "z": z}, V),
+    }
+    for name, (mapping, ring) in generic.items():
+        images = {v: mapping.get(v, Polynomial.variable(V, v)) for v in V}
+        assert p.substitute(mapping, ring) == naive_substitute(p, images, V), name
+        assert calls == [], name
+    assert p.substitute({"y": y - 1}) == naive_substitute(p, {"x": x, "y": y - 1, "z": z}, V)
+    assert calls == [(1, -1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,3 +513,55 @@ def test_from_json_names_the_first_bad_term_and_its_rule():
     data["terms"].reverse()
     with pytest.raises(PolynomialError, match="term 1 .*strictly after"):
         Polynomial.from_json(data)
+
+
+# -- rational function products ------------------------------------------------
+
+
+def _reduced_pair(f, g):
+    assume(not g.is_zero())
+    return RationalFunction(f, g)
+
+
+def assert_same_quotient(r: RationalFunction, ref: RationalFunction) -> None:
+    """The same canonical pair, not merely cross-multiplied equality."""
+    assert (r.num, r.den) == (ref.num, ref.den)
+    assert polynomial_gcd(r.num, r.den).is_constant()
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, polys, polys, polys)
+def test_products_and_quotients_equal_the_fully_reduced_construction(f, g, p, q):
+    a, b = _reduced_pair(f, g), _reduced_pair(p, q)
+    assert_same_quotient(a * b, RationalFunction(a.num * b.num, a.den * b.den))
+    if not b.is_zero():
+        assert_same_quotient(a / b, RationalFunction(a.num * b.den, a.den * b.num))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, polys, polys)
+def test_products_cancel_factors_shared_across(f, g, h):
+    # f/g * g/h and f/g / (f/h) share g, respectively f, across the bar.
+    assume(not g.is_zero() and not h.is_zero())
+    fg, gh = RationalFunction(f, g), RationalFunction(g, h)
+    assert_same_quotient(fg * gh, RationalFunction(fg.num * gh.num, fg.den * gh.den))
+    if not f.is_zero():
+        fh = RationalFunction(f, h)
+        assert_same_quotient(fg / fh, RationalFunction(fg.num * fh.den, fg.den * fh.num))
+        assert_same_quotient(fg / fh, RationalFunction(h, g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, polys, small_fractions, small_fractions)
+def test_mobius_shift_stays_reduced(f, g, a, b):
+    from dicriticals.candidates import mobius
+
+    x, y, z = xyz()
+    h = RationalFunction(x + z**2, x - z**2)
+    twisted = (h - Fraction(1, 3)) / (h - 2)
+    assert polynomial_gcd(twisted.num, twisted.den).is_constant()
+    # For a generated reduced h, the twist built without a gcd is the
+    # gcd-reduced construction.
+    h = _reduced_pair(f, g)
+    assume(a != b and not (h.num - b * h.den).is_zero())
+    assert_same_quotient(mobius(h, a, b), RationalFunction(h.num - a * h.den, h.num - b * h.den))

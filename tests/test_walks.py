@@ -244,3 +244,45 @@ def test_cross_check_walks_once_per_chart_path(monkeypatch):
     rows = cross_check(sc.descriptor, sc.tower, h, (2, 4, 7), charts={2: ("z", "x")})
     assert all(row.ok for row in rows)
     assert sorted(calls.values()) == [1, 1]
+
+
+def _restriction_by_division(stage, divisor):
+    """The restriction as it was read before the one-pass slice: divide by
+    the common power of the chart variable, then set it to zero."""
+    (num, den), divisor_eqs = stage
+    chart_var = charts.restriction_chart_variable(divisor_eqs, divisor)
+    if num.is_zero():
+        return charts.Restriction(divisor, num, num.one(num.variables), chart_var)
+    common = min(num.order_in(chart_var), den.order_in(chart_var))
+    clear = tuple(common if v == chart_var else 0 for v in num.variables)
+    num0 = num.divide_by_monomial(clear).set_to_zero(chart_var)
+    den0 = den.divide_by_monomial(clear).set_to_zero(chart_var)
+    if den0.is_zero():
+        return charts.Restriction(divisor, num0, den0, chart_var)
+    reduced = RationalFunction(num0, den0)
+    return charts.Restriction(divisor, reduced.num, reduced.den, chart_var)
+
+
+def test_every_restriction_verify_reads_equals_the_division_formula(monkeypatch):
+    workloads = bench_workloads(monkeypatch)
+    scenarios = [load_fixture(name) for name in FIXTURES]
+    scenarios += workloads.chain_scenarios(1) + workloads.shear_chain_scenarios(1)
+    reads = []
+    original = verify.walk_restriction
+
+    def recorded(stage, divisor):
+        restriction = original(stage, divisor)
+        reads.append((stage, divisor, restriction))
+        return restriction
+
+    monkeypatch.setattr(verify, "walk_restriction", recorded)
+    readers = set()
+    for sc in scenarios:
+        before = len(reads)
+        assert run_verify(sc).overall, sc.name
+        if len(reads) > before:
+            readers.add(sc.name)
+    # The two support fixtures check orders only and read no restriction.
+    assert readers == {sc.name for sc in scenarios} - {"point-point-line", "point-line-fiber"}
+    for stage, divisor, restriction in reads:
+        assert restriction == _restriction_by_division(stage, divisor)
