@@ -23,6 +23,7 @@ from .descriptor import (
     TailData,
     ValuationMatrix,
     default_curvette_mults,
+    inverse_orders,
     leading_principal_minors,
     low_sets,
     make_descriptor,

@@ -156,7 +156,7 @@ def mobius(h: RationalFunction, a: Fraction, b: Fraction) -> RationalFunction:
     """
     if a == b:
         raise SolverError("the two twist constants must be distinct")
-    return RationalFunction(h.num - a * h.den, h.num - b * h.den, reduce=False)
+    return RationalFunction._coprime(h.num - a * h.den, h.num - b * h.den)
 
 
 def build_profile(

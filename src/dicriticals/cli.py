@@ -69,8 +69,9 @@ def write_artifact(out_dir: Path, name: str, payload: str) -> bool:
 
 
 def _format_matrix(rows) -> str:
-    width = max(len(str(v)) for row in rows for v in row)
-    return "\n".join("[ " + "  ".join(str(v).rjust(width) for v in row) + " ]" for row in rows)
+    cells = [[str(v) for v in row] for row in rows]
+    width = max(len(c) for row in cells for c in row)
+    return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
 
 
 def cmd_matrix(args) -> int:

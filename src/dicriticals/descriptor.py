@@ -5,7 +5,11 @@ of earlier exceptional divisors containing the center, and the multiplicity
 of each hypercurvette's strict transform along each center.  Every order
 computation in the package reduces to one recursion: the order of a pullback
 along a new divisor is the multiplicity of the strict transform at the center
-plus the orders along the divisors containing the center.
+plus the orders along the divisors containing the center.  The valuation
+matrix A it gives factors as A = M·P, with M the unit lower-triangular table
+of hypercurvette multiplicities and P = (I - N)^-1 for the parent incidence
+N, so ``inverse_orders`` solves x·A_k = b on a leading block in O(k^2)
+integer steps without a division.
 
 All values are exact integers and all structures are immutable, so the
 functions here are pure and safe to share between threads.
@@ -13,7 +17,7 @@ functions here are pure and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -88,6 +92,12 @@ class ModificationDescriptor(FieldCodec):
         """The special multiplicity row of each owner."""
         return MappingProxyType({row.owner: row.mu_row for row in self.special})
 
+    @cached_property
+    def parent_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Row i holds the 0-based indices of the parents of divisor i + 1:
+        the table both directions of the order recursion read."""
+        return tuple(tuple(q - 1 for q in c.parents) for c in self.centers)
+
     def parents(self, j: int) -> tuple[int, ...]:
         return self.centers[j - 1].parents
 
@@ -106,11 +116,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValuationMatrix:
-    """Rows are order vectors of the hypercurvettes along every divisor."""
+    """Rows are order vectors of the hypercurvettes along every divisor;
+    ``descriptor`` is the descriptor they come from (no part of equality)."""
 
     rows: tuple[tuple[int, ...], ...]
     special_rows: tuple[tuple[int, ...], ...] = ()
     special_owners: tuple[int, ...] = ()
+    descriptor: ModificationDescriptor | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -231,17 +243,46 @@ def pullback_orders(d: ModificationDescriptor, mult: Sequence[int]) -> tuple[int
         raise DescriptorError(f"multiplicity table has {len(mult)} entries but only {d.m} blow-ups exist")
     if any(v < 0 for v in mult):
         raise DescriptorError("strict-transform multiplicities must be nonnegative")
-    padded = list(mult) + [0] * (d.m - len(mult))
-    orders = [0] * (d.m + 1)
-    for i in range(1, d.m + 1):
-        orders[i] = padded[i - 1] + sum(orders[q] for q in d.parents(i))
-    return tuple(orders[1:])
+    return _recursion(d.parent_indices, mult)
+
+
+def _recursion(parents: Sequence[Sequence[int]], mult: Sequence[int]) -> tuple[int, ...]:
+    """The order recursion on a checked multiplicity table, padded with zeros
+    to the length of the parent table."""
+    orders = list(mult)
+    orders += [0] * (len(parents) - len(orders))
+    for i, ps in enumerate(parents):
+        for q in ps:
+            orders[i] += orders[q]
+    return tuple(orders)
+
+
+def inverse_orders(d: ModificationDescriptor, orders: Sequence[int]) -> tuple[int, ...]:
+    """The exponents x of hypercurvettes 1..k whose product has the given
+    orders along E_1..E_k, for k = len(orders): the solution of x·A_k = b for
+    the leading k-block A_k of the valuation matrix.
+
+    A_k = M_k·P_k, so mu = b·(I - N) undoes the recursion (mu_i is b_i minus
+    the orders at the parents of i) and x is peeled off x·M_k = mu from the
+    last row up: x_k = mu_k and x_j = mu_j - sum over i > j of x_i·mult_i[j].
+    """
+    if len(orders) > d.m:
+        raise DescriptorError(f"{len(orders)} orders given but only {d.m} blow-ups exist")
+    x = [b - sum(orders[q] for q in ps) for b, ps in zip(orders, d.parent_indices)]
+    mults = d.curvette_mults
+    for i in range(len(x) - 1, 0, -1):
+        xi = x[i]
+        if xi:
+            for j, v in enumerate(mults[i][:i]):
+                x[j] -= xi * v
+    return tuple(x)
 
 
 def valuation_matrix(d: ModificationDescriptor) -> ValuationMatrix:
-    """Matrix whose row j gives the orders of hypercurvette j along every divisor."""
-    rows = tuple(pullback_orders(d, row) for row in d.curvette_mults)
-    return ValuationMatrix(rows=rows)
+    """Matrix whose row j gives the orders of hypercurvette j along every
+    divisor; the rows were checked when ``d`` was built."""
+    parents = d.parent_indices
+    return ValuationMatrix(rows=tuple(_recursion(parents, row) for row in d.curvette_mults), descriptor=d)
 
 
 def column_recurrence_holds(d: ModificationDescriptor, v: ValuationMatrix) -> bool:
@@ -325,7 +366,7 @@ def special_matrix(
     """The valuation matrix stacked with the ``special_rows`` of s."""
     a = valuation_matrix(d)
     rows = special_rows(d, s, contact, tail)
-    return ValuationMatrix(rows=a.rows, special_rows=rows, special_owners=d.parents(s))
+    return ValuationMatrix(rows=a.rows, special_rows=rows, special_owners=d.parents(s), descriptor=d)
 
 
 def low_sets(d: ModificationDescriptor, s: int) -> dict[int, frozenset[int]]:

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 import types
 import typing
 from collections.abc import Mapping
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import ScenarioError
 
@@ -47,8 +47,64 @@ def fraction_from_json(data, what: str = "rational") -> Fraction:
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic rendering used for every artifact written to disk."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic rendering used for every artifact written to disk.
+
+    The format is JSON with a two-space indent, keys sorted, every string
+    ASCII with ``\\uXXXX`` escapes and a trailing newline: exactly the bytes
+    of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, written without
+    the pure-Python encoder that ``indent`` selects.  An artifact holds dicts
+    with ``str`` keys, lists, tuples, strings, ints, booleans and None; any
+    other value (a float in an exact artifact, say) raises ``TypeError``.
+    """
+    out: list[str] = []
+    _dump(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _dump(obj, out: list[str], newline: str) -> None:
+    """Append the rendering of ``obj`` to ``out``; ``newline`` is a newline
+    followed by the indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is int for v in obj):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _dump(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"canonical_dumps writes only str keys, got {key!r}")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _dump(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"canonical_dumps cannot write {obj!r} of type {type(obj).__name__}")
 
 
 # -- field-driven codec ----------------------------------------------------------

@@ -10,6 +10,14 @@ are the pivots of one pass without row swaps, and a linear solve
 back-substitutes in integers on ``det * x``.  A pass costs O(n^3) integer
 operations; nothing touches ``Fraction`` or floating point.
 
+The library calls ``leading_minors`` (through
+``descriptor.leading_principal_minors``): the ``matrix`` command's leading
+minors are an exact check of unimodularity on the rows, independent of the
+factorization the solvers use.  ``bareiss_determinant`` serves it after a
+zero pivot.  ``solve_row_system`` has no caller in the library, since the
+solvers invert the order recursion instead (``descriptor.inverse_orders``);
+the tests use it as the oracle for that inverse.
+
 Entries must be ``int`` (``bool`` is refused) and matrices must be square; a
 violation raises ``MatrixError`` instead of being truncated.
 """

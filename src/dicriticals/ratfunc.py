@@ -1,8 +1,8 @@
 """Exact rational functions: reduced quotients of sparse polynomials.
 
 Every quotient is reduced: its numerator and denominator are coprime.  The
-constructor reduces through ``polynomial_gcd``; ``reduce=False`` is for
-pairs already known to be coprime.  A product of reduced operands a/b and
+constructor reduces through ``polynomial_gcd``; the private ``_coprime`` is
+for pairs already known to be coprime.  A product of reduced operands a/b and
 c/d cancels crosswise instead: with g = gcd(a, d) and k = gcd(c, b), the
 product (a/g)(c/k) / ((b/k)(d/g)) is reduced, because a/g is coprime to d/g,
 c/k to b/k, a to b and c to d; so no gcd of the full products is taken.
@@ -23,18 +23,27 @@ from .poly import Polynomial, polynomial_gcd, rational_content
 class RationalFunction:
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None, *, reduce: bool = True):
+    def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
             den = Polynomial.one(num.variables)
-        if num.variables != den.variables:
-            raise PolynomialError("numerator and denominator live in different rings")
-        if den.is_zero():
-            raise PolynomialError("zero denominator")
+        _check_pair(num, den)
+        if not num.is_zero():
+            num, den = _cancel(num, den)
+        self._store(num, den)
+
+    @classmethod
+    def _coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """``num / den`` for a pair already known to be coprime: it is scaled
+        canonically, and no gcd is taken."""
+        _check_pair(num, den)
+        obj = object.__new__(cls)
+        obj._store(num, den)
+        return obj
+
+    def _store(self, num: Polynomial, den: Polynomial) -> None:
         if num.is_zero():
             num = Polynomial.zero(num.variables)
             den = Polynomial.one(num.variables)
-        elif reduce:
-            num, den = _cancel(num, den)
         num, den = _canonical_pair(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -77,7 +86,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, reduce=False)
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._coerce(other))
@@ -89,7 +98,7 @@ class RationalFunction:
         other = self._coerce(other)
         a, b = _cancel(self.num, other.den)
         c, d = _cancel(other.num, self.den)
-        return RationalFunction(a * c, d * b, reduce=False)
+        return RationalFunction._coprime(a * c, d * b)
 
     __rmul__ = __mul__
 
@@ -97,7 +106,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other.num.is_zero():
             raise PolynomialError("division by zero rational function")
-        return self * RationalFunction(other.den, other.num, reduce=False)
+        return self * RationalFunction._coprime(other.den, other.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
@@ -106,10 +115,10 @@ class RationalFunction:
         if not isinstance(power, int):
             raise PolynomialError("powers must be integers")
         if power >= 0:
-            return RationalFunction(self.num**power, self.den**power, reduce=False)
+            return RationalFunction._coprime(self.num**power, self.den**power)
         if self.num.is_zero():
             raise PolynomialError("negative power of zero")
-        return RationalFunction(self.den ** (-power), self.num ** (-power), reduce=False)
+        return RationalFunction._coprime(self.den ** (-power), self.num ** (-power))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RationalFunction, Polynomial, int, Fraction)):
@@ -140,6 +149,13 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.render()!r})"
+
+
+def _check_pair(num: Polynomial, den: Polynomial) -> None:
+    if num.variables != den.variables:
+        raise PolynomialError("numerator and denominator live in different rings")
+    if den.is_zero():
+        raise PolynomialError("zero denominator")
 
 
 def _cancel(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:

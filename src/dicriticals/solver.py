@@ -12,21 +12,27 @@ Three construction problems are solved here, in increasing strength:
   twisting with powers of later hypercurvettes and one extra power in the
   denominator whose exponent must land in an explicit rational window.
 
-All systems are square with unimodular matrices, so the solutions are exact
-integers; each certificate carries the full predicted order vector, which is
-recomputed independently through the order recursion before it is returned.
+Every system is x·A_k = b for a leading block A_k of the valuation matrix.
+It is solved by inverting the order recursion (``inverse_orders``), in
+integers and without a division, and each solution is checked against the
+rows of A_k; each certificate carries the full predicted order vector, which
+is recomputed independently through the order recursion before it is
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .descriptor import (
     ModificationDescriptor,
     TailData,
     ValuationMatrix,
+    inverse_orders,
     low_sets,
     pullback_orders,
     special_mults_row,
@@ -35,7 +41,6 @@ from .descriptor import (
 )
 from .errors import BoundViolation, SolverError
 from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, read_kinded
-from .linalg import solve_row_system
 
 NON_DICRITICAL = "non_dicritical"
 DICRITICAL_POS = "dicritical_pos"
@@ -124,9 +129,11 @@ def solve_support(
     target whose solved exponent is zero is flagged: its bundle must then be
     a nonconstant ratio of two hypercurvettes of the same divisor.
     """
+    if matrix.descriptor is None:
+        raise SolverError("solve_support needs the valuation matrix of a descriptor")
     target_set = set(targets)
     orders = support_orders(matrix.size, target_set, offsets or {})
-    exponents = solve_row_system([list(row) for row in matrix.rows], orders)
+    exponents = _solve_rows(matrix.descriptor, matrix.rows, orders)
     needs_split = tuple(j for j in sorted(target_set) if exponents[j - 1] == 0)
     return SupportCertificate(
         exponents=exponents,
@@ -135,6 +142,20 @@ def solve_support(
         offsets={j: v for j, v in enumerate(orders, start=1) if j not in target_set},
         needs_split=needs_split,
     )
+
+
+def _solve_rows(d: ModificationDescriptor, rows: Sequence[Sequence[int]], orders: Sequence[int]) -> tuple[int, ...]:
+    """The exponents x with x·A_k = orders, where A_k is the leading k-block of
+    the valuation matrix ``rows`` of ``d`` and k = len(orders).
+
+    ``inverse_orders`` solves the system; the solution is then checked
+    exactly against the rows.
+    """
+    x = inverse_orders(d, orders)
+    k = len(orders)
+    if [sum(map(mul, x, col)) for col in islice(zip(*rows[:k]), k)] != list(orders):
+        raise SolverError("solved exponents do not reproduce the prescribed orders; internal error")
+    return x
 
 
 def support_orders(m: int, targets: Iterable[int], offsets: Mapping[int, int]) -> tuple[int, ...]:
@@ -277,7 +298,7 @@ def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_
         for idx, j in enumerate(owners):
             value += special_exponents[j] * (b_sub[idx][t - 1] + c_sub[idx][t - 1])
         rhs.append(value)
-    exponents = solve_row_system([list(r) for r in a_sub], rhs) if s > 1 else ()
+    exponents = _solve_rows(d, matrix.rows, rhs)
 
     orders = tuple(
         target_orders.get(i, 0)
@@ -592,10 +613,11 @@ def solve_single_dicritical(
     threshold_form = numer_forms[s - 1].scale(Fraction(1, a_ss))
     assign, pole = choose_exponents(threshold_form, windows, later_rows)
 
-    # Final orders at the chosen exponents; the denominator's twist only ever
-    # enters evaluated, so its orders are summed as integers.
-    numer = tuple(int(f.evaluate(assign)) for f in numer_forms)
-    denom = tuple(g + sum(k * later_rows[j][i] for j, k in assign.items()) for i, g in enumerate(nu_g))
+    # Final orders at the chosen exponents: the twist adds the same integer
+    # orders to the numerator and the denominator.
+    twist = [sum(k * later_rows[j][i] for j, k in assign.items()) for i in range(d.m)]
+    numer = tuple(f + t for f, t in zip(nu_f, twist))
+    denom = tuple(g + t for g, t in zip(nu_g, twist))
     orders = tuple(numer[i - 1] - min(denom[i - 1], pole * matrix.entry(s, i)) for i in range(1, d.m + 1))
     if orders[s - 1] != 0:
         raise SolverError(f"order at divisor {s} must vanish, got {orders[s - 1]}")

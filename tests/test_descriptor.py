@@ -11,6 +11,7 @@ from dicriticals.descriptor import (
     TailData,
     column_recurrence_holds,
     default_curvette_mults,
+    inverse_orders,
     leading_principal_minors,
     low_sets,
     make_descriptor,
@@ -20,6 +21,7 @@ from dicriticals.descriptor import (
     valuation_matrix,
 )
 from dicriticals.errors import DescriptorError, ScenarioError
+from dicriticals.linalg import solve_row_system
 from helpers import random_descriptor
 
 THREE_POINTS = dict(parent_sets=[[], [1], [1, 2]])
@@ -202,3 +204,37 @@ def test_json_rejects_floats_and_bools():
 def test_minors_always_one(seed):
     d = random_descriptor(random.Random(seed))
     assert set(leading_principal_minors(valuation_matrix(d))) == {1}
+
+
+@st.composite
+def descriptors(draw):
+    """Valid descriptors with n = 2..5 and m = 1..12: any sorted nonempty
+    parent sets of earlier divisors and nonnegative multiplicity rows with a
+    unit diagonal."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 12))
+    parents = [[]] + [
+        sorted(draw(st.sets(st.integers(1, j - 1), min_size=1, max_size=j - 1))) for j in range(2, m + 1)
+    ]
+    rows = [draw(st.lists(st.integers(0, 3), min_size=j - 1, max_size=j - 1)) + [1] for j in range(1, m + 1)]
+    return make_descriptor(n, parents, curvette_mults=rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(descriptors(), st.data())
+def test_inverse_orders_solves_every_leading_block(d, data):
+    matrix = valuation_matrix(d)
+    assert matrix.rows == tuple(pullback_orders(d, row) for row in d.curvette_mults)
+    b = data.draw(st.lists(st.integers(-50, 50), min_size=d.m, max_size=d.m))
+    for k in range(d.m + 1):
+        block = [row[:k] for row in matrix.rows[:k]]
+        assert inverse_orders(d, b[:k]) == solve_row_system(block, b[:k])
+
+
+def test_inverse_orders_three_points():
+    d = three_points()
+    # the rows of three-points are (1, 1, 2), (1, 2, 3) and (1, 2, 4)
+    assert inverse_orders(d, (1, 2, 4)) == (0, 0, 1)
+    assert inverse_orders(d, (2, 3, 5)) == (1, 1, 0)
+    assert inverse_orders(d, ()) == ()
+    with pytest.raises(DescriptorError):
+        inverse_orders(d, (0, 0, 0, 0))

@@ -1,8 +1,17 @@
 """Every JSON shape reads and writes through ``jsonio.FieldCodec`` except the
-few listed here; a new hand-written reader or writer has to join the list."""
+few listed here; a new hand-written reader or writer has to join the list.
+``canonical_dumps`` writes the bytes of ``json.dumps`` with its options."""
 
 import ast
+import json
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dicriticals.jsonio import canonical_dumps
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dicriticals"
 
@@ -38,3 +47,43 @@ def test_every_json_reader_and_writer_is_listed():
             if name.endswith(("to_json", "from_json")):
                 found.add(name)
     assert sorted(found) == sorted(ALLOWED)
+
+
+CHARACTERS = st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\ufeff'),
+    st.characters(min_codepoint=0x10000),
+)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.integers(2**64, 2**200),
+    st.text(CHARACTERS, max_size=6),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(-(2**70), 2**70), max_size=4),
+        st.dictionaries(st.text(CHARACTERS, max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TREES)
+def test_canonical_dumps_writes_the_bytes_of_json_dumps(tree):
+    assert canonical_dumps(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {"a": [0.0]}, {1: "x"}, {"a": {None: 1}}, {1, 2}, [Fraction(1, 2)], ("a", b"bytes")],
+    ids=["float", "nested-float", "int-key", "none-key", "set", "fraction", "bytes"],
+)
+def test_canonical_dumps_refuses_what_no_artifact_holds(value):
+    with pytest.raises(TypeError):
+        canonical_dumps(value)

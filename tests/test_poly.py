@@ -202,7 +202,7 @@ def test_rational_function_canonical_scaling():
 
 def test_rational_function_equality_cross_multiplies():
     x, y, z = xyz()
-    a = RationalFunction(x * (1 + z), y * (1 + z), reduce=False)
+    a = RationalFunction._coprime(x * (1 + z), y * (1 + z))
     b = RationalFunction(x, y)
     assert a == b
 

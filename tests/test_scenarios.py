@@ -25,6 +25,15 @@ from dicriticals.verify import run_verify, solve_scenario
 DATA = Path(__file__).parent / "data"
 
 
+def input_json(data) -> str:
+    """The text of a scenario or certificate file a test hands to the CLI.
+
+    ``canonical_dumps`` writes exact artifacts only and refuses a float; a
+    mutated input may hold one, and the reader must reject it.
+    """
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def test_every_fixture_round_trips_through_json():
     for name in FIXTURES:
         sc = load_fixture(name)
@@ -155,7 +164,7 @@ def test_cli_builds_one_parser_per_process():
 def test_cli_scenario_file_and_list(tmp_path, capsys):
     sc = load_fixture("three-points")
     path = tmp_path / "scenario.json"
-    path.write_text(canonical_dumps(scenario_to_json(sc)))
+    path.write_text(input_json(scenario_to_json(sc)))
     assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     assert main(["list"]) == 0
@@ -334,36 +343,36 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     data = scenario_to_json(load_fixture(fixture))
     argv = ["verify", "--scenario", str(path), "--out", str(tmp_path / "out")]
     if case == "malformed-json":
-        path.write_text(canonical_dumps(data)[:-10])
+        path.write_text(input_json(data)[:-10])
     elif case == "not-an-object":
         path.write_text("[]")
     elif case == "missing-descriptor":
         del data["descriptor"]
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
     elif case == "wrongly-typed-descriptor":
         data["descriptor"] = 5
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
     elif case == "one-variable-blowup-center":
         data["tower"]["steps"][0]["blowup"]["center"] = ["x"]
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
     elif case == "chart-divisor-out-of-range":
         data["charts"] = {"12": {"charts": ["q"], "blowups": 40}}
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
     elif case == "line-divisor-out-of-range":
         data["lines"]["9"] = data["lines"]["3"]
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
     elif case == "chart-blowups-not-int":
         data["charts"] = {"3": {"charts": None, "blowups": 1.5}}
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
     elif case == "expect-orders-short":
         data["expect"]["orders"] = [0]
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
     elif case == "expect-status-kind":
         data["expect"]["statuses"]["2"]["kind"] = "dominant"
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
     elif case == "expect-constant-with-degree":
         data["expect"]["statuses"]["2"]["degree"] = 3
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
     elif case.startswith("profile-"):
         parts = data["request"]["parts"]
         if case == "profile-part-key":
@@ -372,10 +381,10 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
             parts["7"] = {**parts.pop("1"), "s": 7}
         else:
             del data["bindings"]["parts"]["1"]
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
     elif case in ARTIFACT_MUTATIONS:
         _, keys, value = ARTIFACT_MUTATIONS[case]
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
         if case.startswith("certificate-"):
             stored = tmp_path / "certificate.json"
             artifact = solve_scenario(load_fixture(fixture)).to_json()
@@ -386,16 +395,16 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
             artifact = json.loads(stored.read_text())
             argv[0] = "report"
         set_at(artifact, keys, value)
-        stored.write_text(canonical_dumps(artifact))
+        stored.write_text(input_json(artifact))
     elif case in SCENARIO_MUTATIONS:
-        path.write_text(canonical_dumps(mutated(case)))
+        path.write_text(input_json(mutated(case)))
     elif case in ("empty-certificate", "non-json-certificate"):
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
         certificate = tmp_path / "certificate.json"
         certificate.write_text("{}" if case == "empty-certificate" else "not json")
         argv += ["--certificate", str(certificate)]
     elif case == "unknown-option":
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
         argv += ["--retries", "4"]
     elif case == "solve-seed":
         argv = ["solve", "--scenario", "three-points", "--out", str(tmp_path / "out"), "--seed", "3"]
@@ -403,7 +412,7 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
         argv = ["verify", "--out", str(tmp_path / "out")]
     else:
         data["lines"]["3"]["assign"] = {"x": "zero", "y": "const", "w": "param"}
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
@@ -430,11 +439,11 @@ def test_cli_rejects_a_certificate_for_another_request(case, tmp_path, capsys):
     scenario, edit = STALE_CERTIFICATES[case]
     sc = scenario()
     stored = tmp_path / "certificate.json"
-    stored.write_text(canonical_dumps(solve_scenario(sc).to_json()))
+    stored.write_text(input_json(solve_scenario(sc).to_json()))
     data = scenario_to_json(sc)
     edit(data["request"])
     path = tmp_path / "scenario.json"
-    path.write_text(canonical_dumps(data))
+    path.write_text(input_json(data))
     capsys.readouterr()
     assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "out"), "--certificate", str(stored)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -444,7 +453,7 @@ def test_cli_rejects_a_certificate_for_another_request(case, tmp_path, capsys):
 def run_command(command, data, tmp_path, capsys):
     """Exit code and stderr lines of ``command`` on the scenario JSON ``data``."""
     path = tmp_path / "scenario.json"
-    path.write_text(canonical_dumps(data))
+    path.write_text(input_json(data))
     capsys.readouterr()
     code = main([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
     return code, capsys.readouterr().err.splitlines()
@@ -548,7 +557,7 @@ def test_every_command_keeps_the_exit_code_contract(data):
     """Exit 0, 1 or 2 and no traceback; exit 2 prints one ``input error:`` line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
-        path.write_text(canonical_dumps(data))
+        path.write_text(input_json(data))
         for command in ("matrix", "solve", "verify"):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
