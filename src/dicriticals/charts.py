@@ -401,13 +401,6 @@ class Status:
     value: Fraction | None = None
     infinite: bool = False
 
-    def render(self) -> str:
-        if self.kind == "dicritical":
-            return "dicritical"
-        if self.infinite:
-            return "constant(inf)"
-        return f"constant({self.value})"
-
 
 def status_of(restriction: Restriction) -> Status:
     """Constant iff the reduced restriction's numerator and denominator are both constants."""

@@ -28,9 +28,9 @@ PASS, VIOLATION, INPUT_ERROR = 0, 1, 2
 def _read_json_file(path: Path, what: str, parse):
     """Parse the JSON file at ``path`` with ``parse``.
 
-    Data that is not JSON, lacks a key, holds a field of the wrong type or
-    fails a check while it is parsed becomes a ``ScenarioError``, that is,
-    an input error.
+    A path that cannot be read, data that is not JSON or nests too deeply,
+    lacks a key, holds a field of the wrong type or fails a check while it
+    is parsed becomes a ``ScenarioError``, that is, an input error.
     """
     try:
         return parse(json.loads(path.read_text()))
@@ -38,8 +38,12 @@ def _read_json_file(path: Path, what: str, parse):
         raise
     except DicriticalError as exc:
         raise ScenarioError(f"{what} {str(path)!r} is invalid: {exc}") from None
+    except OSError as exc:
+        raise ScenarioError(f"{what} {str(path)!r} cannot be read: {exc}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"{what} {str(path)!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioError(f"{what} {str(path)!r} nests too deeply to be read") from None
     except KeyError as exc:
         raise ScenarioError(f"{what} {str(path)!r} lacks the key {exc}") from None
     except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
@@ -56,15 +60,20 @@ def load_scenario(ref: str) -> Scenario:
 
 
 def write_artifact(out_dir: Path, name: str, payload: str) -> bool:
-    """Write an append-only artifact; returns False on drift."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write an append-only artifact; returns False on drift.  An artifact
+    that cannot be written or read back (``out_dir`` is a file, say) is an
+    input error."""
     target = out_dir / name
-    if target.exists():
-        if target.read_text() == payload:
-            return True
-        print(f"drift: {target} already exists with different content", file=sys.stderr)
-        return False
-    target.write_text(payload)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if target.exists():
+            if target.read_text() == payload:
+                return True
+            print(f"drift: {target} already exists with different content", file=sys.stderr)
+            return False
+        target.write_text(payload)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write the artifact {str(target)!r}: {exc}") from None
     return True
 
 

@@ -302,13 +302,11 @@ def leading_principal_minors(v: ValuationMatrix) -> tuple[int, ...]:
     return leading_minors([list(row) for row in v.rows])
 
 
-def special_mults_row(
-    d: ModificationDescriptor, s: int, owner: int, contact: int, tail: TailData | None
-) -> list[int]:
+def special_mults_row(d: ModificationDescriptor, s: int, owner: int, contact: int) -> list[int]:
     """Strict multiplicities at the centers of the special hypersurface owned by
     the parent ``owner`` of s: its given row below s, the contact order at s,
-    and, when ``tail`` is for s, the tail's multiplicities at the later centers
-    (zero where the tail lists none)."""
+    and, when the tail of ``d`` is for s, the tail's multiplicities at the
+    later centers (zero where the tail lists none)."""
     if owner not in d.special_mults:
         raise DescriptorError(f"missing special multiplicity row for owner {owner}")
     below = d.special_mults[owner]
@@ -317,23 +315,19 @@ def special_mults_row(
             f"special multiplicity row for owner {owner} must have {s - 1} entries, got {len(below)}"
         )
     row = [*below, contact]
+    tail = d.tail
     if tail is not None and tail.s == s:
         row += [tail.mu_specials.get(i, {}).get(owner, 0) for i in range(s + 1, d.m + 1)]
     return row
 
 
-def special_rows(
-    d: ModificationDescriptor,
-    s: int,
-    contact: Mapping[int, int],
-    tail: TailData | None = None,
-) -> tuple[tuple[int, ...], ...]:
+def special_rows(d: ModificationDescriptor, s: int, contact: Mapping[int, int]) -> tuple[tuple[int, ...], ...]:
     """Order rows for the special hypersurfaces attached to the parents of s,
     in increasing owner order; ``d`` must be valid.
 
     Each parent j of divisor s owns one special hypersurface; its multiplicity
     along center s is forced to the prescribed contact order, and multiplicities
-    along later centers come from the tail data (``d.tail`` when not given).
+    along later centers come from the tail of ``d`` when it is for s.
     """
     if not (1 <= s <= d.m):
         raise DescriptorError(f"index {s} out of range 1..{d.m}")
@@ -344,10 +338,9 @@ def special_rows(
         raise DescriptorError("contact orders must be given exactly for the parents of s")
     if any(contact[j] < 1 for j in owners):
         raise DescriptorError("contact orders must be positive")
-    tail = tail if tail is not None else d.tail
     rows = []
     for j in owners:
-        row = pullback_orders(d, special_mults_row(d, s, j, contact[j], tail))
+        row = pullback_orders(d, special_mults_row(d, s, j, contact[j]))
         expected = sum(row[q - 1] for q in owners) + contact[j]
         if row[s - 1] != expected:
             raise DescriptorError(
@@ -357,15 +350,10 @@ def special_rows(
     return tuple(rows)
 
 
-def special_matrix(
-    d: ModificationDescriptor,
-    s: int,
-    contact: Mapping[int, int],
-    tail: TailData | None = None,
-) -> ValuationMatrix:
+def special_matrix(d: ModificationDescriptor, s: int, contact: Mapping[int, int]) -> ValuationMatrix:
     """The valuation matrix stacked with the ``special_rows`` of s."""
     a = valuation_matrix(d)
-    rows = special_rows(d, s, contact, tail)
+    rows = special_rows(d, s, contact)
     return ValuationMatrix(rows=a.rows, special_rows=rows, special_owners=d.parents(s), descriptor=d)
 
 

@@ -76,11 +76,6 @@ class LinearForm(FieldCodec):
             merged[k] = merged.get(k, 0) + c
         return LinearForm.make(self.const + other.const, merged)
 
-    def __sub__(self, other: "LinearForm | int | Fraction") -> "LinearForm":
-        if not isinstance(other, LinearForm):
-            return self + (-Fraction(other))
-        return self + other.scale(-1)
-
     def scale(self, factor: Fraction | int) -> "LinearForm":
         f = Fraction(factor)
         return LinearForm.make(self.const * f, {k: c * f for k, c in self.coeffs.items()})
@@ -218,7 +213,6 @@ def solve_last_dicritical(
     special_exponents: Mapping[int, int] | None = None,
     contact_orders: Mapping[int, int] | None = None,
     target_orders: Mapping[int, int] | None = None,
-    tail: TailData | None = None,
 ) -> LastDicriticalCertificate:
     """Solve the reduced square system for the bundle exponents below s.
 
@@ -226,7 +220,8 @@ def solve_last_dicritical(
     parent j of s gets order (special exponent) * (contact order); every
     other divisor below s gets a prescribed nonzero order (default +1).
     """
-    return _solve_last(d, valuation_matrix(d), s, degree, special_exponents, contact_orders, target_orders, tail)
+    maps = request_maps(d, s, degree, special_exponents, contact_orders, target_orders)
+    return _solve_last(d, valuation_matrix(d), s, degree, *maps)
 
 
 def request_maps(
@@ -255,7 +250,7 @@ def request_maps(
         raise SolverError(f"the degree requested at divisor {s} must be >= 1, got {degree}")
     owners = sorted(d.parents(s))
     for j in owners:
-        special_mults_row(d, s, j, 1, None)
+        special_mults_row(d, s, j, 1)
     special_exponents = {j: 1 for j in owners} | dict(special_exponents or {})
     contact_orders = {j: 1 for j in owners} | dict(contact_orders or {})
     if set(special_exponents) != set(owners) or set(contact_orders) != set(owners):
@@ -276,15 +271,13 @@ def request_maps(
     return special_exponents, contact_orders, target_orders
 
 
-def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_orders, tail):
-    """``solve_last_dicritical`` on a valid descriptor with its valuation matrix."""
-    special_exponents, contact_orders, target_orders = request_maps(
-        d, s, degree, special_exponents, contact_orders, target_orders
-    )
+def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_orders):
+    """``solve_last_dicritical`` on a valid descriptor with its valuation matrix
+    and the three order maps that ``request_maps`` completed and checked."""
     owners = sorted(d.parents(s))
 
     _check_order_identity(matrix, s, owners)
-    b_rows = special_rows(d, s, contact_orders, tail=tail) if owners else ()
+    b_rows = special_rows(d, s, contact_orders) if owners else ()
 
     a_sub = tuple(tuple(matrix.entry(i, t) for t in range(1, s)) for i in range(1, s))
     b_sub = tuple(tuple(row[t - 1] for t in range(1, s)) for row in b_rows)
@@ -415,45 +408,38 @@ def aux_order_bounds(m: int, s: int, special_exponents: Mapping[int, int], n: in
 MAX_DOUBLINGS = 4  # doublings of the chosen orders before a too-small auxiliary order stands
 
 
-def candidate_tables(d: ModificationDescriptor, base: LastDicriticalCertificate, tail: TailData):
+def candidate_tables(d: ModificationDescriptor, base: LastDicriticalCertificate):
     """Signed multiplicity rows of the untwisted candidate and the orders of its
     numerator and denominator along every divisor.
 
     The rows are the bundle hypercurvettes with their signed exponents, then
     the special hypersurfaces (positive exponents, in the denominator) with
-    their multiplicities at s and, from the tail, at the later centers; the
-    hypercurvette of s raised to the degree goes into both tables.
+    their multiplicities at s and, from the tail of ``d``, at the later
+    centers; the hypercurvette of s raised to the degree goes into both
+    tables.
     """
     s = base.s
     signed = [(base.bundle_exponents[i - 1], d.curvette_mults[i - 1]) for i in range(1, s)]
     signed += [
-        (-base.special_exponents[j], special_mults_row(d, s, j, base.contact_orders[j], tail))
+        (-base.special_exponents[j], special_mults_row(d, s, j, base.contact_orders[j]))
         for j in base.special_owners
     ]
     nu_f, nu_g = _table_orders(d, signed, [(base.degree, d.curvette_mults[s - 1])])
     return signed, nu_f, nu_g
 
 
-def later_mults(d: ModificationDescriptor, s: int, tail: TailData) -> dict[int, list[int]]:
+def later_mults(d: ModificationDescriptor, s: int) -> dict[int, list[int]]:
     """Multiplicities at every center of the hypercurvette of each divisor after
-    s; the tail gives those at the centers after s."""
+    s; those at the centers after s come from the tail of ``d``, which must be
+    for s."""
+    tail = d.tail
     return {
         j: [d.curvette_mult(j, t) if t <= s else tail.mu_curvettes.get(t, {}).get(j, 0) for t in range(1, d.m + 1)]
         for j in range(s + 1, d.m + 1)
     }
 
 
-def order_forms(orders: Sequence[int], later_rows: Mapping[int, Sequence[int]]) -> tuple[LinearForm, ...]:
-    """Orders along every divisor after twisting by the powers k_j of the later
-    hypercurvettes with order rows ``later_rows``, as affine-linear forms in k_j."""
-    return tuple(
-        LinearForm.make(v, {j: row[i] for j, row in later_rows.items()}) for i, v in enumerate(orders)
-    )
-
-
-def aux_orders(
-    d: ModificationDescriptor, base: LastDicriticalCertificate, tail: TailData, nu_f, nu_g
-) -> tuple[int, ...]:
+def aux_orders(d: ModificationDescriptor, base: LastDicriticalCertificate, nu_f, nu_g) -> tuple[int, ...]:
     """Orders of the untwisted candidate; checked against the descent sets.
 
     A later divisor must have auxiliary order zero exactly when the image
@@ -481,7 +467,7 @@ def aux_orders(
     # Recursion cross-check through parents and special multiplicities.
     for i in later:
         expected = sum(aux[a - 1] for a in d.parents(i))
-        for j, mu in tail.mu_specials.get(i, {}).items():
+        for j, mu in d.tail.mu_specials.get(i, {}).items():
             expected -= base.special_exponents[j] * mu
         if aux[i - 1] != expected:
             raise SolverError(f"auxiliary order recursion failed at divisor {i}")
@@ -489,15 +475,29 @@ def aux_orders(
 
 
 def window_forms(
-    d: ModificationDescriptor, s: int, tail: TailData, aux: Sequence[int], numer_forms, a_ss: int
-) -> tuple[dict[int, int], dict[int, LinearForm]]:
-    """Weights and window forms for the later divisors with zero auxiliary order.
+    d: ModificationDescriptor,
+    s: int,
+    aux: Sequence[int],
+    nu_f: Sequence[int],
+    later_rows: Mapping[int, Sequence[int]],
+    a_ss: int,
+) -> tuple[LinearForm, dict[int, int], dict[int, LinearForm]]:
+    """The threshold form, and the weights and window forms of the later
+    divisors with zero auxiliary order.
 
-    Each such divisor imposes that the pole power be less than the
-    threshold plus its window form; the identity
+    The numerator form at divisor i is its order after twisting by the powers
+    k_j of the later hypercurvettes with order rows ``later_rows``, affine-linear
+    in k_j; the threshold form is the numerator form at s over a_ss.  Each
+    later divisor with zero auxiliary order imposes that the pole power be
+    less than the threshold plus its window form; the identity
     numerator_form(i) = weight(i) * (numerator_form(s) + a_ss * window(i))
     is verified symbolically.
     """
+
+    def numerator_form(i: int) -> LinearForm:
+        return LinearForm.make(nu_f[i - 1], {j: row[i - 1] for j, row in later_rows.items()})
+
+    numer_s = numerator_form(s)
     weights: dict[int, int] = {s: 1}
     windows: dict[int, LinearForm] = {s: LinearForm.make(0)}
     for i in range(s + 1, d.m + 1):
@@ -510,18 +510,18 @@ def window_forms(
         form = LinearForm.make(0)
         for p in parents:
             form = form + windows[p].scale(Fraction(weights[p], weight))
-        mu_row = tail.mu_curvettes.get(i, {})
+        mu_row = d.tail.mu_curvettes.get(i, {})
         form = form + LinearForm.make(0, {j: Fraction(mu, weight * a_ss) for j, mu in mu_row.items()})
         if any(c <= 0 for c in form.coeffs.values()):
             raise SolverError(f"window form at divisor {i} has a nonpositive coefficient")
-        identity = numer_forms[s - 1] + form.scale(a_ss)
-        if identity.scale(weight) != numer_forms[i - 1]:
+        identity = numer_s + form.scale(a_ss)
+        if identity.scale(weight) != numerator_form(i):
             raise SolverError(f"window identity failed at divisor {i}")
         weights[i] = weight
         windows[i] = form
     weights.pop(s)
     windows.pop(s)
-    return weights, windows
+    return numer_s.scale(Fraction(1, a_ss)), weights, windows
 
 
 def choose_exponents(
@@ -571,17 +571,17 @@ def solve_single_dicritical(
 ) -> SingleDicriticalCertificate:
     """Full pipeline: divisor s dicritical of the given degree, all others not.
 
-    The tail data comes from ``tail_descriptor`` and the orders from
-    ``request_maps``, so an entry that ``contact_orders`` or
-    ``target_orders`` leaves out is 1, as for every other request.  When
-    neither map is supplied the orders start instead at the safe floors from
+    The tail data comes from ``tail_descriptor`` and rides on the descriptor
+    from then on.  The orders come from ``request_maps``, which checks the
+    request once, so an entry that ``contact_orders`` or ``target_orders``
+    leaves out is 1, as for every other request.  When neither map is
+    supplied the orders start instead at the safe floors from
     ``aux_order_bounds``.  If the auxiliary orders still come out too small
     (heavy special-hypersurface multiplicities), every chosen contact and
     target order is doubled and the pipeline retries, up to
     ``MAX_DOUBLINGS`` doublings.
     """
     d = tail_descriptor(d, s, tail)
-    tail = d.tail
     matrix = valuation_matrix(d)
     special_exponents, contacts, targets = request_maps(
         d, s, degree, special_exponents, contact_orders, target_orders, positive_targets=True
@@ -593,10 +593,10 @@ def solve_single_dicritical(
 
     doublings = 0
     while True:
-        base = _solve_last(d, matrix, s, degree, special_exponents, contacts, targets, tail)
-        signed, nu_f, nu_g = candidate_tables(d, base, tail)
+        base = _solve_last(d, matrix, s, degree, special_exponents, contacts, targets)
+        signed, nu_f, nu_g = candidate_tables(d, base)
         try:
-            aux = aux_orders(d, base, tail, nu_f, nu_g)
+            aux = aux_orders(d, base, nu_f, nu_g)
             break
         except BoundViolation:
             if doublings >= MAX_DOUBLINGS:
@@ -605,12 +605,10 @@ def solve_single_dicritical(
         contacts = {j: 2 * v for j, v in contacts.items()}
         targets = {i: 2 * v for i, v in targets.items()}
 
-    mults = later_mults(d, s, tail)
+    mults = later_mults(d, s)
     later_rows = {j: pullback_orders(d, row) for j, row in mults.items()}
-    numer_forms = order_forms(nu_f, later_rows)
     a_ss = matrix.entry(s, s)
-    weights, windows = window_forms(d, s, tail, aux, numer_forms, a_ss)
-    threshold_form = numer_forms[s - 1].scale(Fraction(1, a_ss))
+    threshold_form, weights, windows = window_forms(d, s, aux, nu_f, later_rows, a_ss)
     assign, pole = choose_exponents(threshold_form, windows, later_rows)
 
     # Final orders at the chosen exponents: the twist adds the same integer

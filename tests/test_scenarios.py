@@ -327,6 +327,12 @@ def mutated(case):
         "profile-part-bindings-missing",
         "empty-certificate",
         "non-json-certificate",
+        "scenario-is-a-directory",
+        "certificate-is-a-directory",
+        "deeply-nested-scenario",
+        "solve-out-is-a-file",
+        "verify-out-is-a-file",
+        "matrix-out-is-a-file",
         *ARTIFACT_MUTATIONS,
         *SCENARIO_MUTATIONS,
     ],
@@ -403,6 +409,17 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
         certificate = tmp_path / "certificate.json"
         certificate.write_text("{}" if case == "empty-certificate" else "not json")
         argv += ["--certificate", str(certificate)]
+    elif case == "scenario-is-a-directory":
+        path.mkdir()
+    elif case == "certificate-is-a-directory":
+        path.write_text(input_json(data))
+        argv += ["--certificate", str(tmp_path)]
+    elif case == "deeply-nested-scenario":
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    elif case.endswith("-out-is-a-file"):
+        path.write_text(input_json(data))
+        argv[0] = case.split("-")[0]
+        (tmp_path / "out").write_text("")
     elif case == "unknown-option":
         path.write_text(input_json(data))
         argv += ["--retries", "4"]

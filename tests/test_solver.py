@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from dicriticals import descriptor, solver
 from dicriticals.descriptor import TailData, make_descriptor, pullback_orders, valuation_matrix
 from dicriticals.errors import BoundViolation, SolverError
+from dicriticals.jsonio import canonical_dumps
 from dicriticals.solver import (
     LinearForm,
     aux_order_bounds,
@@ -16,7 +18,6 @@ from dicriticals.solver import (
     classify,
     combine_profile,
     later_mults,
-    order_forms,
     solve_last_dicritical,
     solve_single_dicritical,
     solve_support,
@@ -147,10 +148,16 @@ def test_aux_order_bounds():
 
 
 def untwisted_forms(d, s, base):
-    """Signed rows, numerator and denominator order forms of the untwisted candidate."""
-    signed, nu_f, nu_g = candidate_tables(d, base, d.tail)
-    later_rows = {j: pullback_orders(d, row) for j, row in later_mults(d, s, d.tail).items()}
-    return nu_f, nu_g, order_forms(nu_f, later_rows), order_forms(nu_g, later_rows)
+    """Numerator and denominator orders of the untwisted candidate, the order
+    rows of the later hypercurvettes, and the orders after twisting by their
+    powers k_j as affine-linear forms in k_j."""
+    signed, nu_f, nu_g = candidate_tables(d, base)
+    later_rows = {j: pullback_orders(d, row) for j, row in later_mults(d, s).items()}
+
+    def forms(orders):
+        return tuple(LinearForm.make(v, {j: row[i] for j, row in later_rows.items()}) for i, v in enumerate(orders))
+
+    return nu_f, nu_g, later_rows, forms(nu_f), forms(nu_g)
 
 
 def searched_exponents(threshold_form, windows, later, cap=10_000):
@@ -195,18 +202,19 @@ def test_a_window_that_does_not_grow_is_rejected():
 def test_single_workspace_forms():
     d = three_points_line()
     base = solve_last_dicritical(d, 3, 1, contact_orders={1: 1, 2: 1})
-    nu_f, nu_g, numer, denom = untwisted_forms(d, 3, base)
+    nu_f, nu_g, later_rows, numer, denom = untwisted_forms(d, 3, base)
     assert numer[0] == LinearForm.make(7, {4: Fraction(2)})
     assert denom[0] == LinearForm.make(6, {4: Fraction(2)})
     assert numer[2] == LinearForm.make(20, {4: Fraction(6)})
     assert numer[2].evaluate({4: 0}) == 20  # no twist: plain orders
-    aux = aux_orders(d, base, d.tail, nu_f, nu_g)
+    aux = aux_orders(d, base, nu_f, nu_g)
     assert aux == (1, 1, 0, 0)
     a_ss = valuation_matrix(d).entry(3, 3)
-    weights, windows = window_forms(d, 3, d.tail, aux, numer, a_ss)
+    threshold_form, weights, windows = window_forms(d, 3, aux, nu_f, later_rows, a_ss)
+    assert threshold_form == numer[2].scale(Fraction(1, a_ss))
     assert weights == {4: 1}
     assert windows == {4: LinearForm.make(0, {4: Fraction(1, 4)})}
-    assign, pole = choose_exponents(numer[2].scale(Fraction(1, a_ss)), windows, (4,))
+    assign, pole = choose_exponents(threshold_form, windows, (4,))
     assert assign == {4: 5} and pole == 13
     cert = solve_single_dicritical(d, 3, 1, contact_orders={1: 1, 2: 1})
     assert (cert.later_exponents, cert.pole_power) == (assign, pole)
@@ -309,23 +317,42 @@ def test_single_validates_once_and_builds_one_matrix(d, s, contacts, doublings, 
     assert len(validations) <= 2
 
 
+def test_a_single_solve_checks_its_request_once(monkeypatch):
+    calls = []
+    original = solver.request_maps
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "request_maps", counted)
+    cert = solve_single_dicritical(four_divisor_tower(), 3, 1, contact_orders={1: 1})
+    assert cert.doublings == 2
+    assert calls == [3]
+
+
 def test_single_requires_tail():
     d = three_points()
     with pytest.raises(SolverError):
         solve_single_dicritical(d, 2, 1)
 
 
-def test_single_branching_window_forms():
-    # two parents with unit weights average their windows
-    d = make_descriptor(
+def branching_descriptor():
+    """s = 1 with two later divisors that both contain the last center."""
+    return make_descriptor(
         3,
         [[], [1], [1], [2, 3]],
         tail=TailData(s=1, mu_curvettes={2: {2: 1}, 3: {3: 1}, 4: {4: 1}}, mu_specials={}),
     )
+
+
+def test_single_branching_window_forms():
+    # two parents with unit weights average their windows
+    d = branching_descriptor()
     base = solve_last_dicritical(d, 1, 1)
-    nu_f, nu_g, numer, _ = untwisted_forms(d, 1, base)
-    aux = aux_orders(d, base, d.tail, nu_f, nu_g)
-    weights, windows = window_forms(d, 1, d.tail, aux, numer, valuation_matrix(d).entry(1, 1))
+    nu_f, nu_g, later_rows, _, _ = untwisted_forms(d, 1, base)
+    aux = aux_orders(d, base, nu_f, nu_g)
+    _, weights, windows = window_forms(d, 1, aux, nu_f, later_rows, valuation_matrix(d).entry(1, 1))
     assert weights == {2: 1, 3: 1, 4: 2}
     assert windows[2] == LinearForm.make(0, {2: Fraction(1)})
     assert windows[3] == LinearForm.make(0, {3: Fraction(1)})
@@ -368,6 +395,48 @@ def test_single_randomized_invariants():
             assert w.evaluate(cert.later_exponents) > 1
 
 
+# sha256 of the canonical JSON of each certificate.  The four-divisor and
+# doubling-20 solves make two doublings each; "floors-without-maps" gives no
+# order maps, so it starts at the ``aux_order_bounds`` floors; and the last
+# solve runs on a descriptor that carries a tail, which it never reads.
+PINNED_CERTIFICATES = {
+    "four-divisor-contact-1": (
+        lambda: solve_single_dicritical(four_divisor_tower(), 3, 1, contact_orders={1: 1}),
+        "770d75e1b50f3148fee71488fb66d1e0912d96e8927b84ddbcb33abe3e683833",
+    ),
+    "four-divisor-contact-2": (
+        lambda: solve_single_dicritical(four_divisor_tower(), 3, 1, contact_orders={2: 1}),
+        "770d75e1b50f3148fee71488fb66d1e0912d96e8927b84ddbcb33abe3e683833",
+    ),
+    "four-divisor-contacts-1-2": (
+        lambda: solve_single_dicritical(four_divisor_tower(), 3, 1, contact_orders={1: 1, 2: 1}),
+        "770d75e1b50f3148fee71488fb66d1e0912d96e8927b84ddbcb33abe3e683833",
+    ),
+    "doubling-20": (
+        lambda: solve_single_dicritical(doubling_descriptor(20), 2, 1),
+        "0860ab9344b87bf2a4209a39465c007d0ab953365629b496d0cdef096e5e6ac0",
+    ),
+    "branching-window": (
+        lambda: solve_single_dicritical(branching_descriptor(), 1, 1),
+        "410400c2bfd83ffb4b9383602df696a2facc089be7da45420378b671e743aa3c",
+    ),
+    "floors-without-maps": (
+        lambda: solve_single_dicritical(three_points_line(), 3, 1),
+        "f0217901865c8056d8edf0e46ef2d6dc1be25d98e5ad7badf1962ccdd1db3ad9",
+    ),
+    "last-with-a-tail": (
+        lambda: solve_last_dicritical(three_points_line(), 3, 1),
+        "d26d1bf83688224ce8cd5cc839ffddbdf1add9244d6ab603cd53c8b4d2acd56c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CERTIFICATES))
+def test_certificate_bytes_are_pinned(case):
+    solve, digest = PINNED_CERTIFICATES[case]
+    assert hashlib.sha256(canonical_dumps(solve().to_json()).encode()).hexdigest() == digest
+
+
 # -- profiles ------------------------------------------------------------------------
 
 
@@ -408,6 +477,7 @@ def test_certificate_json_roundtrips():
 
 def test_linear_form_holds_no_zero_coefficient():
     assert LinearForm.make(1, {2: 0, 1: Fraction(1, 2)}) == LinearForm(Fraction(1), {1: Fraction(1, 2)})
-    assert LinearForm.make(0, {1: 1}) - LinearForm.make(0, {1: 1}) == LinearForm.make(0)
+    a = LinearForm.make(0, {1: 1})
+    assert a + a.scale(-1) == LinearForm.make(0)
     with pytest.raises(SolverError):
         LinearForm(Fraction(0), {1: Fraction(0)})
