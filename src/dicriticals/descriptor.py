@@ -285,18 +285,6 @@ def valuation_matrix(d: ModificationDescriptor) -> ValuationMatrix:
     return ValuationMatrix(rows=tuple(_recursion(parents, row) for row in d.curvette_mults), descriptor=d)
 
 
-def column_recurrence_holds(d: ModificationDescriptor, v: ValuationMatrix) -> bool:
-    """Recompute the defining recurrence of the upper-triangular part."""
-    for k in range(1, v.size + 1):
-        for i in range(1, v.size + 1):
-            expected = sum(v.entry(i, q) for q in d.parents(k))
-            if i < k and v.entry(i, k) != expected:
-                return False
-            if i == k and v.entry(k, k) != expected + 1:
-                return False
-    return True
-
-
 def leading_principal_minors(v: ValuationMatrix) -> tuple[int, ...]:
     """Exact determinants of the nested leading submatrices."""
     return leading_minors([list(row) for row in v.rows])
@@ -338,16 +326,7 @@ def special_rows(d: ModificationDescriptor, s: int, contact: Mapping[int, int]) 
         raise DescriptorError("contact orders must be given exactly for the parents of s")
     if any(contact[j] < 1 for j in owners):
         raise DescriptorError("contact orders must be positive")
-    rows = []
-    for j in owners:
-        row = pullback_orders(d, special_mults_row(d, s, j, contact[j]))
-        expected = sum(row[q - 1] for q in owners) + contact[j]
-        if row[s - 1] != expected:
-            raise DescriptorError(
-                f"special row for owner {j} violates the order identity at {s}: {row[s - 1]} != {expected}"
-            )
-        rows.append(row)
-    return tuple(rows)
+    return tuple(pullback_orders(d, special_mults_row(d, s, j, contact[j])) for j in owners)
 
 
 def special_matrix(d: ModificationDescriptor, s: int, contact: Mapping[int, int]) -> ValuationMatrix:

@@ -230,12 +230,6 @@ class Polynomial:
         zero_exps = (0,) * len(self.variables)
         return Fraction(self._terms.get(zero_exps, 0))
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
     def _var_index(self, name: str) -> int:
         try:
             return self.variables.index(name)
@@ -317,7 +311,8 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
-            if isinstance(other, (int, Fraction)):
+            # a bool is an int but no coefficient, so it compares unequal
+            if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
                 return self == Polynomial.constant(self.variables, other)
             return NotImplemented
         return self.variables == other.variables and self._terms == other._terms

@@ -121,7 +121,7 @@ class RationalFunction:
         return RationalFunction._coprime(self.den ** (-power), self.num ** (-power))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (RationalFunction, Polynomial, int, Fraction)):
+        if not isinstance(other, (RationalFunction, Polynomial, int, Fraction)) or isinstance(other, bool):
             return NotImplemented
         other = self._coerce(other)
         return self.num * other.den == other.num * self.den

@@ -15,9 +15,14 @@ Three construction problems are solved here, in increasing strength:
 Every system is x·A_k = b for a leading block A_k of the valuation matrix.
 It is solved by inverting the order recursion (``inverse_orders``), in
 integers and without a division, and each solution is checked against the
-rows of A_k; each certificate carries the full predicted order vector, which
-is recomputed independently through the order recursion before it is
-returned.
+rows of A_k.  Each certificate carries the full predicted order vector, and
+before it is returned it passes the checks of its construction: the
+eliminated equation at s, the positivity of the auxiliary orders below s and
+the descent rule after s, the positivity and growth of the window forms, and
+the final order conditions.  Every order here comes from the one order
+recursion, so running it again on its own output would check nothing; the
+independent check of a certificate is ``verify``, which walks the
+constructed function through the charts symbolically.
 """
 
 from __future__ import annotations
@@ -75,10 +80,6 @@ class LinearForm(FieldCodec):
         for k, c in other.coeffs.items():
             merged[k] = merged.get(k, 0) + c
         return LinearForm.make(self.const + other.const, merged)
-
-    def scale(self, factor: Fraction | int) -> "LinearForm":
-        f = Fraction(factor)
-        return LinearForm.make(self.const * f, {k: c * f for k, c in self.coeffs.items()})
 
     def evaluate(self, assignment: Mapping[int, int | Fraction]) -> Fraction:
         total = self.const
@@ -275,8 +276,6 @@ def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_
     """``solve_last_dicritical`` on a valid descriptor with its valuation matrix
     and the three order maps that ``request_maps`` completed and checked."""
     owners = sorted(d.parents(s))
-
-    _check_order_identity(matrix, s, owners)
     b_rows = special_rows(d, s, contact_orders) if owners else ()
 
     a_sub = tuple(tuple(matrix.entry(i, t) for t in range(1, s)) for i in range(1, s))
@@ -292,6 +291,12 @@ def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_
             value += special_exponents[j] * (b_sub[idx][t - 1] + c_sub[idx][t - 1])
         rhs.append(value)
     exponents = _solve_rows(d, matrix.rows, rhs)
+    # The equation at s is not in the solved system: the product must still
+    # have order zero along E_s.
+    at_s = sum(x * matrix.entry(i, s) for i, x in enumerate(exponents, start=1))
+    at_s -= sum(special_exponents[j] * row[s - 1] for j, row in zip(owners, b_rows))
+    if at_s != 0:
+        raise SolverError(f"solved exponents do not satisfy equation {s}: {at_s} != 0")
 
     orders = tuple(
         target_orders.get(i, 0)
@@ -299,7 +304,6 @@ def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_
         else (special_exponents[i] * contact_orders[i] if i in owners else 0)
         for i in range(1, s + 1)
     )
-    _verify_last_certificate(d, matrix, b_rows, owners, s, exponents, special_exponents, orders)
     return LastDicriticalCertificate(
         s=s,
         degree=degree,
@@ -313,52 +317,6 @@ def _solve_last(d, matrix, s, degree, special_exponents, contact_orders, target_
         matrix_b=b_sub,
         matrix_c=c_sub,
     )
-
-
-def _table_orders(d: ModificationDescriptor, signed, shared=()) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Orders along every divisor of the numerator and the denominator of a
-    product of powers, through weighted multiplicity tables and the order
-    recursion.
-
-    Each ``(weight, row)`` pair stands for a hypersurface with strict
-    multiplicities ``row`` at the first ``len(row)`` centers, raised to
-    ``weight``.  A pair in ``signed`` goes into the numerator table when its
-    weight is positive and, with the weight negated, into the denominator
-    table otherwise; a pair in ``shared`` goes into both.
-    """
-    num, den = [0] * d.m, [0] * d.m
-    entries = [(w, row, (num,)) if w > 0 else (-w, row, (den,)) for w, row in signed]
-    entries += [(w, row, (num, den)) for w, row in shared]
-    for weight, row, tables in entries:
-        for table in tables:
-            for t, v in enumerate(row):
-                table[t] += weight * v
-    return pullback_orders(d, num), pullback_orders(d, den)
-
-
-def _check_order_identity(matrix, s, owners):
-    """The column at s must decompose through the parents of s (order identity)."""
-    for i in range(1, s + 1):
-        expected = sum(matrix.entry(i, j) for j in owners) + (1 if i == s else 0)
-        if matrix.entry(i, s) != expected:
-            raise SolverError(
-                f"hypercurvette orders violate the recursion at column {s}, row {i}; descriptor is inconsistent"
-            )
-
-
-def _verify_last_certificate(d, matrix, b_rows, owners, s, exponents, special_exponents, orders):
-    """Substitute the solution into all s equations, including the eliminated one,
-    and recompute the order vector through the order recursion."""
-    # Independent route: weighted multiplicity tables through the recursion.
-    n_plus, n_minus = _table_orders(d, [(exponents[i - 1], d.curvette_mults[i - 1]) for i in range(1, s)])
-    for t in range(1, s + 1):
-        via_rows = sum(exponents[i - 1] * matrix.entry(i, t) for i in range(1, s))
-        value = via_rows - sum(special_exponents[j] * b_rows[idx][t - 1] for idx, j in enumerate(owners))
-        expected = orders[t - 1] if t < s else 0
-        if value != expected:
-            raise SolverError(f"solved exponents do not satisfy equation {t}: {value} != {expected}")
-        if n_plus[t - 1] - n_minus[t - 1] != via_rows:
-            raise SolverError("order recursion disagrees with the matrix rows; internal error")
 
 
 # -- single-dicritical certificates ---------------------------------------------
@@ -408,24 +366,37 @@ def aux_order_bounds(m: int, s: int, special_exponents: Mapping[int, int], n: in
 MAX_DOUBLINGS = 4  # doublings of the chosen orders before a too-small auxiliary order stands
 
 
-def candidate_tables(d: ModificationDescriptor, base: LastDicriticalCertificate):
-    """Signed multiplicity rows of the untwisted candidate and the orders of its
-    numerator and denominator along every divisor.
+def candidate_tables(
+    d: ModificationDescriptor, base: LastDicriticalCertificate
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orders along every divisor of the numerator and the denominator of the
+    untwisted candidate, through weighted multiplicity tables and the order
+    recursion.
 
-    The rows are the bundle hypercurvettes with their signed exponents, then
-    the special hypersurfaces (positive exponents, in the denominator) with
-    their multiplicities at s and, from the tail of ``d``, at the later
-    centers; the hypercurvette of s raised to the degree goes into both
-    tables.
+    Each bundle hypercurvette goes into the numerator table with its exponent
+    when that is positive, and into the denominator table with the exponent
+    negated otherwise.  The special hypersurfaces go into the denominator with
+    their (positive) exponents and their multiplicities at s and, from the
+    tail of ``d``, at the later centers; the hypercurvette of s raised to the
+    degree goes into both tables.
     """
     s = base.s
-    signed = [(base.bundle_exponents[i - 1], d.curvette_mults[i - 1]) for i in range(1, s)]
-    signed += [
-        (-base.special_exponents[j], special_mults_row(d, s, j, base.contact_orders[j]))
-        for j in base.special_owners
-    ]
-    nu_f, nu_g = _table_orders(d, signed, [(base.degree, d.curvette_mults[s - 1])])
-    return signed, nu_f, nu_g
+    num, den = [0] * d.m, [0] * d.m
+
+    def add(table, weight, row):
+        for t, v in enumerate(row):
+            table[t] += weight * v
+
+    for x, row in zip(base.bundle_exponents, d.curvette_mults):
+        if x > 0:
+            add(num, x, row)
+        else:
+            add(den, -x, row)
+    for j in base.special_owners:
+        add(den, base.special_exponents[j], special_mults_row(d, s, j, base.contact_orders[j]))
+    for table in (num, den):
+        add(table, base.degree, d.curvette_mults[s - 1])
+    return pullback_orders(d, num), pullback_orders(d, den)
 
 
 def later_mults(d: ModificationDescriptor, s: int) -> dict[int, list[int]]:
@@ -453,9 +424,8 @@ def aux_orders(d: ModificationDescriptor, base: LastDicriticalCertificate, nu_f,
             raise BoundViolation(f"auxiliary order at divisor {i} must be positive", index=i)
     if aux[s - 1] != 0:
         raise SolverError(f"auxiliary order at divisor {s} must vanish, got {aux[s - 1]}")
-    later = range(s + 1, d.m + 1)
     lows = low_sets(d, s)
-    for i in later:
+    for i in range(s + 1, d.m + 1):
         if lows[i] & set(range(1, s)):
             if aux[i - 1] <= 0:
                 raise BoundViolation(
@@ -464,13 +434,6 @@ def aux_orders(d: ModificationDescriptor, base: LastDicriticalCertificate, nu_f,
                 )
         elif aux[i - 1] != 0:
             raise SolverError(f"auxiliary order at divisor {i} should vanish by the descent rule, got {aux[i - 1]}")
-    # Recursion cross-check through parents and special multiplicities.
-    for i in later:
-        expected = sum(aux[a - 1] for a in d.parents(i))
-        for j, mu in d.tail.mu_specials.get(i, {}).items():
-            expected -= base.special_exponents[j] * mu
-        if aux[i - 1] != expected:
-            raise SolverError(f"auxiliary order recursion failed at divisor {i}")
     return aux
 
 
@@ -485,43 +448,36 @@ def window_forms(
     """The threshold form, and the weights and window forms of the later
     divisors with zero auxiliary order.
 
-    The numerator form at divisor i is its order after twisting by the powers
-    k_j of the later hypercurvettes with order rows ``later_rows``, affine-linear
-    in k_j; the threshold form is the numerator form at s over a_ss.  Each
-    later divisor with zero auxiliary order imposes that the pole power be
-    less than the threshold plus its window form; the identity
-    numerator_form(i) = weight(i) * (numerator_form(s) + a_ss * window(i))
-    is verified symbolically.
+    The numerator form N_i at divisor i is its order after twisting by the
+    powers k_j of the later hypercurvettes with order rows ``later_rows``,
+    N_i = nu_f[i] + sum_j k_j·L_j[i], affine-linear in k_j; the threshold form
+    is N_s / a_ss.  A later divisor i with zero auxiliary order has weight
+    w_i, the sum of the weights of its parents with w_s = 1, and imposes that
+    the pole power be less than the threshold plus its window form
+    (N_i - w_i·N_s) / (w_i·a_ss), whose coefficients must be positive.
     """
 
-    def numerator_form(i: int) -> LinearForm:
-        return LinearForm.make(nu_f[i - 1], {j: row[i - 1] for j, row in later_rows.items()})
+    def form(i: int, weight: int, den: int) -> LinearForm:
+        """(N_i - weight·N_s) / den."""
+        return LinearForm.make(
+            Fraction(nu_f[i - 1] - weight * nu_f[s - 1], den),
+            {j: Fraction(row[i - 1] - weight * row[s - 1], den) for j, row in later_rows.items()},
+        )
 
-    numer_s = numerator_form(s)
     weights: dict[int, int] = {s: 1}
-    windows: dict[int, LinearForm] = {s: LinearForm.make(0)}
+    windows: dict[int, LinearForm] = {}
     for i in range(s + 1, d.m + 1):
         if aux[i - 1] != 0:
             continue
-        parents = sorted(d.parents(i))
-        if any(p < s or (p > s and p not in windows) for p in parents):
-            raise SolverError(f"window recursion hit a divisor with nonzero auxiliary order at {i}")
-        weight = sum(weights[p] for p in parents)
-        form = LinearForm.make(0)
-        for p in parents:
-            form = form + windows[p].scale(Fraction(weights[p], weight))
-        mu_row = d.tail.mu_curvettes.get(i, {})
-        form = form + LinearForm.make(0, {j: Fraction(mu, weight * a_ss) for j, mu in mu_row.items()})
-        if any(c <= 0 for c in form.coeffs.values()):
+        # aux_orders checked the descent rule, so each parent of i is s or a zero-aux later divisor
+        weight = sum(weights[p] for p in d.parents(i))
+        window = form(i, weight, weight * a_ss)
+        if any(c <= 0 for c in window.coeffs.values()):
             raise SolverError(f"window form at divisor {i} has a nonpositive coefficient")
-        identity = numer_s + form.scale(a_ss)
-        if identity.scale(weight) != numerator_form(i):
-            raise SolverError(f"window identity failed at divisor {i}")
         weights[i] = weight
-        windows[i] = form
+        windows[i] = window
     weights.pop(s)
-    windows.pop(s)
-    return numer_s.scale(Fraction(1, a_ss)), weights, windows
+    return form(s, 0, a_ss), weights, windows
 
 
 def choose_exponents(
@@ -594,7 +550,7 @@ def solve_single_dicritical(
     doublings = 0
     while True:
         base = _solve_last(d, matrix, s, degree, special_exponents, contacts, targets)
-        signed, nu_f, nu_g = candidate_tables(d, base)
+        nu_f, nu_g = candidate_tables(d, base)
         try:
             aux = aux_orders(d, base, nu_f, nu_g)
             break
@@ -605,8 +561,7 @@ def solve_single_dicritical(
         contacts = {j: 2 * v for j, v in contacts.items()}
         targets = {i: 2 * v for i, v in targets.items()}
 
-    mults = later_mults(d, s)
-    later_rows = {j: pullback_orders(d, row) for j, row in mults.items()}
+    later_rows = {j: pullback_orders(d, row) for j, row in later_mults(d, s).items()}
     a_ss = matrix.entry(s, s)
     threshold_form, weights, windows = window_forms(d, s, aux, nu_f, later_rows, a_ss)
     assign, pole = choose_exponents(threshold_form, windows, later_rows)
@@ -626,15 +581,6 @@ def solve_single_dicritical(
             raise SolverError(f"order at divisor {i} must be positive, got {orders[i - 1]}")
         if orders[i - 1] < aux[i - 1]:
             raise SolverError(f"order at divisor {i} dropped below the auxiliary order")
-    # Independent recompute of every order through weighted multiplicity tables.
-    shared = [(degree, d.curvette_mults[s - 1])] + [(k, mults[j]) for j, k in assign.items()]
-    nu_num, nu_den = _table_orders(d, signed, shared)
-    nu_pole = pullback_orders(d, [pole * v for v in d.curvette_mults[s - 1]])
-    for i in range(d.m):
-        if numer[i] != nu_num[i] or denom[i] != nu_den[i]:
-            raise SolverError("table recompute disagrees with the twisted orders; internal error")
-        if orders[i] != nu_num[i] - min(nu_den[i], nu_pole[i]):
-            raise SolverError("final orders disagree with the table recompute; internal error")
 
     return SingleDicriticalCertificate(
         base=base,

@@ -1,4 +1,4 @@
-"""Shared test utilities: seeded random descriptors, a four-divisor tower
+"""Shared test utilities: seeded random descriptors and requests, a four-divisor tower
 that needs doublings, three request scenarios and the bench's scenario
 generators."""
 
@@ -12,7 +12,7 @@ from pathlib import Path
 
 from dicriticals.candidates import Bindings
 from dicriticals.charts import BlowupStep, ChartTower, LineClassSpec
-from dicriticals.descriptor import ModificationDescriptor, TailData, make_descriptor
+from dicriticals.descriptor import ModificationDescriptor, TailData, low_sets, make_descriptor
 from dicriticals.fixtures import point_point_line, three_points_line
 from dicriticals.poly import Polynomial
 from dicriticals.scenario import DivisorChart, LastRequest, Scenario, SingleRequest, SupportRequest
@@ -29,6 +29,48 @@ def random_descriptor(rng: random.Random, max_m: int = 8) -> ModificationDescrip
     for j in range(1, m + 1):
         rows.append(tuple(rng.randint(0, 1) for _ in range(j - 1)) + (1,))
     return make_descriptor(3, parents, curvette_mults=rows)
+
+
+def random_request(rng: random.Random, kind: str | None = None):
+    """A tower-less ``single`` or ``last`` request on a random descriptor; the
+    kind is drawn unless it is given.
+
+    The descriptor has n = 2..5 and m = 2..9, random parents, multiplicity
+    rows with entries 0..2 and special rows 0..3 for the parents of s.  A
+    single request carries a tail for s with random ``muZ`` (1..2) and, over
+    centers whose image meets a divisor below s, random ``muH`` (1..9, heavy
+    enough that some requests exhaust their doublings); a last
+    request carries one half of the time.  Each order map is left out or
+    given on a random subset of its keys.  Returns ``(kind, d, s, degree,
+    special_exponents, contact_orders, target_orders)``.
+    """
+    n, m = rng.randint(2, 5), rng.randint(2, 9)
+    parents = [[]] + [sorted(rng.sample(range(1, j), rng.randint(1, min(3, j - 1)))) for j in range(2, m + 1)]
+    rows = [tuple(rng.randint(0, 2) for _ in range(j - 1)) + (1,) for j in range(1, m + 1)]
+    kind = kind or rng.choice(("single", "last"))
+    s = rng.randint(1, m)
+    owners = parents[s - 1]
+    specials = {j: tuple(rng.randint(0, 3) for _ in range(s - 1)) for j in owners}
+    d = make_descriptor(n, parents, curvette_mults=rows, special_mults=specials)
+    if kind == "single" or rng.random() < 0.5:
+        lows = low_sets(d, s)
+        mu_z, mu_h = {}, {}
+        for i in range(s + 1, m + 1):
+            mu_z[i] = {i: rng.randint(1, 2)}
+            mu_z[i] |= {j: rng.randint(1, 2) for j in range(i + 1, m + 1) if rng.random() < 0.3}
+            if owners and min(lows[i]) < s and rng.random() < 0.5:
+                mu_h[i] = {j: rng.randint(1, 9) for j in rng.sample(owners, rng.randint(1, len(owners)))}
+        tail = TailData(s=s, mu_curvettes=mu_z, mu_specials=mu_h)
+        d = make_descriptor(n, parents, curvette_mults=rows, special_mults=specials, tail=tail)
+
+    def some(keys, values):
+        if rng.random() < 0.4:
+            return None
+        return {k: rng.choice(values) for k in keys if rng.random() < 0.7}
+
+    free = [i for i in range(1, s) if i not in owners]
+    targets = (1, 2, 3, 4) if kind == "single" else (-3, -2, -1, 1, 2, 3)
+    return kind, d, s, rng.randint(1, 3), some(owners, (1, 2, 3)), some(owners, (1, 2, 3)), some(free, targets)
 
 
 def four_divisor_tower() -> ModificationDescriptor:

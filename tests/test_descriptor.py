@@ -9,7 +9,7 @@ from dicriticals.descriptor import (
     ModificationDescriptor,
     SpecialRow,
     TailData,
-    column_recurrence_holds,
+    ValuationMatrix,
     default_curvette_mults,
     inverse_orders,
     leading_principal_minors,
@@ -138,13 +138,6 @@ def test_valuation_matrix_single_blowup():
     assert valuation_matrix(make_descriptor(2, [[]])).rows == ((1,),)
 
 
-def test_column_recurrence():
-    rng = random.Random(11)
-    for _ in range(25):
-        d = random_descriptor(rng)
-        assert column_recurrence_holds(d, valuation_matrix(d))
-
-
 def test_special_matrix_three_points():
     sm = special_matrix(three_points(), 3, {1: 1, 2: 1})
     assert sm.special_rows == ((2, 4, 7), (3, 5, 9))
@@ -219,6 +212,48 @@ def descriptors(draw):
     return make_descriptor(n, parents, curvette_mults=rows)
 
 
+def column_recurrence_holds(d: ModificationDescriptor, v: ValuationMatrix) -> bool:
+    """Recompute the defining recurrence of the upper-triangular part."""
+    for k in range(1, v.size + 1):
+        for i in range(1, v.size + 1):
+            expected = sum(v.entry(i, q) for q in d.parents(k))
+            if i < k and v.entry(i, k) != expected:
+                return False
+            if i == k and v.entry(k, k) != expected + 1:
+                return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(descriptors())
+def test_column_recurrence(d):
+    """The column at k decomposes through the parents of k, plus 1 on the
+    diagonal: what a descriptor's validation guarantees and the solver relies
+    on at s."""
+    assert column_recurrence_holds(d, valuation_matrix(d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(descriptors(), st.data())
+def test_pullback_orders_are_linear_in_signed_weighted_tables(d, data):
+    """The orders of a product of powers are the weighted sum of the orders of
+    its factors: a factor with a positive weight goes into the numerator
+    table, one with a negative weight into the denominator table, and the
+    orders of the two tables differ by the weighted sum.  With hypercurvette
+    rows that sum is the exponents times the rows of the valuation matrix."""
+    factors = data.draw(
+        st.lists(st.tuples(st.integers(-5, 5), st.lists(st.integers(0, 3), max_size=d.m)), max_size=5)
+    )
+    num, den = [0] * d.m, [0] * d.m
+    for weight, row in factors:
+        table = num if weight > 0 else den
+        for t, v in enumerate(row):
+            table[t] += abs(weight) * v
+    orders = [pullback_orders(d, row) for _, row in factors]
+    expected = tuple(sum(w * o[i] for (w, _), o in zip(factors, orders)) for i in range(d.m))
+    assert tuple(f - g for f, g in zip(pullback_orders(d, num), pullback_orders(d, den))) == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(descriptors(), st.data())
 def test_inverse_orders_solves_every_leading_block(d, data):
@@ -238,3 +273,41 @@ def test_inverse_orders_three_points():
     assert inverse_orders(d, ()) == ()
     with pytest.raises(DescriptorError):
         inverse_orders(d, (0, 0, 0, 0))
+
+
+@st.composite
+def plane_chains(draw):
+    """Chains of m <= 12 point blow-ups in the plane.  Point j > 1 lies on
+    E_{j-1}; it is free, on E_{j-1} alone, or (for j > 2) a satellite, also
+    on E_q for a q whose divisor contains point j - 1.  Hypercurvette j's row holds the
+    multiplicities e_i of a curvette of E_j, from the proximity equalities:
+    e_j = 1 and e_i is the sum of e_k over the k <= j proximate to i (those
+    whose parents contain i)."""
+    m = draw(st.integers(1, 12))
+    parents = [[]]
+    for j in range(2, m + 1):
+        before = parents[-1]
+        satellite = bool(before) and draw(st.booleans())
+        parents.append(sorted({j - 1, draw(st.sampled_from(before))}) if satellite else [j - 1])
+    rows = []
+    for j in range(1, m + 1):
+        e = {j: 1}
+        for i in range(j - 1, 0, -1):
+            e[i] = sum(e[k] for k in range(i + 1, j + 1) if i in parents[k - 1])
+        rows.append(tuple(e[i] for i in range(1, j + 1)))
+    return make_descriptor(2, parents, curvette_mults=rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plane_chains())
+def test_a_plane_chain_has_the_valuation_matrix_of_its_proximity_matrix(d):
+    """A = (P^-1)^T·P^-1 for the unit upper-triangular proximity matrix P,
+    with P[i][k] = -1 when k is proximate to i."""
+    m = d.m
+    # P·Q = I for Q = P^-1 gives Q[i][k] = sum of Q[r][k] over the r > i proximate to i
+    inverse = [[int(i == k) for k in range(m)] for i in range(m)]
+    for i in range(m - 1, -1, -1):
+        for k in range(i + 1, m):
+            inverse[i][k] = sum(inverse[r][k] for r in range(i + 1, k + 1) if i + 1 in d.parents(r + 1))
+    expected = tuple(tuple(sum(row[i] * row[j] for row in inverse) for j in range(m)) for i in range(m))
+    assert valuation_matrix(d).rows == expected

@@ -62,6 +62,17 @@ def test_coefficients_are_int_or_fraction_never_float():
     assert type(ratio) is Fraction and ratio == Fraction(3, 2)
 
 
+def test_a_boolean_compares_unequal_and_does_not_raise():
+    """A bool is an int but no coefficient: comparing with one reads False."""
+    one = Polynomial.one(V)
+    h = RationalFunction(one)
+    assert one == 1 and h == 1
+    for p in (one, Polynomial.zero(V), h):
+        assert not p == True and p != True and not p == False and p != False
+        assert not True == p and True != p
+    assert True not in [one, h]
+
+
 def test_zero_coefficients_are_dropped():
     x, y, _ = xyz()
     p = x + y - y
@@ -69,10 +80,15 @@ def test_zero_coefficients_are_dropped():
     assert len(p.terms()) == 1
 
 
+def total_degree(p: Polynomial) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    return max((sum(exps) for exps, _ in p.terms()), default=-1)
+
+
 def test_degrees_and_orders():
     x, y, z = xyz()
     p = x**2 * z + y**3
-    assert p.total_degree() == 3
+    assert total_degree(p) == 3 and total_degree(Polynomial.zero(V)) == -1
     assert p.degree_in("x") == 2
     assert p.order_in("x") == 0
     assert (x**2 * y + x**3).order_in("x") == 2

@@ -1,12 +1,15 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from dicriticals import descriptor, solver
-from dicriticals.descriptor import TailData, make_descriptor, pullback_orders, valuation_matrix
-from dicriticals.errors import BoundViolation, SolverError
+from dicriticals.descriptor import TailData, make_descriptor, pullback_orders, special_rows, valuation_matrix
+from dicriticals.errors import BoundViolation, DicriticalError, SolverError
 from dicriticals.jsonio import canonical_dumps
 from dicriticals.solver import (
     LinearForm,
@@ -23,7 +26,7 @@ from dicriticals.solver import (
     solve_support,
     window_forms,
 )
-from helpers import four_divisor_tower, random_descriptor
+from helpers import four_divisor_tower, random_descriptor, random_request
 
 A_ROWS = ((1, 1, 1), (1, 2, 1), (1, 2, 2))
 
@@ -151,7 +154,7 @@ def untwisted_forms(d, s, base):
     """Numerator and denominator orders of the untwisted candidate, the order
     rows of the later hypercurvettes, and the orders after twisting by their
     powers k_j as affine-linear forms in k_j."""
-    signed, nu_f, nu_g = candidate_tables(d, base)
+    nu_f, nu_g = candidate_tables(d, base)
     later_rows = {j: pullback_orders(d, row) for j, row in later_mults(d, s).items()}
 
     def forms(orders):
@@ -211,7 +214,7 @@ def test_single_workspace_forms():
     assert aux == (1, 1, 0, 0)
     a_ss = valuation_matrix(d).entry(3, 3)
     threshold_form, weights, windows = window_forms(d, 3, aux, nu_f, later_rows, a_ss)
-    assert threshold_form == numer[2].scale(Fraction(1, a_ss))
+    assert threshold_form == LinearForm.make(Fraction(20, a_ss), {4: Fraction(6, a_ss)})
     assert weights == {4: 1}
     assert windows == {4: LinearForm.make(0, {4: Fraction(1, 4)})}
     assign, pole = choose_exponents(threshold_form, windows, (4,))
@@ -395,6 +398,92 @@ def test_single_randomized_invariants():
             assert w.evaluate(cert.later_exponents) > 1
 
 
+# -- identities of the order recursion, as properties ------------------------------
+
+
+def requests(kind="single"):
+    """Random requests of ``helpers.random_request``, of the given kind or, for
+    None, of either kind."""
+    return st.randoms(use_true_random=False).map(lambda rng: random_request(rng, kind))
+
+
+def solved(request):
+    """The certificate of a single request; a request that exhausts its
+    doublings is rejected."""
+    _, d, s, degree, specials, contacts, targets = request
+    try:
+        return solve_single_dicritical(d, s, degree, specials, contacts, targets)
+    except BoundViolation:
+        reject()
+
+
+@settings(max_examples=40, deadline=None)
+@given(requests(kind=None))
+def test_special_rows_obey_the_order_identity_at_s(request):
+    _, d, s, _, _, contacts, _ = request
+    owners = d.parents(s)
+    assume(owners)
+    contacts = dict.fromkeys(owners, 1) | (contacts or {})
+    for j, row in zip(owners, special_rows(d, s, contacts)):
+        assert row[s - 1] == sum(row[q - 1] for q in owners) + contacts[j]
+
+
+@settings(max_examples=40, deadline=None)
+@given(requests())
+def test_auxiliary_orders_follow_the_recursion_after_s(request):
+    """After s the untwisted numerator has no multiplicity, so each auxiliary
+    order is the sum over the parents less the special multiplicities."""
+    cert = solved(request)
+    d = request[1]
+    for i in range(cert.s + 1, d.m + 1):
+        expected = sum(cert.aux_orders[p - 1] for p in d.parents(i))
+        expected -= sum(cert.base.special_exponents[j] * mu for j, mu in d.tail.mu_specials.get(i, {}).items())
+        assert cert.aux_orders[i - 1] == expected
+
+
+def scaled(form, factor):
+    return LinearForm.make(form.const * factor, {k: c * factor for k, c in form.coeffs.items()})
+
+
+def recursive_window_forms(d, s, aux, nu_f, later_rows, a_ss):
+    """The recursion that the closed-form ``window_forms`` replaced, kept as its
+    oracle: each window is the weighted mean of its parents' windows plus the
+    later curvette multiplicities at its center over weight·a_ss, and it must
+    satisfy numerator_form(i) = weight·(numerator_form(s) + a_ss·window)."""
+
+    def numerator_form(i):
+        return LinearForm.make(nu_f[i - 1], {j: row[i - 1] for j, row in later_rows.items()})
+
+    numer_s = numerator_form(s)
+    weights, windows = {s: 1}, {s: LinearForm.make(0)}
+    for i in range(s + 1, d.m + 1):
+        if aux[i - 1] != 0:
+            continue
+        weight = sum(weights[p] for p in d.parents(i))
+        form = LinearForm.make(0)
+        for p in d.parents(i):
+            form = form + scaled(windows[p], Fraction(weights[p], weight))
+        mu_row = d.tail.mu_curvettes.get(i, {})
+        form = form + LinearForm.make(0, {j: Fraction(mu, weight * a_ss) for j, mu in mu_row.items()})
+        assert scaled(numer_s + scaled(form, a_ss), weight) == numerator_form(i)
+        weights[i], windows[i] = weight, form
+    del weights[s], windows[s]
+    return scaled(numer_s, Fraction(1, a_ss)), weights, windows
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests())
+def test_closed_form_windows_match_the_window_recursion(request):
+    cert = solved(request)
+    d, s = request[1], cert.s
+    nu_f, nu_g = candidate_tables(d, cert.base)
+    later_rows = {j: pullback_orders(d, row) for j, row in later_mults(d, s).items()}
+    a_ss = valuation_matrix(d).entry(s, s)
+    closed = window_forms(d, s, cert.aux_orders, nu_f, later_rows, a_ss)
+    assert closed == recursive_window_forms(d, s, cert.aux_orders, nu_f, later_rows, a_ss)
+    assert closed == (cert.threshold_form, cert.weights, cert.window_forms)
+
+
 # sha256 of the canonical JSON of each certificate.  The four-divisor and
 # doubling-20 solves make two doublings each; "floors-without-maps" gives no
 # order maps, so it starts at the ``aux_order_bounds`` floors; and the last
@@ -435,6 +524,31 @@ PINNED_CERTIFICATES = {
 def test_certificate_bytes_are_pinned(case):
     solve, digest = PINNED_CERTIFICATES[case]
     assert hashlib.sha256(canonical_dumps(solve().to_json()).encode()).hexdigest() == digest
+
+
+# sha256 over the canonical JSON of each certificate of a seeded sweep, or over
+# the type and text of the error its request raises: 201 last and 196 single
+# certificates, and 3 single requests that exhaust their doublings
+# (``BoundViolation``).
+SWEEP_DIGEST = "f4a4f5b687ccf6223746685f90c34b66be52a6e97a5f701a9484bb21e20602ed"
+
+
+def test_a_seeded_sweep_of_certificates_is_pinned():
+    rng = random.Random(21)
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for _ in range(400):
+        kind, d, s, degree, specials, contacts, targets = random_request(rng)
+        solve = solve_single_dicritical if kind == "single" else solve_last_dicritical
+        try:
+            text = canonical_dumps(solve(d, s, degree, specials, contacts, targets).to_json())
+            outcomes[kind] += 1
+        except DicriticalError as e:
+            text = f"{type(e).__name__}: {e}\n"
+            outcomes[type(e).__name__] += 1
+        digest.update(text.encode())
+    assert outcomes == {"last": 201, "single": 196, "BoundViolation": 3}
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 # -- profiles ------------------------------------------------------------------------
@@ -478,6 +592,6 @@ def test_certificate_json_roundtrips():
 def test_linear_form_holds_no_zero_coefficient():
     assert LinearForm.make(1, {2: 0, 1: Fraction(1, 2)}) == LinearForm(Fraction(1), {1: Fraction(1, 2)})
     a = LinearForm.make(0, {1: 1})
-    assert a + a.scale(-1) == LinearForm.make(0)
+    assert a + LinearForm.make(0, {1: -1}) == LinearForm.make(0)
     with pytest.raises(SolverError):
         LinearForm(Fraction(0), {1: Fraction(0)})
