@@ -15,6 +15,9 @@ and divisor equations, exactly what a walk stopped there gives.  The order
 along E_i is read at stage i, where E_i's equation is the chart variable, so
 it does not depend on later charts.  ``path_walks`` walks a function once per
 chart override; every order, restriction, status and degree is a stage read.
+The divisor equations depend on the tower and the chart path alone: a walk
+given a ``checked`` walk of its path (the tower check's, say) takes them
+from its stages and pushes only its own polynomials.
 """
 
 from __future__ import annotations
@@ -167,12 +170,20 @@ def _coordinate_name(eq: Polynomial) -> str | None:
     return None
 
 
-def _step(state: WalkState, step: Step, charts: Sequence[str] | None = None) -> None:
-    """Advance the walk by one step; ``charts`` overrides the blow-up charts."""
+def _step(
+    state: WalkState, step: Step, charts: Sequence[str] | None = None, checked: WalkState | None = None
+) -> None:
+    """Advance the walk by one step; ``charts`` overrides the blow-up charts.
+
+    With ``checked``, a walk of the same chart path that got at least as far,
+    the divisor equations of each stage are taken from its stages instead of
+    being pushed through the step again.
+    """
     if isinstance(step, ShearStep):
         image = {step.target: _coordinate(state.variables, step.target) + step.shift}
         state.polys = [p.substitute(image) for p in state.polys]
-        state.divisor_eqs = {i: e.substitute(image) for i, e in state.divisor_eqs.items()}
+        if checked is None:
+            state.divisor_eqs = _push_divisor_eqs(state, step, image)
         return
     chart = step.chart
     if charts is not None and state.blowups_done < len(charts):
@@ -180,18 +191,38 @@ def _step(state: WalkState, step: Step, charts: Sequence[str] | None = None) -> 
     if chart not in step.center:
         raise ChartError(f"chart variable {chart!r} is not in the center {step.center}")
     state.polys = [_apply_blowup(p, step.center, chart) for p in state.polys]
+    state.blowups_done += 1
+    if checked is None:
+        state.divisor_eqs = _push_divisor_eqs(state, step, chart)
+    else:
+        state.divisor_eqs = checked.stages[state.blowups_done][1]
+    state.stages.append((state.polys, state.divisor_eqs))
+
+
+def _push_divisor_eqs(state: WalkState, step: Step, move: Mapping[str, Polynomial] | str) -> dict[int, Polynomial]:
+    """The divisor equations of ``state`` after ``step``: ``move`` is a
+    shear's substitution, or the chart variable of a blow-up that
+    ``state.blowups_done`` already counts.  Through a blow-up an equation
+    loses its power of the chart variable, one that becomes a constant
+    leaves (its divisor is not visible in the chart), and the new divisor's
+    equation is the chart variable."""
+    if isinstance(step, ShearStep):
+        return {i: e.substitute(move) for i, e in state.divisor_eqs.items()}
     new_eqs: dict[int, Polynomial] = {}
     for idx, eq in state.divisor_eqs.items():
-        moved = _apply_blowup(eq, step.center, chart)
-        drop = moved.order_in(chart)
+        name = _coordinate_name(eq)
+        if name is not None:  # a coordinate stays itself, unless it is the chart variable
+            if name != move:
+                new_eqs[idx] = eq
+            continue
+        moved = _apply_blowup(eq, step.center, move)
+        drop = moved.order_in(move)
         if drop:
-            moved = moved.divide_by_monomial(tuple(drop if v == chart else 0 for v in state.variables))
-        if not moved.is_constant():  # a constant equation: divisor not visible in this chart
+            moved = moved.divide_by_monomial(tuple(drop if v == move else 0 for v in state.variables))
+        if not moved.is_constant():
             new_eqs[idx] = moved
-    state.blowups_done += 1
-    new_eqs[state.blowups_done] = _coordinate(state.variables, chart)
-    state.divisor_eqs = new_eqs
-    state.stages.append((state.polys, new_eqs))
+    new_eqs[state.blowups_done] = _coordinate(state.variables, move)
+    return new_eqs
 
 
 def walk_tower(
@@ -199,12 +230,15 @@ def walk_tower(
     polys: Sequence[Polynomial],
     charts: Sequence[str] | None = None,
     blowups: int | None = None,
+    checked: WalkState | None = None,
 ) -> WalkState:
     """Push polynomials through the tower, one chart per blow-up step.
 
     ``charts`` overrides the default chart variable per blow-up; ``blowups``
     stops the walk right after that many blow-ups (shears in between are
-    applied, trailing shears are not).
+    applied, trailing shears are not).  ``checked`` is a walk of the same
+    chart path at least as far, such as the tower check's walk: its stages
+    give the divisor equations, so only ``polys`` are pushed.
     """
     limit = tower.blowup_count if blowups is None else blowups
     if not 0 <= limit <= tower.blowup_count:
@@ -215,7 +249,7 @@ def walk_tower(
     for step in tower.steps:
         if state.blowups_done >= limit:
             break
-        _step(state, step, charts)
+        _step(state, step, charts, checked)
     return state
 
 
@@ -272,7 +306,10 @@ def walk_order(state: WalkState, divisor: int) -> int:
 
 
 def path_walks(
-    tower: ChartTower, polys: Sequence[Polynomial], reads: Mapping[int, tuple[tuple[str, ...] | None, int]]
+    tower: ChartTower,
+    polys: Sequence[Polynomial],
+    reads: Mapping[int, tuple[tuple[str, ...] | None, int]],
+    checked: Mapping[tuple[str, ...] | None, WalkState] | None = None,
 ) -> dict[tuple[str, ...] | None, WalkState]:
     """Walk ``polys`` once per chart override that ``reads`` names.
 
@@ -280,11 +317,19 @@ def path_walks(
     charts) and the blow-up count at which its restriction is read.  Each
     override is walked as far as the highest count read there, or the
     divisor's creating step if that is later: stage i holds the order along E_i.
+    A walk in ``checked`` of the same override that got that far gives the
+    divisor equations (see ``walk_tower``); any other override pushes its own.
     """
     reach: dict[tuple[str, ...] | None, int] = {}
     for divisor, (charts, blowups) in reads.items():
         reach[charts] = max(reach.get(charts, 0), blowups, divisor)
-    return {charts: walk_tower(tower, polys, charts, k) for charts, k in reach.items()}
+    walks = {}
+    for charts, k in reach.items():
+        base = (checked or {}).get(charts)
+        if base is not None and base.blowups_done < k:
+            base = None
+        walks[charts] = walk_tower(tower, polys, charts, k, base)
+    return walks
 
 
 def pullback(
@@ -498,10 +543,10 @@ def cross_check(
 
     Divisors sharing a chart path read their orders from one walk of h.
     """
-    check_tower(d, tower)
+    checked = check_tower(d, tower)
     if len(predicted) > tower.blowup_count:
         raise ChartError("more predictions than divisors")
     charts = charts or {}
     paths = {i: None if charts.get(i) is None else tuple(charts[i]) for i in range(1, len(predicted) + 1)}
-    walks = path_walks(tower, [h.num, h.den], {i: (path, i) for i, path in paths.items()})
+    walks = path_walks(tower, [h.num, h.den], {i: (path, i) for i, path in paths.items()}, {None: checked})
     return [CrossCheckRow(i, value, walk_order(walks[paths[i]], i)) for i, value in enumerate(predicted, start=1)]

@@ -154,15 +154,18 @@ class FieldCodec:
         """
         if type(data) is not dict:
             raise ScenarioError(f"{cls.__name__} must be a JSON object, got {data!r}")
+        fields, keys, enveloped = _reader(cls)
         kwargs = {}
-        for name, key, what, _, decode, required, _ in _plan(cls):
+        for name, key, what, decode, required in fields:
             if key in data:
                 kwargs[name] = decode(data[key], what)
             elif required:
                 raise ScenarioError(f"{cls.__name__} lacks the key {key!r}")
         obj = cls(**kwargs)
-        expected = obj.envelope()
-        reject_unknown_keys(data, _field_keys(cls) | expected.keys(), cls.__name__)
+        expected = obj.envelope() if enveloped else {}
+        known = keys | expected.keys() if expected else keys
+        if not data.keys() <= known:
+            reject_unknown_keys(data, known, cls.__name__)
         for key, value in expected.items():
             got = data.get(key)
             if type(got) is not type(value) or got != value:
@@ -220,9 +223,13 @@ def _plan(cls) -> tuple:
 
 
 @functools.cache
-def _field_keys(cls) -> frozenset:
-    """The JSON keys of the fields of ``cls``, cached per class like ``_plan``."""
-    return frozenset(entry[1] for entry in _plan(cls))
+def _reader(cls) -> tuple:
+    """``((name, key, what, decode, required) per field, field keys, enveloped)``
+    for ``from_json``, built on the first read of ``cls``; ``enveloped`` is
+    whether ``cls`` writes an envelope of its own."""
+    plan = _plan(cls)
+    fields = tuple((name, key, what, decode, required) for name, key, what, _, decode, required, _ in plan)
+    return fields, frozenset(entry[1] for entry in plan), cls.envelope is not FieldCodec.envelope
 
 
 @functools.cache
@@ -257,10 +264,19 @@ def type_codec(tp) -> tuple:
         )
     if origin in (tuple, list) and (origin is list or args[1:] == (Ellipsis,)):
         enc, dec = type_codec(args[0])
-        return (
-            list if enc is None else lambda value: [enc(v) for v in value],
-            lambda value, what: origin([dec(v, what) for v in _exact(list, value, what)]),
-        )
+
+        def read(value, what):
+            return origin([dec(v, what) for v in _exact(list, value, what)])
+
+        if args[0] in (int, str):
+            per_element, exact = read, {args[0]}
+
+            def read(value, what):
+                if type(value) is list and set(map(type, value)) <= exact:
+                    return origin(value)  # the element types told in one pass
+                return per_element(value, what)
+
+        return list if enc is None else lambda value: [enc(v) for v in value], read
     if origin is tuple:
         codecs = tuple(type_codec(a) for a in args)
         return (
@@ -268,12 +284,18 @@ def type_codec(tp) -> tuple:
             lambda value, what: tuple(dec(v, what) for (_, dec), v in zip(codecs, _sized(value, len(args), what))),
         )
     if origin is Mapping and args[0] in (int, str):
-        read_key = _int_key if args[0] is int else _str_key
         enc, dec = type_codec(args[1])
-        return (
-            lambda value: {str(k): v if enc is None else enc(v) for k, v in sorted(value.items())},
-            lambda value, what: {read_key(k, what): dec(v, what) for k, v in _exact(dict, value, what).items()},
-        )
+        if args[0] is int:
+
+            def read(value, what):
+                return {_int_key(k, what): dec(v, what) for k, v in _exact(dict, value, what).items()}
+
+        else:
+
+            def read(value, what):  # JSON object keys are strings already
+                return {k: dec(v, what) for k, v in _exact(dict, value, what).items()}
+
+        return lambda value: {str(k): v if enc is None else enc(v) for k, v in sorted(value.items())}, read
     if hasattr(tp, "from_json"):
         return _to_json, (lambda value, what: tp.from_json(value))
     raise TypeError(f"no JSON codec for {tp!r}")
@@ -287,11 +309,6 @@ def _exact(tp, value, what: str):
     if type(value) is not tp:
         raise ScenarioError(f"{what} must be of type {tp.__name__}, got {value!r}")
     return value
-
-
-def _str_key(key: str, what: str) -> str:
-    """A mapping key keyed by name: JSON object keys are strings already."""
-    return key
 
 
 def _sized(value, size: int, what: str) -> list:

@@ -25,8 +25,8 @@ constructor ``Polynomial(variables, terms)`` and the classmethods built on it
 (``zero``, ``constant``, ``variable``, ``monomial``) check every variable
 name, exponent and coefficient; they are how data from outside becomes a
 polynomial.  ``from_json`` checks the canonical term list ``to_json`` writes
-in one pass, term by term, and then wraps it as trusted.  Results computed
-from polynomials that are already valid (sums, products, substitutions,
+in one pass, term by term, and keeps the term dict it builds as it is.
+Results computed from polynomials that are already valid (sums, products, substitutions,
 quotients, univariate views) are wrapped by the private
 ``Polynomial._trusted`` without re-validation, which only drops zero
 coefficients and stores integral fractions as ``int``.
@@ -171,9 +171,14 @@ class Polynomial:
         nothing else is looked at, so outside data must be checked first, by
         ``Polynomial(...)`` or by ``from_json``.
         """
+        return cls._wrap(variables, {e: c if type(c) is int else _normal(c) for e, c in terms.items() if c})
+
+    @classmethod
+    def _wrap(cls, variables: tuple[str, ...], terms: dict[Exponents, Coeff]) -> "Polynomial":
+        """A polynomial holding ``terms`` as they are: nonzero and in stored form."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
-        object.__setattr__(poly, "_terms", {e: c if type(c) is int else _normal(c) for e, c in terms.items() if c})
+        object.__setattr__(poly, "_terms", terms)
         return poly
 
     def __setattr__(self, name, value):
@@ -318,6 +323,9 @@ class Polynomial:
         return self.variables == other.variables and self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its value, so it hashes as its value
+        if self.is_constant():
+            return hash(self._terms.get((0,) * len(self.variables), 0))
         return hash((self.variables, frozenset(self._terms.items())))
 
     # -- substitution --------------------------------------------------------
@@ -579,20 +587,33 @@ class Polynomial:
             raise PolynomialError(f"polynomial terms in {variables!r} must be a list, got {items!r}")
         n = len(variables)
         terms: dict[Exponents, Coeff] = {}
-        last = None
-        for k, item in enumerate(items):
-            rule = _broken_term_rule(item, n)
-            if rule is None:
-                e = tuple(item["exps"])
+        last = (-1,)  # below every (total degree, exponents) key
+        for item in items:
+            # the rules of ``_broken_term_rule``, inline; it names the one broken
+            if (
+                type(item) is dict
+                and len(item) == 3
+                and type(exps := item.get("exps")) is list
+                and type(num := item.get("num")) is int
+                and type(den := item.get("den")) is int
+                and len(exps) == n
+                and all(type(v) is int and v >= 0 for v in exps)
+                and num
+                and den > 0
+                and (den == 1 or int_gcd(num, den) == 1)
+            ):
+                e = tuple(exps)
                 key = (sum(e), e)  # the order of ``_term_key``, which ``to_json`` sorts by
-                if last is not None and key <= last:
-                    rule = "does not come strictly after the term before it in (total degree, exponents) order"
-            if rule is not None:
-                raise PolynomialError(f"polynomial in {variables!r}: term {k} {rule}, got {item!r}")
-            last = key
-            num, den = item["num"], item["den"]
-            terms[e] = num if den == 1 else Fraction(num, den)
-        return cls._trusted(tuple(variables), terms)
+                if key > last:
+                    last = key
+                    terms[e] = num if den == 1 else Fraction(num, den)
+                    continue
+                rule = "does not come strictly after the term before it in (total degree, exponents) order"
+            else:
+                rule = _broken_term_rule(item, n)
+            # every term before this one was read, none twice
+            raise PolynomialError(f"polynomial in {variables!r}: term {len(terms)} {rule}, got {item!r}")
+        return cls._wrap(tuple(variables), terms)
 
 
 # -- rational normalization -------------------------------------------------

@@ -127,6 +127,9 @@ class RationalFunction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
+        # with a constant denominator h equals the polynomial num / den
+        if self.den.is_constant():
+            return hash(self.num * (1 / self.den.constant_value()))
         return hash((self.num, self.den))
 
     # -- structure -----------------------------------------------------------

@@ -7,11 +7,16 @@ Scenarios serialize to JSON with exact integers only; rationals are
 and writes through ``jsonio.FieldCodec``, so unknown keys and wrongly typed
 values are input errors at every level; only the tower's step list has a JSON
 shape of its own.
+
+A scenario is validated as a whole once per object: ``Scenario.checked_walks``
+runs the checks on first use and keeps the walks of the tower check, which
+``scenario_from_json`` fills as it reads and ``verify`` walks h on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .candidates import Bindings
@@ -125,6 +130,14 @@ class Scenario(FieldCodec):
     def envelope(self) -> dict:
         return {"schema_version": SCHEMA_VERSION}
 
+    @cached_property
+    def checked_walks(self) -> dict[tuple[str, ...] | None, WalkState]:
+        """The walks, with no polynomials, of the chart paths whose restrictions
+        ``verify`` reads, keyed like ``path_walks``: the tower check's walk for
+        the default charts and one walk per override read.  Empty without a
+        tower.  Computing them validates the scenario, once per object."""
+        return _validate(self)
+
     def chart_path(self, divisor: int) -> tuple[tuple[str, ...] | None, int]:
         """The chart override (None for the default charts) and the blow-up
         count at which the divisor's restriction is read; all m by default."""
@@ -144,12 +157,12 @@ def restricted_divisors(sc: Scenario) -> range | list[int]:
     return range(1, (req.s if isinstance(req, LastRequest) else sc.descriptor.m) + 1)
 
 
-def _check_chart_paths(sc: Scenario, default_walk: WalkState) -> None:
+def _check_chart_paths(sc: Scenario, default_walk: WalkState) -> dict[tuple[str, ...] | None, WalkState]:
     """Every override chart belongs to a blow-up and lies in its center, checked
     without a walk, and every divisor whose restriction verify reads is a
     coordinate at the stage of its chart path that verify reads.  The default
     path is the tower check's walk; an override is walked, with no
-    polynomials, only when a divisor read there uses it."""
+    polynomials, only when a divisor read there uses it.  Returns the walks."""
     centers = sc.tower.centers
     try:
         for i, path in sorted(sc.charts.items()):
@@ -166,9 +179,16 @@ def _check_chart_paths(sc: Scenario, default_walk: WalkState) -> None:
             restriction_chart_variable(walks[charts].stages[blowups][1], i)
     except ChartError as exc:
         raise ScenarioError(f"chart path of divisor {i}: {exc}") from None
+    return walks
 
 
-def validate_scenario(sc: Scenario) -> None:
+def validate_scenario(sc: Scenario) -> dict[tuple[str, ...] | None, WalkState]:
+    """Check ``sc`` as a whole, once per object: ``sc.checked_walks`` keeps
+    the checked walks, which ``verify`` reads.  A second call returns them."""
+    return sc.checked_walks
+
+
+def _validate(sc: Scenario) -> dict[tuple[str, ...] | None, WalkState]:
     # artifacts are written to <out>/<name>.<command>.json
     name = sc.name
     if not isinstance(name, str) or not name or name.startswith(".") or "/" in name or "\\" in name:
@@ -214,9 +234,10 @@ def validate_scenario(sc: Scenario) -> None:
                 tail_descriptor(sc.descriptor, req.s, req.tail)
     except (DescriptorError, SolverError) as exc:
         raise ScenarioError(f"invalid request: {exc}") from None
-    if sc.tower is not None:
-        # after the request checks: a well-formed request names the divisors read
-        _check_chart_paths(sc, default_walk)
+    if sc.tower is None:
+        return {}
+    # after the request checks: a well-formed request names the divisors read
+    return _check_chart_paths(sc, default_walk)
 
 
 # -- JSON ----------------------------------------------------------------------
@@ -227,6 +248,7 @@ def scenario_to_json(sc: Scenario) -> dict:
 
 
 def scenario_from_json(data) -> Scenario:
+    """Read and validate a scenario; its checked walks stay cached on it."""
     sc = Scenario.from_json(data)
     validate_scenario(sc)
     return sc

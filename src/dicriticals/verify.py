@@ -4,7 +4,10 @@ For every divisor in scope the report compares the certificate's predicted
 order with the order computed by exact pullback, then checks the restriction
 status (constant or dominant) and, where a line template is available, the
 restriction degree.  The combinatorial solver and the symbolic engine share
-no code path for these numbers, so agreement is a real cross-check.
+no code path for these numbers, so agreement is a real cross-check.  The
+scenario's checked walks (``Scenario.checked_walks``) give the divisor
+equations of every chart path they cover, so the walk of each function
+pushes only its numerator and denominator there.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def run_verify(
     of solving again (the two agree for deterministic solves, but a tampered
     or stale artifact will be caught here).
     """
-    validate_scenario(sc)
+    validate_scenario(sc)  # a no-op on a scenario read from JSON, which is checked already
     if sc.tower is None:
         raise ScenarioError("verification needs a chart tower")
     report = VerifyReport(scenario=sc.name, seed=sc.seed if seed is None else seed, rows=[])
@@ -199,7 +202,7 @@ def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
 
 def _verify_function(sc, report, item, h, scope, predicted, expected) -> None:
     paths = {i: sc.chart_path(i) for i in scope}
-    walks = path_walks(sc.tower, [h.num, h.den], paths)
+    walks = path_walks(sc.tower, [h.num, h.den], paths, sc.checked_walks)
     for i in scope:
         charts, blowups = paths[i]
         symbolic = walk_order(walks[charts], i)

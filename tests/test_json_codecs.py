@@ -3,15 +3,20 @@ few listed here; a new hand-written reader or writer has to join the list.
 ``canonical_dumps`` writes the bytes of ``json.dumps`` with its options."""
 
 import ast
+import contextlib
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+import reference_reader
+from helpers import bench_workloads
 from hypothesis import strategies as st
 
-from dicriticals.jsonio import canonical_dumps
+from dicriticals.fixtures import FIXTURES, load_fixture
+from dicriticals.jsonio import Kinded, canonical_dumps
+from dicriticals.scenario import Scenario, scenario_to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dicriticals"
 
@@ -27,7 +32,7 @@ ALLOWED = {
     "charts._steps_to_json": "a list of steps, each tagged by its kind",
     "charts._steps_from_json": "a list of steps, each tagged by its kind",
     "scenario.scenario_to_json": "entry point that calls Scenario.to_json",
-    "scenario.scenario_from_json": "entry point that calls Scenario.from_json, then validates",
+    "scenario.scenario_from_json": "entry point: Scenario.from_json, then validation, which keeps the checked walks",
     "solver.certificate_from_json": "entry point that reads a certificate by its kind",
 }
 
@@ -87,3 +92,101 @@ def test_canonical_dumps_writes_the_bytes_of_json_dumps(tree):
 def test_canonical_dumps_refuses_what_no_artifact_holds(value):
     with pytest.raises(TypeError):
         canonical_dumps(value)
+
+
+# -- the scenario reader against the reference reader ---------------------------
+
+DELETE = object()
+# one value of each shape a leaf mutation draws (see ``leaf_mutations`` in test_scenarios.py)
+SHAPES = (DELETE, None, True, 0, -1, 2, 1.5, "x", [], {})
+
+
+def _leaf_paths(data, path=()):
+    if isinstance(data, (dict, list)) and data:
+        keys = data if isinstance(data, dict) else range(len(data))
+        return [leaf for key in keys for leaf in _leaf_paths(data[key], (*path, key))]
+    return [path]
+
+
+def _outcome(read, data):
+    try:
+        obj = read(data)
+    except Exception as exc:  # the reference reader's exact failure is the point
+        return "raises", type(exc), str(exc)
+    return "reads", obj, repr(obj)
+
+
+def _innermost_object(data, path, record):
+    """``(object, class, path inside it)`` of the innermost JSON object that
+    holds the leaf at ``path`` and was read as a codec object or polynomial.
+    A ``kind`` key goes to the object around, whose reader picks the class."""
+    best = (data, record[id(data)], path)
+    node = data
+    for depth, key in enumerate(path[:-1], start=1):
+        node = node[key]
+        cls = record.get(id(node))
+        if cls is not None and not (issubclass(cls, Kinded) and path[depth:] == ("kind",)):
+            best = (node, cls, path[depth:])
+    return best
+
+
+@contextlib.contextmanager
+def _mutated(data, path, shape):
+    """``data`` with the leaf at ``path`` deleted or replaced by ``shape``,
+    changed in place while the block runs."""
+    *parents, last = path
+    holder = data
+    for key in parents:
+        holder = holder[key]
+    original = holder[last]
+    if shape is DELETE:
+        del holder[last]
+    else:
+        holder[last] = shape
+    try:
+        yield data
+    finally:
+        if shape is DELETE and isinstance(holder, list):
+            holder.insert(last, original)
+        else:
+            holder[last] = original
+
+
+def test_the_reader_matches_the_reference_on_every_leaf_mutation(monkeypatch):
+    """Every leaf of every fixture and seed-1 generated scenario, deleted or
+    replaced by one value of each shape: the reader returns an object equal to
+    the reference reader's, or fails with the same exception and text.
+
+    A mutated leaf changes only the read of the innermost object that holds
+    it: the objects around it read it through the same decoder and pass its
+    result or its error on unchanged, and the rest of the file reads as it
+    did.  So each mutation is read at that object, as the class the whole
+    read read it as, and a mutation of an object met before is not read again.
+    """
+    workloads = bench_workloads(monkeypatch)
+    scenarios = [load_fixture(name) for name in sorted(FIXTURES)]
+    for generate in (workloads.chain_scenarios, workloads.shear_chain_scenarios, workloads.solve_scenarios):
+        scenarios += generate(1)
+    seen = set()
+    mutations = 0
+    for sc in scenarios:
+        data = scenario_to_json(sc)
+        record = {}
+        with reference_reader.reading(record):
+            assert Scenario.from_json(data) == sc
+        texts = {}
+        for path in _leaf_paths(data):
+            node, cls, inner = _innermost_object(data, path, record)
+            if id(node) not in texts:
+                texts[id(node)] = json.dumps(node, sort_keys=True)
+            if (cls, texts[id(node)], inner) in seen:
+                continue
+            seen.add((cls, texts[id(node)], inner))
+            for shape in SHAPES:
+                with _mutated(node, inner, shape):
+                    got = _outcome(cls.from_json, node)
+                    with reference_reader.reading():
+                        want = _outcome(cls.from_json, node)
+                assert got[0] == want[0] and got[1:] == want[1:], (sc.name, path, shape, got, want)
+                mutations += 1
+    assert mutations > 10_000

@@ -254,6 +254,7 @@ def test_internal_results_skip_validation(monkeypatch):
 
 T = ("t",)
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero_fractions = small_fractions.filter(bool)
 
 
 def _polys(variables, max_exp=3, max_size=5):
@@ -414,9 +415,39 @@ def test_results_are_canonical(a, b):
         assert again == a
 
 
-# -- gcd properties ------------------------------------------------------------
+def _equal_forms(p: Polynomial, q: Polynomial, k: Fraction) -> list:
+    """``p`` as every type that holds it: polynomial, rational functions with a
+    constant and with a nonconstant denominator, and, when it is a constant,
+    ``Fraction`` and, when integral, ``int``."""
+    forms = [p, RationalFunction(p), RationalFunction(p * k, Polynomial.constant(V, k))]
+    if not q.is_zero():
+        forms.append(RationalFunction(p * q, q))
+    if p.is_constant():
+        value = p.constant_value()
+        forms.append(value)
+        if value.denominator == 1:
+            forms.append(value.numerator)
+    return forms
 
-nonzero_fractions = small_fractions.filter(bool)
+
+small_or_constant = st.one_of(small_fractions.map(lambda c: Polynomial.constant(V, c)), _polys(V, 1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_or_constant, small_or_constant, polys, nonzero_fractions)
+def test_equal_values_hash_alike(p, other, q, k):
+    """``a == b`` implies ``hash(a) == hash(b)`` over ints, Fractions,
+    polynomials and rational functions."""
+    values = _equal_forms(p, q, k) + _equal_forms(other, q, k)
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert all(a == b for a in _equal_forms(p, q, k) for b in _equal_forms(p, q, k))
+    assert Polynomial.one(V) in {1: "int"} and RationalFunction(Polynomial.one(V)) in {Fraction(1): "one"}
+
+
+# -- gcd properties ------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")

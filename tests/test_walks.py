@@ -10,11 +10,12 @@ from collections import Counter
 import pytest
 from helpers import bench_workloads, support_middle, three_points_line_last
 
-from dicriticals import charts, verify
+from dicriticals import charts, scenario, verify
 from dicriticals.candidates import build_last
 from dicriticals.cli import main
 from dicriticals.charts import ShearStep, cross_check, divisor_order, walk_order, walk_tower
-from dicriticals.errors import ChartError
+from dicriticals.descriptor import make_descriptor
+from dicriticals.errors import ChartError, ScenarioError
 from dicriticals.fixtures import FIXTURES, load_fixture, three_points
 from dicriticals.jsonio import canonical_dumps
 from dicriticals.ratfunc import RationalFunction
@@ -68,9 +69,9 @@ def counting_walks(monkeypatch):
     calls = Counter()
     original = charts.walk_tower
 
-    def counted(tower, polys, charts=None, blowups=None):
+    def counted(tower, polys, charts=None, blowups=None, checked=None):
         calls[(tuple(polys), None if charts is None else tuple(charts), blowups)] += 1
-        return original(tower, polys, charts=charts, blowups=blowups)
+        return original(tower, polys, charts=charts, blowups=blowups, checked=checked)
 
     monkeypatch.setattr(charts, "walk_tower", counted)
     return calls
@@ -286,3 +287,95 @@ def test_every_restriction_verify_reads_equals_the_division_formula(monkeypatch)
     assert readers == {sc.name for sc in scenarios} - {"point-point-line", "point-line-fiber"}
     for stage, divisor, restriction in reads:
         assert restriction == _restriction_by_division(stage, divisor)
+
+
+def test_a_verify_call_checks_the_tower_once(tmp_path, monkeypatch, capsys):
+    """Reading the scenario file checks the tower; ``verify`` reads the
+    checked walks it left on the scenario instead of checking again."""
+    calls = []
+    original = scenario.check_tower
+
+    def counted(d, tower):
+        calls.append(tower)
+        return original(d, tower)
+
+    monkeypatch.setattr(scenario, "check_tower", counted)
+    path = tmp_path / "scenario.json"
+    path.write_text(canonical_dumps(scenario_to_json(load_fixture("three-points-line"))))
+    assert main(["solve", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    calls.clear()
+    certificate = str(tmp_path / "three-points-line.solve.json")
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path), "--certificate", certificate]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["verify", "--scenario", "three-points-line", "--out", str(tmp_path / "fixture")]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_still_validates_a_scenario_built_in_python():
+    sc = three_points()
+    wrong_parents = dataclasses.replace(sc.request, contact_orders={1: 1, 3: 2})
+    with pytest.raises(ScenarioError, match="parents of s"):
+        run_verify(dataclasses.replace(sc, request=wrong_parents))
+    with pytest.raises(ChartError, match="descriptor says"):
+        run_verify(dataclasses.replace(sc, descriptor=make_descriptor(3, [[], [1], [2]])))
+    assert run_verify(sc).overall
+
+
+def test_verify_pushes_no_divisor_equation_on_a_checked_path(monkeypatch):
+    """The walks of h take their divisor equations from the reader's checked
+    walks; only the tower check and the override walks of the reader push them."""
+    workloads = bench_workloads(monkeypatch)
+    scenarios = [load_fixture(name) for name in FIXTURES]
+    scenarios += workloads.chain_scenarios(1)[:6] + workloads.shear_chain_scenarios(1)[:6]
+    pushed = Counter()
+    original = charts._push_divisor_eqs
+
+    def counted(state, step, move):
+        pushed[type(step).__name__] += 1
+        return original(state, step, move)
+
+    monkeypatch.setattr(charts, "_push_divisor_eqs", counted)
+    for sc in scenarios:
+        sc = scenario_from_json(json.loads(json.dumps(scenario_to_json(sc))))
+        assert pushed, sc.name
+        pushed.clear()
+        assert run_verify(sc).overall, sc.name
+        assert not pushed, sc.name
+
+
+def _verify_walks(sc, monkeypatch):
+    """The walks ``run_verify`` makes on ``sc``, with the arguments it made them with."""
+    made = []
+    original = verify.path_walks
+
+    def recorded(tower, polys, reads, checked=None):
+        walks = original(tower, polys, reads, checked)
+        made.append((tower, polys, reads, checked, walks))
+        return walks
+
+    monkeypatch.setattr(verify, "path_walks", recorded)
+    assert run_verify(sc).overall, sc.name
+    monkeypatch.setattr(verify, "path_walks", original)
+    return made
+
+
+def test_walks_on_the_checked_stages_equal_fresh_walks(monkeypatch):
+    """On every chart path verify reads, the stages of h's walk taken on the
+    reader's checked divisor stages are those of a fresh ``walk_tower``:
+    the polynomials and the divisor equations, stage by stage."""
+    workloads = bench_workloads(monkeypatch)
+    scenarios = [load_fixture(name) for name in FIXTURES]
+    for seed in (1, 2):
+        scenarios += workloads.chain_scenarios(seed) + workloads.shear_chain_scenarios(seed)
+    on_checked = 0
+    for sc in scenarios:
+        for tower, polys, reads, checked, walks in _verify_walks(sc, monkeypatch):
+            assert checked is sc.checked_walks and None in checked
+            for path, walk in walks.items():
+                fresh = walk_tower(tower, polys, path, walk.blowups_done)
+                assert len(walk.stages) == len(fresh.stages), (sc.name, path)
+                for k, (stage, want) in enumerate(zip(walk.stages, fresh.stages)):
+                    assert stage == want, (sc.name, path, k)
+                on_checked += path in checked and checked[path].blowups_done >= walk.blowups_done
+    assert on_checked >= len(scenarios)
