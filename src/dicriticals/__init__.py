@@ -44,7 +44,7 @@ from .errors import (
     SolverError,
 )
 from .poly import Polynomial, polynomial_gcd
-from .ratfunc import RationalFunction
+from .ratfunc import Quotient, RationalFunction
 from .solver import (
     LastDicriticalCertificate,
     LinearForm,

@@ -1,7 +1,11 @@
 """Assemble concrete rational functions from certificates and named equations.
 
-A certificate fixes exponents; this module turns them into an actual quotient
-of polynomials once every referenced hypersurface has a concrete equation.
+A certificate fixes exponents; this module multiplies them out into a
+``Quotient``, the numerator and denominator of the function as built, once
+every referenced hypersurface has a concrete equation.  The quotient is not
+reduced: ``verify`` reads only orders and restrictions, which a common factor
+of numerator and denominator does not change, so no gcd of the full
+candidate is taken.  ``RationalFunction(*q)`` gives the reduced function.
 Bundles with exponent zero on a target divisor become nonconstant ratios of
 two distinct equations of the same class, which is why bindings may list more
 than one equation per divisor.
@@ -9,6 +13,7 @@ than one equation per divisor.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +23,7 @@ from .charts import draw_fraction
 from .errors import ScenarioError, SolverError
 from .jsonio import FieldCodec, json_field
 from .poly import Polynomial
-from .ratfunc import RationalFunction
+from .ratfunc import Quotient, RationalFunction
 from .solver import (
     LastDicriticalCertificate,
     ProfileCertificate,
@@ -85,7 +90,7 @@ def build_support(
     cert: SupportCertificate,
     equations: Mapping[str, Polynomial],
     bindings: Bindings,
-) -> RationalFunction:
+) -> Quotient:
     """Product of hypercurvette bundles realizing a support certificate."""
     variables = _ring(equations)
     num = Polynomial.one(variables)
@@ -93,14 +98,14 @@ def build_support(
     for index, exponent in enumerate(cert.exponents, start=1):
         force = index in cert.needs_split
         num, den = _bundle_factor(equations, bindings, index, exponent, force, num, den)
-    return RationalFunction(num, den)
+    return Quotient(num, den)
 
 
 def build_last(
     cert: LastDicriticalCertificate,
     equations: Mapping[str, Polynomial],
     bindings: Bindings,
-) -> RationalFunction:
+) -> Quotient:
     """Numerator and denominator of the controlled-last-divisor candidate."""
     variables = _ring(equations)
     primary = lookup_equation(equations, bindings.primary, "primary hypercurvette")
@@ -117,16 +122,21 @@ def build_last(
             raise SolverError("special hypersurfaces carry honest positive powers")
         poly = lookup_equation(equations, bindings.specials.get(j), f"special hypersurface {j}")
         den = den * poly**exponent
-    return RationalFunction(num, den)
+    return Quotient(num, den)
 
 
 def build_single(
     cert: SingleDicriticalCertificate,
     equations: Mapping[str, Polynomial],
     bindings: Bindings,
-) -> RationalFunction:
-    """Twist the base candidate by later hypercurvette powers plus a pole power."""
-    base = build_last(cert.base, equations, bindings)
+) -> Quotient:
+    """Twist the base candidate by later hypercurvette powers plus a pole power.
+
+    The base f/g is reduced first: the pole term is added at the scale of the
+    reduced, canonical g, so a common factor of f and g, or another scale of
+    the pair, would change the function itself.
+    """
+    base = RationalFunction(*build_last(cert.base, equations, bindings))
     f, g = base.num, base.den
     twist = Polynomial.one(f.variables)
     for j in sorted(cert.later_exponents):
@@ -137,7 +147,7 @@ def build_single(
     if cert.pole_power < 1:
         raise SolverError("the pole power must be a positive honest power")
     pole = lookup_equation(equations, bindings.pole, "pole hypercurvette")
-    return RationalFunction(f * twist, g * twist + pole**cert.pole_power)
+    return Quotient(f * twist, g * twist + pole**cert.pole_power)
 
 
 @dataclass(frozen=True)
@@ -147,16 +157,20 @@ class MobiusTwist:
     b: Fraction
 
 
-def mobius(h: RationalFunction, a: Fraction, b: Fraction) -> RationalFunction:
+def mobius(h: RationalFunction | Quotient, a: Fraction, b: Fraction) -> Quotient:
     """(h - a)/(h - b); generic constants keep statuses and degrees intact.
 
-    With h = N/D reduced, (N - aD)/(N - bD) is reduced too: a common factor
-    divides the difference (b - a)D, hence D, hence N, so it is a unit.  The
-    quotient is therefore built without a gcd.
+    For h = N/D it is (LN - (La)D)/(LN - (Lb)D) with L the lcm of the
+    denominators of a and b: both sides are scaled by the same L, so the
+    function is (h - a)/(h - b) and integer coefficients stay integers.
+    With N/D reduced the pair is coprime too: a common factor divides the
+    difference L(b - a)D, hence D, hence N, so it is a unit.
     """
     if a == b:
         raise SolverError("the two twist constants must be distinct")
-    return RationalFunction._coprime(h.num - a * h.den, h.num - b * h.den)
+    scale = math.lcm(a.denominator, b.denominator)
+    num = scale * h.num
+    return Quotient(num - (scale * a) * h.den, num - (scale * b) * h.den)
 
 
 def build_profile(
@@ -164,9 +178,10 @@ def build_profile(
     equations: Mapping[str, Polynomial],
     bindings: Bindings,
     rng: random.Random,
-) -> tuple[RationalFunction, list[MobiusTwist]]:
-    """Product of twisted single-target candidates, one per prescribed divisor."""
-    result: RationalFunction | None = None
+) -> tuple[Quotient, list[MobiusTwist]]:
+    """Product of twisted single-target candidates, one per prescribed
+    divisor, multiplied numerator by numerator and denominator by denominator."""
+    num = den = Polynomial.one(_ring(equations))
     twists: list[MobiusTwist] = []
     for j in sorted(cert.parts):
         part_bindings = bindings.parts.get(j)
@@ -179,9 +194,8 @@ def build_profile(
             b = draw_fraction(rng)
         twists.append(MobiusTwist(j, a, b))
         twisted = mobius(h, a, b)
-        result = twisted if result is None else result * twisted
-    assert result is not None
-    return result, twists
+        num, den = num * twisted.num, den * twisted.den
+    return Quotient(num, den), twists
 
 
 def _ring(equations: Mapping[str, Polynomial]) -> tuple[str, ...]:

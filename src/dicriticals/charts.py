@@ -31,7 +31,7 @@ from .descriptor import ModificationDescriptor
 from .errors import ChartError, GenericityError, PolynomialError, ScenarioError
 from .jsonio import FieldCodec, json_field
 from .poly import Polynomial, polynomial_gcd
-from .ratfunc import RationalFunction
+from .ratfunc import Quotient, RationalFunction, render_pair
 
 PARAM = "param"
 CONST = "const"
@@ -333,7 +333,7 @@ def path_walks(
 
 
 def pullback(
-    h: RationalFunction,
+    h: RationalFunction | Quotient,
     tower: ChartTower,
     charts: Sequence[str] | None = None,
     blowups: int | None = None,
@@ -344,7 +344,7 @@ def pullback(
 
 
 def divisor_order(
-    h: RationalFunction,
+    h: RationalFunction | Quotient,
     tower: ChartTower,
     divisor: int,
     charts: Sequence[str] | None = None,
@@ -362,7 +362,11 @@ def divisor_order(
 
 @dataclass(frozen=True)
 class Restriction:
-    """Restriction of a pulled-back function to one exceptional divisor."""
+    """Restriction of a pulled-back function to one exceptional divisor.
+
+    ``walk_restriction`` stores the reduced, canonically scaled pair, or the
+    numerator slice over a zero denominator for an infinite restriction.
+    """
 
     divisor: int
     num: Polynomial
@@ -383,11 +387,11 @@ class Restriction:
     def render(self) -> str:
         if self.is_infinite():
             return "inf"
-        return self.as_fraction().render()
+        return render_pair(self.num, self.den)
 
 
 def restrict(
-    h: RationalFunction,
+    h: RationalFunction | Quotient,
     tower: ChartTower,
     divisor: int,
     charts: Sequence[str] | None = None,
@@ -413,7 +417,8 @@ def walk_restriction(stage: Stage, divisor: int) -> Restriction:
     num0 = _slice(num, idx, common)
     den0 = _slice(den, idx, common)
     if num0.is_zero() and den0.is_zero():
-        raise ChartError("numerator and denominator both vanish on the divisor; input was not reduced")
+        # the slice at the smaller of the two orders is never zero
+        raise ChartError("numerator and denominator both vanish on the divisor; internal error")
     if den0.is_zero():
         return Restriction(divisor, num0, den0, chart_var)
     reduced = RationalFunction(num0, den0)
@@ -460,7 +465,7 @@ def status_of(restriction: Restriction) -> Status:
 
 
 def dicritical_status(
-    h: RationalFunction,
+    h: RationalFunction | Quotient,
     tower: ChartTower,
     divisor: int,
     charts: Sequence[str] | None = None,
@@ -478,7 +483,7 @@ def draw_fraction(rng: random.Random) -> Fraction:
 
 
 def dicritical_degree(
-    h: RationalFunction,
+    h: RationalFunction | Quotient,
     tower: ChartTower,
     divisor: int,
     line: LineClassSpec,
@@ -535,7 +540,7 @@ class CrossCheckRow:
 def cross_check(
     d: ModificationDescriptor,
     tower: ChartTower,
-    h: RationalFunction,
+    h: RationalFunction | Quotient,
     predicted: Sequence[int],
     charts: Mapping[int, Sequence[str]] | None = None,
 ) -> list[CrossCheckRow]:

@@ -1,11 +1,17 @@
 """Exact rational functions: reduced quotients of sparse polynomials.
 
-Every quotient is reduced: its numerator and denominator are coprime.  The
-constructor reduces through ``polynomial_gcd``; the private ``_coprime`` is
-for pairs already known to be coprime.  A product of reduced operands a/b and
-c/d cancels crosswise instead: with g = gcd(a, d) and k = gcd(c, b), the
-product (a/g)(c/k) / ((b/k)(d/g)) is reduced, because a/g is coprime to d/g,
-c/k to b/k, a to b and c to d; so no gcd of the full products is taken.
+Every ``RationalFunction`` is reduced: its numerator and denominator are
+coprime.  A ``Quotient`` is a numerator and denominator as built, neither
+reduced nor scaled; it names a function for code that reads only properties
+of the function that a common factor does not change (the orders and
+restrictions ``verify`` reads), and it has no arithmetic.
+
+The ``RationalFunction`` constructor reduces through ``polynomial_gcd``;
+the private ``_coprime`` is for pairs already known to be coprime.  A
+product of reduced operands a/b and c/d cancels crosswise instead: with
+g = gcd(a, d) and k = gcd(c, b), the product (a/g)(c/k) / ((b/k)(d/g)) is
+reduced, because a/g is coprime to d/g, c/k to b/k, a to b and c to d; so
+no gcd of the full products is taken.
 The canonical scaling makes all coefficients integers with overall gcd 1
 and gives the denominator a positive trailing (grlex-minimal) coefficient,
 which keeps serialized output byte-stable.
@@ -14,10 +20,18 @@ which keeps serialized output byte-stable.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import PolynomialError
 from .poly import Polynomial, polynomial_gcd, rational_content
+
+
+class Quotient(NamedTuple):
+    """``num / den`` as built: no gcd is taken and no scale is chosen, so it
+    equals no ``RationalFunction``; ``RationalFunction(*q)`` reduces it."""
+
+    num: Polynomial
+    den: Polynomial
 
 
 class RationalFunction:
@@ -146,12 +160,17 @@ class RationalFunction:
         return RationalFunction(num, den)
 
     def render(self) -> str:
-        if self.den == Polynomial.one(self.variables):
-            return self.num.render()
-        return f"({self.num.render()})/({self.den.render()})"
+        return render_pair(self.num, self.den)
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.render()!r})"
+
+
+def render_pair(num: Polynomial, den: Polynomial) -> str:
+    """``num``, or ``(num)/(den)`` unless ``den`` is 1; the pair as given."""
+    if den == Polynomial.one(num.variables):
+        return num.render()
+    return f"({num.render()})/({den.render()})"
 
 
 def _check_pair(num: Polynomial, den: Polynomial) -> None:

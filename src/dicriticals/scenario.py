@@ -210,7 +210,10 @@ def _validate(sc: Scenario) -> dict[tuple[str, ...] | None, WalkState]:
     if sc.expect is not None and sc.expect.orders is not None and len(sc.expect.orders) != m:
         raise ScenarioError(f"expected orders give {len(sc.expect.orders)} values for {m} divisors")
     if sc.tower is not None:
-        default_walk = check_tower(sc.descriptor, sc.tower)
+        try:
+            default_walk = check_tower(sc.descriptor, sc.tower)
+        except ChartError as exc:
+            raise ScenarioError(f"chart tower: {exc}") from None
         for name, poly in sc.equations.items():
             if poly.variables != sc.tower.variables:
                 raise ScenarioError(f"equation {name!r} does not live in the tower's ring")

@@ -8,6 +8,18 @@ no code path for these numbers, so agreement is a real cross-check.  The
 scenario's checked walks (``Scenario.checked_walks``) give the divisor
 equations of every chart path they cover, so the walk of each function
 pushes only its numerator and denominator there.
+
+A solved request's function is walked as its construction multiplies it
+out (a ``ratfunc.Quotient``), never reduced, and this is exact.  ord_E is a
+valuation, so a common factor F of N and D gives ord(F·N) - ord(F·D) =
+ord N - ord D.  ``charts.walk_restriction`` clears the shared power of the
+chart variable and keeps the lowest slices, and the lowest slice of a
+product is the product of the lowest slices; so F puts the same nonzero
+slice on both sides, and the reduced restriction it stores does not change,
+nor do its status, value, degree and rendered string.  The only gcds on
+the path of a solved request are those whose result verify reads: the reduced restriction at
+each divisor, the degree check, and the base f/g of a ``single``
+construction (see ``candidates.build_single``).
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from .descriptor import valuation_matrix
 from .errors import DicriticalError, ScenarioError
 from .jsonio import SCHEMA_VERSION, FieldCodec
 from .poly import Polynomial
-from .ratfunc import RationalFunction
+from .ratfunc import Quotient, RationalFunction
 from .scenario import (
     ExpectedStatus,
     ExplicitRequest,
@@ -159,9 +171,10 @@ def run_verify(
 
 def _prescription(sc: Scenario, req, cert, report: VerifyReport):
     """``(h, predicted orders, {dicritical divisor: degree or None})`` for a
-    solved request: h must be dicritical exactly at the listed divisors (with
-    the listed degree where one is given) and constant on every other divisor
-    whose restriction verify reads."""
+    solved request, with h the ``Quotient`` its construction builds: h must
+    be dicritical exactly at the listed divisors (with the listed degree
+    where one is given) and constant on every other divisor whose
+    restriction verify reads."""
     if isinstance(req, SupportRequest):
         return build_support(cert, sc.equations, sc.bindings), cert.orders, dict.fromkeys(cert.targets)
     if isinstance(req, LastRequest):
@@ -196,7 +209,8 @@ def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
     if not sc.bindings.rows:
         raise ScenarioError("matrix verification needs row bindings")
     for j in sorted(sc.bindings.rows):
-        h = RationalFunction(lookup_equation(sc.equations, sc.bindings.rows[j], f"curvette row {j}"))
+        row = lookup_equation(sc.equations, sc.bindings.rows[j], f"curvette row {j}")
+        h = Quotient(row, Polynomial.one(row.variables))
         _verify_function(sc, report, f"curvette {j}", h, range(1, sc.descriptor.m + 1), matrix.rows[j - 1], {})
 
 

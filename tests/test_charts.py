@@ -240,6 +240,25 @@ def test_cross_check_flags_corrupted_multiplicity_table():
     assert first_bad == 1  # the first affected index is reported
 
 
+def test_plane_satellite_tower_walks_the_rows_of_its_valuation_matrix():
+    """Three point blow-ups of the plane at the origin, in charts x, y, x: the
+    second center is free on E_1, the third a satellite on E_1 and E_2.  The
+    curvette rows come from the proximity equalities (e_j = 1, and e_i is
+    the sum of e_k over the k <= j proximate to i)."""
+    from dicriticals.descriptor import make_descriptor
+
+    plane = ("x", "y")
+    tower = ChartTower(plane, tuple(BlowupStep(plane, chart) for chart in ("x", "y", "x")))
+    d = make_descriptor(2, [[], [1], [1, 2]], curvette_mults=[(1,), (1, 1), (2, 1, 1)])
+    check_tower(d, tower)
+    matrix = valuation_matrix(d)
+    assert matrix.rows == ((1, 1, 2), (1, 2, 3), (2, 3, 6))
+    x, y = (Polynomial.variable(plane, v) for v in plane)
+    for curve, row in zip((y - 3 * x, x**2 - 3 * y, y**2 - 3 * x**3), matrix.rows):
+        checked = cross_check(d, tower, RationalFunction(curve), row)
+        assert [r.symbolic for r in checked] == list(row), curve.render()
+
+
 def test_single_candidate_orders_match_certificate():
     sc = three_points_line()
     from dicriticals.verify import solve_scenario

@@ -607,8 +607,10 @@ def test_mobius_shift_stays_reduced(f, g, a, b):
     h = RationalFunction(x + z**2, x - z**2)
     twisted = (h - Fraction(1, 3)) / (h - 2)
     assert polynomial_gcd(twisted.num, twisted.den).is_constant()
-    # For a generated reduced h, the twist built without a gcd is the
-    # gcd-reduced construction.
+    # For a generated reduced h, the twist built without a gcd is coprime
+    # and is the function of the gcd-reduced construction.
     h = _reduced_pair(f, g)
     assume(a != b and not (h.num - b * h.den).is_zero())
-    assert_same_quotient(mobius(h, a, b), RationalFunction(h.num - a * h.den, h.num - b * h.den))
+    shifted = mobius(h, a, b)
+    assert polynomial_gcd(*shifted).is_constant()
+    assert_same_quotient(RationalFunction(*shifted), RationalFunction(h.num - a * h.den, h.num - b * h.den))

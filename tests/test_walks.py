@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 from helpers import bench_workloads, support_middle, three_points_line_last
 
-from dicriticals import charts, scenario, verify
+from dicriticals import charts, poly, ratfunc, scenario, verify
 from dicriticals.candidates import build_last
 from dicriticals.cli import main
 from dicriticals.charts import ShearStep, cross_check, divisor_order, walk_order, walk_tower
@@ -18,8 +18,14 @@ from dicriticals.descriptor import make_descriptor
 from dicriticals.errors import ChartError, ScenarioError
 from dicriticals.fixtures import FIXTURES, load_fixture, three_points
 from dicriticals.jsonio import canonical_dumps
-from dicriticals.ratfunc import RationalFunction
-from dicriticals.scenario import DivisorChart, ExplicitRequest, scenario_from_json, scenario_to_json
+from dicriticals.ratfunc import Quotient, RationalFunction
+from dicriticals.scenario import (
+    DivisorChart,
+    ExplicitRequest,
+    scenario_from_json,
+    scenario_to_json,
+    validate_scenario,
+)
 from dicriticals.solver import certificate_from_json
 from dicriticals.verify import VerifyReport, explicit_function, run_verify, solve_scenario
 
@@ -312,12 +318,25 @@ def test_a_verify_call_checks_the_tower_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_a_tower_that_disagrees_with_its_descriptor_is_an_input_error(tmp_path, capsys):
+    """The tower check's ``ChartError`` is scenario input, through the
+    library as through a scenario file (exit 2)."""
+    wrong = dataclasses.replace(three_points(), descriptor=make_descriptor(3, [[], [1], [2]]))
+    with pytest.raises(ScenarioError, match="chart tower: blow-up 3: .*descriptor says"):
+        run_verify(wrong)
+    path = tmp_path / "scenario.json"
+    path.write_text(canonical_dumps(scenario_to_json(wrong)))
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and "descriptor says" in err[0], err
+
+
 def test_verify_still_validates_a_scenario_built_in_python():
     sc = three_points()
     wrong_parents = dataclasses.replace(sc.request, contact_orders={1: 1, 3: 2})
     with pytest.raises(ScenarioError, match="parents of s"):
         run_verify(dataclasses.replace(sc, request=wrong_parents))
-    with pytest.raises(ChartError, match="descriptor says"):
+    with pytest.raises(ScenarioError, match="descriptor says"):
         run_verify(dataclasses.replace(sc, descriptor=make_descriptor(3, [[], [1], [2]])))
     assert run_verify(sc).overall
 
@@ -379,3 +398,103 @@ def test_walks_on_the_checked_stages_equal_fresh_walks(monkeypatch):
                     assert stage == want, (sc.name, path, k)
                 on_checked += path in checked and checked[path].blowups_done >= walk.blowups_done
     assert on_checked >= len(scenarios)
+
+
+# sha256 of the canonical [numerator, denominator] of each solved fixture's
+# reduced h, taken while the builders still reduced it; reducing the
+# quotient verify walks must give the same function, scaled the same way.
+REDUCED_H_SHA256 = {
+    "three-points": "4989edc38a08f1ad29a7bc2f5e8bee29fa831f0e46c9dd6b850f61b9dfe16f98",
+    "three-points-line": "b21a7a4248091ed203344563f79f892acb0a5834f27b988dad484fac1c011c19",
+    "two-dicriticals": "a726bd192a1fbc6c53cca32a550d69b51ed2ce90b18579a03ef898d943119b5b",
+}
+
+
+def _solved(sc) -> bool:
+    return sc.request is not None and not isinstance(sc.request, ExplicitRequest)
+
+
+def test_reducing_the_walked_quotient_gives_the_reduced_h():
+    assert sorted(REDUCED_H_SHA256) == sorted(name for name in FIXTURES if _solved(load_fixture(name)))
+    for name, digest in REDUCED_H_SHA256.items():
+        sc = load_fixture(name)
+        report = VerifyReport(scenario=sc.name, seed=sc.seed, rows=[])
+        h = verify._prescription(sc, sc.request, solve_scenario(sc), report)[0]  # the h run_verify walks
+        assert isinstance(h, Quotient)
+        reduced = RationalFunction(*h)
+        payload = canonical_dumps([reduced.num.to_json(), reduced.den.to_json()])
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, name
+
+
+def test_a_common_factor_of_h_changes_no_verify_row(monkeypatch):
+    """Orders and restrictions are properties of the function, not of how
+    N/D is written: multiplying h's numerator and denominator by one of the
+    scenario's own equations, which vanishes along divisors, leaves every
+    row as it was: order, status, value, degree and restriction string."""
+    workloads = bench_workloads(monkeypatch)
+    scenarios = [sc for sc in map(load_fixture, FIXTURES) if _solved(sc)]
+    scenarios += [support_middle(), three_points_line_last()]
+    for seed in (1, 2):
+        scenarios += workloads.chain_scenarios(seed) + workloads.shear_chain_scenarios(seed)
+    plain = [run_verify(sc) for sc in scenarios]
+    original = verify._prescription
+
+    def with_common_factor(sc, req, cert, report):
+        h, predicted, dicritical = original(sc, req, cert, report)
+        factor = sc.equations[min(sc.equations)]
+        assert not factor.is_constant()
+        return Quotient(h.num * factor, h.den * factor), predicted, dicritical
+
+    monkeypatch.setattr(verify, "_prescription", with_common_factor)
+    for sc, report in zip(scenarios, plain):
+        assert report.overall, sc.name
+        assert run_verify(sc).rows == report.rows, sc.name
+
+
+def _count_reductions(monkeypatch):
+    """Record the pairs ``RationalFunction`` is built from, the calls of
+    ``polynomial_gcd`` from every module that looks it up, and the
+    polynomials verify walks."""
+    built, gcds, walked = [], [], []
+    construct, gcd, walks = RationalFunction.__init__, poly.polynomial_gcd, verify.path_walks
+
+    def counted_construct(self, num, den=None):
+        built.append((num, den))
+        construct(self, num, den)
+
+    def counted_gcd(p, q):
+        gcds.append((p, q))
+        return gcd(p, q)
+
+    def recorded_walks(tower, polys, reads, checked=None):
+        walked.append(tuple(polys))
+        return walks(tower, polys, reads, checked)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counted_construct)
+    for module in (poly, ratfunc, charts):
+        monkeypatch.setattr(module, "polynomial_gcd", counted_gcd)
+    monkeypatch.setattr(verify, "path_walks", recorded_walks)
+    return built, gcds, walked
+
+
+# two-dicriticals: 2 bases, 3 restrictions and 2 degree checks (13 while h
+# was reduced); the chain: the restriction of its target, the only one with
+# a nonzero numerator (3 while h was reduced).
+@pytest.mark.parametrize("name, singles, gcd_calls", [("two-dicriticals", 2, 7), ("chain-f1-m10-t1", 0, 1)])
+def test_verify_builds_no_rational_function_from_the_full_candidate(name, singles, gcd_calls, monkeypatch):
+    """The walked h is the quotient as built.  A ``RationalFunction`` is made
+    only of the base of each ``single`` construction and of each finite
+    restriction read; the gcds are those and the degree checks."""
+    if name in FIXTURES:
+        sc = load_fixture(name)
+    else:
+        sc = next(sc for sc in bench_workloads(monkeypatch).chain_scenarios(1) if sc.name == name)
+    validate_scenario(sc)
+    built, gcds, walked = _count_reductions(monkeypatch)
+    report = run_verify(sc)
+    assert report.overall
+    ((num, den),) = walked
+    assert not any(pair[0] == num or pair[1] == den for pair in built)
+    finite = [row for row in report.rows if row.status is not None and row.value != "inf"]
+    assert len(built) == singles + len(finite)
+    assert len(gcds) == gcd_calls
