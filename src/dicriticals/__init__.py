@@ -9,11 +9,9 @@ from .charts import (
     Restriction,
     ShearStep,
     Status,
-    cross_check,
     dicritical_degree,
     dicritical_status,
     divisor_order,
-    pullback,
     restrict,
 )
 from .descriptor import (
@@ -52,7 +50,6 @@ from .solver import (
     SingleDicriticalCertificate,
     SupportCertificate,
     aux_order_bounds,
-    classify,
     combine_profile,
     solve_last_dicritical,
     solve_single_dicritical,

@@ -8,16 +8,16 @@ renames coordinates by an invertible triangular translation, which is how
 non-coordinate centers (a conic inside a divisor, a translated line) are
 brought into coordinate position.
 
-One step function drives both ``walk_tower`` and ``check_tower``.  A walk
-tracks the local equation of every exceptional divisor still visible in the
-current chart and keeps a stage after each blow-up: the walked polynomials
-and divisor equations, exactly what a walk stopped there gives.  The order
-along E_i is read at stage i, where E_i's equation is the chart variable, so
-it does not depend on later charts.  ``path_walks`` walks a function once per
-chart override; every order, restriction, status and degree is a stage read.
-The divisor equations depend on the tower and the chart path alone: a walk
-given a ``checked`` walk of its path (the tower check's, say) takes them
-from its stages and pushes only its own polynomials.
+The local equation of every exceptional divisor still visible in a chart
+depends on the tower and the chart path alone, not on a function: the tower
+pushes them through once per chart path and keeps them
+(``ChartTower.divisor_eqs``), ``check_tower`` reads the default path's, and
+a walk looks them up and pushes only its polynomials.  A walk keeps a stage
+after each blow-up: the walked polynomials and divisor equations, exactly
+what a walk stopped there gives.  The order along E_i is read at stage i,
+where E_i's equation is the chart variable, so it does not depend on later
+charts.  ``path_walks`` walks a function once per chart override; every
+order, restriction, status and degree is a stage read.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .descriptor import ModificationDescriptor
@@ -58,6 +59,10 @@ class ShearStep(FieldCodec):
     def __post_init__(self):
         if self.shift.degree_in(self.target) > 0:
             raise ChartError("a shear must be triangular: the shift cannot involve its target")
+
+    def image(self, variables: tuple[str, ...]) -> dict[str, Polynomial]:
+        """The substitution of the shear in the ring of ``variables``."""
+        return {self.target: _coordinate(variables, self.target) + self.shift}
 
 
 Step = BlowupStep | ShearStep
@@ -102,6 +107,22 @@ class ChartTower(FieldCodec):
     def blowup_count(self) -> int:
         return len(self.centers)
 
+    @cached_property
+    def _path_eqs(self) -> dict[tuple[str, ...] | None, list[dict[int, Polynomial]]]:
+        return {}
+
+    def divisor_eqs(self, charts: Sequence[str] | None = None) -> list[dict[int, Polynomial]]:
+        """The local equation of each exceptional divisor visible on the chart
+        path ``charts`` (None for the default charts) after every step: entry
+        k holds them after the first k steps.  Each tower object pushes them
+        through once per path and keeps them.  The list stops at a chart
+        outside its center, where a walk raises."""
+        key = None if charts is None else tuple(charts)
+        eqs = self._path_eqs.get(key)
+        if eqs is None:
+            eqs = self._path_eqs[key] = _push_divisor_eqs(self, key)
+        return eqs
+
 
 @dataclass(frozen=True)
 class LineClassSpec(FieldCodec):
@@ -134,7 +155,6 @@ class WalkState:
     """A walk in progress; ``stages[k]`` holds the polynomials and divisor
     equations right after k blow-ups, shared with the walk, not copied."""
 
-    variables: tuple[str, ...]
     polys: list[Polynomial]
     divisor_eqs: dict[int, Polynomial]
     blowups_done: int
@@ -170,59 +190,45 @@ def _coordinate_name(eq: Polynomial) -> str | None:
     return None
 
 
-def _step(
-    state: WalkState, step: Step, charts: Sequence[str] | None = None, checked: WalkState | None = None
-) -> None:
-    """Advance the walk by one step; ``charts`` overrides the blow-up charts.
-
-    With ``checked``, a walk of the same chart path that got at least as far,
-    the divisor equations of each stage are taken from its stages instead of
-    being pushed through the step again.
-    """
-    if isinstance(step, ShearStep):
-        image = {step.target: _coordinate(state.variables, step.target) + step.shift}
-        state.polys = [p.substitute(image) for p in state.polys]
-        if checked is None:
-            state.divisor_eqs = _push_divisor_eqs(state, step, image)
-        return
-    chart = step.chart
-    if charts is not None and state.blowups_done < len(charts):
-        chart = charts[state.blowups_done]
-    if chart not in step.center:
-        raise ChartError(f"chart variable {chart!r} is not in the center {step.center}")
-    state.polys = [_apply_blowup(p, step.center, chart) for p in state.polys]
-    state.blowups_done += 1
-    if checked is None:
-        state.divisor_eqs = _push_divisor_eqs(state, step, chart)
-    else:
-        state.divisor_eqs = checked.stages[state.blowups_done][1]
-    state.stages.append((state.polys, state.divisor_eqs))
+def _blowup_chart(step: BlowupStep, charts: Sequence[str] | None, done: int) -> str:
+    """The chart of the blow-up ``step`` after ``done`` others; ``charts`` overrides the default."""
+    return charts[done] if charts is not None and done < len(charts) else step.chart
 
 
-def _push_divisor_eqs(state: WalkState, step: Step, move: Mapping[str, Polynomial] | str) -> dict[int, Polynomial]:
-    """The divisor equations of ``state`` after ``step``: ``move`` is a
-    shear's substitution, or the chart variable of a blow-up that
-    ``state.blowups_done`` already counts.  Through a blow-up an equation
-    loses its power of the chart variable, one that becomes a constant
-    leaves (its divisor is not visible in the chart), and the new divisor's
-    equation is the chart variable."""
-    if isinstance(step, ShearStep):
-        return {i: e.substitute(move) for i, e in state.divisor_eqs.items()}
-    new_eqs: dict[int, Polynomial] = {}
-    for idx, eq in state.divisor_eqs.items():
-        name = _coordinate_name(eq)
-        if name is not None:  # a coordinate stays itself, unless it is the chart variable
-            if name != move:
-                new_eqs[idx] = eq
+def _push_divisor_eqs(tower: ChartTower, charts: Sequence[str] | None) -> list[dict[int, Polynomial]]:
+    """The divisor equations along a chart path after every step (see
+    ``ChartTower.divisor_eqs``).  A shear substitutes into every equation.
+    Through a blow-up an equation loses its power of the chart variable, one
+    that becomes a constant leaves (its divisor is not visible in the chart),
+    and the new divisor's equation is the chart variable."""
+    variables = tower.variables
+    path: list[dict[int, Polynomial]] = [{}]
+    done = 0
+    for step in tower.steps:
+        if isinstance(step, ShearStep):
+            image = step.image(variables)
+            path.append({i: e.substitute(image) for i, e in path[-1].items()})
             continue
-        moved = _apply_blowup(eq, step.center, move)
-        drop = moved.order_in(move)
-        if drop:
-            moved = moved.divide_by_monomial(tuple(drop if v == move else 0 for v in state.variables))
-        if not moved.is_constant():
-            new_eqs[idx] = moved
-    new_eqs[state.blowups_done] = _coordinate(state.variables, move)
-    return new_eqs
+        chart = _blowup_chart(step, charts, done)
+        if chart not in step.center:
+            break  # a walk on this path raises here
+        done += 1
+        new_eqs: dict[int, Polynomial] = {}
+        for idx, eq in path[-1].items():
+            name = _coordinate_name(eq)
+            if name is not None:  # a coordinate stays itself, unless it is the chart variable
+                if name != chart:
+                    new_eqs[idx] = eq
+                continue
+            moved = _apply_blowup(eq, step.center, chart)
+            drop = moved.order_in(chart)
+            if drop:
+                moved = moved.divide_by_monomial(tuple(drop if v == chart else 0 for v in variables))
+            if not moved.is_constant():
+                new_eqs[idx] = moved
+        new_eqs[done] = _coordinate(variables, chart)
+        path.append(new_eqs)
+    return path
 
 
 def walk_tower(
@@ -230,26 +236,36 @@ def walk_tower(
     polys: Sequence[Polynomial],
     charts: Sequence[str] | None = None,
     blowups: int | None = None,
-    checked: WalkState | None = None,
 ) -> WalkState:
     """Push polynomials through the tower, one chart per blow-up step.
 
     ``charts`` overrides the default chart variable per blow-up; ``blowups``
     stops the walk right after that many blow-ups (shears in between are
-    applied, trailing shears are not).  ``checked`` is a walk of the same
-    chart path at least as far, such as the tower check's walk: its stages
-    give the divisor equations, so only ``polys`` are pushed.
+    applied, trailing shears are not).  Only ``polys`` are pushed: the
+    divisor equations are the tower's (``ChartTower.divisor_eqs``).
     """
     limit = tower.blowup_count if blowups is None else blowups
     if not 0 <= limit <= tower.blowup_count:
         raise ChartError(f"blow-up count {limit} is outside 0..{tower.blowup_count}")
-    state = WalkState(variables=tower.variables, polys=list(polys), divisor_eqs={}, blowups_done=0)
+    state = WalkState(polys=list(polys), divisor_eqs={}, blowups_done=0)
     if any(poly.variables != tower.variables for poly in state.polys):
         raise PolynomialError("polynomial does not live in the tower's coordinate ring")
-    for step in tower.steps:
+    path = tower.divisor_eqs(charts)
+    for k, step in enumerate(tower.steps):
         if state.blowups_done >= limit:
             break
-        _step(state, step, charts, checked)
+        if isinstance(step, ShearStep):
+            image = step.image(tower.variables)
+            state.polys = [p.substitute(image) for p in state.polys]
+            state.divisor_eqs = path[k + 1]
+            continue
+        chart = _blowup_chart(step, charts, state.blowups_done)
+        if chart not in step.center:
+            raise ChartError(f"chart variable {chart!r} is not in the center {step.center}")
+        state.polys = [_apply_blowup(p, step.center, chart) for p in state.polys]
+        state.blowups_done += 1
+        state.divisor_eqs = path[k + 1]
+        state.stages.append((state.polys, state.divisor_eqs))
     return state
 
 
@@ -260,37 +276,37 @@ def vanishes_on_center(eq: Polynomial, center: Sequence[str]) -> bool:
     return all(any(exps[i] for i in idxs) for exps in eq._terms)
 
 
-def check_tower(d: ModificationDescriptor, tower: ChartTower) -> WalkState:
+def check_tower(d: ModificationDescriptor, tower: ChartTower) -> None:
     """Verify the tower realizes the descriptor's center structure.
 
     Per blow-up: the center codimension matches the recorded dimension, and a
     visible divisor's local equation vanishes on the center exactly when the
     descriptor lists it as containing the center.  Invisible divisors cannot
-    contain a center that lives in the current chart.  Returns the walk,
-    whose stages hold the divisor equations in the default charts.
+    contain a center that lives in the current chart.  The divisor equations
+    are the tower's in the default charts, which stay cached on it.
     """
     if tower.blowup_count != d.m:
         raise ChartError(f"tower has {tower.blowup_count} blow-ups, descriptor has {d.m}")
     if len(tower.variables) != d.n:
         raise ChartError(f"tower has {len(tower.variables)} variables, descriptor ambient dimension is {d.n}")
-    state = WalkState(variables=tower.variables, polys=[], divisor_eqs={}, blowups_done=0)
-    for step in tower.steps:
-        if isinstance(step, BlowupStep):
-            j = state.blowups_done + 1
-            center = d.centers[j - 1]
-            if d.n - len(step.center) != center.dim:
-                raise ChartError(
-                    f"blow-up {j}: center {step.center} has dimension {d.n - len(step.center)}, "
-                    f"descriptor says {center.dim}"
-                )
-            contains = {idx for idx, eq in state.divisor_eqs.items() if vanishes_on_center(eq, step.center)}
-            if contains != set(center.parents):
-                raise ChartError(
-                    f"blow-up {j}: chart says the center lies in divisors {sorted(contains)}, "
-                    f"descriptor says {sorted(center.parents)}"
-                )
-        _step(state, step)
-    return state
+    path = tower.divisor_eqs()
+    j = 0
+    for k, step in enumerate(tower.steps):
+        if isinstance(step, ShearStep):
+            continue
+        j += 1
+        center = d.centers[j - 1]
+        if d.n - len(step.center) != center.dim:
+            raise ChartError(
+                f"blow-up {j}: center {step.center} has dimension {d.n - len(step.center)}, "
+                f"descriptor says {center.dim}"
+            )
+        contains = {idx for idx, eq in path[k].items() if vanishes_on_center(eq, step.center)}
+        if contains != set(center.parents):
+            raise ChartError(
+                f"blow-up {j}: chart says the center lies in divisors {sorted(contains)}, "
+                f"descriptor says {sorted(center.parents)}"
+            )
 
 
 def walk_order(state: WalkState, divisor: int) -> int:
@@ -309,7 +325,6 @@ def path_walks(
     tower: ChartTower,
     polys: Sequence[Polynomial],
     reads: Mapping[int, tuple[tuple[str, ...] | None, int]],
-    checked: Mapping[tuple[str, ...] | None, WalkState] | None = None,
 ) -> dict[tuple[str, ...] | None, WalkState]:
     """Walk ``polys`` once per chart override that ``reads`` names.
 
@@ -317,30 +332,11 @@ def path_walks(
     charts) and the blow-up count at which its restriction is read.  Each
     override is walked as far as the highest count read there, or the
     divisor's creating step if that is later: stage i holds the order along E_i.
-    A walk in ``checked`` of the same override that got that far gives the
-    divisor equations (see ``walk_tower``); any other override pushes its own.
     """
     reach: dict[tuple[str, ...] | None, int] = {}
     for divisor, (charts, blowups) in reads.items():
         reach[charts] = max(reach.get(charts, 0), blowups, divisor)
-    walks = {}
-    for charts, k in reach.items():
-        base = (checked or {}).get(charts)
-        if base is not None and base.blowups_done < k:
-            base = None
-        walks[charts] = walk_tower(tower, polys, charts, k, base)
-    return walks
-
-
-def pullback(
-    h: RationalFunction | Quotient,
-    tower: ChartTower,
-    charts: Sequence[str] | None = None,
-    blowups: int | None = None,
-) -> RationalFunction:
-    """Total transform of h in the selected chart, fully reduced."""
-    state = walk_tower(tower, [h.num, h.den], charts=charts, blowups=blowups)
-    return RationalFunction(state.polys[0], state.polys[1])
+    return {charts: walk_tower(tower, polys, charts, k) for charts, k in reach.items()}
 
 
 def divisor_order(
@@ -378,11 +374,6 @@ class Restriction:
 
     def is_infinite(self) -> bool:
         return self.den.is_zero()
-
-    def as_fraction(self) -> RationalFunction:
-        if self.is_infinite():
-            raise ChartError("restriction is infinite")
-        return RationalFunction(self.num, self.den)
 
     def render(self) -> str:
         if self.is_infinite():
@@ -524,34 +515,3 @@ def restriction_degree(restriction: Restriction, line: LineClassSpec) -> int:
         )
     gcd = polynomial_gcd(num, den)
     return max(num.degree_in(param), den.degree_in(param)) - gcd.degree_in(param)
-
-
-@dataclass(frozen=True)
-class CrossCheckRow:
-    divisor: int
-    predicted: int
-    symbolic: int
-
-    @property
-    def ok(self) -> bool:
-        return self.predicted == self.symbolic
-
-
-def cross_check(
-    d: ModificationDescriptor,
-    tower: ChartTower,
-    h: RationalFunction | Quotient,
-    predicted: Sequence[int],
-    charts: Mapping[int, Sequence[str]] | None = None,
-) -> list[CrossCheckRow]:
-    """Compare predicted orders with symbolic orders divisor by divisor.
-
-    Divisors sharing a chart path read their orders from one walk of h.
-    """
-    checked = check_tower(d, tower)
-    if len(predicted) > tower.blowup_count:
-        raise ChartError("more predictions than divisors")
-    charts = charts or {}
-    paths = {i: None if charts.get(i) is None else tuple(charts[i]) for i in range(1, len(predicted) + 1)}
-    walks = path_walks(tower, [h.num, h.den], {i: (path, i) for i, path in paths.items()}, {None: checked})
-    return [CrossCheckRow(i, value, walk_order(walks[paths[i]], i)) for i, value in enumerate(predicted, start=1)]

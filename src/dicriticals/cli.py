@@ -174,6 +174,8 @@ def cmd_report(args) -> int:
     if not path.exists():
         raise ScenarioError(f"no verification artifact at {path}; run verify first")
     report = _read_json_file(path, "verification artifact", VerifyReport.from_json)
+    if report.scenario != scenario.name:
+        raise ScenarioError(f"the verification artifact {str(path)!r} is of scenario {report.scenario!r}")
     text = render_report(report)
     print(text, end="")
     if not write_artifact(Path(args.out), f"{scenario.name}.report.txt", text):

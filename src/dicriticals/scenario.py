@@ -8,9 +8,11 @@ and writes through ``jsonio.FieldCodec``, so unknown keys and wrongly typed
 values are input errors at every level; only the tower's step list has a JSON
 shape of its own.
 
-A scenario is validated as a whole once per object: ``Scenario.checked_walks``
-runs the checks on first use and keeps the walks of the tower check, which
-``scenario_from_json`` fills as it reads and ``verify`` walks h on.
+A scenario is validated as a whole once per object: the flag
+``Scenario.validated`` runs the checks on first use, and ``scenario_from_json``
+sets it as it reads.  Checking the chart paths leaves the divisor equations
+of every path ``verify`` reads cached on the tower (``ChartTower.divisor_eqs``),
+so the walks of h push only its numerator and denominator.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .candidates import Bindings
-from .charts import ChartTower, LineClassSpec, WalkState, check_tower, path_walks, restriction_chart_variable
+from .charts import BlowupStep, ChartTower, LineClassSpec, check_tower, restriction_chart_variable
 from .descriptor import ModificationDescriptor, TailData
 from .errors import ChartError, DescriptorError, ScenarioError, SolverError
 from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, json_field
@@ -131,12 +133,11 @@ class Scenario(FieldCodec):
         return {"schema_version": SCHEMA_VERSION}
 
     @cached_property
-    def checked_walks(self) -> dict[tuple[str, ...] | None, WalkState]:
-        """The walks, with no polynomials, of the chart paths whose restrictions
-        ``verify`` reads, keyed like ``path_walks``: the tower check's walk for
-        the default charts and one walk per override read.  Empty without a
-        tower.  Computing them validates the scenario, once per object."""
-        return _validate(self)
+    def validated(self) -> bool:
+        """True once the scenario is checked as a whole: computing it runs the
+        checks, once per object."""
+        _validate(self)
+        return True
 
     def chart_path(self, divisor: int) -> tuple[tuple[str, ...] | None, int]:
         """The chart override (None for the default charts) and the blow-up
@@ -157,13 +158,14 @@ def restricted_divisors(sc: Scenario) -> range | list[int]:
     return range(1, (req.s if isinstance(req, LastRequest) else sc.descriptor.m) + 1)
 
 
-def _check_chart_paths(sc: Scenario, default_walk: WalkState) -> dict[tuple[str, ...] | None, WalkState]:
-    """Every override chart belongs to a blow-up and lies in its center, checked
-    without a walk, and every divisor whose restriction verify reads is a
-    coordinate at the stage of its chart path that verify reads.  The default
-    path is the tower check's walk; an override is walked, with no
-    polynomials, only when a divisor read there uses it.  Returns the walks."""
+def _check_chart_paths(sc: Scenario) -> None:
+    """Every override chart belongs to a blow-up and lies in its center, and
+    every divisor whose restriction verify reads is a coordinate at the stage
+    of its chart path that verify reads: an index into the tower's divisor
+    equations of the path (``ChartTower.divisor_eqs``), which nothing walks."""
     centers = sc.tower.centers
+    # the steps done right after k blow-ups, k = 0..m: where a walk keeps stage k
+    stage_steps = [0] + [k + 1 for k, step in enumerate(sc.tower.steps) if isinstance(step, BlowupStep)]
     try:
         for i, path in sorted(sc.charts.items()):
             charts = path.charts or ()
@@ -172,23 +174,19 @@ def _check_chart_paths(sc: Scenario, default_walk: WalkState) -> dict[tuple[str,
             for center, chart in zip(centers, charts):
                 if chart not in center:
                     raise ChartError(f"chart variable {chart!r} is not in the center {center}")
-        reads = {i: sc.chart_path(i) for i in restricted_divisors(sc)}
-        walks = path_walks(sc.tower, [], {i: read for i, read in reads.items() if read[0] is not None})
-        walks[None] = default_walk
-        for i, (charts, blowups) in reads.items():
-            restriction_chart_variable(walks[charts].stages[blowups][1], i)
+        for i in restricted_divisors(sc):
+            charts, blowups = sc.chart_path(i)
+            restriction_chart_variable(sc.tower.divisor_eqs(charts)[stage_steps[blowups]], i)
     except ChartError as exc:
         raise ScenarioError(f"chart path of divisor {i}: {exc}") from None
-    return walks
 
 
-def validate_scenario(sc: Scenario) -> dict[tuple[str, ...] | None, WalkState]:
-    """Check ``sc`` as a whole, once per object: ``sc.checked_walks`` keeps
-    the checked walks, which ``verify`` reads.  A second call returns them."""
-    return sc.checked_walks
+def validate_scenario(sc: Scenario) -> None:
+    """Check ``sc`` as a whole, once per object: a second call does nothing."""
+    sc.validated  # the flag runs the checks when it is first read
 
 
-def _validate(sc: Scenario) -> dict[tuple[str, ...] | None, WalkState]:
+def _validate(sc: Scenario) -> None:
     # artifacts are written to <out>/<name>.<command>.json
     name = sc.name
     if not isinstance(name, str) or not name or name.startswith(".") or "/" in name or "\\" in name:
@@ -211,7 +209,7 @@ def _validate(sc: Scenario) -> dict[tuple[str, ...] | None, WalkState]:
         raise ScenarioError(f"expected orders give {len(sc.expect.orders)} values for {m} divisors")
     if sc.tower is not None:
         try:
-            default_walk = check_tower(sc.descriptor, sc.tower)
+            check_tower(sc.descriptor, sc.tower)
         except ChartError as exc:
             raise ScenarioError(f"chart tower: {exc}") from None
         for name, poly in sc.equations.items():
@@ -237,10 +235,9 @@ def _validate(sc: Scenario) -> dict[tuple[str, ...] | None, WalkState]:
                 tail_descriptor(sc.descriptor, req.s, req.tail)
     except (DescriptorError, SolverError) as exc:
         raise ScenarioError(f"invalid request: {exc}") from None
-    if sc.tower is None:
-        return {}
-    # after the request checks: a well-formed request names the divisors read
-    return _check_chart_paths(sc, default_walk)
+    if sc.tower is not None:
+        # after the request checks: a well-formed request names the divisors read
+        _check_chart_paths(sc)
 
 
 # -- JSON ----------------------------------------------------------------------
@@ -251,7 +248,7 @@ def scenario_to_json(sc: Scenario) -> dict:
 
 
 def scenario_from_json(data) -> Scenario:
-    """Read and validate a scenario; its checked walks stay cached on it."""
+    """Read and validate a scenario, which stays flagged as validated."""
     sc = Scenario.from_json(data)
     validate_scenario(sc)
     return sc

@@ -47,10 +47,6 @@ from .descriptor import (
 from .errors import BoundViolation, SolverError
 from .jsonio import SCHEMA_VERSION, FieldCodec, Kinded, read_kinded
 
-NON_DICRITICAL = "non_dicritical"
-DICRITICAL_POS = "dicritical_pos"
-DICRITICAL_IF_SPLIT = "dicritical_if_split"
-
 
 # -- linear forms -------------------------------------------------------------
 
@@ -170,21 +166,6 @@ def support_orders(m: int, targets: Iterable[int], offsets: Mapping[int, int]) -
         if value == 0:
             raise SolverError(f"off-target order for divisor {j} must be nonzero")
     return tuple(0 if j in target_set else offsets.get(j, 1) for j in range(1, m + 1))
-
-
-def classify(orders: Sequence[int], exponents: Sequence[int]) -> tuple[str, ...]:
-    """Status of each divisor from its order and bundle exponent."""
-    if len(orders) != len(exponents):
-        raise SolverError("orders and exponents must have equal length")
-    out = []
-    for n, r in zip(orders, exponents):
-        if n != 0:
-            out.append(NON_DICRITICAL)
-        elif r != 0:
-            out.append(DICRITICAL_POS)
-        else:
-            out.append(DICRITICAL_IF_SPLIT)
-    return tuple(out)
 
 
 # -- last-divisor certificates -------------------------------------------------

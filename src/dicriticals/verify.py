@@ -5,9 +5,11 @@ order with the order computed by exact pullback, then checks the restriction
 status (constant or dominant) and, where a line template is available, the
 restriction degree.  The combinatorial solver and the symbolic engine share
 no code path for these numbers, so agreement is a real cross-check.  The
-scenario's checked walks (``Scenario.checked_walks``) give the divisor
-equations of every chart path they cover, so the walk of each function
-pushes only its numerator and denominator there.
+divisor equations of every chart path are the tower's, pushed through once
+per tower object (``charts.ChartTower.divisor_eqs``), so the walk of each
+function pushes only its numerator and denominator.  A stored certificate
+must answer the scenario's request, with every order and exponent vector of
+the length the descriptor gives.
 
 A solved request's function is walked as its construction multiplies it
 out (a ``ratfunc.Quotient``), never reduced, and this is exact.  ord_E is a
@@ -47,6 +49,9 @@ from .scenario import (
     validate_scenario,
 )
 from .solver import (
+    LastDicriticalCertificate,
+    SingleDicriticalCertificate,
+    SupportCertificate,
     combine_profile,
     solve_last_dicritical,
     solve_single_dicritical,
@@ -159,7 +164,7 @@ def run_verify(
         return report
 
     cert = certificate if certificate is not None else solve_scenario(sc)
-    _check_certificate_matches(req, cert)
+    _check_certificate_matches(req, cert, sc.descriptor.m)
     h, predicted, dicritical = _prescription(sc, req, cert, report)
     scope = restricted_divisors(sc)
     expected = {
@@ -186,9 +191,21 @@ def _prescription(sc: Scenario, req, cert, report: VerifyReport):
     return h, (0,) * sc.descriptor.m, dict(cert.degrees)
 
 
-def _check_certificate_matches(req, cert) -> None:
+def _vector_lengths(cert, m: int) -> dict[str, int]:
+    """The length of each order and exponent vector of a certificate on m
+    divisors: m, or s and s - 1 for a last-dicritical certificate at s (the
+    answer to a ``last`` request, or the base of a ``single`` one)."""
+    if isinstance(cert, SupportCertificate):
+        return {"exponents": m, "orders": m}
+    if isinstance(cert, LastDicriticalCertificate):
+        return {"bundle_exponents": cert.s - 1, "orders": cert.s}
+    return dict.fromkeys(("numer_orders", "denom_orders", "aux_orders", "orders"), m)
+
+
+def _check_certificate_matches(req, cert, m: int) -> None:
     """The certificate answers the request: the same kind, targets and
-    degrees, and every off-target order the request gives."""
+    degrees, every off-target order the request gives, and every order and
+    exponent vector of the length the descriptor gives."""
     if cert.kind != req.kind:
         raise ScenarioError(f"a {cert.kind} certificate does not match the {req.kind} request")
     if isinstance(req, SupportRequest):
@@ -201,6 +218,15 @@ def _check_certificate_matches(req, cert) -> None:
         stored = dict(cert.degrees), {j: (part.s, part.degree) for j, part in cert.parts.items()}
     if given != stored:
         raise ScenarioError(f"the certificate answers {stored}, the request asks for {given}")
+    parts = cert.parts.values() if isinstance(req, ProfileRequest) else [cert]
+    nested = [*parts, *(part.base for part in parts if isinstance(part, SingleDicriticalCertificate))]
+    for part in nested:
+        for name, length in _vector_lengths(part, m).items():
+            if len(getattr(part, name)) != length:
+                raise ScenarioError(
+                    f"the {part.kind} certificate's {name} has {len(getattr(part, name))} entries, "
+                    f"the descriptor gives {length}"
+                )
 
 
 def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
@@ -216,7 +242,7 @@ def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
 
 def _verify_function(sc, report, item, h, scope, predicted, expected) -> None:
     paths = {i: sc.chart_path(i) for i in scope}
-    walks = path_walks(sc.tower, [h.num, h.den], paths, sc.checked_walks)
+    walks = path_walks(sc.tower, [h.num, h.den], paths)
     for i in scope:
         charts, blowups = paths[i]
         symbolic = walk_order(walks[charts], i)

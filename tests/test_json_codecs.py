@@ -32,7 +32,7 @@ ALLOWED = {
     "charts._steps_to_json": "a list of steps, each tagged by its kind",
     "charts._steps_from_json": "a list of steps, each tagged by its kind",
     "scenario.scenario_to_json": "entry point that calls Scenario.to_json",
-    "scenario.scenario_from_json": "entry point: Scenario.from_json, then validation, which keeps the checked walks",
+    "scenario.scenario_from_json": "entry point: Scenario.from_json, then validation, once per object",
     "solver.certificate_from_json": "entry point that reads a certificate by its kind",
 }
 

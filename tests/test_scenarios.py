@@ -467,6 +467,60 @@ def test_cli_rejects_a_certificate_for_another_request(case, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("input error:"), err
 
 
+def _drop_last(vector):
+    return vector[:-1]
+
+
+def _append_zero(vector):
+    return [*vector, 0]
+
+
+# Certificate edits, case -> (scenario, key path, edit): the edit is applied
+# to the vector at the key path of the scenario's certificate, which then has
+# a length other than the one the descriptor gives.
+MISSIZED_CERTIFICATES = {
+    "support-middle-orders": (support_middle, ("orders",), _drop_last),
+    "three-points-orders": (three_points, ("orders",), _drop_last),
+    "three-points-line-orders": (three_points_line, ("orders",), _drop_last),
+    "support-middle-long-exponents": (support_middle, ("exponents",), _append_zero),
+    "three-points-bundle-exponents": (three_points, ("bundle_exponents",), _drop_last),
+    "three-points-line-base-orders": (three_points_line, ("base", "orders"), _drop_last),
+    "three-points-line-aux-orders": (three_points_line, ("aux_orders",), _drop_last),
+    "two-dicriticals-part-orders": (lambda: load_fixture("two-dicriticals"), ("parts", "3", "orders"), _drop_last),
+}
+
+
+@pytest.mark.parametrize("case", MISSIZED_CERTIFICATES)
+def test_cli_rejects_a_certificate_vector_of_another_length(case, tmp_path, capsys):
+    scenario, keys, edit = MISSIZED_CERTIFICATES[case]
+    sc = scenario()
+    certificate = solve_scenario(sc).to_json()
+    owner = certificate
+    for key in keys[:-1]:
+        owner = owner[key]
+    owner[keys[-1]] = edit(owner[keys[-1]])
+    stored = tmp_path / "certificate.json"
+    stored.write_text(input_json(certificate))
+    path = tmp_path / "scenario.json"
+    path.write_text(input_json(scenario_to_json(sc)))
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "out"), "--certificate", str(stored)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and keys[-1] in err[0], err
+
+
+def test_report_rejects_the_verify_artifact_of_another_scenario(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["verify", "--scenario", "two-dicriticals", "--out", out]) == 0
+    (tmp_path / "three-points.verify.json").write_text((tmp_path / "two-dicriticals.verify.json").read_text())
+    capsys.readouterr()
+    assert main(["report", "--scenario", "three-points", "--out", out]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and "two-dicriticals" in err[0], err
+    assert not captured.out and not (tmp_path / "three-points.report.txt").exists()
+
+
 def run_command(command, data, tmp_path, capsys):
     """Exit code and stderr lines of ``command`` on the scenario JSON ``data``."""
     path = tmp_path / "scenario.json"

@@ -18,7 +18,6 @@ from dicriticals.solver import (
     candidate_tables,
     certificate_from_json,
     choose_exponents,
-    classify,
     combine_profile,
     later_mults,
     solve_last_dicritical,
@@ -80,17 +79,6 @@ def test_support_rejects_zero_offset():
         solve_support(matrix, set())
     with pytest.raises(SolverError):
         solve_support(matrix, {2}, {7: 1})
-
-
-def test_classify():
-    assert classify((3, 0), (1, 2)) == ("non_dicritical", "dicritical_pos")
-    assert classify((0,), (0,)) == ("dicritical_if_split",)
-    assert classify((-2,), (5,)) == ("non_dicritical",)
-    with pytest.raises(SolverError):
-        classify((1,), (1, 2))
-
-
-# -- last divisor ---------------------------------------------------------------
 
 
 def test_last_relations_unit_exponents():

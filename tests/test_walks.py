@@ -1,5 +1,6 @@
 """The walk engine: one walk per chart override, a stage kept after every
-blow-up, and each order and restriction read off a stage."""
+blow-up, each order and restriction read off a stage, and the divisor
+equations of each chart path pushed once per tower object."""
 
 import dataclasses
 import hashlib
@@ -13,10 +14,10 @@ from helpers import bench_workloads, support_middle, three_points_line_last
 from dicriticals import charts, poly, ratfunc, scenario, verify
 from dicriticals.candidates import build_last
 from dicriticals.cli import main
-from dicriticals.charts import ShearStep, cross_check, divisor_order, walk_order, walk_tower
+from dicriticals.charts import ShearStep, divisor_order, walk_order, walk_tower
 from dicriticals.descriptor import make_descriptor
 from dicriticals.errors import ChartError, ScenarioError
-from dicriticals.fixtures import FIXTURES, load_fixture, three_points
+from dicriticals.fixtures import FIXTURES, load_fixture, three_points, three_points_line
 from dicriticals.jsonio import canonical_dumps
 from dicriticals.ratfunc import Quotient, RationalFunction
 from dicriticals.scenario import (
@@ -75,9 +76,9 @@ def counting_walks(monkeypatch):
     calls = Counter()
     original = charts.walk_tower
 
-    def counted(tower, polys, charts=None, blowups=None, checked=None):
+    def counted(tower, polys, charts=None, blowups=None):
         calls[(tuple(polys), None if charts is None else tuple(charts), blowups)] += 1
-        return original(tower, polys, charts=charts, blowups=blowups, checked=checked)
+        return original(tower, polys, charts=charts, blowups=blowups)
 
     monkeypatch.setattr(charts, "walk_tower", counted)
     return calls
@@ -244,15 +245,6 @@ def test_walk_rejects_a_blowup_count_outside_the_tower(blowups):
         walk_tower(sc.tower, [h.num, h.den], blowups=blowups)
 
 
-def test_cross_check_walks_once_per_chart_path(monkeypatch):
-    sc = three_points()
-    h = RationalFunction(sc.equations["H1"])
-    calls = counting_walks(monkeypatch)
-    rows = cross_check(sc.descriptor, sc.tower, h, (2, 4, 7), charts={2: ("z", "x")})
-    assert all(row.ok for row in rows)
-    assert sorted(calls.values()) == [1, 1]
-
-
 def _restriction_by_division(stage, divisor):
     """The restriction as it was read before the one-pass slice: divide by
     the common power of the chart variable, then set it to zero."""
@@ -296,8 +288,8 @@ def test_every_restriction_verify_reads_equals_the_division_formula(monkeypatch)
 
 
 def test_a_verify_call_checks_the_tower_once(tmp_path, monkeypatch, capsys):
-    """Reading the scenario file checks the tower; ``verify`` reads the
-    checked walks it left on the scenario instead of checking again."""
+    """Reading the scenario file checks the tower; ``verify`` finds the
+    scenario flagged as validated instead of checking again."""
     calls = []
     original = scenario.check_tower
 
@@ -341,26 +333,37 @@ def test_verify_still_validates_a_scenario_built_in_python():
     assert run_verify(sc).overall
 
 
-def test_verify_pushes_no_divisor_equation_on_a_checked_path(monkeypatch):
-    """The walks of h take their divisor equations from the reader's checked
-    walks; only the tower check and the override walks of the reader push them."""
+def counting_pushes(monkeypatch):
+    """The (tower, chart path) of each push of divisor equations through a tower."""
+    pushed = []
+    original = charts._push_divisor_eqs
+
+    def counted(tower, path):
+        pushed.append((tower, path))
+        return original(tower, path)
+
+    monkeypatch.setattr(charts, "_push_divisor_eqs", counted)
+    return pushed
+
+
+def test_reading_and_verifying_push_each_chart_path_of_a_tower_once(monkeypatch):
+    """The divisor equations depend on the tower and the chart path alone:
+    reading and verifying a scenario push them once per (tower object,
+    chart path), all while reading, and verifying pushes none."""
     workloads = bench_workloads(monkeypatch)
     scenarios = [load_fixture(name) for name in FIXTURES]
     scenarios += workloads.chain_scenarios(1)[:6] + workloads.shear_chain_scenarios(1)[:6]
-    pushed = Counter()
-    original = charts._push_divisor_eqs
-
-    def counted(state, step, move):
-        pushed[type(step).__name__] += 1
-        return original(state, step, move)
-
-    monkeypatch.setattr(charts, "_push_divisor_eqs", counted)
+    pushed = counting_pushes(monkeypatch)
     for sc in scenarios:
+        before = len(pushed)
         sc = scenario_from_json(json.loads(json.dumps(scenario_to_json(sc))))
-        assert pushed, sc.name
-        pushed.clear()
+        read = len(pushed)
+        assert read > before, sc.name
         assert run_verify(sc).overall, sc.name
-        assert not pushed, sc.name
+        assert len(pushed) == read, sc.name
+    for sc in scenarios:  # built in Python: verify checks the scenario first
+        assert run_verify(sc).overall, sc.name
+    assert set(Counter((id(tower), path) for tower, path in pushed).values()) == {1}
 
 
 def _verify_walks(sc, monkeypatch):
@@ -368,9 +371,9 @@ def _verify_walks(sc, monkeypatch):
     made = []
     original = verify.path_walks
 
-    def recorded(tower, polys, reads, checked=None):
-        walks = original(tower, polys, reads, checked)
-        made.append((tower, polys, reads, checked, walks))
+    def recorded(tower, polys, reads):
+        walks = original(tower, polys, reads)
+        made.append((tower, polys, reads, walks))
         return walks
 
     monkeypatch.setattr(verify, "path_walks", recorded)
@@ -379,25 +382,37 @@ def _verify_walks(sc, monkeypatch):
     return made
 
 
-def test_walks_on_the_checked_stages_equal_fresh_walks(monkeypatch):
-    """On every chart path verify reads, the stages of h's walk taken on the
-    reader's checked divisor stages are those of a fresh ``walk_tower``:
-    the polynomials and the divisor equations, stage by stage."""
+def test_walks_on_a_tower_with_cached_equations_equal_walks_on_a_fresh_copy(monkeypatch):
+    """On every chart path verify reads, the stages of h's walk on the
+    tower's cached divisor equations are those of a walk on a fresh copy of
+    the tower, which pushes its own: the polynomials and the divisor
+    equations, stage by stage."""
     workloads = bench_workloads(monkeypatch)
     scenarios = [load_fixture(name) for name in FIXTURES]
     for seed in (1, 2):
         scenarios += workloads.chain_scenarios(seed) + workloads.shear_chain_scenarios(seed)
-    on_checked = 0
     for sc in scenarios:
-        for tower, polys, reads, checked, walks in _verify_walks(sc, monkeypatch):
-            assert checked is sc.checked_walks and None in checked
+        for tower, polys, reads, walks in _verify_walks(sc, monkeypatch):
+            assert tower is sc.tower
             for path, walk in walks.items():
-                fresh = walk_tower(tower, polys, path, walk.blowups_done)
+                fresh = walk_tower(dataclasses.replace(tower), polys, path, walk.blowups_done)
                 assert len(walk.stages) == len(fresh.stages), (sc.name, path)
                 for k, (stage, want) in enumerate(zip(walk.stages, fresh.stages)):
                     assert stage == want, (sc.name, path, k)
-                on_checked += path in checked and checked[path].blowups_done >= walk.blowups_done
-    assert on_checked >= len(scenarios)
+
+
+def test_a_replaced_tower_never_sees_another_towers_cache(monkeypatch):
+    """Equal towers keep their own divisor equations, and a tower cut short
+    pushes the first steps of its own."""
+    tower = three_points_line().tower
+    pushed = counting_pushes(monkeypatch)
+    eqs = tower.divisor_eqs()
+    again = dataclasses.replace(tower)
+    cut = dataclasses.replace(tower, steps=tower.steps[:-1])
+    assert again == tower and again.divisor_eqs() == eqs and again.divisor_eqs() is not eqs
+    assert cut.divisor_eqs() == eqs[:-1]
+    assert tower.divisor_eqs() is eqs
+    assert [id(pushed_on) for pushed_on, _ in pushed] == [id(tower), id(again), id(cut)]
 
 
 # sha256 of the canonical [numerator, denominator] of each solved fixture's
@@ -466,9 +481,9 @@ def _count_reductions(monkeypatch):
         gcds.append((p, q))
         return gcd(p, q)
 
-    def recorded_walks(tower, polys, reads, checked=None):
+    def recorded_walks(tower, polys, reads):
         walked.append(tuple(polys))
-        return walks(tower, polys, reads, checked)
+        return walks(tower, polys, reads)
 
     monkeypatch.setattr(RationalFunction, "__init__", counted_construct)
     for module in (poly, ratfunc, charts):
