@@ -6,6 +6,11 @@ every referenced hypersurface has a concrete equation.  The quotient is not
 reduced: ``verify`` reads only orders and restrictions, which a common factor
 of numerator and denominator does not change, so no gcd of the full
 candidate is taken.  ``RationalFunction(*q)`` gives the reduced function.
+A profile is not multiplied out at all: ``build_profile`` returns its
+twisted parts, and ``verify`` walks them side by side.  That is exact
+because ord_E is a valuation, so the order of a product is the sum of the
+parts' orders, and the lowest slice along E of a product is the product of
+the parts' lowest slices.
 Bundles with exponent zero on a target divisor become nonconstant ratios of
 two distinct equations of the same class, which is why bindings may list more
 than one equation per divisor.
@@ -178,10 +183,11 @@ def build_profile(
     equations: Mapping[str, Polynomial],
     bindings: Bindings,
     rng: random.Random,
-) -> tuple[Quotient, list[MobiusTwist]]:
-    """Product of twisted single-target candidates, one per prescribed
-    divisor, multiplied numerator by numerator and denominator by denominator."""
-    num = den = Polynomial.one(_ring(equations))
+) -> tuple[tuple[Quotient, ...], list[MobiusTwist]]:
+    """The twisted single-target candidates, one per prescribed divisor, and
+    their twists.  The profile's h is the product of the parts; it is never
+    multiplied out (see the module docstring)."""
+    parts: list[Quotient] = []
     twists: list[MobiusTwist] = []
     for j in sorted(cert.parts):
         part_bindings = bindings.parts.get(j)
@@ -193,9 +199,8 @@ def build_profile(
         while b == a:
             b = draw_fraction(rng)
         twists.append(MobiusTwist(j, a, b))
-        twisted = mobius(h, a, b)
-        num, den = num * twisted.num, den * twisted.den
-    return Quotient(num, den), twists
+        parts.append(mobius(h, a, b))
+    return tuple(parts), twists
 
 
 def _ring(equations: Mapping[str, Polynomial]) -> tuple[str, ...]:

@@ -17,7 +17,10 @@ after each blow-up: the walked polynomials and divisor equations, exactly
 what a walk stopped there gives.  The order along E_i is read at stage i,
 where E_i's equation is the chart variable, so it does not depend on later
 charts.  ``path_walks`` walks a function once per chart override; every
-order, restriction, status and degree is a stage read.
+order, restriction, status and degree is a stage read.  The walked
+polynomials are the numerator and denominator of each part of h, in turn:
+h is their product, and a stage read takes each polynomial's order and
+lowest slice, so the parts are never multiplied out.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .descriptor import ModificationDescriptor
@@ -165,15 +169,16 @@ class WalkState:
 
 
 def _apply_blowup(poly: Polynomial, center: tuple[str, ...], chart: str) -> Polynomial:
-    chart_idx = poly.variables.index(chart)
-    other_idx = [poly.variables.index(u) for u in center if u != chart]
-    # The chart map is injective on exponent tuples, so no two terms meet.
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in poly._terms.items():
-        lst = list(exps)
-        lst[chart_idx] += sum(exps[i] for i in other_idx)
-        terms[tuple(lst)] = coeff
-    return Polynomial._trusted(poly.variables, terms)
+    """The pullback of ``poly`` to the chart: the chart variable's exponent
+    becomes the sum of the center's exponents.  The map is injective on
+    exponent tuples and keeps every coefficient, so the terms stay in
+    stored form."""
+    idx = poly.variables.index(chart)
+    center_exps = itemgetter(*map(poly.variables.index, center))
+    return Polynomial._wrap(
+        poly.variables,
+        {e[:idx] + (sum(center_exps(e)),) + e[idx + 1 :]: c for e, c in poly._terms.items()},
+    )
 
 
 def _coordinate(variables: tuple[str, ...], name: str) -> Polynomial:
@@ -310,15 +315,19 @@ def check_tower(d: ModificationDescriptor, tower: ChartTower) -> None:
 
 
 def walk_order(state: WalkState, divisor: int) -> int:
-    """Order of the walked h = polys[0] / polys[1] along a divisor the walk
-    created, read at stage ``divisor``, where its equation is the chart variable."""
+    """Order of the walked h along a divisor the walk created.  h is the
+    product of the parts polys[0] / polys[1], polys[2] / polys[3], ..., so
+    its order is the sum of the numerators' orders minus the sum of the
+    denominators', read at stage ``divisor``, where the divisor's equation
+    is the chart variable."""
     if not 1 <= divisor <= state.blowups_done:
         raise ChartError(f"the walk stopped before divisor {divisor} was created")
-    (num, den), divisor_eqs = state.stages[divisor]
-    if num.is_zero():
+    polys, divisor_eqs = state.stages[divisor]
+    if any(num.is_zero() for num in polys[::2]):
         raise ChartError("cannot take the order of the zero function")
     chart_var = _coordinate_name(divisor_eqs[divisor])
-    return num.order_in(chart_var) - den.order_in(chart_var)
+    orders = [p.order_in(chart_var) for p in polys]
+    return sum(orders[::2]) - sum(orders[1::2])
 
 
 def path_walks(
@@ -398,18 +407,27 @@ def restrict(
 
 
 def walk_restriction(stage: Stage, divisor: int) -> Restriction:
-    """Restriction of the walked h = polys[0] / polys[1] to a divisor visible at a stage."""
-    (num, den), divisor_eqs = stage
+    """Restriction to a divisor visible at a stage of the walked h, the
+    product of the parts polys[0] / polys[1], polys[2] / polys[3], ...
+
+    Each polynomial gives its own order along the divisor and its lowest
+    slice there.  A negative total order restricts to infinity (the
+    numerators' slices over zero) and a positive one to 0; at total order 0
+    the restriction is the reduced (product of the numerators' slices,
+    product of the denominators' slices), the lowest slices of the product
+    of the parts, so it does not depend on how h is split into parts.
+    """
+    polys, divisor_eqs = stage
     chart_var = restriction_chart_variable(divisor_eqs, divisor)
-    if num.is_zero():
-        return Restriction(divisor, num, Polynomial.one(num.variables), chart_var)
-    common = min(num.order_in(chart_var), den.order_in(chart_var))
-    idx = num.variables.index(chart_var)
-    num0 = _slice(num, idx, common)
-    den0 = _slice(den, idx, common)
-    if num0.is_zero() and den0.is_zero():
-        # the slice at the smaller of the two orders is never zero
-        raise ChartError("numerator and denominator both vanish on the divisor; internal error")
+    variables = polys[0].variables
+    if any(num.is_zero() for num in polys[::2]):
+        return Restriction(divisor, Polynomial.zero(variables), Polynomial.one(variables), chart_var)
+    idx = variables.index(chart_var)
+    orders = [p.order_in(chart_var) for p in polys]
+    slices = [_slice(p, idx, k) for p, k in zip(polys, orders)]
+    total = sum(orders[::2]) - sum(orders[1::2])
+    num0 = reduce(mul, slices[::2]) if total <= 0 else Polynomial.zero(variables)
+    den0 = reduce(mul, slices[1::2]) if total >= 0 else Polynomial.zero(variables)
     if den0.is_zero():
         return Restriction(divisor, num0, den0, chart_var)
     reduced = RationalFunction(num0, den0)

@@ -12,7 +12,7 @@ A scenario is validated as a whole once per object: the flag
 ``Scenario.validated`` runs the checks on first use, and ``scenario_from_json``
 sets it as it reads.  Checking the chart paths leaves the divisor equations
 of every path ``verify`` reads cached on the tower (``ChartTower.divisor_eqs``),
-so the walks of h push only its numerator and denominator.
+so the walks of h push only its parts' numerators and denominators.
 """
 
 from __future__ import annotations

@@ -7,21 +7,30 @@ restriction degree.  The combinatorial solver and the symbolic engine share
 no code path for these numbers, so agreement is a real cross-check.  The
 divisor equations of every chart path are the tower's, pushed through once
 per tower object (``charts.ChartTower.divisor_eqs``), so the walk of each
-function pushes only its numerator and denominator.  A stored certificate
-must answer the scenario's request, with every order and exponent vector of
-the length the descriptor gives.
+function pushes only its parts' numerators and denominators.  A stored
+certificate must answer the scenario's request, with every order and
+exponent vector of the length the descriptor gives and, in each
+last-dicritical certificate, the parents of its s as special owners, each
+with a special exponent.
 
-A solved request's function is walked as its construction multiplies it
-out (a ``ratfunc.Quotient``), never reduced, and this is exact.  ord_E is a
-valuation, so a common factor F of N and D gives ord(F·N) - ord(F·D) =
-ord N - ord D.  ``charts.walk_restriction`` clears the shared power of the
-chart variable and keeps the lowest slices, and the lowest slice of a
-product is the product of the lowest slices; so F puts the same nonzero
-slice on both sides, and the reduced restriction it stores does not change,
-nor do its status, value, degree and rendered string.  The only gcds on
-the path of a solved request are those whose result verify reads: the reduced restriction at
-each divisor, the degree check, and the base f/g of a ``single``
-construction (see ``candidates.build_single``).
+A solved request's function is walked as its construction builds it, as a
+tuple of parts, each a ``ratfunc.Quotient`` whose numerator and denominator
+are multiplied out but never reduced; h is the product of the parts, and
+only a ``profile`` has more than one (its twisted single-target
+candidates).  Neither the reduction nor the product is taken, and this is
+exact.  ord_E is a valuation, so the order of h is the sum of the
+numerators' orders minus the sum of the denominators', and a common factor
+F of a numerator and a denominator adds ord F to both sums.
+``charts.walk_restriction`` clears the shared power of the chart variable
+by taking each polynomial's lowest slice, and the lowest slice of a product
+is the product of the lowest slices; so it reduces the pair (product of the
+numerators' slices, product of the denominators' slices), which is the
+lowest-slice pair of the multiplied-out h, and F puts the same nonzero
+slice on both sides.  The reduced restriction does not change, nor do its
+status, value, degree and rendered string.  The only gcds on the path of a
+solved request are those whose result verify reads: the reduced
+restriction at each divisor, the degree check, and the base f/g of a
+``single`` construction (see ``candidates.build_single``).
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from dataclasses import dataclass, field
 
 from .candidates import build_last, build_profile, build_single, build_support, lookup_equation
 from .charts import path_walks, restriction_degree, status_of, walk_order, walk_restriction
-from .descriptor import valuation_matrix
+from .descriptor import ModificationDescriptor, valuation_matrix
 from .errors import DicriticalError, ScenarioError
 from .jsonio import SCHEMA_VERSION, FieldCodec
 from .poly import Polynomial
@@ -160,35 +169,38 @@ def run_verify(
         if sc.expect is None:
             raise ScenarioError("an explicit scenario needs expected outcomes")
         scope = range(1, sc.descriptor.m + 1)
-        _verify_function(sc, report, "h", explicit_function(sc), scope, sc.expect.orders, sc.expect.statuses)
+        h = explicit_function(sc)
+        parts = (Quotient(h.num, h.den),)
+        _verify_function(sc, report, "h", parts, scope, sc.expect.orders, sc.expect.statuses)
         return report
 
     cert = certificate if certificate is not None else solve_scenario(sc)
-    _check_certificate_matches(req, cert, sc.descriptor.m)
-    h, predicted, dicritical = _prescription(sc, req, cert, report)
+    _check_certificate_matches(req, cert, sc.descriptor)
+    parts, predicted, dicritical = _prescription(sc, req, cert, report)
     scope = restricted_divisors(sc)
     expected = {
         i: ExpectedStatus(DICRITICAL, dicritical[i]) if i in dicritical else ExpectedStatus(CONSTANT) for i in scope
     }
-    _verify_function(sc, report, "h", h, scope, predicted, expected)
+    _verify_function(sc, report, "h", parts, scope, predicted, expected)
     return report
 
 
 def _prescription(sc: Scenario, req, cert, report: VerifyReport):
-    """``(h, predicted orders, {dicritical divisor: degree or None})`` for a
-    solved request, with h the ``Quotient`` its construction builds: h must
-    be dicritical exactly at the listed divisors (with the listed degree
-    where one is given) and constant on every other divisor whose
-    restriction verify reads."""
+    """``(parts, predicted orders, {dicritical divisor: degree or None})``
+    for a solved request, with h the product of the ``Quotient`` parts its
+    construction builds (one part unless it is a profile): h must be
+    dicritical exactly at the listed divisors (with the listed degree where
+    one is given) and constant on every other divisor whose restriction
+    verify reads."""
     if isinstance(req, SupportRequest):
-        return build_support(cert, sc.equations, sc.bindings), cert.orders, dict.fromkeys(cert.targets)
+        return (build_support(cert, sc.equations, sc.bindings),), cert.orders, dict.fromkeys(cert.targets)
     if isinstance(req, LastRequest):
-        return build_last(cert, sc.equations, sc.bindings), cert.orders, {req.s: cert.degree}
+        return (build_last(cert, sc.equations, sc.bindings),), cert.orders, {req.s: cert.degree}
     if isinstance(req, SingleRequest):
-        return build_single(cert, sc.equations, sc.bindings), cert.orders, {req.s: cert.degree}
-    h, twists = build_profile(cert, sc.equations, sc.bindings, random.Random(report.seed))
+        return (build_single(cert, sc.equations, sc.bindings),), cert.orders, {req.s: cert.degree}
+    parts, twists = build_profile(cert, sc.equations, sc.bindings, random.Random(report.seed))
     report.notes.append("twists: " + ", ".join(f"{t.target}: a={t.a}, b={t.b}" for t in twists))
-    return h, (0,) * sc.descriptor.m, dict(cert.degrees)
+    return parts, (0,) * sc.descriptor.m, dict(cert.degrees)
 
 
 def _vector_lengths(cert, m: int) -> dict[str, int]:
@@ -202,10 +214,12 @@ def _vector_lengths(cert, m: int) -> dict[str, int]:
     return dict.fromkeys(("numer_orders", "denom_orders", "aux_orders", "orders"), m)
 
 
-def _check_certificate_matches(req, cert, m: int) -> None:
-    """The certificate answers the request: the same kind, targets and
-    degrees, every off-target order the request gives, and every order and
-    exponent vector of the length the descriptor gives."""
+def _check_certificate_matches(req, cert, d: ModificationDescriptor) -> None:
+    """The certificate answers the request on the descriptor ``d``: the same
+    kind, targets and degrees, every off-target order the request gives,
+    every order and exponent vector of the length the descriptor gives, and
+    every last-dicritical certificate's special owners the parents of its s,
+    each with a special exponent."""
     if cert.kind != req.kind:
         raise ScenarioError(f"a {cert.kind} certificate does not match the {req.kind} request")
     if isinstance(req, SupportRequest):
@@ -221,12 +235,29 @@ def _check_certificate_matches(req, cert, m: int) -> None:
     parts = cert.parts.values() if isinstance(req, ProfileRequest) else [cert]
     nested = [*parts, *(part.base for part in parts if isinstance(part, SingleDicriticalCertificate))]
     for part in nested:
-        for name, length in _vector_lengths(part, m).items():
+        for name, length in _vector_lengths(part, d.m).items():
             if len(getattr(part, name)) != length:
                 raise ScenarioError(
                     f"the {part.kind} certificate's {name} has {len(getattr(part, name))} entries, "
                     f"the descriptor gives {length}"
                 )
+        if isinstance(part, LastDicriticalCertificate):
+            _check_special_owners(part, d)
+
+
+def _check_special_owners(cert: LastDicriticalCertificate, d: ModificationDescriptor) -> None:
+    """``candidates.build_last`` reads a special exponent for each special
+    owner, and the owners of a last-dicritical certificate at s are the
+    parents of s."""
+    parents = tuple(sorted(d.parents(cert.s))) if 1 <= cert.s <= d.m else ()
+    if tuple(cert.special_owners) != parents:
+        raise ScenarioError(
+            f"the last certificate at {cert.s} has special owners {list(cert.special_owners)}, "
+            f"the parents of {cert.s} are {list(parents)}"
+        )
+    missing = [j for j in parents if j not in cert.special_exponents]
+    if missing:
+        raise ScenarioError(f"the last certificate at {cert.s} has no special exponent for owners {missing}")
 
 
 def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
@@ -236,13 +267,13 @@ def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
         raise ScenarioError("matrix verification needs row bindings")
     for j in sorted(sc.bindings.rows):
         row = lookup_equation(sc.equations, sc.bindings.rows[j], f"curvette row {j}")
-        h = Quotient(row, Polynomial.one(row.variables))
-        _verify_function(sc, report, f"curvette {j}", h, range(1, sc.descriptor.m + 1), matrix.rows[j - 1], {})
+        parts = (Quotient(row, Polynomial.one(row.variables)),)
+        _verify_function(sc, report, f"curvette {j}", parts, range(1, sc.descriptor.m + 1), matrix.rows[j - 1], {})
 
 
-def _verify_function(sc, report, item, h, scope, predicted, expected) -> None:
+def _verify_function(sc, report, item, parts, scope, predicted, expected) -> None:
     paths = {i: sc.chart_path(i) for i in scope}
-    walks = path_walks(sc.tower, [h.num, h.den], paths)
+    walks = path_walks(sc.tower, [poly for part in parts for poly in part], paths)
     for i in scope:
         charts, blowups = paths[i]
         symbolic = walk_order(walks[charts], i)

@@ -105,3 +105,7 @@ def test_build_profile_is_seeded():
     assert [t.target for t in twists1] == [1, 3]
     assert all(t.a != t.b for t in twists1)
     assert not (h1 == h3)
+    # one twisted single-target candidate per part, never their product
+    for part, twist in zip(h1, twists1):
+        base = build_single(cert.parts[twist.target], sc.equations, sc.bindings.parts[twist.target])
+        assert part == mobius(base, twist.a, twist.b)

@@ -9,6 +9,7 @@ from dicriticals.charts import (
     ChartTower,
     LineClassSpec,
     ShearStep,
+    _apply_blowup,
     check_tower,
     dicritical_degree,
     dicritical_status,
@@ -289,3 +290,24 @@ _exps = st.tuples(*[st.integers(0, 2)] * len(RING))
 )
 def test_center_containment_scan_agrees_with_substituting_zero(eq, center):
     assert vanishes_on_center(eq, center) == eq.substitute({c: 0 for c in center}).is_zero()
+
+
+_centers = st.lists(st.sampled_from(RING), min_size=2, unique=True).flatmap(
+    lambda center: st.tuples(st.just(tuple(center)), st.sampled_from(center))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(_exps, st.integers(-3, 3) | st.just(Fraction(1, 2)), max_size=6).map(lambda t: Polynomial(RING, t)),
+    _centers,
+)
+def test_blowup_kernel_agrees_with_substituting_the_chart_map(p, center_chart):
+    """The chart map u -> chart * u for the other center variables u, by
+    ``Polynomial.substitute``; the kernel's terms are in stored form."""
+    center, chart = center_chart
+    var = Polynomial.variable(RING, chart)
+    moved = _apply_blowup(p, center, chart)
+    assert moved == p.substitute({u: var * Polynomial.variable(RING, u) for u in center if u != chart})
+    assert moved._terms == Polynomial(RING, moved._terms)._terms
+    assert all(type(c) is int or c.denominator != 1 for c in moved._terms.values())

@@ -509,6 +509,47 @@ def test_cli_rejects_a_certificate_vector_of_another_length(case, tmp_path, caps
     assert len(err) == 1 and err[0].startswith("input error:") and keys[-1] in err[0], err
 
 
+# The last-dicritical certificate of each solved fixture whose s has
+# parents: the key path of its special owners.
+SPECIAL_OWNERS = {
+    "three-points": ("special_owners",),
+    "three-points-line": ("base", "special_owners"),
+    "two-dicriticals": ("parts", "3", "base", "special_owners"),
+}
+OWNER_EDITS = {
+    "owner-0": lambda owners: [0, *owners[1:]],
+    "owner-minus-1": lambda owners: [-1, *owners[1:]],
+    "owner-7": lambda owners: [*owners[:-1], 7],
+    "owner-100": lambda owners: [*owners[:-1], 100],
+    "owners-1-1": lambda owners: [1, 1],
+    "extra-owner-0": lambda owners: [0, *owners],
+    "no-exponent": None,  # the last owner's special exponent is deleted
+}
+
+
+@pytest.mark.parametrize("edit", OWNER_EDITS)
+@pytest.mark.parametrize("name", SPECIAL_OWNERS)
+def test_cli_rejects_a_certificate_whose_special_owners_are_not_the_parents(name, edit, tmp_path, capsys):
+    """``candidates.build_last`` reads a special exponent for each special
+    owner; a stored certificate whose owners are not the parents of its s,
+    or that has no exponent for one, is an input error, not a KeyError."""
+    sc = load_fixture(name)
+    certificate = solve_scenario(sc).to_json()
+    last = certificate
+    for key in SPECIAL_OWNERS[name][:-1]:
+        last = last[key]
+    if OWNER_EDITS[edit] is None:
+        del last["special_exponents"][str(last["special_owners"][-1])]
+    else:
+        last["special_owners"] = OWNER_EDITS[edit](last["special_owners"])
+    stored = tmp_path / "certificate.json"
+    stored.write_text(input_json(certificate))
+    capsys.readouterr()
+    assert main(["verify", "--scenario", name, "--out", str(tmp_path / "out"), "--certificate", str(stored)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and "special" in err[0], err
+
+
 def test_report_rejects_the_verify_artifact_of_another_scenario(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["verify", "--scenario", "two-dicriticals", "--out", out]) == 0

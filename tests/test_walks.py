@@ -1,15 +1,20 @@
 """The walk engine: one walk per chart override, a stage kept after every
-blow-up, each order and restriction read off a stage, and the divisor
-equations of each chart path pushed once per tower object."""
+blow-up, each order and restriction read off a stage, the divisor
+equations of each chart path pushed once per tower object, and the parts
+of a function walked side by side, never multiplied out."""
 
 import dataclasses
 import hashlib
 import json
 import random
 from collections import Counter
+from functools import reduce
+from operator import mul
 
 import pytest
 from helpers import bench_workloads, support_middle, three_points_line_last
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dicriticals import charts, poly, ratfunc, scenario, verify
 from dicriticals.candidates import build_last
@@ -19,6 +24,7 @@ from dicriticals.descriptor import make_descriptor
 from dicriticals.errors import ChartError, ScenarioError
 from dicriticals.fixtures import FIXTURES, load_fixture, three_points, three_points_line
 from dicriticals.jsonio import canonical_dumps
+from dicriticals.poly import Polynomial
 from dicriticals.ratfunc import Quotient, RationalFunction
 from dicriticals.scenario import (
     DivisorChart,
@@ -153,23 +159,36 @@ def test_full_walk_orders_match_divisor_order_across_charts():
         state = walk_tower(sc.tower, [h.num, h.den], charts=path)
         for i in (1, 2, 3):
             assert walk_order(state, i) == divisor_order(h, sc.tower, i, charts=path)
-        assert_stages_match_stopped_walks(sc.tower, h, charts=path)
+        assert_stages_match_stopped_walks(sc.tower, (h,), charts=path)
 
 
-def solved_function(sc):
-    """The function verify checks on a scenario with a request."""
+def solved_parts(sc):
+    """The parts of the function verify checks on a scenario with a request."""
     if isinstance(sc.request, ExplicitRequest):
-        return explicit_function(sc)
+        return (explicit_function(sc),)
     report = VerifyReport(scenario=sc.name, seed=sc.seed, rows=[])
     return verify._prescription(sc, sc.request, solve_scenario(sc), report)[0]
 
 
-def assert_stages_match_stopped_walks(tower, h, charts=None):
-    """Stage k of one full walk is the walk stopped after k blow-ups."""
-    full = walk_tower(tower, [h.num, h.den], charts=charts)
+def flat(parts):
+    """The polynomials verify walks for ``parts``: each numerator, then its denominator."""
+    return [poly for part in parts for poly in (part.num, part.den)]
+
+
+def multiplied_out(polys):
+    """The product of the parts whose numerators and denominators ``polys``
+    lists as verify walks them, numerator by numerator and denominator by
+    denominator."""
+    return Quotient(reduce(mul, polys[::2]), reduce(mul, polys[1::2]))
+
+
+def assert_stages_match_stopped_walks(tower, parts, charts=None):
+    """Stage k of one full walk of ``parts`` is the walk stopped after k blow-ups."""
+    polys = flat(parts)
+    full = walk_tower(tower, polys, charts=charts)
     assert len(full.stages) == tower.blowup_count + 1
     for k in range(tower.blowup_count + 1):
-        stopped = walk_tower(tower, [h.num, h.den], charts=charts, blowups=k)
+        stopped = walk_tower(tower, polys, charts=charts, blowups=k)
         assert full.stages[k] == (stopped.polys, stopped.divisor_eqs), k
         assert stopped.blowups_done == k and stopped.stages == full.stages[: k + 1], k
         assert [walk_order(stopped, i) for i in range(1, k + 1)] == [walk_order(full, i) for i in range(1, k + 1)], k
@@ -178,19 +197,19 @@ def assert_stages_match_stopped_walks(tower, h, charts=None):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_every_stage_of_a_walk_is_the_walk_stopped_there(name):
     sc = load_fixture(name)
-    functions = [RationalFunction(poly) for poly in sc.equations.values()]
+    functions = [(RationalFunction(poly),) for poly in sc.equations.values()]
     if sc.request is not None:
-        functions.append(solved_function(sc))
-    for h in functions:
-        assert_stages_match_stopped_walks(sc.tower, h)
+        functions.append(solved_parts(sc))
+    for parts in functions:
+        assert_stages_match_stopped_walks(sc.tower, parts)
 
 
 def test_every_stage_matches_on_a_shear_chain(monkeypatch):
     workloads = bench_workloads(monkeypatch)
     sc = workloads.chain_scenario("shear-chain-6", 6, (6,), random.Random(6), shear=True)
     assert sum(isinstance(step, ShearStep) for step in sc.tower.steps) == 5
-    for h in [*(RationalFunction(poly) for poly in sc.equations.values()), solved_function(sc)]:
-        assert_stages_match_stopped_walks(sc.tower, h)
+    for parts in [*((RationalFunction(poly),) for poly in sc.equations.values()), solved_parts(sc)]:
+        assert_stages_match_stopped_walks(sc.tower, parts)
 
 
 def test_verify_walks_a_chain_once_and_reading_it_walks_nothing(monkeypatch):
@@ -246,9 +265,11 @@ def test_walk_rejects_a_blowup_count_outside_the_tower(blowups):
 
 
 def _restriction_by_division(stage, divisor):
-    """The restriction as it was read before the one-pass slice: divide by
+    """The restriction as it was read before the one-pass slice and before
+    the parts were walked side by side: multiply the parts out, divide by
     the common power of the chart variable, then set it to zero."""
-    (num, den), divisor_eqs = stage
+    polys, divisor_eqs = stage
+    num, den = multiplied_out(polys)
     chart_var = charts.restriction_chart_variable(divisor_eqs, divisor)
     if num.is_zero():
         return charts.Restriction(divisor, num, num.one(num.variables), chart_var)
@@ -434,9 +455,10 @@ def test_reducing_the_walked_quotient_gives_the_reduced_h():
     for name, digest in REDUCED_H_SHA256.items():
         sc = load_fixture(name)
         report = VerifyReport(scenario=sc.name, seed=sc.seed, rows=[])
-        h = verify._prescription(sc, sc.request, solve_scenario(sc), report)[0]  # the h run_verify walks
-        assert isinstance(h, Quotient)
-        reduced = RationalFunction(*h)
+        parts = verify._prescription(sc, sc.request, solve_scenario(sc), report)[0]  # the parts run_verify walks
+        assert all(isinstance(part, Quotient) for part in parts)
+        assert len(parts) == (2 if name == "two-dicriticals" else 1)
+        reduced = RationalFunction(*multiplied_out(flat(parts)))
         payload = canonical_dumps([reduced.num.to_json(), reduced.den.to_json()])
         assert hashlib.sha256(payload.encode()).hexdigest() == digest, name
 
@@ -445,7 +467,9 @@ def test_a_common_factor_of_h_changes_no_verify_row(monkeypatch):
     """Orders and restrictions are properties of the function, not of how
     N/D is written: multiplying h's numerator and denominator by one of the
     scenario's own equations, which vanishes along divisors, leaves every
-    row as it was: order, status, value, degree and restriction string."""
+    row as it was: order, status, value, degree and restriction string.  On
+    a profile the factor goes on the numerator of one part and the
+    denominator of another."""
     workloads = bench_workloads(monkeypatch)
     scenarios = [sc for sc in map(load_fixture, FIXTURES) if _solved(sc)]
     scenarios += [support_middle(), three_points_line_last()]
@@ -455,10 +479,13 @@ def test_a_common_factor_of_h_changes_no_verify_row(monkeypatch):
     original = verify._prescription
 
     def with_common_factor(sc, req, cert, report):
-        h, predicted, dicritical = original(sc, req, cert, report)
+        parts, predicted, dicritical = original(sc, req, cert, report)
         factor = sc.equations[min(sc.equations)]
         assert not factor.is_constant()
-        return Quotient(h.num * factor, h.den * factor), predicted, dicritical
+        parts = list(parts)  # F on the first numerator and the last denominator, across parts for a profile
+        parts[0] = Quotient(parts[0].num * factor, parts[0].den)
+        parts[-1] = Quotient(parts[-1].num, parts[-1].den * factor)
+        return tuple(parts), predicted, dicritical
 
     monkeypatch.setattr(verify, "_prescription", with_common_factor)
     for sc, report in zip(scenarios, plain):
@@ -497,7 +524,7 @@ def _count_reductions(monkeypatch):
 # a nonzero numerator (3 while h was reduced).
 @pytest.mark.parametrize("name, singles, gcd_calls", [("two-dicriticals", 2, 7), ("chain-f1-m10-t1", 0, 1)])
 def test_verify_builds_no_rational_function_from_the_full_candidate(name, singles, gcd_calls, monkeypatch):
-    """The walked h is the quotient as built.  A ``RationalFunction`` is made
+    """The walked h is the parts as built.  A ``RationalFunction`` is made
     only of the base of each ``single`` construction and of each finite
     restriction read; the gcds are those and the degree checks."""
     if name in FIXTURES:
@@ -508,8 +535,106 @@ def test_verify_builds_no_rational_function_from_the_full_candidate(name, single
     built, gcds, walked = _count_reductions(monkeypatch)
     report = run_verify(sc)
     assert report.overall
-    ((num, den),) = walked
-    assert not any(pair[0] == num or pair[1] == den for pair in built)
+    (polys,) = walked
+    assert not any(pair[0] in polys[::2] or pair[1] in polys[1::2] for pair in built)
     finite = [row for row in report.rows if row.status is not None and row.value != "inf"]
     assert len(built) == singles + len(finite)
     assert len(gcds) == gcd_calls
+
+
+def _outcome(read, *args):
+    """What a stage read gives: its value, or the error it raises."""
+    try:
+        return read(*args)
+    except ChartError as exc:
+        return ChartError, str(exc)
+
+
+def _factor_pool(sc):
+    """Factors for the parts: the scenario's six smallest equations, which
+    vanish along divisors, and coordinates and their sums and differences
+    with 1 and with each other, some of which do not."""
+    coords = [Polynomial.variable(sc.tower.variables, v) for v in sc.tower.variables]
+    pool = sorted(sc.equations.values(), key=lambda p: len(p._terms))[:6] + coords
+    pool += [v + 1 for v in coords] + [v - 2 * w for v in coords for w in coords if v != w]
+    return pool
+
+
+def assert_parts_read_like_their_product(sc, parts) -> list[int]:
+    """The orders and restrictions read off a walk of ``parts`` side by side
+    equal those read off a walk of their product, at every divisor's
+    creating stage and at the stage verify reads it.  Returns the divisors
+    where the total order is 0 but a part's order is not."""
+    product = multiplied_out(flat(parts))
+    reads = {i: sc.chart_path(i) for i in range(1, sc.descriptor.m + 1)}
+    side_by_side = charts.path_walks(sc.tower, flat(parts), reads)
+    whole = charts.path_walks(sc.tower, list(product), reads)
+    cancelled = []
+    for i, (path, blowups) in reads.items():
+        order = walk_order(side_by_side[path], i)
+        assert order == walk_order(whole[path], i), (sc.name, i)
+        polys, eqs = side_by_side[path].stages[i]
+        var = charts.restriction_chart_variable(eqs, i)
+        if order == 0 and any(num.order_in(var) != den.order_in(var) for num, den in zip(polys[::2], polys[1::2])):
+            cancelled.append(i)
+        for k in {i, blowups}:
+            assert _outcome(charts.walk_restriction, side_by_side[path].stages[k], i) == _outcome(
+                charts.walk_restriction, whole[path].stages[k], i
+            ), (sc.name, i, k)
+    return cancelled
+
+
+def test_parts_read_like_their_product(monkeypatch):
+    """Generated quotients of 2 or 3 parts on the fixture towers and the
+    seed-1 chain and shear-chain towers read like their product.  A factor
+    of one part's numerator may recur in the next part's denominator; on
+    every tower, parts (F·(y + 1), z + 1) and (x + 1, F·(x + y + 1)) with F
+    the product of the coordinates have the nonzero orders ±ord F along
+    E_1, which cancel in the total."""
+    workloads = bench_workloads(monkeypatch)
+    scenarios = [load_fixture(name) for name in FIXTURES]
+    scenarios += workloads.chain_scenarios(1) + workloads.shear_chain_scenarios(1)
+    for sc in scenarios:
+        x, y, z = (Polynomial.variable(sc.tower.variables, v) for v in sc.tower.variables[:3])
+        f = reduce(mul, (Polynomial.variable(sc.tower.variables, v) for v in sc.tower.variables))
+        parts = (Quotient(f * (y + 1), z + 1), Quotient(x + 1, f * (x + y + 1)))
+        assert 1 in assert_parts_read_like_their_product(sc, parts), sc.name
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def check(data):
+        sc = data.draw(st.sampled_from(scenarios))
+        factors = st.sampled_from(_factor_pool(sc))
+        sides = st.lists(factors, min_size=1, max_size=2).map(lambda fs: reduce(mul, fs))
+        parts = [Quotient(data.draw(sides), data.draw(sides)) for _ in range(data.draw(st.integers(2, 3)))]
+        for k in range(1, len(parts)):
+            if data.draw(st.booleans()):  # the previous numerator's factor, now below
+                shared = data.draw(factors)
+                parts[k - 1] = Quotient(parts[k - 1].num * shared, parts[k - 1].den)
+                parts[k] = Quotient(parts[k].num, parts[k].den * shared)
+        assert_parts_read_like_their_product(sc, parts)
+
+    check()
+
+
+def test_a_profile_is_walked_part_by_part(monkeypatch):
+    """A guard without timing: one verify of two-dicriticals makes 352
+    monomial products in ``poly._mul_terms`` (2,190 while the parts were
+    multiplied out before the walk), and no walked polynomial has more terms
+    than the larger twisted part, 46 (the product had 223)."""
+    sc = load_fixture("two-dicriticals")
+    validate_scenario(sc)
+    products = []
+    original = poly._mul_terms
+
+    def counted(a, b, terms=None):
+        products.append(len(a) * len(b))
+        return original(a, b, terms)
+
+    monkeypatch.setattr(poly, "_mul_terms", counted)
+    walks = _verify_walks(sc, monkeypatch)
+    assert sum(products) == 352
+    ((_, polys, _, states),) = walks
+    assert max(len(p._terms) for p in polys) == 46
+    walked = [p for state in states.values() for stage_polys, _ in state.stages for p in stage_polys]
+    assert max(len(p._terms) for p in walked) == 46
