@@ -41,6 +41,7 @@ from .errors import (
     ScenarioError,
     SolverError,
 )
+from .linalg import bareiss_determinant, leading_minors, solve_row_system
 from .poly import Polynomial, polynomial_gcd
 from .ratfunc import Quotient, RationalFunction
 from .solver import (

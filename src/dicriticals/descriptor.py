@@ -22,9 +22,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import DescriptorError
+from .errors import DescriptorError, MatrixError
 from .jsonio import SCHEMA_VERSION, FieldCodec, json_field
-from .linalg import leading_minors
 
 
 @dataclass(frozen=True)
@@ -286,8 +285,29 @@ def valuation_matrix(d: ModificationDescriptor) -> ValuationMatrix:
 
 
 def leading_principal_minors(v: ValuationMatrix) -> tuple[int, ...]:
-    """Exact determinants of the nested leading submatrices."""
-    return leading_minors([list(row) for row in v.rows])
+    """Exact determinants of the nested leading submatrices: all 1, certified.
+
+    A = M·P for the multiplicity table M of ``v.descriptor`` and
+    P = (I - N)^-1, N its parent incidence.  Validation makes M unit lower and
+    P unit upper triangular, so det A_k = det M_k·det P_k = 1 for every
+    leading block.  The certificate: subtracting from each column of A the
+    columns of its parents (A·(I - N)) gives M exactly; else ``MatrixError``.
+    """
+    d = v.descriptor
+    if d is None:
+        raise DescriptorError("the leading minors need the descriptor the valuation matrix was built from")
+    if len(v.rows) != d.m or any(len(row) != d.m for row in v.rows):
+        raise MatrixError(f"the valuation matrix is not {d.m} x {d.m}, the size of its descriptor")
+    cols = list(zip(*v.rows))
+    mu = []
+    for col, ps in zip(cols, d.parent_indices):
+        for q in ps:
+            col = map(int.__sub__, col, cols[q])
+        mu.append(col)
+    for j, (got, want) in enumerate(zip(zip(*mu), d.curvette_mults), start=1):
+        if got != want + (0,) * (d.m - j):
+            raise MatrixError(f"row {j} of the valuation matrix does not undo to multiplicity row {j}")
+    return (1,) * d.m
 
 
 def special_mults_row(d: ModificationDescriptor, s: int, owner: int, contact: int) -> list[int]:

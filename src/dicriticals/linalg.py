@@ -10,13 +10,13 @@ are the pivots of one pass without row swaps, and a linear solve
 back-substitutes in integers on ``det * x``.  A pass costs O(n^3) integer
 operations; nothing touches ``Fraction`` or floating point.
 
-The library calls ``leading_minors`` (through
-``descriptor.leading_principal_minors``): the ``matrix`` command's leading
-minors are an exact check of unimodularity on the rows, independent of the
-factorization the solvers use.  ``bareiss_determinant`` serves it after a
-zero pivot.  ``solve_row_system`` has no caller in the library, since the
-solvers invert the order recursion instead (``descriptor.inverse_orders``);
-the tests use it as the oracle for that inverse.
+Nothing in the library calls this module: the package re-exports its
+functions, and the tests use them as an oracle independent of the
+factorization A = M·P of the valuation matrix.  ``leading_minors`` checks
+the minors that ``descriptor.leading_principal_minors`` certifies from that
+factorization, and ``solve_row_system`` checks the inverse the solvers take
+by undoing the order recursion (``descriptor.inverse_orders``).
+``bareiss_determinant`` serves ``leading_minors`` after a zero pivot.
 
 Entries must be ``int`` (``bool`` is refused) and matrices must be square; a
 violation raises ``MatrixError`` instead of being truncated.

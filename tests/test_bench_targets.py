@@ -5,6 +5,8 @@ returns, because the tier-1 suite does not collect the bench."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -16,7 +18,8 @@ from dicriticals.ratfunc import RationalFunction
 from dicriticals.solver import solve_single_dicritical
 from dicriticals.verify import run_verify
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 SPANS = BENCH / "spans.py"
 
 
@@ -41,6 +44,17 @@ def test_every_traced_name_resolves_in_the_library(monkeypatch):
         if not callable(owner):
             missing.append(f"{target.module}.{target.attr}")
     assert missing == []
+
+
+def test_the_tracer_installs_after_importing_only_the_cli():
+    """The bench harness imports ``dicriticals.cli`` alone, and the tracer
+    finds each target's module in ``sys.modules``; so that one import must
+    load every module the tracer wraps.  A fresh process shows it, where this
+    suite has imported the whole package already."""
+    code = "import dicriticals.cli, spans; tracer = spans.Tracer(); tracer.install(); tracer.uninstall()"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(BENCH)]))
+    done = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _resolves(module: str, name: str) -> bool:

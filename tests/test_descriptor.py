@@ -20,8 +20,8 @@ from dicriticals.descriptor import (
     validate_descriptor,
     valuation_matrix,
 )
-from dicriticals.errors import DescriptorError, ScenarioError
-from dicriticals.linalg import solve_row_system
+from dicriticals.errors import DescriptorError, MatrixError, ScenarioError
+from dicriticals.linalg import leading_minors, solve_row_system
 from helpers import random_descriptor
 
 THREE_POINTS = dict(parent_sets=[[], [1], [1, 2]])
@@ -192,11 +192,33 @@ def test_json_rejects_floats_and_bools():
         ModificationDescriptor.from_json(data)
 
 
+def assert_minors_are_one(d: ModificationDescriptor) -> None:
+    """Bareiss elimination, independent of the factorization the library
+    certifies, finds the same leading minors: all 1."""
+    v = valuation_matrix(d)
+    assert leading_minors(v.rows) == leading_principal_minors(v) == (1,) * d.m
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_minors_always_one(seed):
-    d = random_descriptor(random.Random(seed))
-    assert set(leading_principal_minors(valuation_matrix(d))) == {1}
+    assert_minors_are_one(random_descriptor(random.Random(seed)))
+
+
+def test_minors_reject_a_matrix_that_does_not_undo_to_its_table():
+    d = three_points()
+    rows = [list(row) for row in valuation_matrix(d).rows]
+    rows[1][2] += 1
+    with pytest.raises(MatrixError, match="row 2 "):
+        leading_principal_minors(ValuationMatrix(rows=tuple(map(tuple, rows)), descriptor=d))
+    for wrong in (rows[:2], [row + [0] for row in rows]):
+        with pytest.raises(MatrixError, match="not 3 x 3"):
+            leading_principal_minors(ValuationMatrix(rows=tuple(map(tuple, wrong)), descriptor=d))
+
+
+def test_minors_need_the_descriptor():
+    with pytest.raises(DescriptorError, match="need the descriptor"):
+        leading_principal_minors(ValuationMatrix(rows=valuation_matrix(three_points()).rows))
 
 
 @st.composite
@@ -222,6 +244,12 @@ def column_recurrence_holds(d: ModificationDescriptor, v: ValuationMatrix) -> bo
             if i == k and v.entry(k, k) != expected + 1:
                 return False
     return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(descriptors())
+def test_minors_always_one_on_generated_descriptors(d):
+    assert_minors_are_one(d)
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dicriticals.cli import build_parser, main
 from dicriticals.descriptor import make_descriptor
-from dicriticals.errors import ScenarioError
+from dicriticals.errors import MatrixError, ScenarioError
 from dicriticals.fixtures import FIXTURES, load_fixture, three_points, three_points_line, three_points_line_explicit
 from dicriticals.jsonio import canonical_dumps
 from dicriticals.poly import Polynomial
@@ -110,6 +110,18 @@ def test_cli_matrix(capsys):
     assert main(["matrix", "--scenario", "three-points", "--out", ""]) == 0
     out = capsys.readouterr().out
     assert "[ 2  4  7 ]" in out and "[ 3  5  9 ]" in out
+
+
+def test_cli_matrix_exits_1_with_one_line_when_the_minors_fail(monkeypatch, capsys):
+    def refuse(matrix):
+        raise MatrixError("row 2 of the valuation matrix does not undo to multiplicity row 2")
+
+    monkeypatch.setattr("dicriticals.cli.leading_principal_minors", refuse)
+    capsys.readouterr()
+    assert main(["matrix", "--scenario", "three-points", "--out", ""]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: row 2 of the valuation matrix does not undo to multiplicity row 2"
+    ]
 
 
 def test_cli_solve_verify_report(tmp_path, capsys):
