@@ -369,8 +369,9 @@ def divisor_order(
 class Restriction:
     """Restriction of a pulled-back function to one exceptional divisor.
 
-    ``walk_restriction`` stores the reduced, canonically scaled pair, or the
-    numerator slice over a zero denominator for an infinite restriction.
+    ``walk_restriction`` stores the reduced, canonically scaled pair, the
+    numerator slice over a zero denominator for an infinite restriction, or
+    (0, 1), read off the orders, where h vanishes along the divisor.
     """
 
     divisor: int
@@ -410,10 +411,12 @@ def walk_restriction(stage: Stage, divisor: int) -> Restriction:
     """Restriction to a divisor visible at a stage of the walked h, the
     product of the parts polys[0] / polys[1], polys[2] / polys[3], ...
 
-    Each polynomial gives its own order along the divisor and its lowest
-    slice there.  A negative total order restricts to infinity (the
-    numerators' slices over zero) and a positive one to 0; at total order 0
-    the restriction is the reduced (product of the numerators' slices,
+    Each polynomial gives its own order along the divisor.  A positive
+    total order restricts to 0, returned as (0, 1) from the orders alone:
+    no slice is taken and no ``RationalFunction`` built.  Otherwise each
+    polynomial gives its lowest slice there.  A negative total order
+    restricts to infinity (the numerators' slices over zero); at total order
+    0 the restriction is the reduced (product of the numerators' slices,
     product of the denominators' slices), the lowest slices of the product
     of the parts, so it does not depend on how h is split into parts.
     """
@@ -422,15 +425,16 @@ def walk_restriction(stage: Stage, divisor: int) -> Restriction:
     variables = polys[0].variables
     if any(num.is_zero() for num in polys[::2]):
         return Restriction(divisor, Polynomial.zero(variables), Polynomial.one(variables), chart_var)
-    idx = variables.index(chart_var)
     orders = [p.order_in(chart_var) for p in polys]
-    slices = [_slice(p, idx, k) for p, k in zip(polys, orders)]
     total = sum(orders[::2]) - sum(orders[1::2])
-    num0 = reduce(mul, slices[::2]) if total <= 0 else Polynomial.zero(variables)
-    den0 = reduce(mul, slices[1::2]) if total >= 0 else Polynomial.zero(variables)
-    if den0.is_zero():
-        return Restriction(divisor, num0, den0, chart_var)
-    reduced = RationalFunction(num0, den0)
+    if total > 0:
+        return Restriction(divisor, Polynomial.zero(variables), Polynomial.one(variables), chart_var)
+    idx = variables.index(chart_var)
+    slices = [_slice(p, idx, k) for p, k in zip(polys, orders)]
+    num0 = reduce(mul, slices[::2])
+    if total < 0:
+        return Restriction(divisor, num0, Polynomial.zero(variables), chart_var)
+    reduced = RationalFunction(num0, reduce(mul, slices[1::2]))
     return Restriction(divisor, reduced.num, reduced.den, chart_var)
 
 

@@ -4,6 +4,14 @@ Artifacts land under ``--out`` as ``<scenario>.<command>.json`` and are
 append-only: rewriting an artifact with different bytes is reported as drift
 and fails the run.  Exit codes: 0 pass, 1 invariant violation or drift,
 2 input error.
+
+A call pays only for its answer.  ``main`` parses the arguments once, with
+the parser of the subcommand that ``argv`` names; only an ``argv`` that
+names none goes through the top-level parser.  Files are handled with plain
+``os`` calls: an input file is checked with one ``os.path.exists`` and
+opened once, and an artifact is created exclusively, with ``--out`` made
+only when it is missing.  A ``Path`` is built only to print a path in an
+error message.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -19,13 +28,18 @@ from .errors import DicriticalError, ScenarioError
 from .fixtures import FIXTURES, load_fixture
 from .jsonio import canonical_dumps
 from .scenario import Scenario, TargetRequest, scenario_from_json
-from .solver import request_maps
+from .solver import certificate_from_json, request_maps
 from .verify import VerifyReport, render_report, run_verify, solve_scenario
 
 PASS, VIOLATION, INPUT_ERROR = 0, 1, 2
 
 
-def _read_json_file(path: Path, what: str, parse):
+def _shown(path: str) -> str:
+    """``path`` as error messages print it: normalised by ``pathlib``, quoted."""
+    return repr(str(Path(path)))
+
+
+def _read_json_file(path: str, what: str, parse):
     """Parse the JSON file at ``path`` with ``parse``.
 
     A path that cannot be read, data that is not JSON or nests too deeply,
@@ -33,48 +47,67 @@ def _read_json_file(path: Path, what: str, parse):
     is parsed becomes a ``ScenarioError``, that is, an input error.
     """
     try:
-        return parse(json.loads(path.read_text()))
+        with open(path) as f:
+            text = f.read()
+        return parse(json.loads(text))
     except ScenarioError:
         raise
     except DicriticalError as exc:
-        raise ScenarioError(f"{what} {str(path)!r} is invalid: {exc}") from None
+        raise ScenarioError(f"{what} {_shown(path)} is invalid: {exc}") from None
     except OSError as exc:
-        raise ScenarioError(f"{what} {str(path)!r} cannot be read: {exc}") from None
+        raise ScenarioError(f"{what} {_shown(path)} cannot be read: {exc}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"{what} {str(path)!r} is not valid JSON: {exc}") from None
+        raise ScenarioError(f"{what} {_shown(path)} is not valid JSON: {exc}") from None
     except RecursionError:
-        raise ScenarioError(f"{what} {str(path)!r} nests too deeply to be read") from None
+        raise ScenarioError(f"{what} {_shown(path)} nests too deeply to be read") from None
     except KeyError as exc:
-        raise ScenarioError(f"{what} {str(path)!r} lacks the key {exc}") from None
+        raise ScenarioError(f"{what} {_shown(path)} lacks the key {exc}") from None
     except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"{what} {str(path)!r} holds a malformed field: {exc}") from None
+        raise ScenarioError(f"{what} {_shown(path)} holds a malformed field: {exc}") from None
 
 
 def load_scenario(ref: str) -> Scenario:
     if ref in FIXTURES:
         return load_fixture(ref)
-    path = Path(ref)
-    if not path.exists():
+    if not os.path.exists(ref):
         raise ScenarioError(f"scenario {ref!r} is neither a fixture name nor a file")
-    return _read_json_file(path, "scenario file", scenario_from_json)
+    return _read_json_file(ref, "scenario file", scenario_from_json)
 
 
-def write_artifact(out_dir: Path, name: str, payload: str) -> bool:
-    """Write an append-only artifact; returns False on drift.  An artifact
-    that cannot be written or read back (``out_dir`` is a file, say) is an
-    input error."""
-    target = out_dir / name
+def write_artifact(out_dir: str, name: str, payload: str) -> bool:
+    """Write an append-only artifact; returns False on drift.
+
+    The artifact is created exclusively (``open(target, "x")``).  If it
+    exists, its stored text is compared with ``payload``; if ``out_dir`` is
+    missing, it is created and the artifact created again.  An artifact that
+    cannot be written or read back (``out_dir`` is a file, or the artifact a
+    directory, say) is an input error."""
+    target = os.path.join(out_dir, name)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if target.exists():
-            if target.read_text() == payload:
-                return True
-            print(f"drift: {target} already exists with different content", file=sys.stderr)
-            return False
-        target.write_text(payload)
+        try:
+            f = open(target, "x")
+        except FileNotFoundError:
+            os.makedirs(out_dir, exist_ok=True)
+            f = open(target, "x")
+        with f:
+            f.write(payload)
+        return True
+    except FileExistsError:
+        pass
     except OSError as exc:
-        raise ScenarioError(f"cannot write the artifact {str(target)!r}: {exc}") from None
-    return True
+        raise _unwritable(target, exc) from None
+    try:
+        with open(target) as f:
+            same = f.read() == payload
+    except OSError as exc:
+        raise _unwritable(target, exc) from None
+    if not same:
+        print(f"drift: {Path(target)} already exists with different content", file=sys.stderr)
+    return same
+
+
+def _unwritable(target: str, exc: OSError) -> ScenarioError:
+    return ScenarioError(f"cannot write the artifact {_shown(target)}: {exc}")
 
 
 def _format_matrix(rows) -> str:
@@ -107,7 +140,7 @@ def cmd_matrix(args) -> int:
             "minors": list(minors),
         }
     )
-    if args.out and not write_artifact(Path(args.out), f"{scenario.name}.matrix.json", payload):
+    if args.out and not write_artifact(args.out, f"{scenario.name}.matrix.json", payload):
         return VIOLATION
     return PASS
 
@@ -118,7 +151,7 @@ def cmd_solve(args) -> int:
     payload = canonical_dumps(data)
     print(f"certificate for {scenario.name}:")
     _print_profile(data)
-    if not write_artifact(Path(args.out), f"{scenario.name}.solve.json", payload):
+    if not write_artifact(args.out, f"{scenario.name}.solve.json", payload):
         return VIOLATION
     return PASS
 
@@ -147,19 +180,16 @@ def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
     certificate = None
     if args.certificate:
-        from .solver import certificate_from_json
-
-        path = Path(args.certificate)
-        if not path.exists():
-            raise ScenarioError(f"no certificate at {path}")
-        certificate = _read_json_file(path, "certificate file", certificate_from_json)
+        if not os.path.exists(args.certificate):
+            raise ScenarioError(f"no certificate at {Path(args.certificate)}")
+        certificate = _read_json_file(args.certificate, "certificate file", certificate_from_json)
     report = run_verify(scenario, seed=args.seed, certificate=certificate)
     text = render_report(report)
     print(text, end="")
     payload = canonical_dumps(report.to_json())
     ok = True
     if args.out:
-        ok = write_artifact(Path(args.out), f"{scenario.name}.verify.json", payload)
+        ok = write_artifact(args.out, f"{scenario.name}.verify.json", payload)
     if not report.overall or not ok:
         return VIOLATION
     return PASS
@@ -167,15 +197,15 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     scenario = load_scenario(args.scenario)
-    path = Path(args.out) / f"{scenario.name}.verify.json"
-    if not path.exists():
-        raise ScenarioError(f"no verification artifact at {path}; run verify first")
+    path = os.path.join(args.out, f"{scenario.name}.verify.json")
+    if not os.path.exists(path):
+        raise ScenarioError(f"no verification artifact at {Path(path)}; run verify first")
     report = _read_json_file(path, "verification artifact", VerifyReport.from_json)
     if report.scenario != scenario.name:
-        raise ScenarioError(f"the verification artifact {str(path)!r} is of scenario {report.scenario!r}")
+        raise ScenarioError(f"the verification artifact {_shown(path)} is of scenario {report.scenario!r}")
     text = render_report(report)
     print(text, end="")
-    if not write_artifact(Path(args.out), f"{scenario.name}.report.txt", text):
+    if not write_artifact(args.out, f"{scenario.name}.report.txt", text):
         return VIOLATION
     return PASS if report.overall else VIOLATION
 
@@ -187,15 +217,21 @@ def cmd_list(_args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are input errors, not exits."""
+    """Argument parser whose usage errors are input errors, not exits.
+
+    ``build_parser`` sets ``commands`` on the top-level parser: each
+    subcommand's name mapped to that subcommand's parser."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         raise ScenarioError(message)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+def build_parser() -> _Parser:
+    """The command-line parser, built once per process, with its
+    ``commands`` mapping (see ``_Parser``)."""
     parser = _Parser(
         prog="dicriticals",
         description="exact construction and verification of prescribed dicritical profiles",
@@ -228,12 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", help="list built-in scenarios")
     p_list.set_defaults(func=cmd_list)
+    parser.commands = {"matrix": p_matrix, "solve": p_solve, "verify": p_verify, "report": p_report, "list": p_list}
     return parser
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)

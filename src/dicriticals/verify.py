@@ -29,8 +29,11 @@ lowest-slice pair of the multiplied-out h, and F puts the same nonzero
 slice on both sides.  The reduced restriction does not change, nor do its
 status, value, degree and rendered string.  The only gcds on the path of a
 solved request are those whose result verify reads: the reduced
-restriction at each divisor, the degree check, and the base f/g of a
-``single`` construction (see ``candidates.build_single``).
+restriction at each divisor of total order 0, the degree check, and the
+base f/g of a ``single`` construction (see ``candidates.build_single``).
+Where h vanishes along a divisor, its restriction is (0, 1) by the orders
+alone, and at a pole it is the numerators' slices over zero; neither
+builds a ``RationalFunction``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
+import argparse
 import contextlib
 import copy
 import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -160,7 +164,12 @@ def test_cli_detects_drift(tmp_path, capsys):
     assert main(["verify", "--scenario", "three-points", "--out", out]) == 0
     path = tmp_path / "three-points.verify.json"
     path.write_text(path.read_text().replace("PASS", "FAIL"))
+    stored = path.read_bytes()
+    capsys.readouterr()
     assert main(["verify", "--scenario", "three-points", "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("drift:"), err
+    assert path.read_bytes() == stored
 
 
 def test_cli_input_errors(tmp_path):
@@ -171,6 +180,50 @@ def test_cli_input_errors(tmp_path):
 
 def test_cli_builds_one_parser_per_process():
     assert build_parser() is build_parser()
+
+
+def test_cli_parses_the_arguments_once_per_call(tmp_path, monkeypatch, capsys):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    out = str(tmp_path)
+    for command in ("matrix", "solve", "verify", "report"):
+        calls.clear()
+        assert main([command, "--scenario", "three-points", "--out", out]) == 0
+        assert calls == [f"dicriticals {command}"]
+    calls.clear()
+    assert main(["list"]) == 0
+    assert calls == ["dicriticals list"]
+    capsys.readouterr()
+    for argv in ([], ["bogus"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:"), err
+    assert main(["verify", "--scenario", "three-points", "--out", out, "--retries", "4"]) == 2
+    assert capsys.readouterr().err == "input error: unrecognized arguments: --retries 4\n"
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--help"])
+    assert exit_.value.code == 0
+    assert "--certificate" in capsys.readouterr().out
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    """``python -m dicriticals.cli`` reads its arguments from ``sys.argv``,
+    as the console script does."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-B", "-m", "dicriticals.cli"]
+    argv += ["verify", "--scenario", "three-points", "--out", str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    done = subprocess.run([*argv, "--retries", "4"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["input error: unrecognized arguments: --retries 4"]
 
 
 def test_cli_scenario_file_and_list(tmp_path, capsys):
@@ -345,6 +398,10 @@ def mutated(case):
         "solve-out-is-a-file",
         "verify-out-is-a-file",
         "matrix-out-is-a-file",
+        "artifact-is-a-directory",
+        "scenario-path-too-long",
+        "certificate-path-too-long",
+        "report-out-too-long",
         *ARTIFACT_MUTATIONS,
         *SCENARIO_MUTATIONS,
     ],
@@ -432,6 +489,15 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
         path.write_text(input_json(data))
         argv[0] = case.split("-")[0]
         (tmp_path / "out").write_text("")
+    elif case == "artifact-is-a-directory":
+        path.write_text(input_json(data))
+        (tmp_path / "out" / "three-points.verify.json").mkdir(parents=True)
+    elif case == "scenario-path-too-long":
+        argv = ["matrix", "--scenario", "a" * 5000, "--out", str(tmp_path / "out")]
+    elif case == "certificate-path-too-long":
+        argv = ["verify", "--scenario", "three-points", "--out", str(tmp_path / "out"), "--certificate", "c" * 5000]
+    elif case == "report-out-too-long":
+        argv = ["report", "--scenario", "three-points", "--out", "o" * 5000]
     elif case == "unknown-option":
         path.write_text(input_json(data))
         argv += ["--retries", "4"]
