@@ -43,7 +43,7 @@ from .errors import (
 )
 from .linalg import bareiss_determinant, leading_minors, solve_row_system
 from .poly import Polynomial, polynomial_gcd
-from .ratfunc import Quotient, RationalFunction
+from .ratfunc import LeafQuotient, Quotient, RationalFunction
 from .solver import (
     LastDicriticalCertificate,
     LinearForm,

@@ -18,9 +18,12 @@ what a walk stopped there gives.  The order along E_i is read at stage i,
 where E_i's equation is the chart variable, so it does not depend on later
 charts.  ``path_walks`` walks a function once per chart override; every
 order, restriction, status and degree is a stage read.  The walked
-polynomials are the numerator and denominator of each part of h, in turn:
-h is their product, and a stage read takes each polynomial's order and
-lowest slice, so the parts are never multiplied out.
+polynomials are the leaves of h (``ratfunc.LeafQuotient``), and
+``read_order`` and ``read_restriction`` read h off their orders and lowest
+slices, so h is never multiplied out; a ``RationalFunction`` or
+``Quotient`` is read as its two-leaf form, and a walk of the numerators and
+denominators of parts (``walk_order``, ``walk_restriction``) as their
+pairwise form.
 """
 
 from __future__ import annotations
@@ -28,15 +31,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import itemgetter, mul
-from typing import Mapping, Sequence
+from functools import cached_property, lru_cache, reduce
+from operator import add, itemgetter, mul, sub
+from typing import Mapping, NamedTuple, Sequence
 
 from .descriptor import ModificationDescriptor
 from .errors import ChartError, GenericityError, PolynomialError, ScenarioError
 from .jsonio import FieldCodec, json_field
 from .poly import Polynomial, polynomial_gcd
-from .ratfunc import Quotient, RationalFunction, render_pair
+from .ratfunc import LeafQuotient, Quotient, RationalFunction, as_leaf_quotient, pairwise, render_pair
 
 PARAM = "param"
 CONST = "const"
@@ -315,19 +318,13 @@ def check_tower(d: ModificationDescriptor, tower: ChartTower) -> None:
 
 
 def walk_order(state: WalkState, divisor: int) -> int:
-    """Order of the walked h along a divisor the walk created.  h is the
-    product of the parts polys[0] / polys[1], polys[2] / polys[3], ..., so
-    its order is the sum of the numerators' orders minus the sum of the
-    denominators', read at stage ``divisor``, where the divisor's equation
-    is the chart variable."""
+    """Order of the walked h along a divisor the walk created, h being the
+    product of the parts polys[0] / polys[1], polys[2] / polys[3], ...: the
+    pairwise case of ``read_order``, read at stage ``divisor``, where the
+    divisor's equation is the chart variable."""
     if not 1 <= divisor <= state.blowups_done:
         raise ChartError(f"the walk stopped before divisor {divisor} was created")
-    polys, divisor_eqs = state.stages[divisor]
-    if any(num.is_zero() for num in polys[::2]):
-        raise ChartError("cannot take the order of the zero function")
-    chart_var = _coordinate_name(divisor_eqs[divisor])
-    orders = [p.order_in(chart_var) for p in polys]
-    return sum(orders[::2]) - sum(orders[1::2])
+    return read_order(pairwise(state.polys), StageLeaves(state.stages[divisor], divisor))
 
 
 def path_walks(
@@ -349,7 +346,7 @@ def path_walks(
 
 
 def divisor_order(
-    h: RationalFunction | Quotient,
+    h: RationalFunction | Quotient | LeafQuotient,
     tower: ChartTower,
     divisor: int,
     charts: Sequence[str] | None = None,
@@ -358,18 +355,21 @@ def divisor_order(
 
     Computed at the divisor's creating step, where its local equation is the
     chart variable; the value does not depend on the chart path because the
-    numerator and denominator orders are read off together.
+    numerator and denominator orders are read off together.  A
+    ``RationalFunction`` or ``Quotient`` is read as its two-leaf form.
     """
     if not (1 <= divisor <= tower.blowup_count):
         raise ChartError(f"divisor {divisor} out of range 1..{tower.blowup_count}")
-    return walk_order(walk_tower(tower, [h.num, h.den], charts=charts, blowups=divisor), divisor)
+    form = as_leaf_quotient(h)
+    state = walk_tower(tower, form.leaves, charts=charts, blowups=divisor)
+    return read_order((form,), StageLeaves(state.stages[divisor], divisor))
 
 
 @dataclass(frozen=True)
 class Restriction:
     """Restriction of a pulled-back function to one exceptional divisor.
 
-    ``walk_restriction`` stores the reduced, canonically scaled pair, the
+    ``read_restriction`` stores the reduced, canonically scaled pair, the
     numerator slice over a zero denominator for an infinite restriction, or
     (0, 1), read off the orders, where h vanishes along the divisor.
     """
@@ -392,7 +392,7 @@ class Restriction:
 
 
 def restrict(
-    h: RationalFunction | Quotient,
+    h: RationalFunction | Quotient | LeafQuotient,
     tower: ChartTower,
     divisor: int,
     charts: Sequence[str] | None = None,
@@ -402,40 +402,19 @@ def restrict(
 
     The shared power of the divisor's local equation is cleared from the
     numerator and denominator, then the equation is set to zero.  A nonzero
-    order therefore yields the constant 0 or infinity.
+    order therefore yields the constant 0 or infinity.  A
+    ``RationalFunction`` or ``Quotient`` is read as its two-leaf form.
     """
-    return walk_restriction(walk_tower(tower, [h.num, h.den], charts=charts, blowups=blowups).stages[-1], divisor)
+    form = as_leaf_quotient(h)
+    stage = walk_tower(tower, form.leaves, charts=charts, blowups=blowups).stages[-1]
+    return read_restriction((form,), StageLeaves(stage, divisor))
 
 
 def walk_restriction(stage: Stage, divisor: int) -> Restriction:
     """Restriction to a divisor visible at a stage of the walked h, the
-    product of the parts polys[0] / polys[1], polys[2] / polys[3], ...
-
-    Each polynomial gives its own order along the divisor.  A positive
-    total order restricts to 0, returned as (0, 1) from the orders alone:
-    no slice is taken and no ``RationalFunction`` built.  Otherwise each
-    polynomial gives its lowest slice there.  A negative total order
-    restricts to infinity (the numerators' slices over zero); at total order
-    0 the restriction is the reduced (product of the numerators' slices,
-    product of the denominators' slices), the lowest slices of the product
-    of the parts, so it does not depend on how h is split into parts.
-    """
-    polys, divisor_eqs = stage
-    chart_var = restriction_chart_variable(divisor_eqs, divisor)
-    variables = polys[0].variables
-    if any(num.is_zero() for num in polys[::2]):
-        return Restriction(divisor, Polynomial.zero(variables), Polynomial.one(variables), chart_var)
-    orders = [p.order_in(chart_var) for p in polys]
-    total = sum(orders[::2]) - sum(orders[1::2])
-    if total > 0:
-        return Restriction(divisor, Polynomial.zero(variables), Polynomial.one(variables), chart_var)
-    idx = variables.index(chart_var)
-    slices = [_slice(p, idx, k) for p, k in zip(polys, orders)]
-    num0 = reduce(mul, slices[::2])
-    if total < 0:
-        return Restriction(divisor, num0, Polynomial.zero(variables), chart_var)
-    reduced = RationalFunction(num0, reduce(mul, slices[1::2]))
-    return Restriction(divisor, reduced.num, reduced.den, chart_var)
+    product of the parts polys[0] / polys[1], polys[2] / polys[3], ...: the
+    pairwise case of ``read_restriction``."""
+    return read_restriction(pairwise(stage[0]), StageLeaves(stage, divisor))
 
 
 def _slice(poly: Polynomial, idx: int, k: int) -> Polynomial:
@@ -458,6 +437,274 @@ def restriction_chart_variable(divisor_eqs: Mapping[int, Polynomial], divisor: i
     return chart_var
 
 
+@lru_cache(maxsize=None)
+def _evaluation_point(count: int) -> tuple[int, ...]:
+    """The first ``count`` primes: the fixed point where tied lowest slices are evaluated."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return tuple(primes)
+
+
+_UNREAD = -1
+
+
+class StageLeaves:
+    """The walked leaves of a function at one stage, read along a divisor
+    visible there: each leaf's order along it and, on demand, its lowest
+    slice and that slice's value at a fixed integer point.  A zero leaf has
+    order None.  Every figure is read off a walked polynomial."""
+
+    __slots__ = ("polys", "divisor", "variables", "chart_var", "idx", "_orders", "_slices", "_values")
+
+    def __init__(self, stage: Stage, divisor: int):
+        polys, divisor_eqs = stage
+        self.chart_var = restriction_chart_variable(divisor_eqs, divisor)
+        self.variables = divisor_eqs[divisor].variables
+        self.idx = self.variables.index(self.chart_var)
+        self.polys = polys
+        self.divisor = divisor
+        self._orders = [_UNREAD] * len(polys)
+        self._slices: dict[int, Polynomial] = {}
+        self._values: dict[int, Fraction | int] = {}
+
+    def order(self, j: int) -> int | None:
+        o = self._orders[j]
+        if o == _UNREAD:
+            terms = self.polys[j]._terms
+            o = self._orders[j] = min(map(itemgetter(self.idx), terms)) if terms else None
+        return o
+
+    def weight(self, exps: tuple[int, ...]) -> int | None:
+        """The order of the leaf monomial with exponents ``exps``; None when
+        it holds a zero leaf."""
+        w = 0
+        for j, e in enumerate(exps):
+            if e:
+                o = self.order(j)
+                if o is None:
+                    return None
+                w += e * o
+        return w
+
+    def _slice_of_leaf(self, j: int) -> Polynomial:
+        s = self._slices.get(j)
+        if s is None:
+            s = self._slices[j] = _slice(self.polys[j], self.idx, self.order(j))
+        return s
+
+    def _value_of_leaf(self, j: int) -> Fraction | int:
+        v = self._values.get(j)
+        if v is None:
+            idx, k = self.idx, self.order(j)
+            point = _evaluation_point(len(self.variables))
+            v = 0
+            for exps, c in self.polys[j]._terms.items():
+                if exps[idx] == k:
+                    for i, e in enumerate(exps):
+                        if e and i != idx:
+                            c *= point[i] ** e
+                    v += c
+            self._values[j] = v
+        return v
+
+    def slice_of(self, terms: Mapping[tuple[int, ...], Fraction | int]) -> Polynomial:
+        """The sum of leaf terms with every leaf replaced by its lowest slice, multiplied out."""
+        return reduce(add, (self.monomial(exps, c) for exps, c in terms.items()))
+
+    def value_of(self, terms: Mapping[tuple[int, ...], Fraction | int]) -> Fraction | int:
+        """``slice_of(terms)`` at the fixed point, without multiplying out."""
+        total = 0
+        for exps, c in terms.items():
+            for j, e in enumerate(exps):
+                if e:
+                    c *= self._value_of_leaf(j) ** e
+            total += c
+        return total
+
+    def monomial(self, exps: Sequence[int], coeff: Fraction | int) -> Polynomial:
+        """``coeff`` times the product of the leaves' lowest slices to the powers ``exps``."""
+        out = None
+        for j, e in enumerate(exps):
+            if e:
+                s = self._slice_of_leaf(j)
+                s = s if e == 1 else s**e
+                out = s if out is None else out * s
+        if out is None:
+            return Polynomial._trusted(self.variables, {(0,) * len(self.variables): coeff})
+        return out if coeff == 1 else out * coeff
+
+
+class _Lowest(NamedTuple):
+    """A side of a leaf form along the divisor: its order and the leaf terms
+    that attain it, or None where their slices cancel and the side was
+    multiplied out; ``slice`` is the lowest slice where finding the order
+    took it."""
+
+    order: int
+    terms: Mapping[tuple[int, ...], Fraction | int] | None
+    slice: Polynomial | None
+
+
+def _lowest(side: Polynomial, leaves: StageLeaves) -> _Lowest | None:
+    """The order and lowest part of one side of a leaf form, or None where
+    it multiplies out to 0.
+
+    The order of a leaf term is the sum of its leaves' orders, each times
+    its exponent; the least of them is the order of the side unless the
+    terms that attain it have slices summing to 0.  One term alone is
+    nonzero, since the ring is a domain.  Tied terms are evaluated once at a
+    fixed integer point, and a nonzero value certifies their sum; only a
+    zero value takes the exact sum, and only an exact 0 multiplies the side
+    out over the walked leaves to read it directly.
+    """
+    terms = side._terms
+    if len(terms) == 1:
+        ((exps, _),) = terms.items()
+        w = leaves.weight(exps)
+        return _multiplied_out(side, leaves) if w is None else _Lowest(w, terms, None)
+    best = None
+    tied: dict[tuple[int, ...], Fraction | int] = {}
+    for exps, coeff in terms.items():
+        w = leaves.weight(exps)
+        if w is None:
+            return _multiplied_out(side, leaves)
+        if best is None or w < best:
+            best, tied = w, {exps: coeff}
+        elif w == best:
+            tied[exps] = coeff
+    if best is None:
+        return None
+    if len(tied) == 1 or leaves.value_of(tied):
+        return _Lowest(best, tied, None)
+    exact = leaves.slice_of(tied)
+    if exact:
+        return _Lowest(best, tied, exact)
+    return _multiplied_out(side, leaves)
+
+
+def _multiplied_out(side: Polynomial, leaves: StageLeaves) -> _Lowest | None:
+    """A side of a leaf form multiplied out over the walked leaves and read directly."""
+    whole = side.substitute(dict(zip(side.variables, leaves.polys)), leaves.variables)
+    if not whole:
+        return None
+    k = whole.order_in(leaves.chart_var)
+    return _Lowest(k, None, _slice(whole, leaves.idx, k))
+
+
+def _lowest_parts(parts: Sequence[LeafQuotient], leaves: StageLeaves) -> list[tuple[_Lowest, _Lowest]] | None:
+    """The lowest numerator and denominator of each part; None where h is 0."""
+    nums = [_lowest(part.num, leaves) for part in parts]
+    if None in nums:
+        return None
+    dens = [_lowest(part.den, leaves) for part in parts]
+    if None in dens:
+        raise ChartError(f"a denominator of h multiplies out to 0 at divisor {leaves.divisor}")
+    return list(zip(nums, dens))
+
+
+def read_order(parts: Sequence[LeafQuotient], leaves: StageLeaves) -> int:
+    """Order along the divisor of h, the product of the leaf forms ``parts``,
+    read off their walked ``leaves``: ord is a valuation, so it is the sum
+    of the numerators' orders minus the sum of the denominators'."""
+    lows = _lowest_parts(parts, leaves)
+    if lows is None:
+        raise ChartError("cannot take the order of the zero function")
+    return sum(num.order - den.order for num, den in lows)
+
+
+def read_restriction(parts: Sequence[LeafQuotient], leaves: StageLeaves) -> Restriction:
+    """Restriction to the divisor of h, the product of the leaf forms
+    ``parts``, read off their walked ``leaves``.
+
+    A positive total order restricts to 0, returned as (0, 1) from the
+    orders alone.  A negative one restricts to infinity: the product of the
+    numerators' lowest slices over zero.  At total order 0 the restriction
+    is the reduced pair of lowest slices of the product, since the lowest
+    slice of a product is the product of the lowest slices; what cancels is
+    taken out first (``_cancelled_slices``), and the reduced canonical pair
+    is unique, so it does not depend on how h is written.
+    """
+    lows = _lowest_parts(parts, leaves)
+    divisor, variables, chart_var = leaves.divisor, leaves.variables, leaves.chart_var
+    total = 0 if lows is None else sum(num.order - den.order for num, den in lows)
+    if lows is None or total > 0:
+        zero = (0,) * len(variables)
+        return Restriction(divisor, Polynomial._wrap(variables, {}), Polynomial._wrap(variables, {zero: 1}), chart_var)
+    if total < 0:
+        num = reduce(mul, (_slice_of(low, leaves) for low, _ in lows))
+        return Restriction(divisor, num, Polynomial._wrap(variables, {}), chart_var)
+    num, den = _cancelled_slices(lows, leaves)
+    if num.is_constant() or den.is_constant():
+        reduced = RationalFunction._coprime(num, den)
+    else:
+        reduced = RationalFunction(num, den)
+    return Restriction(divisor, reduced.num, reduced.den, chart_var)
+
+
+def _slice_of(low: _Lowest, leaves: StageLeaves) -> Polynomial:
+    return low.slice if low.slice is not None else leaves.slice_of(low.terms)
+
+
+def _cancelled_slices(lows: list[tuple[_Lowest, _Lowest]], leaves: StageLeaves) -> tuple[Polynomial, Polynomial]:
+    """The lowest slices of h's numerator and denominator at total order 0,
+    multiplied out after what cancels is taken out: a part whose lowest
+    numerator and denominator are proportional leaf polynomials gives that
+    constant and no slice, and the leaf powers common to the two lowest
+    monomials of h cancel by index.  Only what is left is multiplied out."""
+    width = len(leaves.polys)
+    num_exps, den_exps = [0] * width, [0] * width
+    num_factors: list[Polynomial] = []
+    den_factors: list[Polynomial] = []
+    num_coeff = den_coeff = 1
+    for num, den in lows:
+        if num.terms is not None and den.terms is not None:
+            ratio = _proportion(num.terms, den.terms)
+            if ratio is not None:
+                num_coeff *= ratio[0]
+                den_coeff *= ratio[1]
+                continue
+        num_coeff *= _split(num, num_exps, num_factors, leaves)
+        den_coeff *= _split(den, den_exps, den_factors, leaves)
+    for j in range(width):
+        common = min(num_exps[j], den_exps[j])
+        num_exps[j] -= common
+        den_exps[j] -= common
+    return (
+        reduce(mul, num_factors, leaves.monomial(num_exps, num_coeff)),
+        reduce(mul, den_factors, leaves.monomial(den_exps, den_coeff)),
+    )
+
+
+def _proportion(a: Mapping, b: Mapping) -> tuple[Fraction | int, Fraction | int] | None:
+    """(p, q) with a = (p / q) * b for two leaf polynomials given as term maps, or None."""
+    if a.keys() != b.keys():
+        return None
+    key = next(iter(a))
+    p, q = a[key], b[key]
+    if all(a[e] * q == p * b[e] for e in a):
+        return p, q
+    return None
+
+
+def _split(low: _Lowest, exps: list[int], factors: list[Polynomial], leaves: StageLeaves) -> Fraction | int:
+    """Add a lowest part's leaf-monomial content to ``exps`` and what is
+    left, when it is not a constant, to ``factors``; return that constant."""
+    if low.terms is None:
+        factors.append(low.slice)
+        return 1
+    content = tuple(map(min, zip(*low.terms)))
+    for j, e in enumerate(content):
+        exps[j] += e
+    if len(low.terms) == 1:
+        return next(iter(low.terms.values()))
+    factors.append(leaves.slice_of({tuple(map(sub, e, content)): c for e, c in low.terms.items()}))
+    return 1
+
+
 @dataclass(frozen=True)
 class Status:
     kind: str  # "constant" | "dicritical"
@@ -478,7 +725,7 @@ def status_of(restriction: Restriction) -> Status:
 
 
 def dicritical_status(
-    h: RationalFunction | Quotient,
+    h: RationalFunction | Quotient | LeafQuotient,
     tower: ChartTower,
     divisor: int,
     charts: Sequence[str] | None = None,
@@ -496,7 +743,7 @@ def draw_fraction(rng: random.Random) -> Fraction:
 
 
 def dicritical_degree(
-    h: RationalFunction | Quotient,
+    h: RationalFunction | Quotient | LeafQuotient,
     tower: ChartTower,
     divisor: int,
     line: LineClassSpec,

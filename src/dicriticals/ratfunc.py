@@ -4,7 +4,12 @@ Every ``RationalFunction`` is reduced: its numerator and denominator are
 coprime.  A ``Quotient`` is a numerator and denominator as built, neither
 reduced nor scaled; it names a function for code that reads only properties
 of the function that a common factor does not change (the orders and
-restrictions ``verify`` reads), and it has no arithmetic.
+restrictions ``verify`` reads), and it has no arithmetic.  A
+``LeafQuotient`` is a function written in its *leaves*, the polynomials it
+is built from: a numerator and a denominator over a ring of leaf names,
+plus the polynomial each name stands for.  Substituting the leaves, one
+``substitute`` per side, multiplies it out into a ``Quotient``; a reader of
+orders and lowest slices reads it off the leaves instead (``charts``).
 
 The ``RationalFunction`` constructor reduces through ``polynomial_gcd``;
 the private ``_coprime`` is for pairs already known to be coprime.  A
@@ -19,11 +24,13 @@ which keeps serialized output byte-stable.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import PolynomialError
-from .poly import Polynomial, polynomial_gcd, rational_content
+from .poly import Polynomial, _term_key, polynomial_gcd, rational_content
 
 
 class Quotient(NamedTuple):
@@ -32,6 +39,80 @@ class Quotient(NamedTuple):
 
     num: Polynomial
     den: Polynomial
+
+
+@dataclass(frozen=True)
+class LeafQuotient:
+    """``num / den`` written in its leaves: ``num`` and ``den`` are
+    polynomials over a ring of leaf names, and ``leaves`` holds, in the order
+    of that ring, the polynomial of the ring ``variables`` each name stands
+    for.  Like a ``Quotient`` it is neither reduced nor scaled."""
+
+    num: Polynomial
+    den: Polynomial
+    leaves: tuple[Polynomial, ...]
+    variables: tuple[str, ...]
+
+    def quotient(self) -> Quotient:
+        """The multiplied-out view: the leaves substituted, one ``substitute`` per side."""
+        images = dict(zip(self.num.variables, self.leaves))
+        return Quotient(self.num.substitute(images, self.variables), self.den.substitute(images, self.variables))
+
+
+def as_leaf_quotient(h: "RationalFunction | Quotient | LeafQuotient") -> LeafQuotient:
+    """``h`` itself when it is written in leaves, else its two-leaf form,
+    whose numerator and denominator are one leaf each."""
+    return h if isinstance(h, LeafQuotient) else pairwise((h.num, h.den))[0]
+
+
+@lru_cache(maxsize=8)
+def _pair_sides(count: int) -> tuple[tuple[Polynomial, Polynomial], ...]:
+    """Leaf ``2k`` over leaf ``2k + 1`` for each k below ``count``, over the
+    leaf names ``0, 1, ...``."""
+    ring = tuple(map(str, range(2 * count)))
+    return tuple(
+        (Polynomial.variable(ring, ring[2 * k]), Polynomial.variable(ring, ring[2 * k + 1])) for k in range(count)
+    )
+
+
+def pairwise(polys: Sequence[Polynomial]) -> tuple[LeafQuotient, ...]:
+    """The parts ``polys[0] / polys[1]``, ``polys[2] / polys[3]``, ... over
+    the leaves ``polys``, which must all live in one ring."""
+    leaves = tuple(polys)
+    if len(leaves) % 2 or not leaves:
+        raise PolynomialError("pairwise parts need a nonzero even number of polynomials")
+    variables = leaves[0].variables
+    if any(p.variables != variables for p in leaves):
+        raise PolynomialError("numerator and denominator live in different rings")
+    return tuple(LeafQuotient(num, den, leaves, variables) for num, den in _pair_sides(len(leaves) // 2))
+
+
+def over_common_leaves(forms: Iterable[LeafQuotient]) -> tuple[LeafQuotient, ...]:
+    """The ``forms`` over one ring of leaf names, the union of theirs in
+    order of first use, all sharing one tuple of leaves.  A name must stand
+    for the same polynomial in every form."""
+    forms = tuple(forms)
+    leaves: dict[str, Polynomial] = {}
+    for form in forms:
+        for name, leaf in zip(form.num.variables, form.leaves):
+            if leaves.setdefault(name, leaf) != leaf:
+                raise PolynomialError(f"leaf {name!r} stands for two different polynomials")
+    ring = tuple(leaves)
+    shared = tuple(leaves.values())
+
+    def embed(side: Polynomial) -> Polynomial:
+        if side.variables == ring:
+            return side
+        slots = [ring.index(name) for name in side.variables]
+        terms = {}
+        for exps, coeff in side._terms.items():
+            moved = [0] * len(ring)
+            for slot, e in zip(slots, exps):
+                moved[slot] = e
+            terms[tuple(moved)] = coeff
+        return Polynomial._wrap(ring, terms)
+
+    return tuple(LeafQuotient(embed(f.num), embed(f.den), shared, f.variables) for f in forms)
 
 
 class RationalFunction:
@@ -168,7 +249,7 @@ class RationalFunction:
 
 def render_pair(num: Polynomial, den: Polynomial) -> str:
     """``num``, or ``(num)/(den)`` unless ``den`` is 1; the pair as given."""
-    if den == Polynomial.one(num.variables):
+    if len(den._terms) == 1 and den._terms.get((0,) * len(den.variables)) == 1:
         return num.render()
     return f"({num.render()})/({den.render()})"
 
@@ -197,7 +278,7 @@ def _canonical_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polyn
     if content != 1:
         num = num * (1 / content)
         den = den * (1 / content)
-    trailing = den.terms()[0][1]
+    trailing = min(den._terms.items(), key=_term_key)[1]
     if trailing < 0:
         num, den = -num, -den
     return num, den

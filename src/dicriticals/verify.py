@@ -7,33 +7,33 @@ restriction degree.  The combinatorial solver and the symbolic engine share
 no code path for these numbers, so agreement is a real cross-check.  The
 divisor equations of every chart path are the tower's, pushed through once
 per tower object (``charts.ChartTower.divisor_eqs``), so the walk of each
-function pushes only its parts' numerators and denominators.  A stored
+function pushes only its leaves.  A stored
 certificate must answer the scenario's request, with every order and
 exponent vector of the length the descriptor gives and, in each
 last-dicritical certificate, the parents of its s as special owners, each
 with a special exponent.
 
 A solved request's function is walked as its construction builds it, as a
-tuple of parts, each a ``ratfunc.Quotient`` whose numerator and denominator
-are multiplied out but never reduced; h is the product of the parts, and
-only a ``profile`` has more than one (its twisted single-target
-candidates).  Neither the reduction nor the product is taken, and this is
-exact.  ord_E is a valuation, so the order of h is the sum of the
-numerators' orders minus the sum of the denominators', and a common factor
-F of a numerator and a denominator adds ord F to both sums.
-``charts.walk_restriction`` clears the shared power of the chart variable
-by taking each polynomial's lowest slice, and the lowest slice of a product
-is the product of the lowest slices; so it reduces the pair (product of the
-numerators' slices, product of the denominators' slices), which is the
-lowest-slice pair of the multiplied-out h, and F puts the same nonzero
-slice on both sides.  The reduced restriction does not change, nor do its
+tuple of ``ratfunc.LeafQuotient`` parts over one tuple of leaves: the bound
+equations and the base f and g of each ``single`` construction.  h is the
+product of the parts, and only a ``profile`` has more than one (its twisted
+single-target candidates).  An explicit request's function is walked in
+the equations it names, and the row equations of a matrix-only scenario
+together.  The distinct leaves are walked once per chart path, and neither
+h, nor a part, nor its reduction is ever formed; ``charts.read_order`` and
+``charts.read_restriction`` read h off the walked leaves, and this is
+exact.  ord_E is a valuation, so a leaf monomial's order and lowest slice
+are the sum and product of its leaves', and a common factor F of a
+numerator and a denominator adds ord F to both and puts the same nonzero
+slice on both sides.  The reduced restriction is unique, and so are its
 status, value, degree and rendered string.  The only gcds on the path of a
 solved request are those whose result verify reads: the reduced
-restriction at each divisor of total order 0, the degree check, and the
-base f/g of a ``single`` construction (see ``candidates.build_single``).
-Where h vanishes along a divisor, its restriction is (0, 1) by the orders
-alone, and at a pole it is the numerators' slices over zero; neither
-builds a ``RationalFunction``.
+restriction at each divisor of total order 0 whose sides, after what
+cancels is taken out, are both nonconstant, the degree check, and the base
+f/g of a ``single`` construction (see ``candidates.build_single``).  Where
+h vanishes along a divisor, its restriction is (0, 1) by the orders alone,
+and at a pole it is the numerators' slices over zero; neither builds a
+``RationalFunction``.
 """
 
 from __future__ import annotations
@@ -41,13 +41,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .candidates import build_last, build_profile, build_single, build_support, lookup_equation
-from .charts import path_walks, restriction_degree, status_of, walk_order, walk_restriction
+from .candidates import (
+    LeafBuilder,
+    build_explicit,
+    build_last,
+    build_profile,
+    build_single,
+    build_support,
+    lookup_equation,
+)
+from .charts import StageLeaves, path_walks, read_order, read_restriction, restriction_degree, status_of
 from .descriptor import ModificationDescriptor, valuation_matrix
 from .errors import DicriticalError, ScenarioError
 from .jsonio import SCHEMA_VERSION, FieldCodec
-from .poly import Polynomial
-from .ratfunc import Quotient, RationalFunction
+from .ratfunc import LeafQuotient, RationalFunction
 from .scenario import (
     ExpectedStatus,
     ExplicitRequest,
@@ -127,22 +134,18 @@ def _solve_target(descriptor, req: TargetRequest):
     return solve_last_dicritical(descriptor, req.s, req.degree, **shared)
 
 
-def explicit_function(sc: Scenario) -> RationalFunction:
+def explicit_form(sc: Scenario) -> LeafQuotient:
+    """The explicit request's function in its leaves, the equations it names."""
     req = sc.request
     assert isinstance(req, ExplicitRequest)
     if sc.tower is None:
         raise ScenarioError("an explicit scenario needs a chart tower")
-    variables = sc.tower.variables
-    num = Polynomial.one(variables)
-    for name, exp in req.num_factors:
-        num = num * lookup_equation(sc.equations, name, "the explicit numerator") ** exp
-    den = Polynomial.zero(variables)
-    for term in req.den_terms:
-        part = Polynomial.one(variables)
-        for name, exp in term:
-            part = part * lookup_equation(sc.equations, name, "the explicit denominator") ** exp
-        den = den + part
-    return RationalFunction(num, den)
+    return build_explicit(req.num_factors, req.den_terms, sc.equations, sc.tower.variables)
+
+
+def explicit_function(sc: Scenario) -> RationalFunction:
+    """The explicit request's function, reduced, from its multiplied-out view."""
+    return RationalFunction(*explicit_form(sc).quotient())
 
 
 def run_verify(
@@ -172,9 +175,7 @@ def run_verify(
         if sc.expect is None:
             raise ScenarioError("an explicit scenario needs expected outcomes")
         scope = range(1, sc.descriptor.m + 1)
-        h = explicit_function(sc)
-        parts = (Quotient(h.num, h.den),)
-        _verify_function(sc, report, "h", parts, scope, sc.expect.orders, sc.expect.statuses)
+        _verify_function(sc, report, [("h", (explicit_form(sc),), sc.expect.orders)], scope, sc.expect.statuses)
         return report
 
     cert = certificate if certificate is not None else solve_scenario(sc)
@@ -184,14 +185,14 @@ def run_verify(
     expected = {
         i: ExpectedStatus(DICRITICAL, dicritical[i]) if i in dicritical else ExpectedStatus(CONSTANT) for i in scope
     }
-    _verify_function(sc, report, "h", parts, scope, predicted, expected)
+    _verify_function(sc, report, [("h", parts, predicted)], scope, expected)
     return report
 
 
 def _prescription(sc: Scenario, req, cert, report: VerifyReport):
     """``(parts, predicted orders, {dicritical divisor: degree or None})``
-    for a solved request, with h the product of the ``Quotient`` parts its
-    construction builds (one part unless it is a profile): h must be
+    for a solved request, with h the product of the ``LeafQuotient`` parts
+    its construction builds (one part unless it is a profile): h must be
     dicritical exactly at the listed divisors (with the listed degree where
     one is given) and constant on every other divisor whose restriction
     verify reads."""
@@ -264,63 +265,81 @@ def _check_special_owners(cert: LastDicriticalCertificate, d: ModificationDescri
 
 
 def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
-    """Matrix-only scenarios: check every bound hypercurvette row symbolically."""
+    """Matrix-only scenarios: check every bound hypercurvette row symbolically.
+    Each row's equation is a leaf, and all of them are walked together."""
     matrix = valuation_matrix(sc.descriptor)
     if not sc.bindings.rows:
         raise ScenarioError("matrix verification needs row bindings")
-    for j in sorted(sc.bindings.rows):
-        row = lookup_equation(sc.equations, sc.bindings.rows[j], f"curvette row {j}")
-        parts = (Quotient(row, Polynomial.one(row.variables)),)
-        _verify_function(sc, report, f"curvette {j}", parts, range(1, sc.descriptor.m + 1), matrix.rows[j - 1], {})
+    leaves = LeafBuilder(sc.tower.variables)
+    rows = {
+        j: leaves.power(name, lookup_equation(sc.equations, name, f"curvette row {j}"), 1)
+        for j, name in sorted(sc.bindings.rows.items())
+    }
+    items = [(f"curvette {j}", (leaves.form([(row, 1)], [({}, 1)]),), matrix.rows[j - 1]) for j, row in rows.items()]
+    _verify_function(sc, report, items, range(1, sc.descriptor.m + 1), {})
 
 
-def _verify_function(sc, report, item, parts, scope, predicted, expected) -> None:
+def _verify_function(sc, report, items, scope, expected) -> None:
+    """Append a row per divisor in ``scope`` for each ``(item, parts,
+    predicted orders)`` of ``items``, whose parts all share one tuple of
+    leaves: the leaves are walked once per chart path, and every order and
+    restriction is read off the walked leaves."""
     paths = {i: sc.chart_path(i) for i in scope}
-    walks = path_walks(sc.tower, [poly for part in parts for poly in part], paths)
-    for i in scope:
-        charts, blowups = paths[i]
-        symbolic = walk_order(walks[charts], i)
-        want = None if predicted is None else predicted[i - 1]
-        ok = want is None or symbolic == want
+    walks = path_walks(sc.tower, items[0][1][0].leaves, paths)
+    stages: dict[tuple, StageLeaves] = {}
 
-        wanted = expected.get(i)  # the ExpectedStatus of the divisor; None checks the order only
-        status = value = degree = restriction_str = None
-        expected_str = "order"
-        if wanted is not None:
-            expected_str = wanted.kind if wanted.degree is None else f"{wanted.kind}:{wanted.degree}"
-            restriction = walk_restriction(walks[charts].stages[blowups], i)
-            st = status_of(restriction)
-            status = st.kind
-            if st.kind == CONSTANT:
-                value = "inf" if st.infinite else str(st.value)
-            else:
-                restriction_str = restriction.render()
-            ok = ok and st.kind == wanted.kind
-            if st.kind == DICRITICAL and wanted.degree is not None:
-                line = sc.lines.get(i)
-                if line is None:
-                    raise ScenarioError(f"divisor {i} needs a line template for its degree check")
-                try:
-                    degree = restriction_degree(restriction, line)
-                except DicriticalError as exc:
-                    report.notes.append(f"degree check failed at divisor {i}: {exc}")
-                    ok = False
+    def leaves_at(charts, k: int, i: int) -> StageLeaves:
+        key = (charts, k, i)
+        read = stages.get(key)
+        if read is None:
+            read = stages[key] = StageLeaves(walks[charts].stages[k], i)
+        return read
+
+    for item, parts, predicted in items:
+        for i in scope:
+            charts, blowups = paths[i]
+            symbolic = read_order(parts, leaves_at(charts, i, i))
+            want = None if predicted is None else predicted[i - 1]
+            ok = want is None or symbolic == want
+
+            wanted = expected.get(i)  # the ExpectedStatus of the divisor; None checks the order only
+            status = value = degree = restriction_str = None
+            expected_str = "order"
+            if wanted is not None:
+                expected_str = wanted.kind if wanted.degree is None else f"{wanted.kind}:{wanted.degree}"
+                restriction = read_restriction(parts, leaves_at(charts, blowups, i))
+                st = status_of(restriction)
+                status = st.kind
+                if st.kind == CONSTANT:
+                    value = "inf" if st.infinite else str(st.value)
                 else:
-                    ok = ok and degree == wanted.degree
-        report.rows.append(
-            VerifyRow(
-                item=item,
-                divisor=i,
-                predicted_order=want,
-                symbolic_order=symbolic,
-                status=status,
-                value=value,
-                degree=degree,
-                expected=expected_str,
-                ok=ok,
-                restriction=restriction_str,
+                    restriction_str = restriction.render()
+                ok = ok and st.kind == wanted.kind
+                if st.kind == DICRITICAL and wanted.degree is not None:
+                    line = sc.lines.get(i)
+                    if line is None:
+                        raise ScenarioError(f"divisor {i} needs a line template for its degree check")
+                    try:
+                        degree = restriction_degree(restriction, line)
+                    except DicriticalError as exc:
+                        report.notes.append(f"degree check failed at divisor {i}: {exc}")
+                        ok = False
+                    else:
+                        ok = ok and degree == wanted.degree
+            report.rows.append(
+                VerifyRow(
+                    item=item,
+                    divisor=i,
+                    predicted_order=want,
+                    symbolic_order=symbolic,
+                    status=status,
+                    value=value,
+                    degree=degree,
+                    expected=expected_str,
+                    ok=ok,
+                    restriction=restriction_str,
+                )
             )
-        )
 
 
 def render_report(report: VerifyReport) -> str:
