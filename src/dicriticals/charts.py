@@ -21,9 +21,7 @@ order, restriction, status and degree is a stage read.  The walked
 polynomials are the leaves of h (``ratfunc.LeafQuotient``), and
 ``read_order`` and ``read_restriction`` read h off their orders and lowest
 slices, so h is never multiplied out; a ``RationalFunction`` or
-``Quotient`` is read as its two-leaf form, and a walk of the numerators and
-denominators of parts (``walk_order``, ``walk_restriction``) as their
-pairwise form.
+``Quotient`` is read as its two-leaf form.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import add, itemgetter, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
@@ -39,7 +37,7 @@ from .descriptor import ModificationDescriptor
 from .errors import ChartError, GenericityError, PolynomialError, ScenarioError
 from .jsonio import FieldCodec, json_field
 from .poly import Polynomial, polynomial_gcd
-from .ratfunc import LeafQuotient, Quotient, RationalFunction, as_leaf_quotient, pairwise, render_pair
+from .ratfunc import LeafQuotient, Quotient, RationalFunction, as_leaf_quotient, render_pair
 
 PARAM = "param"
 CONST = "const"
@@ -317,16 +315,6 @@ def check_tower(d: ModificationDescriptor, tower: ChartTower) -> None:
             )
 
 
-def walk_order(state: WalkState, divisor: int) -> int:
-    """Order of the walked h along a divisor the walk created, h being the
-    product of the parts polys[0] / polys[1], polys[2] / polys[3], ...: the
-    pairwise case of ``read_order``, read at stage ``divisor``, where the
-    divisor's equation is the chart variable."""
-    if not 1 <= divisor <= state.blowups_done:
-        raise ChartError(f"the walk stopped before divisor {divisor} was created")
-    return read_order(pairwise(state.polys), StageLeaves(state.stages[divisor], divisor))
-
-
 def path_walks(
     tower: ChartTower,
     polys: Sequence[Polynomial],
@@ -410,13 +398,6 @@ def restrict(
     return read_restriction((form,), StageLeaves(stage, divisor))
 
 
-def walk_restriction(stage: Stage, divisor: int) -> Restriction:
-    """Restriction to a divisor visible at a stage of the walked h, the
-    product of the parts polys[0] / polys[1], polys[2] / polys[3], ...: the
-    pairwise case of ``read_restriction``."""
-    return read_restriction(pairwise(stage[0]), StageLeaves(stage, divisor))
-
-
 def _slice(poly: Polynomial, idx: int, k: int) -> Polynomial:
     """``(poly / v**k)`` at ``v = 0`` for the variable v at ``idx``, when v**k
     divides poly: its terms of v-exponent k, with that exponent set to 0."""
@@ -437,28 +418,16 @@ def restriction_chart_variable(divisor_eqs: Mapping[int, Polynomial], divisor: i
     return chart_var
 
 
-@lru_cache(maxsize=None)
-def _evaluation_point(count: int) -> tuple[int, ...]:
-    """The first ``count`` primes: the fixed point where tied lowest slices are evaluated."""
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < count:
-        if all(candidate % p for p in primes):
-            primes.append(candidate)
-        candidate += 1
-    return tuple(primes)
-
-
 _UNREAD = -1
 
 
 class StageLeaves:
     """The walked leaves of a function at one stage, read along a divisor
     visible there: each leaf's order along it and, on demand, its lowest
-    slice and that slice's value at a fixed integer point.  A zero leaf has
-    order None.  Every figure is read off a walked polynomial."""
+    slice.  A zero leaf has order None.  Every figure is read off a walked
+    polynomial."""
 
-    __slots__ = ("polys", "divisor", "variables", "chart_var", "idx", "_orders", "_slices", "_values")
+    __slots__ = ("polys", "divisor", "variables", "chart_var", "idx", "_orders", "_slices")
 
     def __init__(self, stage: Stage, divisor: int):
         polys, divisor_eqs = stage
@@ -469,7 +438,6 @@ class StageLeaves:
         self.divisor = divisor
         self._orders = [_UNREAD] * len(polys)
         self._slices: dict[int, Polynomial] = {}
-        self._values: dict[int, Fraction | int] = {}
 
     def order(self, j: int) -> int | None:
         o = self._orders[j]
@@ -496,34 +464,9 @@ class StageLeaves:
             s = self._slices[j] = _slice(self.polys[j], self.idx, self.order(j))
         return s
 
-    def _value_of_leaf(self, j: int) -> Fraction | int:
-        v = self._values.get(j)
-        if v is None:
-            idx, k = self.idx, self.order(j)
-            point = _evaluation_point(len(self.variables))
-            v = 0
-            for exps, c in self.polys[j]._terms.items():
-                if exps[idx] == k:
-                    for i, e in enumerate(exps):
-                        if e and i != idx:
-                            c *= point[i] ** e
-                    v += c
-            self._values[j] = v
-        return v
-
     def slice_of(self, terms: Mapping[tuple[int, ...], Fraction | int]) -> Polynomial:
         """The sum of leaf terms with every leaf replaced by its lowest slice, multiplied out."""
         return reduce(add, (self.monomial(exps, c) for exps, c in terms.items()))
-
-    def value_of(self, terms: Mapping[tuple[int, ...], Fraction | int]) -> Fraction | int:
-        """``slice_of(terms)`` at the fixed point, without multiplying out."""
-        total = 0
-        for exps, c in terms.items():
-            for j, e in enumerate(exps):
-                if e:
-                    c *= self._value_of_leaf(j) ** e
-            total += c
-        return total
 
     def monomial(self, exps: Sequence[int], coeff: Fraction | int) -> Polynomial:
         """``coeff`` times the product of the leaves' lowest slices to the powers ``exps``."""
@@ -556,10 +499,9 @@ def _lowest(side: Polynomial, leaves: StageLeaves) -> _Lowest | None:
     The order of a leaf term is the sum of its leaves' orders, each times
     its exponent; the least of them is the order of the side unless the
     terms that attain it have slices summing to 0.  One term alone is
-    nonzero, since the ring is a domain.  Tied terms are evaluated once at a
-    fixed integer point, and a nonzero value certifies their sum; only a
-    zero value takes the exact sum, and only an exact 0 multiplies the side
-    out over the walked leaves to read it directly.
+    nonzero, since the ring is a domain.  Tied terms take the exact sum of
+    their slices, and only an exact 0 multiplies the side out over the
+    walked leaves to read it directly.
     """
     terms = side._terms
     if len(terms) == 1:
@@ -578,7 +520,7 @@ def _lowest(side: Polynomial, leaves: StageLeaves) -> _Lowest | None:
             tied[exps] = coeff
     if best is None:
         return None
-    if len(tied) == 1 or leaves.value_of(tied):
+    if len(tied) == 1:
         return _Lowest(best, tied, None)
     exact = leaves.slice_of(tied)
     if exact:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import PolynomialError
@@ -59,32 +58,18 @@ class LeafQuotient:
         return Quotient(self.num.substitute(images, self.variables), self.den.substitute(images, self.variables))
 
 
+_PAIR_RING = ("0", "1")
+_PAIR_SIDES = tuple(Polynomial.variable(_PAIR_RING, name) for name in _PAIR_RING)
+
+
 def as_leaf_quotient(h: "RationalFunction | Quotient | LeafQuotient") -> LeafQuotient:
     """``h`` itself when it is written in leaves, else its two-leaf form,
     whose numerator and denominator are one leaf each."""
-    return h if isinstance(h, LeafQuotient) else pairwise((h.num, h.den))[0]
-
-
-@lru_cache(maxsize=8)
-def _pair_sides(count: int) -> tuple[tuple[Polynomial, Polynomial], ...]:
-    """Leaf ``2k`` over leaf ``2k + 1`` for each k below ``count``, over the
-    leaf names ``0, 1, ...``."""
-    ring = tuple(map(str, range(2 * count)))
-    return tuple(
-        (Polynomial.variable(ring, ring[2 * k]), Polynomial.variable(ring, ring[2 * k + 1])) for k in range(count)
-    )
-
-
-def pairwise(polys: Sequence[Polynomial]) -> tuple[LeafQuotient, ...]:
-    """The parts ``polys[0] / polys[1]``, ``polys[2] / polys[3]``, ... over
-    the leaves ``polys``, which must all live in one ring."""
-    leaves = tuple(polys)
-    if len(leaves) % 2 or not leaves:
-        raise PolynomialError("pairwise parts need a nonzero even number of polynomials")
-    variables = leaves[0].variables
-    if any(p.variables != variables for p in leaves):
+    if isinstance(h, LeafQuotient):
+        return h
+    if h.num.variables != h.den.variables:
         raise PolynomialError("numerator and denominator live in different rings")
-    return tuple(LeafQuotient(num, den, leaves, variables) for num, den in _pair_sides(len(leaves) // 2))
+    return LeafQuotient(*_PAIR_SIDES, (h.num, h.den), h.num.variables)
 
 
 def over_common_leaves(forms: Iterable[LeafQuotient]) -> tuple[LeafQuotient, ...]:

@@ -9,15 +9,16 @@ from dicriticals.charts import (
     ChartTower,
     LineClassSpec,
     ShearStep,
+    StageLeaves,
     _apply_blowup,
     check_tower,
     dicritical_degree,
     dicritical_status,
     divisor_order,
+    read_order,
     restrict,
     status_of,
     vanishes_on_center,
-    walk_order,
     walk_tower,
 )
 from dicriticals.descriptor import valuation_matrix
@@ -31,7 +32,7 @@ from dicriticals.fixtures import (
     three_points_line,
 )
 from dicriticals.poly import Polynomial
-from dicriticals.ratfunc import RationalFunction
+from dicriticals.ratfunc import Quotient, RationalFunction, as_leaf_quotient
 from dicriticals.verify import explicit_function
 from dicriticals.candidates import build_last, build_single
 
@@ -218,6 +219,12 @@ def test_check_tower_rejects_wrong_parents():
         check_tower(sc_pts.descriptor, wrong)
 
 
+def walked_order(state, divisor):
+    """The order along a divisor of polys[0] / polys[1] of a walk, read at
+    the divisor's stage."""
+    return read_order((as_leaf_quotient(Quotient(*state.polys)),), StageLeaves(state.stages[divisor], divisor))
+
+
 def first_mismatch(predicted, symbolic):
     """The first divisor whose predicted order is not the symbolic one, or None."""
     return next((i for i, (p, q) in enumerate(zip(predicted, symbolic, strict=True), start=1) if p != q), None)
@@ -229,7 +236,7 @@ def test_cross_check_flags_corruption():
     sc = three_points()
     h = RationalFunction(sc.equations["H1"])
     state = walk_tower(sc.tower, [h.num, h.den])
-    symbolic = [walk_order(state, i) for i in (1, 2, 3)]
+    symbolic = [walked_order(state, i) for i in (1, 2, 3)]
     assert first_mismatch((2, 4, 7), symbolic) is None
     assert first_mismatch((2, 5, 7), symbolic) == 2
 
@@ -265,7 +272,7 @@ def test_plane_satellite_tower_walks_the_rows_of_its_valuation_matrix():
     x, y = (Polynomial.variable(plane, v) for v in plane)
     for curve, row in zip((y - 3 * x, x**2 - 3 * y, y**2 - 3 * x**3), matrix.rows):
         state = walk_tower(tower, [curve, Polynomial.one(plane)])
-        assert [walk_order(state, i) for i in (1, 2, 3)] == list(row), curve.render()
+        assert [walked_order(state, i) for i in (1, 2, 3)] == list(row), curve.render()
 
 
 def test_single_candidate_orders_match_certificate():

@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from dicriticals import charts, poly, ratfunc, scenario, verify
 from dicriticals.candidates import build_last
 from dicriticals.cli import main
-from dicriticals.charts import StageLeaves, ShearStep, divisor_order, read_order, walk_order, walk_tower
+from dicriticals.charts import StageLeaves, ShearStep, divisor_order, read_order, read_restriction, walk_tower
 from dicriticals.descriptor import make_descriptor
 from dicriticals.errors import ChartError, ScenarioError
 from dicriticals.fixtures import FIXTURES, load_fixture, three_points, three_points_line
 from dicriticals.jsonio import canonical_dumps
 from dicriticals.poly import Polynomial
-from dicriticals.ratfunc import LeafQuotient, Quotient, RationalFunction, over_common_leaves, pairwise
+from dicriticals.ratfunc import LeafQuotient, Quotient, RationalFunction, as_leaf_quotient, over_common_leaves
 from dicriticals.scenario import (
     DivisorChart,
     ExplicitRequest,
@@ -151,7 +151,7 @@ def test_full_walk_orders_match_divisor_order(name):
         h = RationalFunction(poly)
         state = walk_tower(sc.tower, [h.num, h.den])
         for i in range(1, sc.descriptor.m + 1):
-            assert walk_order(state, i) == divisor_order(h, sc.tower, i), (name, i)
+            assert order_at((h,), state, i) == divisor_order(h, sc.tower, i), (name, i)
 
 
 def test_full_walk_orders_match_divisor_order_across_charts():
@@ -161,7 +161,7 @@ def test_full_walk_orders_match_divisor_order_across_charts():
     for path in (("z", "y", "x"), ("z", "y", "y"), ("z", "y", "z"), ("z", "y"), ("z", "x")):
         state = walk_tower(sc.tower, [q.num, q.den], charts=path)
         for i in (1, 2, 3):
-            assert walk_order(state, i) == divisor_order(h, sc.tower, i, charts=path)
+            assert order_at((q,), state, i) == divisor_order(h, sc.tower, i, charts=path)
         assert_stages_match_stopped_walks(sc.tower, (h,), charts=path)
 
 
@@ -171,6 +171,14 @@ def solved_parts(sc):
         return (verify.explicit_form(sc),)
     report = VerifyReport(scenario=sc.name, seed=sc.seed, rows=[])
     return verify._prescription(sc, sc.request, solve_scenario(sc), report)[0]
+
+
+def pairwise(polys):
+    """The parts ``polys[0] / polys[1]``, ``polys[2] / polys[3]``, ... over
+    the leaves ``polys``."""
+    ring = tuple(map(str, range(len(polys))))
+    gens = [Polynomial.variable(ring, name) for name in ring]
+    return tuple(LeafQuotient(gens[k], gens[k + 1], tuple(polys), polys[0].variables) for k in range(0, len(polys), 2))
 
 
 def leaf_parts(parts):
@@ -268,9 +276,10 @@ def test_walk_stopped_early_has_no_order_for_later_divisors():
     sc = three_points()
     h = RationalFunction(sc.equations["H1"])
     state = walk_tower(sc.tower, [h.num, h.den], blowups=1)
-    assert walk_order(state, 1) == 2
-    with pytest.raises(ChartError):
-        walk_order(state, 2)
+    assert len(state.stages) == 2
+    assert order_at((h,), state, 1) == 2
+    with pytest.raises(ChartError, match="divisor 2 is not visible"):
+        StageLeaves(state.stages[-1], 2)
 
 
 @pytest.mark.parametrize("blowups", [-1, 4])
@@ -582,7 +591,8 @@ def test_verify_builds_no_rational_function_from_the_full_candidate(name, single
     report = run_verify(sc)
     assert report.overall
     assert walked == [parts[0].leaves]
-    assert not any(pair in multiplied for pair in built)
+    nums, dens = [q.num for q in multiplied], [q.den for q in multiplied]
+    assert not any(pair[0] in nums or pair[1] in dens for pair in built)
     reduced = [r for r in restrictions if not (r.is_infinite() or r.num.is_constant() or r.den.is_constant())]
     assert len(built) == singles + len(reduced)
     assert len(gcds) == gcd_calls
@@ -648,19 +658,24 @@ def assert_parts_read_like_their_product(sc, parts) -> list[int]:
     reads = {i: sc.chart_path(i) for i in range(1, sc.descriptor.m + 1)}
     by_leaves = charts.path_walks(sc.tower, flat(parts), reads)
     whole = charts.path_walks(sc.tower, list(product), reads)
+    pair = (as_leaf_quotient(product),)
+
+    def read_pairwise(read, stage, divisor):
+        return read(pair, StageLeaves(stage, divisor))
+
     cancelled = []
     for i, (path, blowups) in reads.items():
         leaves = StageLeaves(by_leaves[path].stages[i], i)
         order = _outcome(read_order, parts, leaves)
-        assert order == _outcome(walk_order, whole[path], i), (sc.name, i)
+        assert order == _outcome(read_pairwise, read_order, whole[path].stages[i], i), (sc.name, i)
         (num, den), _ = whole[path].stages[i]
         assert _kind(order) == _order_oracle(num, den, leaves.chart_var), (sc.name, i)
         if order == 0 and any(_outcome(read_order, (part,), leaves) != 0 for part in parts):
             cancelled.append(i)
         for k in {i, blowups}:
             leaves = StageLeaves(by_leaves[path].stages[k], i)
-            restriction = _outcome(charts.read_restriction, parts, leaves)
-            assert restriction == _outcome(charts.walk_restriction, whole[path].stages[k], i), (sc.name, i, k)
+            restriction = _outcome(read_restriction, parts, leaves)
+            assert restriction == _outcome(read_pairwise, read_restriction, whole[path].stages[k], i), (sc.name, i, k)
             (num, den), _ = whole[path].stages[k]
             assert _kind(restriction) == _division_oracle(num, den, i, leaves.chart_var), (sc.name, i, k)
     return cancelled
@@ -700,8 +715,10 @@ def leaf_forms(draw, sc):
 
 
 def test_parts_read_like_their_product(monkeypatch):
-    """Generated leaf forms on the fixture towers and the seed-1 chain and
-    shear-chain towers read like their product multiplied out.  On every
+    """Generated leaf forms, and generated quotients of 2 or 3 parts read
+    pairwise, on the fixture towers and the seed-1 chain and shear-chain
+    towers read like their product multiplied out.  A factor of one
+    quotient's numerator may recur in the next one's denominator.  On every
     tower, the pairwise parts (F·(y + 1), z + 1) and (x + 1, F·(x + y + 1))
     with F the product of the coordinates have the nonzero orders ±ord F
     along E_1, which cancel in the total."""
@@ -720,11 +737,26 @@ def test_parts_read_like_their_product(monkeypatch):
         sc = data.draw(st.sampled_from(scenarios))
         assert_parts_read_like_their_product(sc, data.draw(leaf_forms(sc)))
 
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def check_quotients(data):
+        sc = data.draw(st.sampled_from(scenarios))
+        factors = st.sampled_from(_factor_pool(sc))
+        sides = st.lists(factors, min_size=1, max_size=2).map(lambda fs: reduce(mul, fs))
+        parts = [Quotient(data.draw(sides), data.draw(sides)) for _ in range(data.draw(st.integers(2, 3)))]
+        for k in range(1, len(parts)):
+            if data.draw(st.booleans()):  # the previous numerator's factor, now below
+                shared = data.draw(factors)
+                parts[k - 1] = Quotient(parts[k - 1].num * shared, parts[k - 1].den)
+                parts[k] = Quotient(parts[k].num, parts[k].den * shared)
+        assert_parts_read_like_their_product(sc, parts)
+
     check()
+    check_quotients()
 
 
 def test_a_profile_is_walked_part_by_part(monkeypatch):
-    """A guard without timing: one verify of two-dicriticals makes 150
+    """A guard without timing: one verify of two-dicriticals makes 254
     monomial products in ``poly._mul_terms`` (352 while each twisted part was
     multiplied out before the walk, 2,190 while the parts were multiplied
     into one), and no walked polynomial has more terms than its largest
@@ -740,7 +772,7 @@ def test_a_profile_is_walked_part_by_part(monkeypatch):
 
     monkeypatch.setattr(poly, "_mul_terms", counted)
     walks = _verify_walks(sc, monkeypatch)
-    assert sum(products) == 150
+    assert sum(products) == 254
     ((_, polys, _, states),) = walks
     assert max(len(p._terms) for p in polys) == 36
     walked = [p for state in states.values() for stage_polys, _ in state.stages for p in stage_polys]
