@@ -14,14 +14,16 @@ pushes them through once per chart path and keeps them
 (``ChartTower.divisor_eqs``), ``check_tower`` reads the default path's, and
 a walk looks them up and pushes only its polynomials.  A walk keeps a stage
 after each blow-up: the walked polynomials and divisor equations, exactly
-what a walk stopped there gives.  The order along E_i is read at stage i,
-where E_i's equation is the chart variable, so it does not depend on later
-charts.  ``path_walks`` walks a function once per chart override; every
-order, restriction, status and degree is a stage read.  The walked
-polynomials are the leaves of h (``ratfunc.LeafQuotient``), and
-``read_order`` and ``read_restriction`` read h off their orders and lowest
-slices, so h is never multiplied out; a ``RationalFunction`` or
-``Quotient`` is read as its two-leaf form.
+what a walk stopped there gives.  ``path_walks`` walks a function once per
+chart override, as far as the highest stage read there; every order,
+restriction, status and degree is a stage read.  The walked polynomials
+are the leaves of h (``ratfunc.LeafQuotient``), and ``read_divisor`` reads
+h's order along a divisor and its restriction together off their orders
+and lowest slices, so h is never multiplied out; a ``RationalFunction`` or
+``Quotient`` is read as its two-leaf form.  The order along E_i is a
+divisorial valuation, so it is the same at every stage where E_i's
+equation is a chart variable: at stage i, and at each stage its
+restriction is read.
 """
 
 from __future__ import annotations
@@ -323,13 +325,12 @@ def path_walks(
     """Walk ``polys`` once per chart override that ``reads`` names.
 
     ``reads`` maps a divisor to its chart override (None for the default
-    charts) and the blow-up count at which its restriction is read.  Each
-    override is walked as far as the highest count read there, or the
-    divisor's creating step if that is later: stage i holds the order along E_i.
+    charts) and the blow-up count at which it is read.  Each override is
+    walked as far as the highest count read there.
     """
     reach: dict[tuple[str, ...] | None, int] = {}
-    for divisor, (charts, blowups) in reads.items():
-        reach[charts] = max(reach.get(charts, 0), blowups, divisor)
+    for charts, blowups in reads.values():
+        reach[charts] = max(reach.get(charts, 0), blowups)
     return {charts: walk_tower(tower, polys, charts, k) for charts, k in reach.items()}
 
 
@@ -350,14 +351,17 @@ def divisor_order(
         raise ChartError(f"divisor {divisor} out of range 1..{tower.blowup_count}")
     form = as_leaf_quotient(h)
     state = walk_tower(tower, form.leaves, charts=charts, blowups=divisor)
-    return read_order((form,), StageLeaves(state.stages[divisor], divisor))
+    order, _ = read_divisor((form,), StageLeaves(state.stages[divisor], divisor))
+    if order is None:
+        raise ChartError("cannot take the order of the zero function")
+    return order
 
 
 @dataclass(frozen=True)
 class Restriction:
     """Restriction of a pulled-back function to one exceptional divisor.
 
-    ``read_restriction`` stores the reduced, canonically scaled pair, the
+    ``read_divisor`` stores the reduced, canonically scaled pair, the
     numerator slice over a zero denominator for an infinite restriction, or
     (0, 1), read off the orders, where h vanishes along the divisor.
     """
@@ -395,7 +399,7 @@ def restrict(
     """
     form = as_leaf_quotient(h)
     stage = walk_tower(tower, form.leaves, charts=charts, blowups=blowups).stages[-1]
-    return read_restriction((form,), StageLeaves(stage, divisor))
+    return read_divisor((form,), StageLeaves(stage, divisor))[1]
 
 
 def _slice(poly: Polynomial, idx: int, k: int) -> Polynomial:
@@ -418,16 +422,13 @@ def restriction_chart_variable(divisor_eqs: Mapping[int, Polynomial], divisor: i
     return chart_var
 
 
-_UNREAD = -1
-
-
 class StageLeaves:
     """The walked leaves of a function at one stage, read along a divisor
-    visible there: each leaf's order along it and, on demand, its lowest
-    slice.  A zero leaf has order None.  Every figure is read off a walked
-    polynomial."""
+    visible there: each leaf's order along it, read when built, and on
+    demand its lowest slice.  A zero leaf has order None.  Every figure is
+    read off a walked polynomial."""
 
-    __slots__ = ("polys", "divisor", "variables", "chart_var", "idx", "_orders", "_slices")
+    __slots__ = ("polys", "divisor", "variables", "chart_var", "idx", "orders", "_slices")
 
     def __init__(self, stage: Stage, divisor: int):
         polys, divisor_eqs = stage
@@ -436,23 +437,16 @@ class StageLeaves:
         self.idx = self.variables.index(self.chart_var)
         self.polys = polys
         self.divisor = divisor
-        self._orders = [_UNREAD] * len(polys)
+        at = itemgetter(self.idx)
+        self.orders = [min(map(at, p._terms)) if p._terms else None for p in polys]
         self._slices: dict[int, Polynomial] = {}
-
-    def order(self, j: int) -> int | None:
-        o = self._orders[j]
-        if o == _UNREAD:
-            terms = self.polys[j]._terms
-            o = self._orders[j] = min(map(itemgetter(self.idx), terms)) if terms else None
-        return o
 
     def weight(self, exps: tuple[int, ...]) -> int | None:
         """The order of the leaf monomial with exponents ``exps``; None when
         it holds a zero leaf."""
         w = 0
-        for j, e in enumerate(exps):
+        for e, o in zip(exps, self.orders):
             if e:
-                o = self.order(j)
                 if o is None:
                     return None
                 w += e * o
@@ -461,7 +455,7 @@ class StageLeaves:
     def _slice_of_leaf(self, j: int) -> Polynomial:
         s = self._slices.get(j)
         if s is None:
-            s = self._slices[j] = _slice(self.polys[j], self.idx, self.order(j))
+            s = self._slices[j] = _slice(self.polys[j], self.idx, self.orders[j])
         return s
 
     def slice_of(self, terms: Mapping[tuple[int, ...], Fraction | int]) -> Polynomial:
@@ -537,54 +531,41 @@ def _multiplied_out(side: Polynomial, leaves: StageLeaves) -> _Lowest | None:
     return _Lowest(k, None, _slice(whole, leaves.idx, k))
 
 
-def _lowest_parts(parts: Sequence[LeafQuotient], leaves: StageLeaves) -> list[tuple[_Lowest, _Lowest]] | None:
-    """The lowest numerator and denominator of each part; None where h is 0."""
-    nums = [_lowest(part.num, leaves) for part in parts]
-    if None in nums:
-        return None
-    dens = [_lowest(part.den, leaves) for part in parts]
-    if None in dens:
-        raise ChartError(f"a denominator of h multiplies out to 0 at divisor {leaves.divisor}")
-    return list(zip(nums, dens))
+def read_divisor(parts: Sequence[LeafQuotient], leaves: StageLeaves) -> tuple[int | None, Restriction]:
+    """Order along the divisor and restriction to it of h, the product of
+    the leaf forms ``parts``, read off their walked ``leaves``; each side's
+    lowest part is found once and serves both.
 
-
-def read_order(parts: Sequence[LeafQuotient], leaves: StageLeaves) -> int:
-    """Order along the divisor of h, the product of the leaf forms ``parts``,
-    read off their walked ``leaves``: ord is a valuation, so it is the sum
-    of the numerators' orders minus the sum of the denominators'."""
-    lows = _lowest_parts(parts, leaves)
-    if lows is None:
-        raise ChartError("cannot take the order of the zero function")
-    return sum(num.order - den.order for num, den in lows)
-
-
-def read_restriction(parts: Sequence[LeafQuotient], leaves: StageLeaves) -> Restriction:
-    """Restriction to the divisor of h, the product of the leaf forms
-    ``parts``, read off their walked ``leaves``.
-
-    A positive total order restricts to 0, returned as (0, 1) from the
-    orders alone.  A negative one restricts to infinity: the product of the
-    numerators' lowest slices over zero.  At total order 0 the restriction
-    is the reduced pair of lowest slices of the product, since the lowest
-    slice of a product is the product of the lowest slices; what cancels is
-    taken out first (``_cancelled_slices``), and the reduced canonical pair
-    is unique, so it does not depend on how h is written.
+    ord is a valuation, so the order is the sum of the numerators' orders
+    minus the sum of the denominators'; it is None where h is 0.  A zero h
+    or a positive order restricts to 0, returned as (0, 1) from the orders
+    alone.  A negative one restricts to infinity: the product of the
+    numerators' lowest slices over zero.  At order 0 the restriction is the
+    reduced pair of lowest slices of the product, since the lowest slice of
+    a product is the product of the lowest slices; what cancels is taken out
+    first (``_cancelled_slices``), and the reduced canonical pair is unique,
+    so it does not depend on how h is written.
     """
-    lows = _lowest_parts(parts, leaves)
     divisor, variables, chart_var = leaves.divisor, leaves.variables, leaves.chart_var
-    total = 0 if lows is None else sum(num.order - den.order for num, den in lows)
-    if lows is None or total > 0:
-        zero = (0,) * len(variables)
-        return Restriction(divisor, Polynomial._wrap(variables, {}), Polynomial._wrap(variables, {zero: 1}), chart_var)
+    nums = [_lowest(part.num, leaves) for part in parts]
+    total = None
+    if None not in nums:
+        dens = [_lowest(part.den, leaves) for part in parts]
+        if None in dens:
+            raise ChartError(f"a denominator of h multiplies out to 0 at divisor {divisor}")
+        lows = list(zip(nums, dens))
+        total = sum(num.order - den.order for num, den in lows)
+    zero = Polynomial._wrap(variables, {})
+    if total is None or total > 0:
+        return total, Restriction(divisor, zero, Polynomial._wrap(variables, {(0,) * len(variables): 1}), chart_var)
     if total < 0:
-        num = reduce(mul, (_slice_of(low, leaves) for low, _ in lows))
-        return Restriction(divisor, num, Polynomial._wrap(variables, {}), chart_var)
+        return total, Restriction(divisor, reduce(mul, (_slice_of(low, leaves) for low in nums)), zero, chart_var)
     num, den = _cancelled_slices(lows, leaves)
     if num.is_constant() or den.is_constant():
         reduced = RationalFunction._coprime(num, den)
     else:
         reduced = RationalFunction(num, den)
-    return Restriction(divisor, reduced.num, reduced.den, chart_var)
+    return total, Restriction(divisor, reduced.num, reduced.den, chart_var)
 
 
 def _slice_of(low: _Lowest, leaves: StageLeaves) -> Polynomial:

@@ -20,12 +20,16 @@ product of the parts, and only a ``profile`` has more than one (its twisted
 single-target candidates).  An explicit request's function is walked in
 the equations it names, and the row equations of a matrix-only scenario
 together.  The distinct leaves are walked once per chart path, and neither
-h, nor a part, nor its reduction is ever formed; ``charts.read_order`` and
-``charts.read_restriction`` read h off the walked leaves, and this is
-exact.  ord_E is a valuation, so a leaf monomial's order and lowest slice
-are the sum and product of its leaves', and a common factor F of a
-numerator and a denominator adds ord F to both and puts the same nonzero
-slice on both sides.  The reduced restriction is unique, and so are its
+h, nor a part, nor its reduction is ever formed; ``charts.read_divisor``
+reads each row's order and restriction together off the walked leaves at
+one stage, and this is exact.  A row that checks a status is read at the
+blow-up count of its divisor's chart path, where the scenario check makes
+E_i a coordinate, and any other row at E_i's creating stage: ord_E_i is a
+divisorial valuation, the same in every chart where E_i is a coordinate.
+As a valuation, it makes a leaf monomial's order and lowest slice the sum
+and product of its leaves', and a common factor F of a numerator and a
+denominator adds ord F to both and puts the same nonzero slice on both
+sides.  The reduced restriction is unique, and so are its
 status, value, degree and rendered string.  The only gcds on the path of a
 solved request are those whose result verify reads: the reduced
 restriction at each divisor of total order 0 whose sides, after what
@@ -50,9 +54,9 @@ from .candidates import (
     build_support,
     lookup_equation,
 )
-from .charts import StageLeaves, path_walks, read_order, read_restriction, restriction_degree, status_of
+from .charts import StageLeaves, path_walks, read_divisor, restriction_degree, status_of
 from .descriptor import ModificationDescriptor, valuation_matrix
-from .errors import DicriticalError, ScenarioError
+from .errors import ChartError, DicriticalError, ScenarioError
 from .jsonio import SCHEMA_VERSION, FieldCodec
 from .ratfunc import LeafQuotient, RationalFunction
 from .scenario import (
@@ -282,23 +286,18 @@ def _verify_matrix_rows(sc: Scenario, report: VerifyReport) -> None:
 def _verify_function(sc, report, items, scope, expected) -> None:
     """Append a row per divisor in ``scope`` for each ``(item, parts,
     predicted orders)`` of ``items``, whose parts all share one tuple of
-    leaves: the leaves are walked once per chart path, and every order and
-    restriction is read off the walked leaves."""
+    leaves: the leaves are walked once per chart path, and each row is read
+    once, at its chart path's blow-up count if ``expected`` gives its
+    divisor a status and at the divisor's creating stage otherwise."""
     paths = {i: sc.chart_path(i) for i in scope}
-    walks = path_walks(sc.tower, items[0][1][0].leaves, paths)
-    stages: dict[tuple, StageLeaves] = {}
-
-    def leaves_at(charts, k: int, i: int) -> StageLeaves:
-        key = (charts, k, i)
-        read = stages.get(key)
-        if read is None:
-            read = stages[key] = StageLeaves(walks[charts].stages[k], i)
-        return read
-
+    reads = {i: (charts, k if i in expected else i) for i, (charts, k) in paths.items()}
+    walks = path_walks(sc.tower, items[0][1][0].leaves, reads)
+    leaves = {i: StageLeaves(walks[charts].stages[k], i) for i, (charts, k) in reads.items()}
     for item, parts, predicted in items:
         for i in scope:
-            charts, blowups = paths[i]
-            symbolic = read_order(parts, leaves_at(charts, i, i))
+            symbolic, restriction = read_divisor(parts, leaves[i])
+            if symbolic is None:
+                raise ChartError("cannot take the order of the zero function")
             want = None if predicted is None else predicted[i - 1]
             ok = want is None or symbolic == want
 
@@ -307,7 +306,6 @@ def _verify_function(sc, report, items, scope, expected) -> None:
             expected_str = "order"
             if wanted is not None:
                 expected_str = wanted.kind if wanted.degree is None else f"{wanted.kind}:{wanted.degree}"
-                restriction = read_restriction(parts, leaves_at(charts, blowups, i))
                 st = status_of(restriction)
                 status = st.kind
                 if st.kind == CONSTANT:

@@ -15,7 +15,7 @@ from dicriticals.charts import (
     dicritical_degree,
     dicritical_status,
     divisor_order,
-    read_order,
+    read_divisor,
     restrict,
     status_of,
     vanishes_on_center,
@@ -32,7 +32,7 @@ from dicriticals.fixtures import (
     three_points_line,
 )
 from dicriticals.poly import Polynomial
-from dicriticals.ratfunc import Quotient, RationalFunction, as_leaf_quotient
+from dicriticals.ratfunc import LeafQuotient, Quotient, RationalFunction, as_leaf_quotient
 from dicriticals.verify import explicit_function
 from dicriticals.candidates import build_last, build_single
 
@@ -131,6 +131,32 @@ def test_restriction_infinite():
     assert status_of(r).infinite
 
 
+@pytest.mark.parametrize(
+    "h", [RationalFunction(Polynomial.zero(RING)), Quotient(Polynomial.zero(RING), Polynomial.one(RING))]
+)
+def test_the_zero_function_restricts_to_zero_and_has_no_order(h):
+    """h = 0 restricts to (0, 1) along every divisor, and has no order."""
+    r = restrict(h, single_blowup(), 1)
+    assert (r.num, r.den) == (Polynomial.zero(RING), Polynomial.one(RING))
+    assert status_of(r).value == 0
+    with pytest.raises(ChartError, match="^cannot take the order of the zero function$"):
+        divisor_order(h, single_blowup(), 1)
+
+
+def test_a_zero_denominator_is_named_at_its_divisor():
+    """A denominator that multiplies out to 0 over the walked leaves stops
+    the order and the restriction alike, naming the divisor."""
+    x, _, _ = xyz()
+    ring = ("L0", "L1")
+    l0, l1 = (Polynomial.variable(ring, v) for v in ring)
+    h = LeafQuotient(l0, l0 - l1, (x + 1, x + 1), RING)  # (x + 1) / ((x + 1) - (x + 1))
+    message = "^a denominator of h multiplies out to 0 at divisor 1$"
+    with pytest.raises(ChartError, match=message):
+        divisor_order(h, single_blowup(), 1)
+    with pytest.raises(ChartError, match=message):
+        restrict(h, single_blowup(), 1)
+
+
 def test_degree_identity_line():
     x, y, _ = xyz()
     h = RationalFunction(x, y)
@@ -222,7 +248,7 @@ def test_check_tower_rejects_wrong_parents():
 def walked_order(state, divisor):
     """The order along a divisor of polys[0] / polys[1] of a walk, read at
     the divisor's stage."""
-    return read_order((as_leaf_quotient(Quotient(*state.polys)),), StageLeaves(state.stages[divisor], divisor))
+    return read_divisor((as_leaf_quotient(Quotient(*state.polys)),), StageLeaves(state.stages[divisor], divisor))[0]
 
 
 def first_mismatch(predicted, symbolic):

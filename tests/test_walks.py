@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from dicriticals import charts, poly, ratfunc, scenario, verify
 from dicriticals.candidates import build_last
 from dicriticals.cli import main
-from dicriticals.charts import StageLeaves, ShearStep, divisor_order, read_order, read_restriction, walk_tower
+from dicriticals.charts import StageLeaves, ShearStep, divisor_order, read_divisor, walk_tower
 from dicriticals.descriptor import make_descriptor
 from dicriticals.errors import ChartError, ScenarioError
 from dicriticals.fixtures import FIXTURES, load_fixture, three_points, three_points_line
@@ -29,6 +29,7 @@ from dicriticals.ratfunc import LeafQuotient, Quotient, RationalFunction, as_lea
 from dicriticals.scenario import (
     DivisorChart,
     ExplicitRequest,
+    restricted_divisors,
     scenario_from_json,
     scenario_to_json,
     validate_scenario,
@@ -202,7 +203,7 @@ def multiplied_out(parts):
 
 def order_at(parts, state, divisor):
     """The order of the product of ``parts`` read off a walk of their leaves."""
-    return read_order(leaf_parts(parts), StageLeaves(state.stages[divisor], divisor))
+    return read_divisor(leaf_parts(parts), StageLeaves(state.stages[divisor], divisor))[0]
 
 
 def assert_stages_match_stopped_walks(tower, parts, charts=None):
@@ -321,21 +322,23 @@ def test_every_restriction_verify_reads_equals_the_division_formula(monkeypatch)
     scenarios = [load_fixture(name) for name in FIXTURES]
     scenarios += workloads.chain_scenarios(1) + workloads.shear_chain_scenarios(1)
     reads = []
-    original = verify.read_restriction
+    original = verify.read_divisor
 
     def recorded(parts, leaves):
-        restriction = original(parts, leaves)
-        reads.append((parts, leaves, restriction))
-        return restriction
+        read = original(parts, leaves)
+        reads.append((parts, leaves, read[1]))
+        return read
 
-    monkeypatch.setattr(verify, "read_restriction", recorded)
+    monkeypatch.setattr(verify, "read_divisor", recorded)
     readers = set()
     for sc in scenarios:
         before = len(reads)
         assert run_verify(sc).overall, sc.name
+        checked = set(restricted_divisors(sc))  # the rows that check a status read a restriction
+        reads[before:] = [read for read in reads[before:] if read[1].divisor in checked]
         if len(reads) > before:
             readers.add(sc.name)
-    # The two support fixtures check orders only and read no restriction.
+    # The two matrix-only fixtures check orders only and read no status row.
     assert readers == {sc.name for sc in scenarios} - {"point-point-line", "point-line-fiber"}
     for parts, leaves, restriction in reads:
         assert restriction == _restriction_by_division(parts, leaves)
@@ -580,13 +583,16 @@ def test_verify_builds_no_rational_function_from_the_full_candidate(name, single
     parts = solved_parts(sc)
     multiplied = [part.quotient() for part in parts]
     restrictions = []
-    read = verify.read_restriction
+    read = verify.read_divisor
+    checked = set(restricted_divisors(sc))  # the rows that check a status read a restriction
 
     def recorded(parts, leaves):
-        restrictions.append(read(parts, leaves))
-        return restrictions[-1]
+        order, restriction = read(parts, leaves)
+        if leaves.divisor in checked:
+            restrictions.append(restriction)
+        return order, restriction
 
-    monkeypatch.setattr(verify, "read_restriction", recorded)
+    monkeypatch.setattr(verify, "read_divisor", recorded)
     built, gcds, walked = _count_reductions(monkeypatch)
     report = run_verify(sc)
     assert report.overall
@@ -634,8 +640,11 @@ def _division_oracle(num, den, divisor, chart_var):
 
 
 def _order_oracle(num, den, chart_var):
-    """The order of ``num / den`` from the two polynomials themselves."""
-    if num.is_zero() or den.is_zero():
+    """The order of ``num / den`` from the two polynomials themselves: None
+    where the numerator is 0."""
+    if num.is_zero():
+        return None
+    if den.is_zero():
         return ChartError
     return num.order_in(chart_var) - den.order_in(chart_var)
 
@@ -646,38 +655,42 @@ def _kind(outcome):
 
 
 def assert_parts_read_like_their_product(sc, parts) -> list[int]:
-    """The orders and restrictions read off a walk of the leaves of
-    ``parts`` equal those read off a walk of their product multiplied out,
-    at every divisor's creating stage and at the stage verify reads it: by
-    the pairwise reader, and by the order and division formulas of the
-    multiplied-out polynomials.  Where the product is 0 or has a zero
-    denominator both raise the same ``ChartError``.  Returns the divisors
-    where the total order is 0 but a part's order is not."""
+    """The order and restriction read off a walk of the leaves of ``parts``
+    equal those read off a walk of their product multiplied out, at every
+    divisor's creating stage and at the stage verify reads its restriction:
+    by the pairwise reader, and by the order and division formulas of the
+    multiplied-out polynomials.  Where the product has a zero denominator
+    both raise the same ``ChartError``.  The order is the same at both
+    stages.  Returns the divisors where the total order is 0 but a part's
+    order is not."""
     parts = leaf_parts(parts)
     product = multiplied_out(parts)
     reads = {i: sc.chart_path(i) for i in range(1, sc.descriptor.m + 1)}
-    by_leaves = charts.path_walks(sc.tower, flat(parts), reads)
-    whole = charts.path_walks(sc.tower, list(product), reads)
+    reach = {i: (path, max(i, blowups)) for i, (path, blowups) in reads.items()}
+    by_leaves = charts.path_walks(sc.tower, flat(parts), reach)
+    whole = charts.path_walks(sc.tower, list(product), reach)
     pair = (as_leaf_quotient(product),)
 
-    def read_pairwise(read, stage, divisor):
-        return read(pair, StageLeaves(stage, divisor))
+    def order_of(parts, leaves):
+        read = _kind(_outcome(read_divisor, parts, leaves))
+        return read if read is ChartError else read[0]
 
     cancelled = []
     for i, (path, blowups) in reads.items():
-        leaves = StageLeaves(by_leaves[path].stages[i], i)
-        order = _outcome(read_order, parts, leaves)
-        assert order == _outcome(read_pairwise, read_order, whole[path].stages[i], i), (sc.name, i)
-        (num, den), _ = whole[path].stages[i]
-        assert _kind(order) == _order_oracle(num, den, leaves.chart_var), (sc.name, i)
-        if order == 0 and any(_outcome(read_order, (part,), leaves) != 0 for part in parts):
-            cancelled.append(i)
+        orders = set()
         for k in {i, blowups}:
             leaves = StageLeaves(by_leaves[path].stages[k], i)
-            restriction = _outcome(read_restriction, parts, leaves)
-            assert restriction == _outcome(read_pairwise, read_restriction, whole[path].stages[k], i), (sc.name, i, k)
+            read = _outcome(read_divisor, parts, leaves)
+            assert read == _outcome(read_divisor, pair, StageLeaves(whole[path].stages[k], i)), (sc.name, i, k)
+            order, restriction = (ChartError, ChartError) if _kind(read) is ChartError else read
             (num, den), _ = whole[path].stages[k]
-            assert _kind(restriction) == _division_oracle(num, den, i, leaves.chart_var), (sc.name, i, k)
+            assert order == _order_oracle(num, den, leaves.chart_var), (sc.name, i, k)
+            assert restriction == _division_oracle(num, den, i, leaves.chart_var), (sc.name, i, k)
+            orders.add(order)
+        assert len(orders) == 1, (sc.name, i)
+        leaves = StageLeaves(by_leaves[path].stages[i], i)
+        if order == 0 and any(order_of((part,), leaves) != 0 for part in parts):
+            cancelled.append(i)
     return cancelled
 
 
@@ -756,10 +769,11 @@ def test_parts_read_like_their_product(monkeypatch):
 
 
 def test_a_profile_is_walked_part_by_part(monkeypatch):
-    """A guard without timing: one verify of two-dicriticals makes 254
-    monomial products in ``poly._mul_terms`` (352 while each twisted part was
-    multiplied out before the walk, 2,190 while the parts were multiplied
-    into one), and no walked polynomial has more terms than its largest
+    """A guard without timing: one verify of two-dicriticals makes 202
+    monomial products in ``poly._mul_terms`` (254 while each row's order and
+    restriction were two reads, 352 while each twisted part was multiplied
+    out before the walk, 2,190 while the parts were multiplied into one),
+    and no walked polynomial has more terms than its largest
     leaf, 36 (the larger twisted part had 46, the product 223)."""
     sc = load_fixture("two-dicriticals")
     validate_scenario(sc)
@@ -772,7 +786,7 @@ def test_a_profile_is_walked_part_by_part(monkeypatch):
 
     monkeypatch.setattr(poly, "_mul_terms", counted)
     walks = _verify_walks(sc, monkeypatch)
-    assert sum(products) == 254
+    assert sum(products) == 202
     ((_, polys, _, states),) = walks
     assert max(len(p._terms) for p in polys) == 36
     walked = [p for state in states.values() for stage_polys, _ in state.stages for p in stage_polys]
@@ -832,7 +846,7 @@ def test_the_pole_tie_multiplies_its_denominator_out_and_reads_like_the_multipli
 
     monkeypatch.setattr(charts, "_multiplied_out", counted)
     leaf_bytes = verify_bytes(sc)
-    assert fallbacks == [2, 2]  # the order read at stage 2 and the restriction read at stage 2
+    assert fallbacks == [2]  # one read of E_2's row, at stage 2
     multiplied_out_walks(monkeypatch)
     assert verify_bytes(sc) == leaf_bytes
 
@@ -847,10 +861,16 @@ def raised(sc, degree):
     return dataclasses.replace(sc, request=req)
 
 
-@pytest.mark.parametrize(
-    "name, degree",
-    [("three-points", 2), ("three-points-line", 2), ("three-points-line", 4), ("two-dicriticals", 2), ("two-dicriticals", 4)],
-)
+RAISED_DEGREES = [
+    ("three-points", 2),
+    ("three-points-line", 2),
+    ("three-points-line", 4),
+    ("two-dicriticals", 2),
+    ("two-dicriticals", 4),
+]
+
+
+@pytest.mark.parametrize("name, degree", RAISED_DEGREES)
 def test_raised_degrees_read_like_the_multiplied_out_walk(name, degree, monkeypatch):
     """With the requested degree raised, every fixture request verifies, at
     that degree, and its report through the leaf reads is the one through
@@ -861,3 +881,77 @@ def test_raised_degrees_read_like_the_multiplied_out_walk(name, degree, monkeypa
     leaf_bytes = canonical_dumps(report.to_json())
     multiplied_out_walks(monkeypatch)
     assert verify_bytes(sc) == leaf_bytes
+
+
+def test_a_status_row_has_one_order_at_its_creating_stage_and_where_verify_reads_it(monkeypatch):
+    """ord along E_i is a divisorial valuation, the same in every chart where
+    E_i is a coordinate, so verify reads a row that checks a status once, at
+    its chart path's blow-up count, and takes the order from that read.  On
+    every such row of the fixtures, the raised-degree requests and the
+    seed-1 chain and shear-chain scenarios, ``read_divisor`` gives the same
+    order at E_i's creating stage."""
+    workloads = bench_workloads(monkeypatch)
+    scenarios = [load_fixture(name) for name in FIXTURES]
+    scenarios += [raised(load_fixture(name), degree) for name, degree in RAISED_DEGREES]
+    scenarios += workloads.chain_scenarios(1) + workloads.shear_chain_scenarios(1)
+    rows = later = 0
+    for sc in scenarios:
+        validate_scenario(sc)
+        checked = restricted_divisors(sc)
+        if not checked:
+            continue
+        parts = solved_parts(sc)
+        for i in checked:
+            path, blowups = sc.chart_path(i)
+            stages = walk_tower(sc.tower, parts[0].leaves, path, blowups).stages
+            created, read = (read_divisor(parts, StageLeaves(stages[k], i))[0] for k in (i, blowups))
+            assert created is not None and created == read, (sc.name, i)
+            rows += 1
+            later += blowups > i
+    assert later > 0 and rows > later, (rows, later)
+
+
+def test_verify_reads_each_row_once_off_one_stage_per_divisor(monkeypatch):
+    """One ``read_divisor`` call per report row, and one ``StageLeaves`` per
+    divisor in scope, shared by every item that reads it."""
+    workloads = bench_workloads(monkeypatch)
+    scenarios = [load_fixture(name) for name in FIXTURES] + workloads.chain_scenarios(1)
+    reads, built = [], []
+    read, stage_leaves = verify.read_divisor, verify.StageLeaves
+
+    def counted_read(parts, leaves):
+        reads.append(leaves.divisor)
+        return read(parts, leaves)
+
+    def counted_leaves(stage, divisor):
+        built.append(divisor)
+        return stage_leaves(stage, divisor)
+
+    monkeypatch.setattr(verify, "read_divisor", counted_read)
+    monkeypatch.setattr(verify, "StageLeaves", counted_leaves)
+    for sc in scenarios:
+        reads.clear()
+        built.clear()
+        report = run_verify(sc)
+        assert reads == [row.divisor for row in report.rows], sc.name
+        assert sorted(built) == sorted({row.divisor for row in report.rows}), sc.name
+
+
+@pytest.mark.parametrize(
+    "zeros, message",
+    [
+        (("Cp",), "cannot take the order of the zero function"),
+        (("Cpp", "Cl"), "a denominator of h multiplies out to 0 at divisor 1"),
+    ],
+)
+def test_verify_of_a_vanishing_side_is_one_error_line(zeros, message, tmp_path, capsys):
+    """conic-center with the equations ``zeros`` set to 0: h is 0, or its
+    denominator is, and verify exits 1 with one error line."""
+    sc = load_fixture("conic-center")
+    zero = Polynomial.zero(sc.tower.variables)
+    equations = {**sc.equations, **dict.fromkeys(zeros, zero)}
+    path = tmp_path / "scenario.json"
+    path.write_text(canonical_dumps(scenario_to_json(dataclasses.replace(sc, equations=equations))))
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
