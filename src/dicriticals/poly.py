@@ -17,8 +17,9 @@ of the images is found by recursion, and its symmetric xi-adic digits give a
 candidate.  A candidate is accepted only when it divides both inputs exactly
 and the certificates of (2) prove the two cofactors coprime, so the result
 never rests on the size of xi.  (4) Only when no candidate is accepted does
-the primitive pseudo-remainder (PRS) recursion run.  Nothing is drawn at
-random.
+the gcd fall back to the primitive pseudo-remainder sequence (PRS) that the
+certificates of (2) run over the integers, here run over the ring of the
+other variables.  Nothing is drawn at random.
 
 Construction policy: validated at the boundary, trusted inside.  The public
 constructor ``Polynomial(variables, terms)`` and the classmethods built on it
@@ -27,7 +28,7 @@ name, exponent and coefficient; they are how data from outside becomes a
 polynomial.  ``from_json`` checks the canonical term list ``to_json`` writes
 in one pass, term by term, and keeps the term dict it builds as it is.
 Results computed from polynomials that are already valid (sums, products, substitutions,
-quotients, univariate views) are wrapped by the private
+quotients, coefficients in one variable) are wrapped by the private
 ``Polynomial._trusted`` without re-validation, which only drops zero
 coefficients and stores integral fractions as ``int``.
 ``substitute`` expands a translation ``y -> y + c`` by a constant c (in the
@@ -496,36 +497,6 @@ class Polynomial:
                     rem.pop(t, None)
         return Polynomial._trusted(self.variables, quot)
 
-    def as_univariate(self, name: str) -> dict[int, "Polynomial"]:
-        """View as a univariate polynomial in ``name`` with polynomial coefficients."""
-        idx = self._var_index(name)
-        coeffs: dict[int, dict[Exponents, Coeff]] = {}
-        for e, c in self._terms.items():
-            stripped = tuple(0 if k == idx else v for k, v in enumerate(e))
-            coeffs.setdefault(e[idx], {})[stripped] = c
-        return {d: Polynomial._trusted(self.variables, t) for d, t in coeffs.items()}
-
-    @classmethod
-    def from_univariate(cls, name: str, coeffs: Mapping[int, "Polynomial"]) -> "Polynomial":
-        variables = None
-        terms: dict[Exponents, Coeff] = {}
-        for d, poly in coeffs.items():
-            if variables is None:
-                variables = poly.variables
-            elif poly.variables != variables:
-                raise PolynomialError("polynomials live in different variable rings")
-            if d < 0:
-                raise PolynomialError("negative exponent")
-            idx = poly._var_index(name)
-            for e, c in poly._terms.items():
-                lst = list(e)
-                lst[idx] += d
-                key = tuple(lst)
-                terms[key] = terms[key] + c if key in terms else c
-        if variables is None:
-            raise PolynomialError("empty coefficient map")
-        return cls._trusted(variables, terms)
-
     # -- rendering and serialization ------------------------------------------
 
     def render(self) -> str:
@@ -648,7 +619,36 @@ def _div_ground(p: Polynomial, k: int) -> Polynomial:
     return Polynomial._trusted(p.variables, {e: c // k for e, c in p._terms.items()})
 
 
-# -- univariate integer gcd (primitive pseudo-remainder sequence) -----------
+# -- primitive pseudo-remainder sequence (PRS) ------------------------------
+
+
+def _prs(a: list, b: list, primitive) -> list:
+    """The gcd of two coefficient lists (index = degree) up to a unit: the
+    last nonzero member of their primitive pseudo-remainder sequence.
+
+    The coefficients live in any ring with a ``primitive`` step that divides
+    a list by its content (and drops trailing zeros, which only the two
+    inputs may have): integers for the coprimality certificates, polynomials
+    in the other variables for ``_prs_gcd``.
+    """
+    a, b = primitive(a), primitive(b)
+    if not a:
+        return b
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = a
+        lc_b = b[-1]
+        while len(r) >= len(b):
+            lc_r = r[-1]
+            shift = len(r) - len(b)
+            r = [c * lc_b for c in r]
+            for i, c in enumerate(b):
+                r[shift + i] -= lc_r * c
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, primitive(r)
+    return a
 
 
 def _int_list_primitive(coeffs: list[int]) -> list[int]:
@@ -666,30 +666,7 @@ def _int_list_primitive(coeffs: list[int]) -> list[int]:
 
 def univariate_int_gcd(a: list[int], b: list[int]) -> list[int]:
     """GCD of two integer coefficient lists (index = degree), primitive output."""
-    a = _int_list_primitive(list(a))
-    b = _int_list_primitive(list(b))
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        # pseudo-remainder of a by b
-        r = list(a)
-        lc_b = b[-1]
-        while len(r) >= len(b):
-            lc_r = r[-1]
-            shift = len(r) - len(b)
-            r = [c * lc_b for c in r]
-            for i, c in enumerate(b):
-                r[shift + i] -= lc_r * c
-            while r and r[-1] == 0:
-                r.pop()
-            if not r:
-                break
-        a, b = b, _int_list_primitive(r)
-    return a
+    return _prs(a, b, _int_list_primitive)
 
 
 def _to_int_list(coeffs: list[Coeff]) -> list[int]:
@@ -748,7 +725,7 @@ def _certified_coprime(p: Polynomial, q: Polynomial, common: list[str]) -> bool:
             ql = _specialize_univariate(q, v, point)
             if not ql:
                 continue
-            if univariate_gcd_degree(pl, ql) <= 0:
+            if len(univariate_int_gcd(pl, ql)) <= 1:
                 break  # v is certified
             unlucky += 1
             if unlucky == 2:
@@ -758,66 +735,45 @@ def _certified_coprime(p: Polynomial, q: Polynomial, common: list[str]) -> bool:
     return True
 
 
-def _coeff_gcd(polys: Iterable[Polynomial]) -> Polynomial:
-    result = None
-    for p in polys:
-        result = p if result is None else polynomial_gcd(result, p)
-        if result.is_constant() and not result.is_zero():
+def _content(coeffs: list[Polynomial]) -> Polynomial:
+    """The primitive gcd of polynomial coefficients, the last one nonzero."""
+    g = coeffs[-1]
+    for c in coeffs:
+        g = polynomial_gcd(g, c)
+        if g.is_constant():
             break
-    if result is None:
-        raise PolynomialError("empty gcd fold")
-    return primitive_part(result)
+    return g
 
 
-def _pseudo_rem(a: dict[int, Polynomial], b: dict[int, Polynomial]) -> dict[int, Polynomial]:
-    db = max(b)
-    lc_b = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lc_r = r[dr]
-        new: dict[int, Polynomial] = {}
-        for e, c in r.items():
-            new[e] = c * lc_b
-        for e, c in b.items():
-            t = e + dr - db
-            cur = new.get(t)
-            term = lc_r * c
-            new[t] = (cur - term) if cur is not None else -term
-        r = {e: c for e, c in new.items() if not c.is_zero()}
-    return r
-
-
-def _univ_primitive(u: dict[int, Polynomial]) -> dict[int, Polynomial]:
-    if not u:
-        return u
-    cont = _coeff_gcd(u.values())
-    if cont.is_constant():
-        scale = 1 / rational_content(list(u.values()))
-        return {e: c * scale for e, c in u.items()}
-    out = {}
-    for e, c in u.items():
-        q = c.exact_div(cont)
-        if q is None:
-            raise PolynomialError("content does not divide a coefficient")
-        out[e] = q
-    return out
+def _poly_list_primitive(coeffs: list[Polynomial]) -> list[Polynomial]:
+    if not coeffs:
+        return coeffs
+    g = _content(coeffs)
+    if g.is_constant():
+        scale = 1 / rational_content(coeffs)
+        return [c * scale for c in coeffs]
+    return [c.exact_div(g) for c in coeffs]
 
 
 def _prs_gcd(p: Polynomial, q: Polynomial, main: str) -> Polynomial:
-    pu = p.as_univariate(main)
-    qu = q.as_univariate(main)
-    cont_p = _coeff_gcd(pu.values())
-    cont_q = _coeff_gcd(qu.values())
-    pp = _univ_primitive(pu)
-    qq = _univ_primitive(qu)
-    cont = polynomial_gcd(cont_p, cont_q)
-    a, b = (pp, qq) if max(pp) >= max(qq) else (qq, pp)
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _univ_primitive(r)
-    core = Polynomial.from_univariate(main, a)
-    return primitive_part(cont * core)
+    """gcd(p, q) for nonzero p and q: the PRS over the ring of the variables
+    other than ``main``, times the gcd of the two contents."""
+    idx = p._var_index(main)
+
+    def coefficients(f: Polynomial) -> list[Polynomial]:
+        slices = [{} for _ in range(f.degree_in(main) + 1)]
+        for e, c in f._terms.items():
+            slices[e[idx]][e[:idx] + (0,) + e[idx + 1 :]] = c
+        return [Polynomial._wrap(f.variables, t) for t in slices]
+
+    pl, ql = coefficients(p), coefficients(q)
+    cont = polynomial_gcd(_content(pl), _content(ql))
+    core = {
+        e[:idx] + (d,) + e[idx + 1 :]: c
+        for d, coeff in enumerate(_prs(pl, ql, _poly_list_primitive))
+        for e, c in coeff._terms.items()
+    }
+    return primitive_part(cont * Polynomial._wrap(p.variables, core))
 
 
 # -- heuristic gcd over ZZ (Char, Geddes and Gonnet 1989) ------------------

@@ -245,6 +245,22 @@ def test_check_tower_rejects_wrong_parents():
         check_tower(sc_pts.descriptor, wrong)
 
 
+def test_a_sheared_divisor_through_the_next_center_loses_the_charts_power():
+    """After the shear, E_1's equation y + x**2 is no coordinate and passes
+    through the next center, the origin: blowing it up in chart x gives
+    x * (y + x), and the strict transform y + x keeps E_1 in the chart."""
+    from dicriticals.descriptor import make_descriptor
+
+    plane = ("x", "y")
+    x, y = (Polynomial.variable(plane, v) for v in plane)
+    tower = ChartTower(plane, (BlowupStep(plane, "y"), ShearStep("y", x**2), BlowupStep(plane, "x")))
+    assert tower.divisor_eqs()[-1] == {1: y + x, 2: x}
+    d = make_descriptor(2, [[], [1]])
+    check_tower(d, tower)
+    walked = tuple(tuple(divisor_order(RationalFunction(f), tower, i) for i in (1, 2)) for f in (y, x))
+    assert walked == ((1, 1), (1, 2)) == valuation_matrix(d).rows
+
+
 def walked_order(state, divisor):
     """The order along a divisor of polys[0] / polys[1] of a walk, read at
     the divisor's stage."""

@@ -69,6 +69,25 @@ def test_validate_flags_parent_order_and_repeated_specials():
     assert violation_codes(ModificationDescriptor, 3, 3, centers((), (1,), (1, 2)), twice) == {"special-twice"}
 
 
+def test_validate_flags_a_first_center_inside_a_divisor_and_a_special_owner_out_of_range():
+    inside = (Center(0, (1,), (1,)), Center(0, (1,), (1, 1)))
+    assert "first-center" in violation_codes(ModificationDescriptor, 3, 2, inside)
+    assert "special-owner" in violation_codes(make_descriptor, 3, [[], [1]], special_mults={3: (1, 1)})
+
+
+@pytest.mark.parametrize(
+    "tail, code",
+    [
+        (TailData(s=4), "tail-index"),
+        (TailData(s=1, mu_curvettes={2: {2: 1, 4: 1}}), "tail-range"),
+        (TailData(s=2, mu_curvettes={3: {3: 1}}, mu_specials={3: {2: 1}}), "tail-special-owner"),
+        (TailData(s=2, mu_curvettes={3: {3: 1}}, mu_specials={3: {1: 0}}), "tail-special-positive"),
+    ],
+)
+def test_validate_flags_tail_violations(tail, code):
+    assert code in violation_codes(make_descriptor, 3, THREE_POINTS["parent_sets"], tail=tail)
+
+
 def test_make_descriptor_needs_one_multiplicity_row_per_center():
     for rows in ([(1,)], [(1,), (1, 1), (1, 1, 1)]):
         with pytest.raises(DescriptorError):

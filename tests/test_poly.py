@@ -406,13 +406,6 @@ def test_results_are_canonical(a, b):
         quotient = (a * b).exact_div(b)
         assert_canonical(quotient)
         assert quotient == a
-    for part in a.as_univariate("x").values():
-        assert_canonical(part)
-        assert part.degree_in("x") <= 0
-    if not a.is_zero():
-        again = Polynomial.from_univariate("x", a.as_univariate("x"))
-        assert_canonical(again)
-        assert again == a
 
 
 def _equal_forms(p: Polynomial, q: Polynomial, k: Fraction) -> list:
@@ -489,6 +482,50 @@ def test_gcd_agrees_with_sympy(sympy, f, p, q):
         return sympy.Poly.from_dict(rep, gens, domain="QQ")
 
     assert to_sympy(polynomial_gcd(a, b)).monic() == sympy.gcd(to_sympy(a), to_sympy(b)).monic()
+
+
+def _sympy_poly(sympy, r: Polynomial):
+    rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in r.terms()}
+    return sympy.Poly.from_dict(rep, sympy.symbols(r.variables), domain="QQ")
+
+
+@settings(max_examples=25, deadline=None)
+@given(polys, polys, polys, st.data())
+def test_prs_gcd_agrees_with_sympy(sympy, f, p, q, data):
+    """The PRS fallback alone, in a variable of positive degree in both inputs."""
+    from dicriticals import poly
+
+    a, b = f * p, f * q
+    shared = [v for v in V if a and b and a.degree_in(v) > 0 and b.degree_in(v) > 0]
+    assume(shared)
+    main = data.draw(st.sampled_from(shared))
+    g = poly._prs_gcd(a, b, main)
+    assert_canonical(g)
+    assert _sympy_poly(sympy, g).monic() == sympy.gcd(_sympy_poly(sympy, a), _sympy_poly(sympy, b)).monic()
+
+
+int_lists = st.lists(st.integers(-9, 9), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_lists, int_lists, int_lists)
+def test_univariate_int_gcd_agrees_with_sympy(sympy, f, p, q):
+    """Coefficient lists (index = degree) with a planted factor; the gcd is
+    sympy's up to content and sign."""
+    t = sympy.Symbol("t")
+
+    def as_poly(coeffs):
+        return sympy.Poly(list(reversed(coeffs)) or [0], t, domain="ZZ")
+
+    def as_list(r):
+        return [int(c) for c in reversed(r.all_coeffs())] if r else []
+
+    a, b = as_poly(f) * as_poly(p), as_poly(f) * as_poly(q)
+    expected = sympy.gcd(a, b).primitive()[1]
+    if expected and expected.LC() < 0:
+        expected = -expected
+    assert univariate_int_gcd(as_list(a), as_list(b)) == as_list(expected)
+    assert univariate_int_gcd(as_list(a) + [0], as_list(b)) == as_list(expected)
 
 
 # -- the one-pass JSON reader ------------------------------------------------

@@ -16,6 +16,7 @@ from helpers import bench_workloads, four_divisor_tower, pole_tie_single, suppor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dicriticals.charts import LineClassSpec
 from dicriticals.cli import build_parser, main
 from dicriticals.descriptor import make_descriptor
 from dicriticals.errors import MatrixError, ScenarioError
@@ -170,6 +171,43 @@ def test_cli_detects_drift(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("drift:"), err
     assert path.read_bytes() == stored
+
+
+def test_cli_solve_prints_a_support_profile(tmp_path, capsys):
+    path = tmp_path / "support-middle.json"
+    path.write_text(input_json(scenario_to_json(support_middle())))
+    capsys.readouterr()
+    assert main(["solve", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "certificate for support-middle:",
+        "  exponents: [2, -1, 0]",
+        "  orders:    [1, 0, 1]",
+    ]
+
+
+def three_points_with_lines(tmp_path, lines) -> str:
+    """The path of a three-points scenario file whose line templates are ``lines``."""
+    path = tmp_path / "three-points.json"
+    path.write_text(input_json(scenario_to_json(dataclasses.replace(three_points(), lines=lines))))
+    return str(path)
+
+
+def test_cli_verify_needs_a_line_template_for_a_degree_check(tmp_path, capsys):
+    path = three_points_with_lines(tmp_path, {})
+    capsys.readouterr()
+    assert main(["verify", "--scenario", path, "--out", ""]) == 2
+    assert capsys.readouterr().err.splitlines() == ["input error: divisor 3 needs a line template for its degree check"]
+
+
+def test_cli_verify_fails_a_line_template_that_leaves_its_divisor(tmp_path, capsys):
+    path = three_points_with_lines(tmp_path, {3: LineClassSpec({"x": "param", "y": "zero", "z": "zero"})})
+    capsys.readouterr()
+    assert main(["verify", "--scenario", path, "--out", ""]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    note = "note: degree check failed at divisor 3: the divisor's own chart variable must be assigned zero"
+    assert note in lines and lines[-1] == "overall: FAIL"
+    (row,) = [line for line in lines if line.startswith("h     E_3")]
+    assert row.split()[-1] == "MISMATCH"
 
 
 def test_cli_input_errors(tmp_path):
