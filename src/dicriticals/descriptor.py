@@ -81,6 +81,16 @@ class ModificationDescriptor(FieldCodec):
     def envelope(self) -> dict:
         return {"schema_version": SCHEMA_VERSION}
 
+    def with_tail(self, tail: TailData) -> "ModificationDescriptor":
+        """This descriptor carrying ``tail``.  The other fields and the cached
+        tables are taken over as checked; only the tail is validated, with the
+        ``DescriptorError`` of ``require_valid``."""
+        d = object.__new__(type(self))
+        d.__dict__.update(self.__dict__)
+        object.__setattr__(d, "tail", tail)
+        _raise_violations(_validate_tail(d))
+        return d
+
     @cached_property
     def curvette_mults(self) -> tuple[tuple[int, ...], ...]:
         """Row j holds the multiplicities of hypercurvette j along centers 1..j."""
@@ -224,7 +234,10 @@ def _validate_tail(d: ModificationDescriptor) -> list[Violation]:
 
 
 def require_valid(d: ModificationDescriptor) -> None:
-    violations = validate_descriptor(d)
+    _raise_violations(validate_descriptor(d))
+
+
+def _raise_violations(violations: list[Violation]) -> None:
     if violations:
         summary = "; ".join(v.message for v in violations[:4])
         raise DescriptorError(f"invalid descriptor: {summary}", violations)

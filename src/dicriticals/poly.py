@@ -11,9 +11,12 @@ GCD routes, cheapest first.  (1) Monomial content is split off directly.
 one variable at integer points where the leading coefficient survives: the
 degree of the specialized univariate gcd bounds the degree of the true gcd in
 that variable from above, so an all-zero certificate proves coprimality.
-(3) A genuine common factor is found by the heuristic gcd over ZZ (Char,
-Geddes and Gonnet 1989): one variable is evaluated at an integer xi, the gcd
-of the images is found by recursion, and its symmetric xi-adic digits give a
+One variable v is certified alone when a v-coefficient of either part (a
+polynomial in the other variables) is a nonzero constant, since a gcd free
+of v divides it; otherwise every shared variable is certified.  (3) A
+genuine common factor is found by the heuristic gcd over ZZ (Char, Geddes
+and Gonnet 1989): one variable is evaluated at an integer xi, the gcd of the
+images is found by recursion, and its symmetric xi-adic digits give a
 candidate.  A candidate is accepted only when it divides both inputs exactly
 and the certificates of (2) prove the two cofactors coprime, so the result
 never rests on the size of xi.  (4) Only when no candidate is accepted does
@@ -22,10 +25,13 @@ certificates of (2) run over the integers, here run over the ring of the
 other variables.  Nothing is drawn at random.
 
 Construction policy: validated at the boundary, trusted inside.  The public
-constructor ``Polynomial(variables, terms)`` and the classmethods built on it
-(``zero``, ``constant``, ``variable``, ``monomial``) check every variable
-name, exponent and coefficient; they are how data from outside becomes a
-polynomial.  ``from_json`` checks the canonical term list ``to_json`` writes
+constructor ``Polynomial(variables, terms)`` and ``monomial`` check every
+variable name, exponent and coefficient; they are how data from outside
+becomes a polynomial.  ``zero``, ``constant``, ``one`` and ``variable`` check
+exactly what they are given (distinct string names, a name of the ring, an
+``int`` or ``Fraction`` value) and build their one term without a second
+check; so does a scalar operand of ``+`` and ``-``, which changes only the
+constant term.  ``from_json`` checks the canonical term list ``to_json`` writes
 in one pass, term by term, and keeps the term dict it builds as it is.
 Results computed from polynomials that are already valid (sums, products, substitutions,
 quotients, coefficients in one variable) are wrapped by the private
@@ -74,6 +80,16 @@ def _as_coeff(value) -> Coeff:
     if isinstance(value, Fraction):
         return _normal(value)
     raise PolynomialError(f"coefficient must be int or Fraction, got {type(value).__name__}")
+
+
+def _ring(variables: Sequence[str]) -> tuple[str, ...]:
+    """The variable names as a tuple, checked to be distinct strings."""
+    vs = tuple(variables)
+    if not all(isinstance(v, str) for v in vs):
+        raise PolynomialError("variable names must be strings")
+    if len(set(vs)) != len(vs):
+        raise PolynomialError("duplicate variable names")
+    return vs
 
 
 def _div(a, b) -> Coeff:
@@ -140,11 +156,7 @@ class Polynomial:
     __slots__ = ("variables", "_terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Coeff] | None = None):
-        vs = tuple(variables)
-        if not all(isinstance(v, str) for v in vs):
-            raise PolynomialError("variable names must be strings")
-        if len(set(vs)) != len(vs):
-            raise PolynomialError("duplicate variable names")
+        vs = _ring(variables)
         clean: dict[Exponents, int | Fraction] = {}
         for exps, coeff in (terms or {}).items():
             e = tuple(exps)
@@ -189,12 +201,13 @@ class Polynomial:
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Polynomial":
-        return cls(variables, {})
+        return cls._wrap(_ring(variables), {})
 
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "Polynomial":
-        vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): _as_coeff(value)})
+        c = _as_coeff(value)
+        vs = _ring(variables)
+        return cls._wrap(vs, {(0,) * len(vs): c} if c else {})
 
     @classmethod
     def one(cls, variables: Sequence[str]) -> "Polynomial":
@@ -205,8 +218,8 @@ class Polynomial:
         vs = tuple(variables)
         if name not in vs:
             raise PolynomialError(f"unknown variable {name!r}")
-        exps = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exps: 1})
+        vs = _ring(vs)
+        return cls._wrap(vs, {tuple(1 if v == name else 0 for v in vs): 1})
 
     @classmethod
     def monomial(cls, variables: Sequence[str], exps: Exponents, coeff=1) -> "Polynomial":
@@ -270,7 +283,20 @@ class Polynomial:
             return other
         return Polynomial.constant(self.variables, other)
 
+    def _add_scalar(self, c: Coeff) -> "Polynomial":
+        """``self + c`` for a checked coefficient c: only the constant term changes."""
+        zero = (0,) * len(self.variables)
+        terms = dict(self._terms)
+        c += terms.get(zero, 0)
+        if c:
+            terms[zero] = _normal(c)
+        else:
+            terms.pop(zero, None)
+        return Polynomial._wrap(self.variables, terms)
+
     def __add__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return self._add_scalar(_as_coeff(other))
         other = self._coerce(other)
         terms = dict(self._terms)
         for e, c in other._terms.items():
@@ -283,6 +309,8 @@ class Polynomial:
         return Polynomial._trusted(self.variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return self._add_scalar(-_as_coeff(other))
         other = self._coerce(other)
         terms = dict(self._terms)
         for e, c in other._terms.items():
@@ -290,7 +318,7 @@ class Polynomial:
         return Polynomial._trusted(self.variables, terms)
 
     def __rsub__(self, other) -> "Polynomial":
-        return (-self) + self._coerce(other)
+        return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -305,15 +333,18 @@ class Polynomial:
     def __pow__(self, power: int) -> "Polynomial":
         if not isinstance(power, int) or power < 0:
             raise PolynomialError("polynomial powers must be nonnegative integers")
-        result = Polynomial.one(self.variables)
+        if not power:
+            return Polynomial.one(self.variables)
+        # square-and-multiply; the lowest set bit takes its power as it is, not times 1
+        result = None
         base = self
-        n = power
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        while True:
+            if power & 1:
+                result = base if result is None else result * base
+            power >>= 1
+            if not power:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -688,13 +719,15 @@ def _specialize_univariate(p: Polynomial, name: str, point: Mapping[str, int]) -
     idx = p._var_index(name)
     if not p._terms:
         return []
-    den = lcm(*(c.denominator for c in p._terms.values()))
+    scaled = p._terms
+    if not all(type(c) is int for c in scaled.values()):
+        den = lcm(*(c.denominator for c in scaled.values()))
+        scaled = {e: c.numerator * (den // c.denominator) for e, c in scaled.items()}
     tops = [max(col) for col in zip(*p._terms)]
     values = [1 if w == name else point[w] for w in p.variables]
     powers = [[v**j for j in range(top + 1)] for v, top in zip(values, tops)]
     out = [0] * (tops[idx] + 1)
-    for exps, coeff in p._terms.items():
-        value = coeff.numerator * (den // coeff.denominator)
+    for exps, value in scaled.items():
         for pw, e in zip(powers, exps):
             if e:
                 value *= pw[e]
@@ -702,6 +735,16 @@ def _specialize_univariate(p: Polynomial, name: str, point: Mapping[str, int]) -
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def _has_unit_slice(p: Polynomial, idx: int) -> bool:
+    """True when some power v**k of the variable at ``idx`` has a nonzero
+    constant coefficient in p: the term ``c * v**k`` is p's only term of
+    v-degree k."""
+    pure, mixed = set(), set()
+    for e in p._terms:
+        (pure if sum(e) == e[idx] else mixed).add(e[idx])
+    return not pure <= mixed
 
 
 def _certified_coprime(p: Polynomial, q: Polynomial, common: list[str]) -> bool:
@@ -712,7 +755,17 @@ def _certified_coprime(p: Polynomial, q: Polynomial, common: list[str]) -> bool:
     So any one such point with a constant specialized gcd certifies v; a
     positive degree may be bad luck and earns one more point, and a second
     positive degree leaves the pair to the exact gcd.
+
+    One certified v is enough when p or q has a v-coefficient (a polynomial
+    in the other variables) that is a nonzero constant: the gcd, of degree 0
+    in v, divides every v-coefficient, so it divides a unit.  Such a v is
+    certified alone; otherwise every shared variable is.
     """
+    for v in common:
+        idx = p.variables.index(v)
+        if _has_unit_slice(p, idx) or _has_unit_slice(q, idx):
+            common = [v]
+            break
     for v in common:
         deg_v = p.degree_in(v)
         others = [w for w in p.variables if w != v]
@@ -859,7 +912,7 @@ def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     shared = tuple(min(a, b) for a, b in zip(mono_p, mono_q))
     ps = p.divide_by_monomial(mono_p)
     qs = q.divide_by_monomial(mono_q)
-    mono = Polynomial.monomial(p.variables, shared)
+    mono = Polynomial._wrap(p.variables, {shared: 1})
     common = _shared_variables(ps, qs)
     if not common or _certified_coprime(ps, qs, common):
         return mono

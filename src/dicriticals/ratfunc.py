@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PolynomialError
-from .poly import Polynomial, _term_key, polynomial_gcd, rational_content
+from .poly import Polynomial, _div_ground, _term_key, polynomial_gcd, rational_content
 
 
 class Quotient(NamedTuple):
@@ -142,9 +142,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
     def constant_value(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()
 
@@ -171,9 +168,6 @@ class RationalFunction:
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "RationalFunction":
-        return (-self) + self._coerce(other)
-
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
         a, b = _cancel(self.num, other.den)
@@ -188,18 +182,6 @@ class RationalFunction:
             raise PolynomialError("division by zero rational function")
         return self * RationalFunction._coprime(other.den, other.num)
 
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other) / self
-
-    def __pow__(self, power: int) -> "RationalFunction":
-        if not isinstance(power, int):
-            raise PolynomialError("powers must be integers")
-        if power >= 0:
-            return RationalFunction._coprime(self.num**power, self.den**power)
-        if self.num.is_zero():
-            raise PolynomialError("negative power of zero")
-        return RationalFunction._coprime(self.den ** (-power), self.num ** (-power))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RationalFunction, Polynomial, int, Fraction)) or isinstance(other, bool):
             return NotImplemented
@@ -212,18 +194,7 @@ class RationalFunction:
             return hash(self.num * (1 / self.den.constant_value()))
         return hash((self.num, self.den))
 
-    # -- structure -----------------------------------------------------------
-
-    def substitute(
-        self,
-        mapping: Mapping[str, Polynomial | Fraction | int],
-        variables: Sequence[str] | None = None,
-    ) -> "RationalFunction":
-        num = self.num.substitute(mapping, variables)
-        den = self.den.substitute(mapping, variables)
-        if den.is_zero():
-            raise PolynomialError("substitution sent the denominator to zero")
-        return RationalFunction(num, den)
+    # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
         return render_pair(self.num, self.den)
@@ -249,8 +220,9 @@ def _check_pair(num: Polynomial, den: Polynomial) -> None:
 def _cancel(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
     """``p`` and ``q`` divided by their gcd."""
     g = polynomial_gcd(p, q)
-    if g.is_constant():
-        return p, q
+    if len(g._terms) == 1:
+        (exps,) = g._terms  # a primitive monomial, coefficient 1; the constant 1 too
+        return p.divide_by_monomial(exps), q.divide_by_monomial(exps)
     qp = p.exact_div(g)
     qq = q.exact_div(g)
     if qp is None or qq is None:
@@ -260,9 +232,10 @@ def _cancel(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
 
 def _canonical_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     content = rational_content([num, den])
-    if content != 1:
-        num = num * (1 / content)
-        den = den * (1 / content)
+    if content.denominator == 1:
+        num, den = _div_ground(num, content.numerator), _div_ground(den, content.numerator)
+    else:
+        num, den = num * (1 / content), den * (1 / content)
     trailing = min(den._terms.items(), key=_term_key)[1]
     if trailing < 0:
         num, den = -num, -den

@@ -27,7 +27,7 @@ constructed function through the charts symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from operator import mul
@@ -484,8 +484,9 @@ def tail_descriptor(d: ModificationDescriptor, s: int, tail: TailData | None = N
     """``d`` carrying the multiplicity data for the centers after s.
 
     The data is ``tail``, else ``d.tail``; it must be for s, and only s = m
-    may go without (there are no later centers).  The result is validated
-    as a descriptor, so a tail that contradicts ``d`` is rejected here.
+    may go without (there are no later centers).  ``d`` is valid already, so
+    only the tail is validated (``ModificationDescriptor.with_tail``); a tail
+    that contradicts ``d`` is rejected here.
     """
     tail = d.tail if tail is None else tail
     if tail is None:
@@ -494,7 +495,7 @@ def tail_descriptor(d: ModificationDescriptor, s: int, tail: TailData | None = N
         tail = TailData(s=s)
     if tail.s != s:
         raise SolverError(f"tail data is for index {tail.s}, not {s}")
-    return replace(d, tail=tail)
+    return d.with_tail(tail)
 
 
 def solve_single_dicritical(

@@ -88,6 +88,18 @@ def test_validate_flags_tail_violations(tail, code):
     assert code in violation_codes(make_descriptor, 3, THREE_POINTS["parent_sets"], tail=tail)
 
 
+def test_with_tail_checks_the_tail_alone_and_keeps_the_cached_tables():
+    d = make_descriptor(3, THREE_POINTS["parent_sets"])
+    rows = d.curvette_mults
+    tail = TailData(s=2, mu_curvettes={3: {3: 1}})
+    carried = d.with_tail(tail)
+    assert carried == make_descriptor(3, THREE_POINTS["parent_sets"], tail=tail)
+    assert carried.tail is tail and d.tail is None and carried.curvette_mults is rows
+    for bad in (TailData(s=4), TailData(s=1, mu_curvettes={2: {2: 1, 4: 1}})):
+        built = violation_codes(make_descriptor, 3, THREE_POINTS["parent_sets"], tail=bad)
+        assert violation_codes(d.with_tail, bad) == built
+
+
 def test_make_descriptor_needs_one_multiplicity_row_per_center():
     for rows in ([(1,)], [(1,), (1, 1), (1, 1, 1)]):
         with pytest.raises(DescriptorError):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dicriticals.errors import PolynomialError
@@ -470,8 +470,12 @@ def test_gcd_is_symmetric_and_scale_invariant(f, p, q, c):
     assert polynomial_gcd(c * a, b) == g == polynomial_gcd(a, c * b)
 
 
+_X, _Y, _Z = xyz()
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys, polys, polys)
+@example(f=1 + _Z, p=1 + _Y, q=_Y - 1)
 def test_gcd_agrees_with_sympy(sympy, f, p, q):
     a, b = f * p, f * q
     assume(not (a.is_zero() and b.is_zero()))
@@ -487,6 +491,28 @@ def test_gcd_agrees_with_sympy(sympy, f, p, q):
 def _sympy_poly(sympy, r: Polynomial):
     rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in r.terms()}
     return sympy.Poly.from_dict(rep, sympy.symbols(r.variables), domain="QQ")
+
+
+def test_a_lone_term_in_a_variable_does_not_certify_the_gcd():
+    """Both cofactors have the one term y in their y-slice of degree 1, but
+    that slice is y + y*z, not a constant: the gcd 1 + z is still found."""
+    x, y, z = xyz()
+    assert polynomial_gcd((1 + z) * (1 + y), (1 + z) * (y - 1)) == 1 + z
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(V), polys, polys, polys, nonzero_fractions, nonzero_fractions)
+def test_a_factor_free_of_a_variable_with_unit_cofactor_slices_agrees_with_sympy(sympy, v, f, p, q, c, d):
+    """A planted factor free of v, times cofactors whose top v-coefficient is
+    a nonzero constant: the case where one certified variable is enough."""
+    f = f.set_to_zero(v)
+    assume(f)
+    var = Polynomial.variable(V, v)
+    a = f * (p + c * var ** (max(p.degree_in(v), 0) + 1))
+    b = f * (q + d * var ** (max(q.degree_in(v), 0) + 1))
+    g = polynomial_gcd(a, b)
+    assert g.exact_div(f) is not None
+    assert _sympy_poly(sympy, g).monic() == sympy.gcd(_sympy_poly(sympy, a), _sympy_poly(sympy, b)).monic()
 
 
 @settings(max_examples=25, deadline=None)

@@ -769,9 +769,9 @@ def test_parts_read_like_their_product(monkeypatch):
 
 
 def test_a_profile_is_walked_part_by_part(monkeypatch):
-    """A guard without timing: one verify of two-dicriticals makes 202
-    monomial products in ``poly._mul_terms`` (254 while each row's order and
-    restriction were two reads, 352 while each twisted part was multiplied
+    """A guard without timing: one verify of two-dicriticals makes 200
+    monomial products in ``poly._mul_terms`` (202 while each power began with
+    a product by 1, 254 while each row's order and restriction were two reads, 352 while each twisted part was multiplied
     out before the walk, 2,190 while the parts were multiplied into one),
     and no walked polynomial has more terms than its largest
     leaf, 36 (the larger twisted part had 46, the product 223)."""
@@ -786,7 +786,7 @@ def test_a_profile_is_walked_part_by_part(monkeypatch):
 
     monkeypatch.setattr(poly, "_mul_terms", counted)
     walks = _verify_walks(sc, monkeypatch)
-    assert sum(products) == 202
+    assert sum(products) == 200
     ((_, polys, _, states),) = walks
     assert max(len(p._terms) for p in polys) == 36
     walked = [p for state in states.values() for stage_polys, _ in state.stages for p in stage_polys]
