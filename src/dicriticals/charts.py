@@ -497,14 +497,9 @@ def _lowest(side: Polynomial, leaves: StageLeaves) -> _Lowest | None:
     their slices, and only an exact 0 multiplies the side out over the
     walked leaves to read it directly.
     """
-    terms = side._terms
-    if len(terms) == 1:
-        ((exps, _),) = terms.items()
-        w = leaves.weight(exps)
-        return _multiplied_out(side, leaves) if w is None else _Lowest(w, terms, None)
     best = None
     tied: dict[tuple[int, ...], Fraction | int] = {}
-    for exps, coeff in terms.items():
+    for exps, coeff in side._terms.items():
         w = leaves.weight(exps)
         if w is None:
             return _multiplied_out(side, leaves)

@@ -27,8 +27,8 @@ from .descriptor import leading_principal_minors, special_rows, valuation_matrix
 from .errors import DicriticalError, ScenarioError
 from .fixtures import FIXTURES, load_fixture
 from .jsonio import canonical_dumps
-from .scenario import Scenario, TargetRequest, scenario_from_json
-from .solver import certificate_from_json, request_maps
+from .scenario import Scenario, SingleRequest, TargetRequest, scenario_from_json
+from .solver import certificate_from_json, request_maps, tail_descriptor
 from .verify import VerifyReport, render_report, run_verify, solve_scenario
 
 PASS, VIOLATION, INPUT_ERROR = 0, 1, 2
@@ -125,6 +125,8 @@ def cmd_matrix(args) -> int:
     specials = ()
     request, d = scenario.request, scenario.descriptor
     if isinstance(request, TargetRequest) and d.parents(request.s):
+        if isinstance(request, SingleRequest):
+            d = tail_descriptor(d, request.s, request.tail)
         maps = request.special_exponents, request.contact_orders, request.target_orders
         _, contacts, _ = request_maps(d, request.s, request.degree, *maps)
         specials = special_rows(d, request.s, contacts)

@@ -25,18 +25,21 @@ certificates of (2) run over the integers, here run over the ring of the
 other variables.  Nothing is drawn at random.
 
 Construction policy: validated at the boundary, trusted inside.  The public
-constructor ``Polynomial(variables, terms)`` and ``monomial`` check every
-variable name, exponent and coefficient; they are how data from outside
-becomes a polynomial.  ``zero``, ``constant``, ``one`` and ``variable`` check
-exactly what they are given (distinct string names, a name of the ring, an
-``int`` or ``Fraction`` value) and build their one term without a second
-check; so does a scalar operand of ``+`` and ``-``, which changes only the
-constant term.  ``from_json`` checks the canonical term list ``to_json`` writes
-in one pass, term by term, and keeps the term dict it builds as it is.
-Results computed from polynomials that are already valid (sums, products, substitutions,
-quotients, coefficients in one variable) are wrapped by the private
+constructor ``Polynomial(variables, terms)`` checks every variable name,
+exponent and coefficient; it is how data from outside becomes a polynomial.
+``zero``, ``constant``, ``one`` and ``variable`` check exactly what they are
+given (distinct string names, a name of the ring, an ``int`` or ``Fraction``
+value) and build their one term without a second check; a scalar operand of
+``+`` and ``-`` becomes a polynomial through ``constant``.  ``from_json`` checks
+the canonical term list ``to_json`` writes in one pass, term by term, and
+keeps the term dict it builds as it is.  Results computed from polynomials
+that are already valid (sums, products, substitutions, quotients,
+coefficients in one variable) are wrapped by the private
 ``Polynomial._trusted`` without re-validation, which only drops zero
-coefficients and stores integral fractions as ``int``.
+coefficients and stores integral fractions as ``int``.  One canonical
+scaling, ``canonical_scale``, serves ``primitive_part`` and every reduced
+rational function: integer coefficients with overall gcd 1 and a positive
+trailing (grlex-minimal) coefficient.
 ``substitute`` expands a translation ``y -> y + c`` by a constant c (in the
 same ring) with the binomial theorem: each ``y**k`` contributes its cached
 row ``C(k, j) * c**(k - j)``, and the coefficients of each monomial in the
@@ -221,10 +224,6 @@ class Polynomial:
         vs = _ring(vs)
         return cls._wrap(vs, {tuple(1 if v == name else 0 for v in vs): 1})
 
-    @classmethod
-    def monomial(cls, variables: Sequence[str], exps: Exponents, coeff=1) -> "Polynomial":
-        return cls(variables, {tuple(exps): _as_coeff(coeff)})
-
     # -- basic queries -------------------------------------------------------
 
     def terms(self) -> list[tuple[Exponents, Coeff]]:
@@ -283,20 +282,7 @@ class Polynomial:
             return other
         return Polynomial.constant(self.variables, other)
 
-    def _add_scalar(self, c: Coeff) -> "Polynomial":
-        """``self + c`` for a checked coefficient c: only the constant term changes."""
-        zero = (0,) * len(self.variables)
-        terms = dict(self._terms)
-        c += terms.get(zero, 0)
-        if c:
-            terms[zero] = _normal(c)
-        else:
-            terms.pop(zero, None)
-        return Polynomial._wrap(self.variables, terms)
-
     def __add__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return self._add_scalar(_as_coeff(other))
         other = self._coerce(other)
         terms = dict(self._terms)
         for e, c in other._terms.items():
@@ -309,8 +295,6 @@ class Polynomial:
         return Polynomial._trusted(self.variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return self._add_scalar(-_as_coeff(other))
         other = self._coerce(other)
         terms = dict(self._terms)
         for e, c in other._terms.items():
@@ -631,16 +615,22 @@ def rational_content(polys: Iterable[Polynomial]) -> Fraction:
     return Fraction(num_gcd, lcm(*(c.denominator for c in coeffs)))
 
 
-def primitive_part(p: Polynomial) -> Polynomial:
-    """Scale to integer coefficients with gcd 1 and positive trailing term."""
-    if p.is_zero():
-        return p
-    content = rational_content([p])
-    if min(p._terms.items(), key=_term_key)[1] < 0:
+def canonical_scale(polys: Sequence[Polynomial]) -> list[Polynomial]:
+    """``polys`` divided by one rational: all their coefficients become
+    integers with overall gcd 1, and the last of them, which must be
+    nonzero, gets a positive trailing (grlex-minimal) coefficient."""
+    content = rational_content(polys)
+    if min(polys[-1]._terms.items(), key=_term_key)[1] < 0:
         content = -content
     if content.denominator == 1:
-        return _div_ground(p, content.numerator)
-    return p * (1 / content)
+        return [_div_ground(p, content.numerator) for p in polys]
+    scale = 1 / content
+    return [p * scale for p in polys]
+
+
+def primitive_part(p: Polynomial) -> Polynomial:
+    """Scale to integer coefficients with gcd 1 and positive trailing term."""
+    return canonical_scale([p])[0] if p else p
 
 
 def _div_ground(p: Polynomial, k: int) -> Polynomial:
@@ -832,10 +822,6 @@ def _prs_gcd(p: Polynomial, q: Polynomial, main: str) -> Polynomial:
 # -- heuristic gcd over ZZ (Char, Geddes and Gonnet 1989) ------------------
 
 
-def _int_content(*polys: Polynomial) -> int:
-    return int_gcd(*(c for p in polys for c in p._terms.values()))
-
-
 def _shared_variables(p: Polynomial, q: Polynomial) -> list[str]:
     """Variables of positive degree in both; a common factor lives in these."""
     return [v for v, a, b in zip(p.variables, zip(*p._terms), zip(*q._terms)) if max(a) and max(b)]
@@ -876,7 +862,7 @@ def _heu_gcd(f: Polynomial, g: Polynomial) -> Polynomial | None:
     ``_certified_coprime`` prove the cofactors coprime, which makes h the gcd
     whatever the size of xi.  On a miss xi grows; nothing is drawn at random.
     """
-    cont = _int_content(f, g)
+    cont = rational_content((f, g)).numerator
     shared = _shared_variables(f, g)
     if not shared:
         return Polynomial._trusted(f.variables, {(0,) * len(f.variables): cont})

@@ -17,9 +17,10 @@ product of reduced operands a/b and c/d cancels crosswise instead: with
 g = gcd(a, d) and k = gcd(c, b), the product (a/g)(c/k) / ((b/k)(d/g)) is
 reduced, because a/g is coprime to d/g, c/k to b/k, a to b and c to d; so
 no gcd of the full products is taken.
-The canonical scaling makes all coefficients integers with overall gcd 1
-and gives the denominator a positive trailing (grlex-minimal) coefficient,
-which keeps serialized output byte-stable.
+The canonical scaling, ``poly.canonical_scale`` of the pair, makes all
+coefficients integers with overall gcd 1 and gives the denominator a
+positive trailing (grlex-minimal) coefficient, which keeps serialized output
+byte-stable.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PolynomialError
-from .poly import Polynomial, _div_ground, _term_key, polynomial_gcd, rational_content
+from .poly import Polynomial, canonical_scale, polynomial_gcd
 
 
 class Quotient(NamedTuple):
@@ -124,7 +125,7 @@ class RationalFunction:
         if num.is_zero():
             num = Polynomial.zero(num.variables)
             den = Polynomial.one(num.variables)
-        num, den = _canonical_pair(num, den)
+        num, den = canonical_scale((num, den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -228,15 +229,3 @@ def _cancel(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
     if qp is None or qq is None:
         raise PolynomialError("gcd failed to divide; internal error")
     return qp, qq
-
-
-def _canonical_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    content = rational_content([num, den])
-    if content.denominator == 1:
-        num, den = _div_ground(num, content.numerator), _div_ground(den, content.numerator)
-    else:
-        num, den = num * (1 / content), den * (1 / content)
-    trailing = min(den._terms.items(), key=_term_key)[1]
-    if trailing < 0:
-        num, den = -num, -den
-    return num, den

@@ -69,9 +69,7 @@ class LinearForm(FieldCodec):
     def make(cls, const=0, coeffs: Mapping[int, Fraction | int] | None = None) -> "LinearForm":
         return cls(Fraction(const), {k: Fraction(c) for k, c in (coeffs or {}).items() if c})
 
-    def __add__(self, other: "LinearForm | int | Fraction") -> "LinearForm":
-        if not isinstance(other, LinearForm):
-            return LinearForm(self.const + Fraction(other), self.coeffs)
+    def __add__(self, other: "LinearForm") -> "LinearForm":
         merged = dict(self.coeffs)
         for k, c in other.coeffs.items():
             merged[k] = merged.get(k, 0) + c

@@ -17,12 +17,13 @@ from dicriticals.charts import (
     divisor_order,
     read_divisor,
     restrict,
+    restriction_degree,
     status_of,
     vanishes_on_center,
     walk_tower,
 )
 from dicriticals.descriptor import valuation_matrix
-from dicriticals.errors import ChartError, GenericityError
+from dicriticals.errors import ChartError, GenericityError, PolynomialError
 from dicriticals.fixtures import (
     RING,
     conic_center,
@@ -236,6 +237,42 @@ def test_nongeneric_line_template_errors():
     bad = LineClassSpec({"x": "param", "y": "zero", "z": "zero"})
     with pytest.raises(GenericityError):
         dicritical_degree(h, single_blowup(), 1, bad, charts=("z",))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda x: ShearStep("x", x), ChartError, "^a shear must be triangular"),
+        (
+            lambda x: walk_tower(ChartTower(RING, (BlowupStep(("x", "y"), "y"),)), [x], charts=("z",)),
+            ChartError,
+            r"^chart variable 'z' is not in the center \('x', 'y'\)$",
+        ),
+        (
+            lambda x: walk_tower(single_blowup(), [Polynomial.variable(("x", "y"), "x")]),
+            PolynomialError,
+            "^polynomial does not live in the tower's coordinate ring$",
+        ),
+        (
+            lambda x: divisor_order(RationalFunction(x), single_blowup(), 2),
+            ChartError,
+            r"^divisor 2 out of range 1\.\.1$",
+        ),
+        (
+            lambda x: restriction_degree(
+                restrict(RationalFunction(3 * x, 2 * x), single_blowup(), 1),
+                LineClassSpec({"x": "param", "y": "const", "z": "zero"}),
+            ),
+            ChartError,
+            "^degree is only defined for dicritical restrictions$",
+        ),
+    ],
+    ids=["shear-of-its-target", "chart-outside-center", "foreign-ring", "divisor-out-of-range", "degree-of-a-constant"],
+)
+def test_the_chart_tier_rejects_bad_arguments(call, error, message):
+    x, _, _ = xyz()
+    with pytest.raises(error, match=message):
+        call(x)
 
 
 def test_check_tower_rejects_wrong_parents():

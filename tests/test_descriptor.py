@@ -17,6 +17,7 @@ from dicriticals.descriptor import (
     make_descriptor,
     pullback_orders,
     special_matrix,
+    special_rows,
     validate_descriptor,
     valuation_matrix,
 )
@@ -82,10 +83,31 @@ def test_validate_flags_a_first_center_inside_a_divisor_and_a_special_owner_out_
         (TailData(s=1, mu_curvettes={2: {2: 1, 4: 1}}), "tail-range"),
         (TailData(s=2, mu_curvettes={3: {3: 1}}, mu_specials={3: {2: 1}}), "tail-special-owner"),
         (TailData(s=2, mu_curvettes={3: {3: 1}}, mu_specials={3: {1: 0}}), "tail-special-positive"),
+        (TailData(s=1, mu_curvettes={2: {2: 1, 3: 0}, 3: {3: 1}}), "tail-positive"),
     ],
 )
 def test_validate_flags_tail_violations(tail, code):
     assert code in violation_codes(make_descriptor, 3, THREE_POINTS["parent_sets"], tail=tail)
+
+
+def test_validate_flags_a_tail_special_that_avoids_the_low_divisors_and_a_negative_special_entry():
+    tail = TailData(s=2, mu_curvettes={3: {3: 1}}, mu_specials={3: {1: 1}})
+    assert "tail-low" in violation_codes(make_descriptor, 3, [[], [1], [2]], tail=tail)
+    assert "special-negative" in violation_codes(make_descriptor, 3, [[], [1]], special_mults={1: (-1,)})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d: pullback_orders(d, (1, -1, 0)), "^strict-transform multiplicities must be nonnegative$"),
+        (lambda d: special_rows(d, 4, {}), r"^index 4 out of range 1\.\.3$"),
+        (lambda d: low_sets(d, 0), r"^index 0 out of range 1\.\.3$"),
+    ],
+    ids=["pullback-negative", "special-rows-index", "low-sets-index"],
+)
+def test_the_order_tables_reject_bad_arguments(call, message):
+    with pytest.raises(DescriptorError, match=message):
+        call(three_points())
 
 
 def test_with_tail_checks_the_tail_alone_and_keeps_the_cached_tables():

@@ -73,6 +73,26 @@ def test_a_boolean_compares_unequal_and_does_not_raise():
     assert True not in [one, h]
 
 
+def test_a_scalar_operand_of_plus_and_minus_is_its_constant_polynomial():
+    x, _, _ = xyz()
+    half = Fraction(1, 2)
+    assert x + 1 == x + Polynomial.constant(V, 1)
+    assert 1 - x == Polynomial.constant(V, 1) - x
+    assert x - half == x - Polynomial.constant(V, half)
+    assert (x + half) - half == x and type((x + half + half).coefficient((0, 0, 0))) is int
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [lambda x: x + True, lambda x: x + 0.5, lambda x: 0.5 + x, lambda x: x - True],
+    ids=["x + True", "x + 0.5", "0.5 + x", "x - True"],
+)
+def test_a_bool_or_float_operand_of_plus_and_minus_is_rejected(operation):
+    x, _, _ = xyz()
+    with pytest.raises(PolynomialError):
+        operation(x)
+
+
 def test_zero_coefficients_are_dropped():
     x, y, _ = xyz()
     p = x + y - y

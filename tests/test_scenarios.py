@@ -173,6 +173,21 @@ def test_cli_detects_drift(tmp_path, capsys):
     assert path.read_bytes() == stored
 
 
+@pytest.mark.parametrize(
+    "command, artifact", [("matrix", "matrix.json"), ("solve", "solve.json"), ("report", "report.txt")]
+)
+def test_matrix_solve_and_report_fail_on_a_drifted_artifact(command, artifact, tmp_path, capsys):
+    out = str(tmp_path)
+    if command == "report":
+        assert main(["verify", "--scenario", "three-points", "--out", out]) == 0
+    path = tmp_path / f"three-points.{artifact}"
+    path.write_text("not what the command writes\n")
+    capsys.readouterr()
+    assert main([command, "--scenario", "three-points", "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"drift: {path} already exists with different content"]
+    assert path.read_text() == "not what the command writes\n"
+
+
 def test_cli_solve_prints_a_support_profile(tmp_path, capsys):
     path = tmp_path / "support-middle.json"
     path.write_text(input_json(scenario_to_json(support_middle())))
@@ -214,6 +229,11 @@ def test_cli_input_errors(tmp_path):
     assert main(["matrix", "--scenario", "no-such-fixture", "--out", str(tmp_path)]) == 2
     assert main(["report", "--scenario", "three-points", "--out", str(tmp_path)]) == 2
     assert main(["solve", "--scenario", "point-point-line", "--out", str(tmp_path)]) == 2
+
+
+def test_an_unknown_fixture_name_is_an_input_error():
+    with pytest.raises(ScenarioError, match="^unknown fixture 'nope'; known: conic-center, "):
+        load_fixture("nope")
 
 
 def test_cli_builds_one_parser_per_process():
@@ -721,6 +741,29 @@ def test_matrix_writes_special_rows_only_for_a_divisor_with_parents(case, tmp_pa
     assert run_command("matrix", data, tmp_path, capsys) == (0, [])
     artifact = json.loads((tmp_path / "out" / "three-points.matrix.json").read_text())
     assert artifact["special_rows"] == rows
+
+
+def test_matrix_reads_the_tail_of_a_single_request_wherever_it_is_carried(tmp_path, capsys):
+    """The special rows of a ``single`` request take the tail on the request
+    as ``solve`` does, and the same rows as from the tail on the descriptor."""
+    carried = four_divisor_tower()
+    bare = make_descriptor(
+        3, [[], [1], [1, 2], [2, 3]], curvette_mults=carried.curvette_mults, special_mults={1: (2, 2), 2: (3, 2)}
+    )
+    placements = {
+        "on-descriptor": Scenario(name="four-divisors", descriptor=carried, request=SingleRequest(s=3, degree=1)),
+        "on-request": Scenario(
+            name="four-divisors", descriptor=bare, request=SingleRequest(s=3, degree=1, tail=carried.tail)
+        ),
+    }
+    certificates = []
+    for where, sc in placements.items():
+        (tmp_path / where).mkdir()
+        assert run_command("matrix", scenario_to_json(sc), tmp_path / where, capsys) == (0, [])
+        artifact = json.loads((tmp_path / where / "out" / "four-divisors.matrix.json").read_text())
+        assert artifact["special_rows"] == [[2, 4, 7, 13], [3, 5, 9, 14]], where
+        certificates.append(solve_scenario(sc).to_json())
+    assert certificates[0] == certificates[1]
 
 
 MAP_NAMES = ("special_exponents", "contact_orders", "target_orders")
