@@ -122,8 +122,9 @@ class ChartTower(FieldCodec):
         """The local equation of each exceptional divisor visible on the chart
         path ``charts`` (None for the default charts) after every step: entry
         k holds them after the first k steps.  Each tower object pushes them
-        through once per path and keeps them.  The list stops at a chart
-        outside its center, where a walk raises."""
+        through once per path and keeps them.  A path with more charts than
+        blow-ups, or with a chart outside its center, raises ``ChartError``:
+        this is the one check of a chart path, and every walk makes it."""
         key = None if charts is None else tuple(charts)
         eqs = self._path_eqs.get(key)
         if eqs is None:
@@ -209,6 +210,8 @@ def _push_divisor_eqs(tower: ChartTower, charts: Sequence[str] | None) -> list[d
     Through a blow-up an equation loses its power of the chart variable, one
     that becomes a constant leaves (its divisor is not visible in the chart),
     and the new divisor's equation is the chart variable."""
+    if charts is not None and len(charts) > tower.blowup_count:
+        raise ChartError(f"{len(charts)} charts given for {tower.blowup_count} blow-ups")
     variables = tower.variables
     path: list[dict[int, Polynomial]] = [{}]
     done = 0
@@ -219,7 +222,7 @@ def _push_divisor_eqs(tower: ChartTower, charts: Sequence[str] | None) -> list[d
             continue
         chart = _blowup_chart(step, charts, done)
         if chart not in step.center:
-            break  # a walk on this path raises here
+            raise ChartError(f"chart variable {chart!r} is not in the center {step.center}")
         done += 1
         new_eqs: dict[int, Polynomial] = {}
         for idx, eq in path[-1].items():
@@ -250,7 +253,8 @@ def walk_tower(
     ``charts`` overrides the default chart variable per blow-up; ``blowups``
     stops the walk right after that many blow-ups (shears in between are
     applied, trailing shears are not).  Only ``polys`` are pushed: the
-    divisor equations are the tower's (``ChartTower.divisor_eqs``).
+    divisor equations are the tower's (``ChartTower.divisor_eqs``), whose
+    push checks the whole chart path, past where the walk stops too.
     """
     limit = tower.blowup_count if blowups is None else blowups
     if not 0 <= limit <= tower.blowup_count:
@@ -268,8 +272,6 @@ def walk_tower(
             state.divisor_eqs = path[k + 1]
             continue
         chart = _blowup_chart(step, charts, state.blowups_done)
-        if chart not in step.center:
-            raise ChartError(f"chart variable {chart!r} is not in the center {step.center}")
         state.polys = [_apply_blowup(p, step.center, chart) for p in state.polys]
         state.blowups_done += 1
         state.divisor_eqs = path[k + 1]
@@ -402,13 +404,6 @@ def restrict(
     return read_divisor((form,), StageLeaves(stage, divisor))[1]
 
 
-def _slice(poly: Polynomial, idx: int, k: int) -> Polynomial:
-    """``(poly / v**k)`` at ``v = 0`` for the variable v at ``idx``, when v**k
-    divides poly: its terms of v-exponent k, with that exponent set to 0."""
-    terms = {e[:idx] + (0,) + e[idx + 1 :]: c for e, c in poly._terms.items() if e[idx] == k}
-    return Polynomial._trusted(poly.variables, terms)
-
-
 def restriction_chart_variable(divisor_eqs: Mapping[int, Polynomial], divisor: int) -> str:
     """The coordinate that is the divisor's local equation among a walk's ``divisor_eqs``."""
     eq = divisor_eqs.get(divisor)
@@ -455,7 +450,7 @@ class StageLeaves:
     def _slice_of_leaf(self, j: int) -> Polynomial:
         s = self._slices.get(j)
         if s is None:
-            s = self._slices[j] = _slice(self.polys[j], self.idx, self.orders[j])
+            s = self._slices[j] = self.polys[j].slice(self.idx, self.orders[j])
         return s
 
     def slice_of(self, terms: Mapping[tuple[int, ...], Fraction | int]) -> Polynomial:
@@ -523,7 +518,7 @@ def _multiplied_out(side: Polynomial, leaves: StageLeaves) -> _Lowest | None:
     if not whole:
         return None
     k = whole.order_in(leaves.chart_var)
-    return _Lowest(k, None, _slice(whole, leaves.idx, k))
+    return _Lowest(k, None, whole.slice(leaves.idx, k))
 
 
 def read_divisor(parts: Sequence[LeafQuotient], leaves: StageLeaves) -> tuple[int | None, Restriction]:

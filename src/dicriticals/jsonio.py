@@ -138,7 +138,7 @@ class FieldCodec:
 
     def to_json(self) -> dict:
         data = self.envelope()
-        for name, key, _, encode, _, _, omitted in _plan(type(self)):
+        for name, key, encode, omitted in _plan(type(self))[0]:
             value = getattr(self, name)
             if omitted is _KEEP or value != omitted:
                 data[key] = value if encode is None else encode(value)
@@ -154,7 +154,7 @@ class FieldCodec:
         """
         if type(data) is not dict:
             raise ScenarioError(f"{cls.__name__} must be a JSON object, got {data!r}")
-        fields, keys, enveloped = _reader(cls)
+        _, fields, keys, enveloped = _plan(cls)
         kwargs = {}
         for name, key, what, decode, required in fields:
             if key in data:
@@ -193,13 +193,16 @@ def read_kinded(classes, data, what: str):
 
 @functools.cache
 def _plan(cls) -> tuple:
-    """``(name, key, what, encode, decode, required, omitted)`` per field of
-    ``cls``, where ``omitted`` is the value at which the field is left out.
+    """``(writer, reader, keys, enveloped)`` for ``cls``: ``(name, key,
+    encode, omitted)`` per field for ``to_json``, where ``omitted`` is the
+    value at which the field is left out; ``(name, key, what, decode,
+    required)`` per field for ``from_json``; the field keys; and whether
+    ``cls`` writes an envelope of its own.
 
     Cached per class: resolving the annotations costs more than a whole read.
     """
     hints = typing.get_type_hints(cls)
-    plan = []
+    writer, reader = [], []
     for f in dataclasses.fields(cls):
         key, omit, codec = f.metadata.get("json", (None, False, None))
         key = key or f.name
@@ -209,27 +212,11 @@ def _plan(cls) -> tuple:
             default = f.default_factory()
         else:
             default = _KEEP
-        plan.append(
-            (
-                f.name,
-                key,
-                f"{cls.__name__} field {key!r}",
-                *(codec or type_codec(hints[f.name])),
-                default is _KEEP,
-                default if omit else _KEEP,
-            )
-        )
-    return tuple(plan)
-
-
-@functools.cache
-def _reader(cls) -> tuple:
-    """``((name, key, what, decode, required) per field, field keys, enveloped)``
-    for ``from_json``, built on the first read of ``cls``; ``enveloped`` is
-    whether ``cls`` writes an envelope of its own."""
-    plan = _plan(cls)
-    fields = tuple((name, key, what, decode, required) for name, key, what, _, decode, required, _ in plan)
-    return fields, frozenset(entry[1] for entry in plan), cls.envelope is not FieldCodec.envelope
+        encode, decode = codec or type_codec(hints[f.name])
+        writer.append((f.name, key, encode, default if omit else _KEEP))
+        reader.append((f.name, key, f"{cls.__name__} field {key!r}", decode, default is _KEEP))
+    keys = frozenset(entry[1] for entry in writer)
+    return tuple(writer), tuple(reader), keys, cls.envelope is not FieldCodec.envelope
 
 
 @functools.cache

@@ -295,11 +295,7 @@ class Polynomial:
         return Polynomial._trusted(self.variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms[e] - c if e in terms else -c
-        return Polynomial._trusted(self.variables, terms)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -467,8 +463,15 @@ class Polynomial:
 
     def set_to_zero(self, name: str) -> "Polynomial":
         """Substitute 0 for one variable (keeps the ring)."""
-        idx = self._var_index(name)
-        return Polynomial._trusted(self.variables, {e: c for e, c in self._terms.items() if e[idx] == 0})
+        return self.slice(self._var_index(name), 0)
+
+    def slice(self, idx: int, k: int) -> "Polynomial":
+        """The terms of exponent ``k`` in the variable at ``idx``, with that
+        exponent set to 0: ``(self / v**k)`` at ``v = 0`` when v**k divides
+        ``self``.  Setting one exponent keeps distinct terms distinct."""
+        return Polynomial._wrap(
+            self.variables, {e[:idx] + (0,) + e[idx + 1 :]: c for e, c in self._terms.items() if e[idx] == k}
+        )
 
     def divide_by_monomial(self, exps: Exponents) -> "Polynomial":
         exps = tuple(exps)

@@ -87,8 +87,6 @@ def over_common_leaves(forms: Iterable[LeafQuotient]) -> tuple[LeafQuotient, ...
     shared = tuple(leaves.values())
 
     def embed(side: Polynomial) -> Polynomial:
-        if side.variables == ring:
-            return side
         slots = [ring.index(name) for name in side.variables]
         terms = {}
         for exps, coeff in side._terms.items():

@@ -482,9 +482,10 @@ def tail_descriptor(d: ModificationDescriptor, s: int, tail: TailData | None = N
     """``d`` carrying the multiplicity data for the centers after s.
 
     The data is ``tail``, else ``d.tail``; it must be for s, and only s = m
-    may go without (there are no later centers).  ``d`` is valid already, so
-    only the tail is validated (``ModificationDescriptor.with_tail``); a tail
-    that contradicts ``d`` is rejected here.
+    may go without (there are no later centers).  ``d`` is valid already,
+    with its own tail, so that tail gives ``d`` itself; only another tail is
+    validated (``ModificationDescriptor.with_tail``), and one that
+    contradicts ``d`` is rejected here.
     """
     tail = d.tail if tail is None else tail
     if tail is None:
@@ -493,7 +494,7 @@ def tail_descriptor(d: ModificationDescriptor, s: int, tail: TailData | None = N
         tail = TailData(s=s)
     if tail.s != s:
         raise SolverError(f"tail data is for index {tail.s}, not {s}")
-    return d.with_tail(tail)
+    return d if tail is d.tail else d.with_tail(tail)
 
 
 def solve_single_dicritical(

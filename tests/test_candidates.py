@@ -9,8 +9,9 @@ from dicriticals.errors import ScenarioError, SolverError
 from dicriticals.fixtures import load_fixture, RING
 from dicriticals.poly import Polynomial
 from dicriticals.ratfunc import RationalFunction
+from dicriticals.scenario import scenario_from_json, scenario_to_json
 from dicriticals.solver import solve_support
-from dicriticals.verify import solve_scenario
+from dicriticals.verify import render_report, run_verify, solve_scenario
 
 
 def xyz():
@@ -111,3 +112,19 @@ def test_build_profile_is_seeded():
     for part, twist in zip(h1, twists1):
         base = build_single(cert.parts[twist.target], sc.equations, sc.bindings.parts[twist.target])
         assert part.quotient() == mobius(base, twist.a, twist.b).quotient()
+
+
+def test_an_equation_named_like_a_base_leaf_keeps_its_own_leaf():
+    """``build_single`` names the base numerator's leaf f3 at s = 3; an
+    equation of that name, bound as a later hypercurvette and a row, gets a
+    leaf of its own, so the scenario verifies as before."""
+    sc = load_fixture("three-points-line")
+    data = scenario_to_json(sc)
+    data["name"] = "three-points-line-f3"
+    data["equations"]["f3"] = data["equations"].pop("C4")
+    data["bindings"]["later"]["4"] = data["bindings"]["rows"]["4"] = "f3"
+    renamed = scenario_from_json(data)
+    report, want = run_verify(renamed), run_verify(sc)
+    assert report.overall
+    assert render_report(report) == render_report(want)
+    assert {**report.to_json(), "scenario": sc.name} == want.to_json()

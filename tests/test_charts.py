@@ -50,6 +50,10 @@ def single_blowup():
     return ChartTower(RING, (BlowupStep(("x", "y", "z"), "z"),))
 
 
+def two_blowups():
+    return ChartTower(RING, (BlowupStep(RING, "z"), BlowupStep(RING, "z")))
+
+
 def test_pullback_identity_tower():
     x, y, _ = xyz()
     tower = ChartTower(RING, ())
@@ -248,6 +252,22 @@ def test_nongeneric_line_template_errors():
             ChartError,
             r"^chart variable 'z' is not in the center \('x', 'y'\)$",
         ),
+        # a path is checked whole, also past the blow-up where a read stops
+        (
+            lambda x: walk_tower(two_blowups(), [x], charts=("z", "q"), blowups=1),
+            ChartError,
+            r"^chart variable 'q' is not in the center \('x', 'y', 'z'\)$",
+        ),
+        (
+            lambda x: divisor_order(RationalFunction(x), two_blowups(), 1, charts=("z", "z", "x")),
+            ChartError,
+            r"^3 charts given for 2 blow-ups$",
+        ),
+        (
+            lambda x: restrict(RationalFunction(x), two_blowups(), 1, charts=("z", "q"), blowups=1),
+            ChartError,
+            r"^chart variable 'q' is not in the center \('x', 'y', 'z'\)$",
+        ),
         (
             lambda x: walk_tower(single_blowup(), [Polynomial.variable(("x", "y"), "x")]),
             PolynomialError,
@@ -267,7 +287,16 @@ def test_nongeneric_line_template_errors():
             "^degree is only defined for dicritical restrictions$",
         ),
     ],
-    ids=["shear-of-its-target", "chart-outside-center", "foreign-ring", "divisor-out-of-range", "degree-of-a-constant"],
+    ids=[
+        "shear-of-its-target",
+        "chart-outside-center",
+        "walk-stops-before-a-chart-outside-center",
+        "order-of-a-path-beyond-the-tower",
+        "restriction-stops-before-a-chart-outside-center",
+        "foreign-ring",
+        "divisor-out-of-range",
+        "degree-of-a-constant",
+    ],
 )
 def test_the_chart_tier_rejects_bad_arguments(call, error, message):
     x, _, _ = xyz()

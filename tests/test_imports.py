@@ -1,9 +1,15 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and the exact
+core stays apart from the combinatorial layer.
 
 No linter runs offline, so this reads each module's syntax tree: a name
 bound by an import must be read somewhere in the module, in code or in a
 string annotation.  ``__init__.py`` is left out, because its imports are the
-package's public names.
+package's public names.  The same trees show what each module takes from
+the others: ``poly``, ``ratfunc`` and ``charts`` take nothing from
+``solver`` and only the center structure ``check_tower`` compares from
+``descriptor``; ``descriptor`` and ``solver`` take nothing from the
+polynomial and chart modules; and ``candidates`` takes only the certificate
+classes from ``solver``.
 """
 
 import ast
@@ -68,3 +74,73 @@ def test_an_unused_import_is_reported():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["<module>:4: take", "<module>:5: mul"]
+
+
+def package_imports(tree: ast.Module) -> dict[str, set[str]]:
+    """The names the module takes from each module of the package; a module
+    imported whole takes ``*``."""
+    taken: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("dicriticals."):
+                    taken.setdefault(alias.name.removeprefix("dicriticals."), set()).add("*")
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("dicriticals"):
+                module = module.removeprefix("dicriticals").removeprefix(".")
+            elif node.level != 1:
+                continue
+            for alias in node.names:
+                if module:
+                    taken.setdefault(module, set()).add(alias.name)
+                else:  # from . import solver
+                    taken.setdefault(alias.name, set()).add("*")
+    return taken
+
+
+CORE = ("poly", "ratfunc", "charts")
+COMBINATORIAL = ("descriptor", "solver")
+CERTIFICATES = {"LastDicriticalCertificate", "ProfileCertificate", "SingleDicriticalCertificate", "SupportCertificate"}
+# (module, module it imports from, the names it may take from it)
+SEPARATION = [
+    *((core, "solver", set()) for core in CORE),
+    *((core, "descriptor", {"ModificationDescriptor"}) for core in CORE),
+    *(
+        (module, source, set())
+        for module in COMBINATORIAL
+        for source in ("poly", "ratfunc", "charts", "candidates", "verify")
+    ),
+    ("candidates", "solver", CERTIFICATES),
+]
+
+
+def separation_breaches(sources: dict[str, str]) -> list[str]:
+    """The names a module of ``sources`` (module name -> source text) takes
+    from another beyond what ``SEPARATION`` allows."""
+    taken = {module: package_imports(ast.parse(text, module)) for module, text in sources.items()}
+    breaches = []
+    for module, source, allowed in SEPARATION:
+        extra = taken.get(module, {}).get(source, set()) - allowed
+        if extra:
+            breaches.append(f"{module} takes {sorted(extra)} from {source}")
+    return breaches
+
+
+def test_the_exact_core_stays_apart_from_the_combinatorial_layer():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert set(sources) >= {module for module, _, _ in SEPARATION}
+    assert separation_breaches(sources) == []
+
+
+def test_a_breach_of_the_separation_is_reported():
+    sources = {
+        "poly": "from .descriptor import ModificationDescriptor, valuation_matrix\n",
+        "solver": "from . import charts\nfrom .errors import SolverError\n",
+        "candidates": "from dicriticals.solver import SupportCertificate, solve_support\n",
+    }
+    assert separation_breaches(sources) == [
+        "poly takes ['valuation_matrix'] from descriptor",
+        "solver takes ['*'] from charts",
+        "candidates takes ['solve_support'] from solver",
+    ]

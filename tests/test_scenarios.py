@@ -318,6 +318,7 @@ ARTIFACT_MUTATIONS = {
         {"04": {"num": 3, "den": 2}},
     ),
     "certificate-linear-form-missing-coeffs": ("three-points-line", ("threshold_form",), {"const": {"num": 5, "den": 1}}),
+    "certificate-linear-form-const-not-a-pair": ("three-points-line", ("threshold_form", "const"), 5),
     "certificate-profile-degree": ("two-dicriticals", ("degrees", "1"), 2),
     "certificate-profile-part-degree": ("two-dicriticals", ("parts", "1", "degree"), 2),
     "report-row-extra-key": ("three-points", ("rows", 0, "extra"), 1),
@@ -406,7 +407,29 @@ SCENARIO_MUTATIONS = {
     "chart-list-beyond-tower": ("three-points", ("charts",), {"3": {"charts": ["z", "y", "x", "q"], "blowups": None}}),
     "chart-path-hides-divisor": ("three-points-line", ("charts", "3", "blowups"), None),
     "explicit-negative-exponent": ("conic-center", ("request", "den", 1, 0, 1), -3),
+    "explicit-without-expect": ("conic-center", ("expect",), DELETE),
+    "empty-profile-request": ("two-dicriticals", ("request", "parts"), {}),
+    "verify-without-tower": ("three-points", ("tower",), DELETE),
+    "tower-short-of-m": ("three-points", ("tower", "steps", 2), DELETE),
+    "tower-steps-not-a-list": ("three-points", ("tower", "steps"), {}),
+    "negative-multiplicity": ("three-points", ("descriptor", "centers", 1, "T_row"), [-1, 1]),
     **TAIL_MUTATIONS,
+}
+
+
+# The input checks that no fixture, benchmark workload or other case reaches:
+# case -> the end of the one line each must print, so the case shows the
+# check it names fired and not an earlier one.
+UNREACHED_CHECKS = {
+    "certificate-linear-form-const-not-a-pair": "LinearForm field 'const' must be a {num, den} pair",
+    "explicit-without-expect": "an explicit scenario needs expected outcomes",
+    "empty-profile-request": "a profile request needs at least one target divisor",
+    "verify-without-tower": "verification needs a chart tower",
+    "tower-short-of-m": "chart tower: tower has 2 blow-ups, descriptor has 3",
+    "tower-steps-not-a-list": "ChartTower field 'steps' must be a list of steps, got {}",
+    "negative-multiplicity": "multiplicity row 2 has a negative entry",
+    "matrix-only-certificate": "matrix-only scenarios take no certificate",
+    "matrix-only-without-rows": "matrix verification needs row bindings",
 }
 
 
@@ -460,6 +483,8 @@ def mutated(case):
         "scenario-path-too-long",
         "certificate-path-too-long",
         "report-out-too-long",
+        "matrix-only-certificate",
+        "matrix-only-without-rows",
         *ARTIFACT_MUTATIONS,
         *SCENARIO_MUTATIONS,
     ],
@@ -531,6 +556,15 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
         stored.write_text(input_json(artifact))
     elif case in SCENARIO_MUTATIONS:
         path.write_text(input_json(mutated(case)))
+    elif case.startswith("matrix-only-"):
+        del data["request"]
+        if case == "matrix-only-without-rows":
+            del data["bindings"]["rows"]
+        else:
+            stored = tmp_path / "certificate.json"
+            stored.write_text(input_json(solve_scenario(load_fixture(fixture)).to_json()))
+            argv += ["--certificate", str(stored)]
+        path.write_text(input_json(data))
     elif case in ("empty-certificate", "non-json-certificate"):
         path.write_text(input_json(data))
         certificate = tmp_path / "certificate.json"
@@ -570,6 +604,7 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error:"), err
+    assert err[0].endswith(UNREACHED_CHECKS.get(case, "")), err
     assert not any(tmp_path.parent.glob("evil*"))  # nothing written above --out
 
 

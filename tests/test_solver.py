@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from dicriticals import descriptor, solver
 from dicriticals.descriptor import TailData, make_descriptor, pullback_orders, special_rows, valuation_matrix
 from dicriticals.errors import BoundViolation, DicriticalError, SolverError
+from dicriticals.fixtures import load_fixture
 from dicriticals.jsonio import canonical_dumps
+from dicriticals.scenario import validate_scenario
 from dicriticals.solver import (
     LinearForm,
     aux_order_bounds,
@@ -25,6 +27,7 @@ from dicriticals.solver import (
     solve_support,
     window_forms,
 )
+from dicriticals.verify import solve_scenario
 from helpers import four_divisor_tower, random_descriptor, random_request
 
 A_ROWS = ((1, 1, 1), (1, 2, 1), (1, 2, 2))
@@ -306,6 +309,28 @@ def test_single_validates_once_and_builds_one_matrix(d, s, contacts, doublings, 
     assert cert.doublings == doublings
     assert len(matrices) == 1
     assert len(validations) <= 2
+
+
+@pytest.mark.parametrize(
+    "name, validated",
+    [("three-points-line", []), ("two-dicriticals", [1, 3, 1, 3])],
+)
+def test_a_descriptors_own_tail_is_not_validated_again(name, validated, monkeypatch):
+    """The tail a descriptor was built with was checked then; a request's
+    tail is checked on each use.  Validating and solving ``name`` validates
+    the tails for these indices."""
+    sc = load_fixture(name)
+    seen = []
+    original = descriptor._validate_tail
+
+    def counted(d):
+        seen.append(d.tail.s)
+        return original(d)
+
+    monkeypatch.setattr(descriptor, "_validate_tail", counted)
+    validate_scenario(sc)
+    solve_scenario(sc)
+    assert seen == validated
 
 
 def test_a_single_solve_checks_its_request_once(monkeypatch):
