@@ -116,14 +116,14 @@ def _bundle_factor(
         return num, den
     if exponent == 0:
         if len(names) < 2:
-            raise SolverError(
+            raise ScenarioError(
                 f"divisor {index} needs a nonconstant bundle with total exponent zero; "
                 "bind two distinct equations"
             )
         first = lookup_equation(equations, names[0], f"bundle {index}")
         second = lookup_equation(equations, names[1], f"bundle {index}")
         if first == second:
-            raise SolverError(f"bundle {index} needs two distinct equations")
+            raise ScenarioError(f"bundle {index} needs two distinct equations")
         return _times(num, leaves.power(names[0], first, 1)), _times(den, leaves.power(names[1], second, 1))
     name = names[0] if names else None
     poly = lookup_equation(equations, name, f"bundle {index}")
@@ -157,7 +157,7 @@ def build_last(
     primary = lookup_equation(equations, bindings.primary, "primary hypercurvette")
     secondary = lookup_equation(equations, bindings.secondary, "secondary hypercurvette")
     if primary == secondary:
-        raise SolverError("primary and secondary hypercurvettes must be distinct")
+        raise ScenarioError("primary and secondary hypercurvettes must be distinct")
     num = leaves.power(bindings.primary, primary, cert.degree)
     den = leaves.power(bindings.secondary, secondary, cert.degree)
     for index, exponent in enumerate(cert.bundle_exponents, start=1):

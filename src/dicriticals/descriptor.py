@@ -110,11 +110,6 @@ class ModificationDescriptor(FieldCodec):
     def parents(self, j: int) -> tuple[int, ...]:
         return self.centers[j - 1].parents
 
-    def curvette_mult(self, j: int, t: int) -> int:
-        """Multiplicity of hypercurvette j's strict transform along center t."""
-        row = self.curvette_mults[j - 1]
-        return row[t - 1] if t <= j else 0
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -693,16 +693,6 @@ def univariate_int_gcd(a: list[int], b: list[int]) -> list[int]:
     return _prs(a, b, _int_list_primitive)
 
 
-def _to_int_list(coeffs: list[Coeff]) -> list[int]:
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-def univariate_gcd_degree(a: list[Coeff], b: list[Coeff]) -> int:
-    g = univariate_int_gcd(_to_int_list(a), _to_int_list(b))
-    return len(g) - 1 if g else -1
-
-
 # -- multivariate gcd --------------------------------------------------------
 
 
@@ -805,14 +795,7 @@ def _prs_gcd(p: Polynomial, q: Polynomial, main: str) -> Polynomial:
     """gcd(p, q) for nonzero p and q: the PRS over the ring of the variables
     other than ``main``, times the gcd of the two contents."""
     idx = p._var_index(main)
-
-    def coefficients(f: Polynomial) -> list[Polynomial]:
-        slices = [{} for _ in range(f.degree_in(main) + 1)]
-        for e, c in f._terms.items():
-            slices[e[idx]][e[:idx] + (0,) + e[idx + 1 :]] = c
-        return [Polynomial._wrap(f.variables, t) for t in slices]
-
-    pl, ql = coefficients(p), coefficients(q)
+    pl, ql = ([f.slice(idx, k) for k in range(f.degree_in(main) + 1)] for f in (p, q))
     cont = polynomial_gcd(_content(pl), _content(ql))
     core = {
         e[:idx] + (d,) + e[idx + 1 :]: c
@@ -828,14 +811,6 @@ def _prs_gcd(p: Polynomial, q: Polynomial, main: str) -> Polynomial:
 def _shared_variables(p: Polynomial, q: Polynomial) -> list[str]:
     """Variables of positive degree in both; a common factor lives in these."""
     return [v for v, a, b in zip(p.variables, zip(*p._terms), zip(*q._terms)) if max(a) and max(b)]
-
-
-def _evaluate_at(p: Polynomial, idx: int, xi: int) -> Polynomial:
-    terms: dict[Exponents, int] = {}
-    for e, c in p._terms.items():
-        key = e[:idx] + (0,) + e[idx + 1 :]
-        terms[key] = terms.get(key, 0) + c * xi ** e[idx]
-    return Polynomial._trusted(p.variables, terms)
 
 
 def _interpolate(h: Polynomial, idx: int, xi: int) -> Polynomial:
@@ -870,10 +845,11 @@ def _heu_gcd(f: Polynomial, g: Polynomial) -> Polynomial | None:
     if not shared:
         return Polynomial._trusted(f.variables, {(0,) * len(f.variables): cont})
     f, g = _div_ground(f, cont), _div_ground(g, cont)
-    idx = f.variables.index(shared[0])
+    v = shared[0]
+    idx = f.variables.index(v)
     xi = 2 * min(max(map(abs, f._terms.values())), max(map(abs, g._terms.values()))) + 29
     for _ in range(_HEU_TRIES):
-        ff, gg = _evaluate_at(f, idx, xi), _evaluate_at(g, idx, xi)
+        ff, gg = f.substitute({v: xi}), g.substitute({v: xi})
         image = _heu_gcd(ff, gg) if ff and gg else None
         if image is not None:
             h = primitive_part(_interpolate(image, idx, xi))

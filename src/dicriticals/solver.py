@@ -384,7 +384,7 @@ def later_mults(d: ModificationDescriptor, s: int) -> dict[int, list[int]]:
     for s."""
     tail = d.tail
     return {
-        j: [d.curvette_mult(j, t) if t <= s else tail.mu_curvettes.get(t, {}).get(j, 0) for t in range(1, d.m + 1)]
+        j: [*d.curvette_mults[j - 1][:s], *[tail.mu_curvettes.get(t, {}).get(j, 0) for t in range(s + 1, d.m + 1)]]
         for j in range(s + 1, d.m + 1)
     }
 
@@ -602,10 +602,7 @@ class ProfileCertificate(Certificate):
         return {**super().envelope(), "mobius": mobius}
 
 
-def combine_profile(
-    parts: Sequence[SingleDicriticalCertificate],
-    degrees: Mapping[int, int] | None = None,
-) -> ProfileCertificate:
+def combine_profile(parts: Sequence[SingleDicriticalCertificate]) -> ProfileCertificate:
     """Combine one certificate per target divisor into a product plan."""
     if not parts:
         raise SolverError("at least one target divisor is required")
@@ -614,11 +611,7 @@ def combine_profile(
         if cert.s in seen:
             raise SolverError(f"duplicate target divisor {cert.s}")
         seen[cert.s] = cert
-    degs = {cert.s: cert.degree for cert in parts}
-    if degrees is not None:
-        if dict(degrees) != degs:
-            raise SolverError("requested degrees disagree with the certificates")
-    return ProfileCertificate(degrees=degs, parts=seen)
+    return ProfileCertificate(degrees={cert.s: cert.degree for cert in parts}, parts=seen)
 
 
 def certificate_from_json(data):

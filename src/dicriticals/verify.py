@@ -123,7 +123,7 @@ def solve_scenario(sc: Scenario):
         return _solve_target(sc.descriptor, req)
     if isinstance(req, ProfileRequest):
         parts = [_solve_target(sc.descriptor, part) for part in req.parts.values()]
-        return combine_profile(parts, req.degrees)
+        return combine_profile(parts)
     raise ScenarioError("scenario carries no solver request")
 
 

@@ -52,7 +52,7 @@ def test_build_support_with_split_bundle():
     bindings = Bindings(bundles={1: ("A", "B")})
     h = build_support(cert, {"A": x + y, "B": x - y}, bindings)
     assert RationalFunction(*h.quotient()) == RationalFunction(x + y, x - y)
-    with pytest.raises(SolverError):
+    with pytest.raises(ScenarioError):
         build_support(cert, {"A": x + y}, Bindings(bundles={1: ("A",)}))
 
 

@@ -7,6 +7,7 @@ can only err low (at special constants leading coefficients vanish and the
 gcd grows), so the comparisons use the largest of three seeded oracle runs.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from dicriticals.charts import (
 )
 from dicriticals.errors import ChartError, GenericityError
 from dicriticals.fixtures import FIXTURES, RING, conic_center, load_fixture
-from dicriticals.poly import Polynomial, univariate_gcd_degree
+from dicriticals.poly import Polynomial, univariate_int_gcd
 from dicriticals.ratfunc import RationalFunction
 from dicriticals.verify import explicit_function, run_verify, solve_scenario
 
@@ -54,10 +55,16 @@ def _drawn_degree(restriction: Restriction, line: LineClassSpec, rng: random.Ran
         return None
     if num_t.is_zero():
         return 0
-    coeffs_n = [num_t.coefficient((k,)) for k in range(num_t.degree_in("t") + 1)]
-    coeffs_d = [den_t.coefficient((k,)) for k in range(den_t.degree_in("t") + 1)]
-    gdeg = univariate_gcd_degree(coeffs_n, coeffs_d)
+    coeffs_n, coeffs_d = (_integer_coefficients(p) for p in (num_t, den_t))
+    gdeg = len(univariate_int_gcd(coeffs_n, coeffs_d)) - 1
     return max(len(coeffs_n) - 1 - gdeg, len(coeffs_d) - 1 - gdeg)
+
+
+def _integer_coefficients(p: Polynomial) -> list[int]:
+    """The coefficients of a nonzero p in t (index = degree), scaled to integers."""
+    coeffs = [p.coefficient((k,)) for k in range(p.degree_in("t") + 1)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def double_draw_degree(restriction: Restriction, line: LineClassSpec, rng: random.Random, retries=4) -> int:

@@ -9,10 +9,13 @@ the others: ``poly``, ``ratfunc`` and ``charts`` take nothing from
 ``solver`` and only the center structure ``check_tower`` compares from
 ``descriptor``; ``descriptor`` and ``solver`` take nothing from the
 polynomial and chart modules; and ``candidates`` takes only the certificate
-classes from ``solver``.
+classes from ``solver``.  And every private function or method (one
+leading underscore) is referenced by name somewhere in the package outside
+its own body, so a helper whose last caller goes is caught.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -144,3 +147,53 @@ def test_a_breach_of_the_separation_is_reported():
         "solver takes ['*'] from charts",
         "candidates takes ['solve_support'] from solver",
     ]
+
+
+def referenced_names(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree``, as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """The private functions and methods of ``sources`` (module name ->
+    source text) whose name is read nowhere but in their own bodies."""
+    trees = {module: ast.parse(text, module) for module, text in sources.items()}
+    everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}:{node.lineno}: {node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere[node.name] == referenced_names(node)[node.name]
+    ]
+
+
+def test_every_private_function_is_referenced():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_an_unreferenced_private_function_is_reported():
+    sources = {
+        "poly": (
+            "def _helper(x):\n"
+            "    return _helper(x - 1) if x else 0\n"
+            "def _used(x):\n"
+            "    return x\n"
+            "class P:\n"
+            "    def _method(self):\n"
+            "        return self._other()\n"
+            "    def _other(self):\n"
+            "        return 1\n"
+            "    def __repr__(self):\n"
+            "        return ''\n"
+        ),
+        "charts": "from .poly import _used\nVALUE = _used(1)\n",
+    }
+    assert unreferenced_private_functions(sources) == ["poly:1: _helper", "poly:6: _method"]

@@ -321,6 +321,9 @@ ARTIFACT_MUTATIONS = {
     "certificate-linear-form-const-not-a-pair": ("three-points-line", ("threshold_form", "const"), 5),
     "certificate-profile-degree": ("two-dicriticals", ("degrees", "1"), 2),
     "certificate-profile-part-degree": ("two-dicriticals", ("parts", "1", "degree"), 2),
+    "certificate-pole-power-zero": ("three-points-line", ("pole_power",), 0),
+    "certificate-later-power-zero": ("three-points-line", ("later_exponents",), {"4": 0}),
+    "certificate-special-exponent-negative": ("three-points", ("special_exponents",), {"1": -1, "2": 1}),
     "report-row-extra-key": ("three-points", ("rows", 0, "extra"), 1),
     "report-row-ok-not-bool": ("three-points", ("rows", 0, "ok"), "no"),
     "report-row-divisor-not-int": ("three-points", ("rows", 0, "divisor"), "E"),
@@ -338,11 +341,14 @@ C1_TERMS = [
     {"exps": [1, 0, 0], "num": 1, "den": 1},
 ]
 
-# Scenario mutations, case -> (scenario fixture, key path, value): the value
-# is written at the key path into the fixture's JSON form, or the key is
-# deleted where the value is DELETE.  The support requests target divisor 1,
-# whose bundle exponent only is nonzero among the bound bundles.
+# Scenario mutations, case -> (scenario fixture, key path, value, *more): the
+# value is written at the key path into the fixture's JSON form, or the key is
+# deleted where the value is DELETE, and so is each further (key path, value)
+# pair.  The support requests target divisor 1, whose bundle exponent only is
+# nonzero among the bound bundles; targeting 1 and 2 gives bundle 1 the
+# exponent zero, so it must be split into two distinct equations.
 SUPPORT = {"kind": "support", "targets": [1]}
+SPLIT_BUNDLE_1 = ("three-points", ("request",), {**SUPPORT, "targets": [1, 2]})
 DELETE = object()
 # A single request without usable tail data, which every command rejects.
 TAIL_MUTATIONS = {
@@ -372,14 +378,19 @@ SCENARIO_MUTATIONS = {
     "step-with-both-tags": ("three-points", ("tower", "steps", 0, "shear"), {}),
     "blowup-center-string": ("three-points", ("tower", "steps", 0, "blowup", "center"), "xyz"),
     "tower-vars-string": ("three-points", ("tower", "vars"), "xyz"),
+    "tower-vars-beyond-dimension": ("three-points", ("tower", "vars"), ["x", "y", "z", "w"]),
     "unknown-bindings-key": ("three-points", ("bindings", "primry"), "C3p"),
     "binding-not-string": ("three-points", ("bindings", "primary"), 5),
     "binding-missing-equation": ("three-points", ("bindings", "primary"), "NOPE"),
+    "binding-secondary-is-primary": ("three-points", ("bindings", "secondary"), "C3p"),
+    "binding-split-bundle-repeated": (*SPLIT_BUNDLE_1, (("bindings", "bundles", "1"), ["C1", "C1"])),
+    "binding-split-bundle-single": (*SPLIT_BUNDLE_1, (("bindings", "bundles", "1"), ["C1"])),
     "unknown-line-key": ("three-points", ("lines", "3", "extra"), 1),
     "line-divisor-key": ("three-points", ("lines", "3", "divisor"), 3),
     "line-assign-pairs": ("three-points", ("lines", "3", "assign"), [["x", "zero"], ["y", "const"], ["z", "param"]]),
     "unknown-expect-key": ("three-points", ("expect", "extra"), 1),
     "chart-key-not-canonical": ("three-points", ("charts",), {"01": {"charts": None, "blowups": 3}}),
+    "chart-key-not-an-integer": ("three-points", ("charts",), {"a": {"charts": None, "blowups": 3}}),
     "repeated-term": ("three-points", ("equations", "C1", "terms"), [C1_TERMS[0], *C1_TERMS]),
     "zero-term": ("three-points", ("equations", "C1", "terms"), [*C1_TERMS, {"exps": [0, 0, 2], "num": 0, "den": 1}]),
     "unknown-term-key": ("three-points", ("equations", "C1", "terms", 0, "extra"), 1),
@@ -408,7 +419,7 @@ SCENARIO_MUTATIONS = {
     "chart-path-hides-divisor": ("three-points-line", ("charts", "3", "blowups"), None),
     "explicit-negative-exponent": ("conic-center", ("request", "den", 1, 0, 1), -3),
     "explicit-without-expect": ("conic-center", ("expect",), DELETE),
-    "empty-profile-request": ("two-dicriticals", ("request", "parts"), {}),
+    "profile-without-parts": ("two-dicriticals", ("request", "parts"), {}),
     "verify-without-tower": ("three-points", ("tower",), DELETE),
     "tower-short-of-m": ("three-points", ("tower", "steps", 2), DELETE),
     "tower-steps-not-a-list": ("three-points", ("tower", "steps"), {}),
@@ -417,19 +428,38 @@ SCENARIO_MUTATIONS = {
 }
 
 
-# The input checks that no fixture, benchmark workload or other case reaches:
+# The checks that no fixture, benchmark workload or other case reaches:
 # case -> the end of the one line each must print, so the case shows the
 # check it names fired and not an earlier one.
 UNREACHED_CHECKS = {
     "certificate-linear-form-const-not-a-pair": "LinearForm field 'const' must be a {num, den} pair",
     "explicit-without-expect": "an explicit scenario needs expected outcomes",
-    "empty-profile-request": "a profile request needs at least one target divisor",
+    "profile-without-parts": "a profile request needs at least one target divisor",
     "verify-without-tower": "verification needs a chart tower",
     "tower-short-of-m": "chart tower: tower has 2 blow-ups, descriptor has 3",
     "tower-steps-not-a-list": "ChartTower field 'steps' must be a list of steps, got {}",
     "negative-multiplicity": "multiplicity row 2 has a negative entry",
     "matrix-only-certificate": "matrix-only scenarios take no certificate",
     "matrix-only-without-rows": "matrix verification needs row bindings",
+    "tower-vars-beyond-dimension": "chart tower: tower has 4 variables, descriptor ambient dimension is 3",
+    "chart-key-not-an-integer": "Scenario field 'charts' has the key 'a', which is not an integer",
+    "binding-secondary-is-primary": "primary and secondary hypercurvettes must be distinct",
+    "binding-split-bundle-repeated": "bundle 1 needs two distinct equations",
+    "binding-split-bundle-single": (
+        "divisor 1 needs a nonconstant bundle with total exponent zero; bind two distinct equations"
+    ),
+    "certificate-pole-power-zero": "the pole power must be a positive honest power",
+    "certificate-later-power-zero": "later hypercurvette powers must be positive",
+    "certificate-special-exponent-negative": "special hypersurfaces carry honest positive powers",
+}
+
+# Stored certificates with a value out of range that only the candidate
+# builders check: ``verify --certificate`` exits 1 on them with one
+# ``error:`` line, as for a certificate the construction cannot honour.
+BUILDER_FAULTS = {
+    "certificate-pole-power-zero",
+    "certificate-later-power-zero",
+    "certificate-special-exponent-negative",
 }
 
 
@@ -444,9 +474,10 @@ def set_at(data, keys, value):
 
 def mutated(case):
     """The JSON form of the scenario of ``SCENARIO_MUTATIONS[case]``, mutated."""
-    fixture, keys, value = SCENARIO_MUTATIONS[case]
+    fixture, keys, value, *more = SCENARIO_MUTATIONS[case]
     data = scenario_to_json(load_fixture(fixture))
-    set_at(data, keys, value)
+    for keys, value in ((keys, value), *more):
+        set_at(data, keys, value)
     return data
 
 
@@ -492,15 +523,31 @@ def mutated(case):
 def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     path = tmp_path / "scenario.json"
     fixture = "three-points"
-    if case.startswith("expect-"):
+    if case in ARTIFACT_MUTATIONS or case in SCENARIO_MUTATIONS:
+        fixture = {**ARTIFACT_MUTATIONS, **SCENARIO_MUTATIONS}[case][0]
+    elif case.startswith("expect-"):
         fixture = "conic-center"
     elif case.startswith("profile-"):
         fixture = "two-dicriticals"
-    elif case in ARTIFACT_MUTATIONS:
-        fixture = ARTIFACT_MUTATIONS[case][0]
     data = scenario_to_json(load_fixture(fixture))
     argv = ["verify", "--scenario", str(path), "--out", str(tmp_path / "out")]
-    if case == "malformed-json":
+    if case in ARTIFACT_MUTATIONS:
+        _, keys, value = ARTIFACT_MUTATIONS[case]
+        path.write_text(input_json(data))
+        if case.startswith("certificate-"):
+            stored = tmp_path / "certificate.json"
+            artifact = solve_scenario(load_fixture(fixture)).to_json()
+            argv += ["--certificate", str(stored)]
+        else:
+            assert main(argv) == 0
+            stored = tmp_path / "out" / f"{fixture}.verify.json"
+            artifact = json.loads(stored.read_text())
+            argv[0] = "report"
+        set_at(artifact, keys, value)
+        stored.write_text(input_json(artifact))
+    elif case in SCENARIO_MUTATIONS:
+        path.write_text(input_json(mutated(case)))
+    elif case == "malformed-json":
         path.write_text(input_json(data)[:-10])
     elif case == "not-an-object":
         path.write_text("[]")
@@ -540,22 +587,6 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
         else:
             del data["bindings"]["parts"]["1"]
         path.write_text(input_json(data))
-    elif case in ARTIFACT_MUTATIONS:
-        _, keys, value = ARTIFACT_MUTATIONS[case]
-        path.write_text(input_json(data))
-        if case.startswith("certificate-"):
-            stored = tmp_path / "certificate.json"
-            artifact = solve_scenario(load_fixture(fixture)).to_json()
-            argv += ["--certificate", str(stored)]
-        else:
-            assert main(argv) == 0
-            stored = tmp_path / "out" / f"{fixture}.verify.json"
-            artifact = json.loads(stored.read_text())
-            argv[0] = "report"
-        set_at(artifact, keys, value)
-        stored.write_text(input_json(artifact))
-    elif case in SCENARIO_MUTATIONS:
-        path.write_text(input_json(mutated(case)))
     elif case.startswith("matrix-only-"):
         del data["request"]
         if case == "matrix-only-without-rows":
@@ -600,10 +631,11 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     else:
         data["lines"]["3"]["assign"] = {"x": "zero", "y": "const", "w": "param"}
         path.write_text(input_json(data))
+    code, prefix = (1, "error:") if case in BUILDER_FAULTS else (2, "input error:")
     capsys.readouterr()
-    assert main(argv) == 2
+    assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("input error:"), err
+    assert len(err) == 1 and err[0].startswith(prefix), err
     assert err[0].endswith(UNREACHED_CHECKS.get(case, "")), err
     assert not any(tmp_path.parent.glob("evil*"))  # nothing written above --out
 
