@@ -163,12 +163,9 @@ def build_last(
     for index, exponent in enumerate(cert.bundle_exponents, start=1):
         num, den = _bundle_factor(equations, bindings, index, exponent, False, leaves, num, den)
     for j in cert.special_owners:
-        exponent = cert.special_exponents[j]
-        if exponent < 0:
-            raise SolverError("special hypersurfaces carry honest positive powers")
         name = bindings.specials.get(j)
         poly = lookup_equation(equations, name, f"special hypersurface {j}")
-        den = _times(den, leaves.power(name, poly, exponent))
+        den = _times(den, leaves.power(name, poly, cert.special_exponents[j]))
     return leaves.form([(num, 1)], [(den, 1)])
 
 
@@ -197,14 +194,9 @@ def build_single(
     f = leaves.power(_fresh_name(f"f{cert.s}", equations), base.num, 1)
     g = leaves.power(_fresh_name(f"g{cert.s}", equations), base.den, 1)
     twist: dict[str, int] = {}
-    for j in sorted(cert.later_exponents):
-        k = cert.later_exponents[j]
-        if k < 1:
-            raise SolverError("later hypercurvette powers must be positive")
+    for j, k in sorted(cert.later_exponents.items()):
         name = bindings.later.get(j)
         twist = _times(twist, leaves.power(name, lookup_equation(equations, name, f"later hypercurvette {j}"), k))
-    if cert.pole_power < 1:
-        raise SolverError("the pole power must be a positive honest power")
     pole = leaves.power(bindings.pole, lookup_equation(equations, bindings.pole, "pole hypercurvette"), cert.pole_power)
     return leaves.form([(_times(f, twist), 1)], [(_times(g, twist), 1), (pole, 1)])
 

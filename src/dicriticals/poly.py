@@ -8,9 +8,10 @@ floating point is used anywhere (``constant_value`` returns a ``Fraction``).
 
 GCD routes, cheapest first.  (1) Monomial content is split off directly.
 (2) The remaining parts are checked for coprimality by specializing all but
-one variable at integer points where the leading coefficient survives: the
-degree of the specialized univariate gcd bounds the degree of the true gcd in
-that variable from above, so an all-zero certificate proves coprimality.
+one variable at integer points where the leading coefficient survives modulo
+one fixed prime: the degree of the univariate gcd of the images, found by
+Euclid's algorithm over GF(p), bounds the degree of the true gcd in that
+variable from above, so an all-zero certificate proves coprimality.
 One variable v is certified alone when a v-coefficient of either part (a
 polynomial in the other variables) is a nonzero constant, since a gcd free
 of v divides it; otherwise every shared variable is certified.  (3) A
@@ -20,9 +21,8 @@ images is found by recursion, and its symmetric xi-adic digits give a
 candidate.  A candidate is accepted only when it divides both inputs exactly
 and the certificates of (2) prove the two cofactors coprime, so the result
 never rests on the size of xi.  (4) Only when no candidate is accepted does
-the gcd fall back to the primitive pseudo-remainder sequence (PRS) that the
-certificates of (2) run over the integers, here run over the ring of the
-other variables.  Nothing is drawn at random.
+the gcd fall back to the primitive pseudo-remainder sequence (PRS) over the
+ring of the other variables.  Nothing is drawn at random.
 
 Construction policy: validated at the boundary, trusted inside.  The public
 constructor ``Polynomial(variables, terms)`` checks every variable name,
@@ -65,6 +65,10 @@ Coeff = int | Fraction
 
 # Deterministic evaluation points for coprimality certificates.
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The prime the certificates reduce by: the largest below 2**30, so a
+# residue stays one digit of a Python int.
+_P = 1073741789
 
 # Evaluation points the heuristic gcd tries before the PRS gcd takes over.
 _HEU_TRIES = 6
@@ -643,81 +647,47 @@ def _div_ground(p: Polynomial, k: int) -> Polynomial:
     return Polynomial._trusted(p.variables, {e: c // k for e, c in p._terms.items()})
 
 
-# -- primitive pseudo-remainder sequence (PRS) ------------------------------
-
-
-def _prs(a: list, b: list, primitive) -> list:
-    """The gcd of two coefficient lists (index = degree) up to a unit: the
-    last nonzero member of their primitive pseudo-remainder sequence.
-
-    The coefficients live in any ring with a ``primitive`` step that divides
-    a list by its content (and drops trailing zeros, which only the two
-    inputs may have): integers for the coprimality certificates, polynomials
-    in the other variables for ``_prs_gcd``.
-    """
-    a, b = primitive(a), primitive(b)
-    if not a:
-        return b
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = a
-        lc_b = b[-1]
-        while len(r) >= len(b):
-            lc_r = r[-1]
-            shift = len(r) - len(b)
-            r = [c * lc_b for c in r]
-            for i, c in enumerate(b):
-                r[shift + i] -= lc_r * c
-            while r and not r[-1]:
-                r.pop()
-        a, b = b, primitive(r)
-    return a
-
-
-def _int_list_primitive(coeffs: list[int]) -> list[int]:
-    g = int_gcd(*coeffs)
-    if g in (0, 1):
-        out = list(coeffs)
-    else:
-        out = [c // g for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    if out and out[-1] < 0:
-        out = [-c for c in out]
-    return out
-
-
-def univariate_int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """GCD of two integer coefficient lists (index = degree), primitive output."""
-    return _prs(a, b, _int_list_primitive)
-
-
 # -- multivariate gcd --------------------------------------------------------
 
 
-def _specialize_univariate(p: Polynomial, name: str, point: Mapping[str, int]) -> list[int]:
-    """Coefficients (index = degree in ``name``) of p at integer values of the
-    other variables, scaled to integers by the lcm of p's denominators."""
-    idx = p._var_index(name)
-    if not p._terms:
-        return []
-    scaled = p._terms
-    if not all(type(c) is int for c in scaled.values()):
-        den = lcm(*(c.denominator for c in scaled.values()))
-        scaled = {e: c.numerator * (den // c.denominator) for e, c in scaled.items()}
-    tops = [max(col) for col in zip(*p._terms)]
-    values = [1 if w == name else point[w] for w in p.variables]
-    powers = [[v**j for j in range(top + 1)] for v, top in zip(values, tops)]
-    out = [0] * (tops[idx] + 1)
-    for exps, value in scaled.items():
-        for pw, e in zip(powers, exps):
+def _image_mod_p(p: Polynomial, idx: int, values: Sequence[int]) -> list[int] | None:
+    """Residues mod ``_P`` (index = degree in the variable at ``idx``) of p with
+    each other variable at its entry of ``values``, whose entry at ``idx`` is 1;
+    trailing zeros dropped.  None when ``_P`` divides a denominator of p."""
+    out = [0] * (max(e[idx] for e in p._terms) + 1)
+    for exps, c in p._terms.items():
+        if type(c) is int:
+            r = c
+        elif c.denominator % _P:
+            r = c.numerator * pow(c.denominator, -1, _P)
+        else:
+            return None
+        for value, e in zip(values, exps):
             if e:
-                value *= pw[e]
-        out[exps[idx]] += value
-    while out and out[-1] == 0:
+                r = r * pow(value, e, _P) % _P
+        out[exps[idx]] += r
+    out = [r % _P for r in out]
+    while out and not out[-1]:
         out.pop()
     return out
+
+
+def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
+    """The degree of gcd(a, b) over GF(``_P``) by Euclid's algorithm, for
+    residue lists (index = degree) with nonzero last entries; a is consumed."""
+    while b:
+        inv = pow(b[-1], -1, _P)
+        b = [c * inv % _P for c in b]  # monic
+        low = b[:-1]
+        for shift in range(len(a) - len(b), -1, -1):
+            lead = a.pop()
+            if lead:
+                for i, c in enumerate(low, shift):
+                    a[i] = (a[i] - lead * c) % _P
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
 def _has_unit_slice(p: Polynomial, idx: int) -> bool:
@@ -733,11 +703,17 @@ def _has_unit_slice(p: Polynomial, idx: int) -> bool:
 def _certified_coprime(p: Polynomial, q: Polynomial, common: list[str]) -> bool:
     """True only when specialization certificates prove gcd(p, q) constant.
 
-    Soundness: if the leading coefficient of p in v survives the point, the
-    degree in v of any common factor is bounded by the specialized gcd degree.
-    So any one such point with a constant specialized gcd certifies v; a
-    positive degree may be bad luck and earns one more point, and a second
-    positive degree leaves the pair to the exact gcd.
+    Soundness: set every variable but v to integers where the leading
+    coefficient of p in v survives mod ``_P``.  The degree in v of any common
+    factor is then at most the degree of the images' gcd over Q, and that is
+    at most the degree of their gcd over GF(``_P``) (W. S. Brown, J. ACM 18,
+    1971): with the rational gcd G made primitive over the integers localized
+    at ``_P``, G divides both images there, and ``_P`` keeps the leading
+    coefficient of G because it keeps that of p's image, so G mod ``_P`` keeps
+    its degree and divides both residue images.  So any one such point with a
+    constant gcd mod ``_P`` certifies v; a positive degree may be bad luck and
+    earns one more point, and a second positive degree leaves the pair to the
+    exact gcd, as does a denominator that ``_P`` divides.
 
     One certified v is enough when p or q has a v-coefficient (a polynomial
     in the other variables) that is a nonzero constant: the gcd, of degree 0
@@ -750,18 +726,18 @@ def _certified_coprime(p: Polynomial, q: Polynomial, common: list[str]) -> bool:
             common = [v]
             break
     for v in common:
+        idx = p.variables.index(v)
         deg_v = p.degree_in(v)
-        others = [w for w in p.variables if w != v]
         unlucky = 0
         for attempt in range(8):
-            point = {w: _PRIMES[(k + attempt) % len(_PRIMES)] + attempt for k, w in enumerate(others)}
-            pl = _specialize_univariate(p, v, point)
-            if len(pl) - 1 != deg_v:
-                continue  # leading coefficient vanished; try another point
-            ql = _specialize_univariate(q, v, point)
-            if not ql:
-                continue
-            if len(univariate_int_gcd(pl, ql)) <= 1:
+            values = [_PRIMES[(k + attempt) % len(_PRIMES)] + attempt for k in range(len(p.variables) - 1)]
+            values.insert(idx, 1)
+            pl, ql = (_image_mod_p(f, idx, values) for f in (p, q))
+            if pl is None or ql is None:
+                return False
+            if len(pl) - 1 != deg_v or not ql:
+                continue  # leading coefficient vanished mod _P; try another point
+            if not _gcd_degree_mod_p(pl, ql):
                 break  # v is certified
             unlucky += 1
             if unlucky == 2:
@@ -791,6 +767,28 @@ def _poly_list_primitive(coeffs: list[Polynomial]) -> list[Polynomial]:
     return [c.exact_div(g) for c in coeffs]
 
 
+def _prs(a: list[Polynomial], b: list[Polynomial]) -> list[Polynomial]:
+    """The gcd of two coefficient lists (index = degree, last entries
+    nonzero) over a ring of polynomials, up to a unit: the last nonzero
+    member of their primitive pseudo-remainder sequence."""
+    a, b = _poly_list_primitive(a), _poly_list_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = a
+        lc_b = b[-1]
+        while len(r) >= len(b):
+            lc_r = r[-1]
+            shift = len(r) - len(b)
+            r = [c * lc_b for c in r]
+            for i, c in enumerate(b):
+                r[shift + i] -= lc_r * c
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _poly_list_primitive(r)
+    return a
+
+
 def _prs_gcd(p: Polynomial, q: Polynomial, main: str) -> Polynomial:
     """gcd(p, q) for nonzero p and q: the PRS over the ring of the variables
     other than ``main``, times the gcd of the two contents."""
@@ -799,7 +797,7 @@ def _prs_gcd(p: Polynomial, q: Polynomial, main: str) -> Polynomial:
     cont = polynomial_gcd(_content(pl), _content(ql))
     core = {
         e[:idx] + (d,) + e[idx + 1 :]: c
-        for d, coeff in enumerate(_prs(pl, ql, _poly_list_primitive))
+        for d, coeff in enumerate(_prs(pl, ql))
         for e, c in coeff._terms.items()
     }
     return primitive_part(cont * Polynomial._wrap(p.variables, core))

@@ -185,6 +185,10 @@ class LastDicriticalCertificate(Certificate):
 
     kind = "last"
 
+    def __post_init__(self):
+        if any(k < 0 for k in self.special_exponents.values()):
+            raise SolverError("special hypersurfaces carry honest positive powers")
+
 
 def solve_last_dicritical(
     d: ModificationDescriptor,
@@ -319,6 +323,12 @@ class SingleDicriticalCertificate(Certificate):
     doublings: int
 
     kind = "single"
+
+    def __post_init__(self):
+        if any(k < 1 for k in self.later_exponents.values()):
+            raise SolverError("later hypercurvette powers must be positive")
+        if self.pole_power < 1:
+            raise SolverError("the pole power must be a positive honest power")
 
     def window(self, i: int) -> tuple[LinearForm, LinearForm]:
         """Lower and upper bounding forms for the pole power at divisor i."""

@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random descriptors and requests, a four-divisor tower
-that needs doublings, three request scenarios and the bench's scenario
-generators."""
+that needs doublings, three request scenarios, the bench's scenario
+generators and an integer gcd of coefficient lists that shares no code with
+the library's gcd."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import dataclasses
 import importlib.util
 import random
 import sys
+from math import gcd
 from pathlib import Path
 
 from dicriticals.candidates import Bindings
@@ -179,3 +181,35 @@ def bench_workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look the module up
     spec.loader.exec_module(module)
     return module
+
+
+def _int_list_primitive(coeffs: list[int]) -> list[int]:
+    """``coeffs`` divided by their content, trailing zeros dropped, with a
+    positive last entry."""
+    g = gcd(*coeffs) or 1
+    out = [c // g for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return [-c for c in out] if out and out[-1] < 0 else out
+
+
+def univariate_int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """GCD of two integer coefficient lists (index = degree), primitive with a
+    positive leading coefficient: the last nonzero member of their primitive
+    pseudo-remainder sequence."""
+    a, b = _int_list_primitive(a), _int_list_primitive(b)
+    if not a:
+        return b
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = a
+        while len(r) >= len(b):
+            lc_r, shift = r[-1], len(r) - len(b)
+            r = [c * b[-1] for c in r]
+            for i, c in enumerate(b):
+                r[shift + i] -= lc_r * c
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _int_list_primitive(r)
+    return a

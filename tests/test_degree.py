@@ -32,9 +32,10 @@ from dicriticals.charts import (
 )
 from dicriticals.errors import ChartError, GenericityError
 from dicriticals.fixtures import FIXTURES, RING, conic_center, load_fixture
-from dicriticals.poly import Polynomial, univariate_int_gcd
+from dicriticals.poly import Polynomial
 from dicriticals.ratfunc import RationalFunction
 from dicriticals.verify import explicit_function, run_verify, solve_scenario
+from helpers import univariate_int_gcd
 
 
 def _drawn_degree(restriction: Restriction, line: LineClassSpec, rng: random.Random) -> int | None:

@@ -11,7 +11,9 @@ the others: ``poly``, ``ratfunc`` and ``charts`` take nothing from
 polynomial and chart modules; and ``candidates`` takes only the certificate
 classes from ``solver``.  And every private function or method (one
 leading underscore) is referenced by name somewhere in the package outside
-its own body, so a helper whose last caller goes is caught.
+its own body, so a helper whose last caller goes is caught; so is every
+module-level public function that ``__init__`` does not re-export, but for
+the few that only the benchmark or the tests read.
 """
 
 import ast
@@ -197,3 +199,54 @@ def test_an_unreferenced_private_function_is_reported():
         "charts": "from .poly import _used\nVALUE = _used(1)\n",
     }
     assert unreferenced_private_functions(sources) == ["poly:1: _helper", "poly:6: _method"]
+
+
+# Module-level public functions no module of the package reads and that
+# ``__init__`` does not re-export, each with the reason it stays.
+UNREAD_PUBLIC_FUNCTIONS = {
+    "fixtures.three_points_line_explicit": "bench/ imports it",
+    "scenario.scenario_to_json": "bench/ imports it",
+    "verify.explicit_function": "the acceptance tests call it",
+}
+
+
+def unread_public_functions(sources: dict[str, str]) -> list[str]:
+    """The module-level public functions of ``sources`` (module name ->
+    source text) that ``__init__`` does not import and whose name is read
+    nowhere but in their own bodies."""
+    trees = {module: ast.parse(text, module) for module, text in sources.items()}
+    exported = imported_names(trees["__init__"]) if "__init__" in trees else {}
+    everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in exported
+        and everywhere[node.name] == referenced_names(node)[node.name]
+    ]
+
+
+def test_every_public_function_is_read_or_exported():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert sorted(unread_public_functions(sources)) == sorted(UNREAD_PUBLIC_FUNCTIONS)
+
+
+def test_an_unread_public_function_is_reported():
+    sources = {
+        "__init__": "from .poly import polynomial_gcd\n",
+        "poly": (
+            "def polynomial_gcd(p, q):\n"
+            "    return p\n"
+            "def univariate_int_gcd(a, b):\n"
+            "    return univariate_int_gcd(b, a) if len(a) < len(b) else a\n"
+            "def primitive_part(p):\n"
+            "    return p\n"
+            "class P:\n"
+            "    def render(self):\n"
+            "        return ''\n"
+        ),
+        "ratfunc": "from . import poly\nVALUE = poly.primitive_part(1)\n",
+    }
+    assert unread_public_functions(sources) == ["poly.univariate_int_gcd"]

@@ -5,8 +5,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dicriticals.errors import PolynomialError
-from dicriticals.poly import Polynomial, polynomial_gcd, primitive_part, univariate_int_gcd
+from dicriticals.poly import Polynomial, polynomial_gcd, primitive_part
 from dicriticals.ratfunc import RationalFunction
+from helpers import univariate_int_gcd
 
 V = ("x", "y", "z")
 
@@ -518,6 +519,61 @@ def test_a_lone_term_in_a_variable_does_not_certify_the_gcd():
     that slice is y + y*z, not a constant: the gcd 1 + z is still found."""
     x, y, z = xyz()
     assert polynomial_gcd((1 + z) * (1 + y), (1 + z) * (y - 1)) == 1 + z
+
+
+def test_the_certificate_prime_is_the_largest_prime_below_2_to_the_30(sympy):
+    from dicriticals import poly
+
+    assert sympy.isprime(poly._P) and poly._P < 2**30 < sympy.nextprime(poly._P)
+
+
+def test_a_point_where_the_prime_divides_the_leading_coefficient_is_skipped(monkeypatch):
+    """At the first point (y, z) = (2, 3) the leading x-coefficient y + p - 2
+    is p, which vanishes mod p: that point is skipped, and the next one,
+    (4, 6), certifies the pair without the heuristic or the PRS gcd."""
+    from dicriticals import poly
+
+    x, y, _ = xyz()
+    a, b = (y + poly._P - 2) * x + 1, x + y
+    points, calls = [], []
+    image = poly._image_mod_p
+
+    def spy(p, idx, values):
+        points.append(tuple(values))
+        return image(p, idx, values)
+
+    monkeypatch.setattr(poly, "_image_mod_p", spy)
+    for name in ("_heu_gcd", "_prs_gcd"):
+        monkeypatch.setattr(poly, name, lambda *args, name=name: calls.append(name))
+    assert polynomial_gcd(a, b) == 1
+    assert points == [(1, 2, 3), (1, 2, 3), (1, 4, 6), (1, 4, 6)] and calls == []
+
+
+def test_a_denominator_the_prime_divides_leaves_the_gcd_to_the_exact_routes():
+    from dicriticals import poly
+
+    x, y, _ = xyz()
+    a, b = x * y + Fraction(1, poly._P), x + y
+    assert not poly._certified_coprime(a, b, ["x", "y"])
+    assert polynomial_gcd(a, b) == 1
+    assert polynomial_gcd(a * (x - y), b * (x - y)) == primitive_part(x - y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([("x", "y"), V]).flatmap(lambda ring: st.tuples(*[_polys(ring)] * 3)))
+def test_a_certified_pair_has_gcd_one_and_a_planted_factor_is_never_certified(sympy, fpq):
+    """Whenever the certificate over GF(p) certifies a pair, in two or three
+    variables, sympy's gcd of the pair is 1; a pair that shares a planted
+    nonconstant factor is never certified."""
+    from dicriticals import poly
+
+    f, p, q = fpq
+    assume(p and q)
+    if poly._certified_coprime(p, q, poly._shared_variables(p, q)):
+        assert sympy.gcd(_sympy_poly(sympy, p), _sympy_poly(sympy, q)).is_ground
+    if not f.is_constant():
+        a, b = f * p, f * q
+        assert not poly._certified_coprime(a, b, poly._shared_variables(a, b))
 
 
 @settings(max_examples=30, deadline=None)

@@ -453,15 +453,6 @@ UNREACHED_CHECKS = {
     "certificate-special-exponent-negative": "special hypersurfaces carry honest positive powers",
 }
 
-# Stored certificates with a value out of range that only the candidate
-# builders check: ``verify --certificate`` exits 1 on them with one
-# ``error:`` line, as for a certificate the construction cannot honour.
-BUILDER_FAULTS = {
-    "certificate-pole-power-zero",
-    "certificate-later-power-zero",
-    "certificate-special-exponent-negative",
-}
-
 
 def set_at(data, keys, value):
     for key in keys[:-1]:
@@ -631,11 +622,10 @@ def test_cli_rejects_bad_input_with_one_line(case, tmp_path, capsys):
     else:
         data["lines"]["3"]["assign"] = {"x": "zero", "y": "const", "w": "param"}
         path.write_text(input_json(data))
-    code, prefix = (1, "error:") if case in BUILDER_FAULTS else (2, "input error:")
     capsys.readouterr()
-    assert main(argv) == code
+    assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(prefix), err
+    assert len(err) == 1 and err[0].startswith("input error:"), err
     assert err[0].endswith(UNREACHED_CHECKS.get(case, "")), err
     assert not any(tmp_path.parent.glob("evil*"))  # nothing written above --out
 

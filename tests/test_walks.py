@@ -865,8 +865,11 @@ RAISED_DEGREES = [
     ("three-points", 2),
     ("three-points-line", 2),
     ("three-points-line", 4),
+    ("three-points-line", 8),
     ("two-dicriticals", 2),
     ("two-dicriticals", 4),
+    ("two-dicriticals", 8),
+    ("two-dicriticals", 16),
 ]
 
 
